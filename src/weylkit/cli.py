@@ -7,7 +7,8 @@ object with `--json`.  Exit codes separate four situations:
 * 1 — the computation succeeded but the mathematical answer is negative
   (a relation fails, a span does not stabilise, a pattern is missed),
 * 2 — the input is malformed or violates a documented precondition,
-* 3 — a resource bound (``--max-iter`` / ``--max-dim``) was hit.
+* 3 — a resource bound was hit: ``--max-iter``, ``--max-dim``, or an
+  integer too long to print in decimal.
 
 Element arguments use the expression syntax of :func:`weylkit.parse_element`;
 arguments that begin with a minus sign must be preceded by ``--`` so the
@@ -452,6 +453,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, lines, code = args.handler(args)
+        if args.json:
+            lines = [json.dumps(payload)]
     except _NEGATIVE as exc:
         print(f"no: {exc}", file=sys.stderr)
         return 1
@@ -461,11 +464,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (WeylError, ScalarSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+    except ValueError as exc:
+        # Python's cap on the digits of an int read from or written as text
+        # (sys.get_int_max_str_digits) bounds the size of what can be printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"bound hit: {exc}", file=sys.stderr)
+        return 3
+    for line in lines:
+        print(line)
     return code
 
 

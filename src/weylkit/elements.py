@@ -65,7 +65,8 @@ class WeylElement:
 
     @staticmethod
     def monomial(i: int, j: int, coeff: ScalarLike = ONE) -> "WeylElement":
-        assert i >= 0 and j >= 0
+        if i < 0 or j < 0:
+            raise BadParams(f"monomial exponents must be nonnegative, got p^{i} q^{j}")
         return WeylElement({(i, j): coeff})
 
     # -- structure queries ----------------------------------------------------
@@ -179,7 +180,8 @@ class WeylElement:
         return NotImplemented
 
     def __pow__(self, n: int):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise BadParams(f"element powers need a nonnegative integer exponent, got {n!r}")
         result = one
         for _ in range(n):
             result = result * self
@@ -226,7 +228,8 @@ def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
 
 def ad_pow(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
     """The n-fold iterated bracket ad(x)^n(y); n = 0 returns y."""
-    assert n >= 0
+    if n < 0:
+        raise BadParams(f"ad_pow needs a nonnegative iteration count, got {n}")
     for _ in range(n):
         y = bracket(x, y)
     return y

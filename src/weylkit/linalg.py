@@ -69,10 +69,14 @@ def rref(a: Matrix):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inverse()
         rows[r] = [v * inv for v in rows[r]]
+        # only the pivot row's nonzero columns change the other rows
+        support = [(j, y) for j, y in enumerate(rows[r]) if y]
         for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+            row = rows[k]
+            f = row[c]
+            if k != r and f:
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == nrows:

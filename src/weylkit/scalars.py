@@ -1,95 +1,158 @@
 """Exact Gaussian-rational arithmetic: the coefficient field Q(i).
 
-Every coefficient in the library is a Scalar — a complex number a + b*i whose
-real and imaginary parts are arbitrary-precision rationals.  Equality is
-canonical (Fraction keeps itself reduced), so all downstream identity checks
-are decidable with literal equality.  There is no floating-point mode.
+Every coefficient in the library is a Scalar, a complex number stored as one
+integer triple (a, b, d) standing for (a + b*i)/d.  The triple is kept in
+canonical form: d > 0 and gcd(a, b, d) = 1, with zero stored as (0, 0, 1).
+Each operation computes the unreduced triple with integer arithmetic and
+divides out a single three-argument gcd, so equality is equality of the
+three integers and all downstream identity checks are decidable with
+literal equality.  The real and imaginary parts are available as
+Fractions.  There is no floating-point mode.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["Scalar", "ZERO", "ONE", "I", "parse_scalar", "format_scalar", "ScalarSyntaxError"]
 
-_RatLike = (int, Fraction)
+_new = object.__new__
+
+
+def _mk(a: int, b: int, d: int) -> "Scalar":
+    """A Scalar from a triple already in canonical form; skips __init__."""
+    s = _new(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
+
+
+def _norm(a: int, b: int, d: int) -> "Scalar":
+    """A Scalar from any triple with d > 0, by dividing out one gcd.
+
+    Every caller's d is a product of canonical denominators and of
+    c² + e² > 0, so d is never negative and the sign needs no fixing.
+    """
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _mk(a, b, d)
+
+
+def _coerce(x):
+    if isinstance(x, int):
+        return _mk(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _mk(x.numerator, 0, x.denominator)
+    return NotImplemented
 
 
 class Scalar:
-    """A Gaussian rational re + im*i; immutable by convention."""
+    """The Gaussian rational (a + b*i)/d, d > 0, gcd(a, b, d) = 1; immutable by convention."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re = Fraction(re)
+        im = Fraction(im)
+        # re and im are reduced, so their least common denominator leaves
+        # no factor common to a, b and d
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     def is_integer(self) -> bool:
         """True for rational integers (im = 0, denominator 1)."""
-        return not self.im and self.re.denominator == 1
+        return not self.b and self.d == 1
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, _RatLike):
-            return Scalar(x)
-        return NotImplemented
-
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _mk(self.a + other.a, self.b + other.b, 1)
+            return _norm(self.a + other.a, self.b + other.b, d)
+        return _norm(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _mk(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _mk(self.a - other.a, self.b - other.b, 1)
+            return _norm(self.a - other.a, self.b - other.b, d)
+        return _norm(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _norm(self.a * other, self.b * other, self.d)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _norm(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * other.re + self.im * other.im) / n,
-                      (self.im * other.re - self.re * other.im) / n)
+        # (a + bi)/d ÷ (c + ei)/f = f·(a + bi)(c - ei) / (d·(c² + e²))
+        f = other.d
+        return _norm((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
-        return Scalar._coerce(other) / self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -105,7 +168,7 @@ class Scalar:
         return result
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _mk(self.a, -self.b, self.d)
 
     def inverse(self) -> "Scalar":
         return ONE / self
@@ -113,13 +176,14 @@ class Scalar:
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def sort_key(self):
         """A total order on Q(i) (lexicographic); used only for determinism."""
@@ -131,17 +195,12 @@ class Scalar:
         return format_scalar(self)
 
     def __repr__(self):
-        return f"Scalar({self.re!r}, {self.im!r})" if self.im else f"Scalar({self.re!r})"
+        return f"Scalar({self.re!r}, {self.im!r})" if self.b else f"Scalar({self.re!r})"
 
     def as_tuple(self):
         """Machine form (re_num, re_den, im_num, im_den)."""
-        return (self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator)
-
-    @staticmethod
-    def from_tuple(t) -> "Scalar":
-        rn, rd, im_n, im_d = t
-        return Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
+        re, im = self.re, self.im
+        return (re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 ZERO = Scalar(0)

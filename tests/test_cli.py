@@ -262,3 +262,11 @@ def test_round_trip_two_hundred_random_elements(capsys):
         code, out, _ = run(capsys, "mul", "--", text, "1")
         assert code == 0 and out == text + "\n"
         assert parse_element(text) == x
+
+
+def test_integers_too_long_to_print_are_a_resource_bound(capsys):
+    # the product has coefficients beyond Python's int-to-text digit limit
+    for argv in (["mul", "q^2400", "p^2400"], ["mul", "--json", "q^2400", "p^2400"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("bound hit:") and "4300 digits" in err

@@ -1,10 +1,15 @@
 """Normal-ordered arithmetic, spans, gradings and the expression language."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import weylkit
 from weylkit import Scalar, WeylElement, bracket, ad_pow, symmetrize
 from weylkit.elements import (ElementSpan, SymTensor, coordinates,
                               format_element, linear_span_dim, one,
@@ -214,3 +219,23 @@ def test_bracket_lowers_total_degree_by_two(x, y):
 @given(element_st(), scalar_st)
 def test_scaling_distributes_over_terms(x, c):
     assert x.scale(c) + x.scale(Scalar(1) - c) == x
+
+
+def test_exponent_guards_raise_under_python_O():
+    # the checks must not be asserts, which -O strips
+    script = """
+from weylkit.elements import WeylElement, ad_pow, p, q
+from weylkit.errors import BadParams
+for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
+             lambda: WeylElement.monomial(0, -2), lambda: ad_pow(p, q, -1)):
+    try:
+        call()
+    except BadParams:
+        continue
+    raise SystemExit("no BadParams")
+"""
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr + done.stdout

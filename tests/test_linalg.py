@@ -107,3 +107,70 @@ def test_charpoly_is_multiplicative_on_determinant(a, b):
     det_a = charpoly(a)[0]
     det_b = charpoly(b)[0]
     assert charpoly(mat_mul(a, b))[0] == det_a * det_b
+
+
+# -- rref against the dense elimination it replaced --------------------------------
+
+
+def _dense_rref(a):
+    """The full-row update rref used before it skipped zero cells (reference)."""
+    rows = [list(r) for r in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _dense_nullspace(a):
+    rows, pivots = _dense_rref(a)
+    ncols = len(a[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+sparse_scalar_st = st.one_of(st.just(ZERO), scalar_st)
+
+
+@st.composite
+def sparse_matrix_st(draw):
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return [[draw(sparse_scalar_st) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@given(sparse_matrix_st(), st.data())
+def test_rref_nullspace_solve_match_dense_elimination(a, data):
+    snapshot = [list(row) for row in a]
+    assert rref(a) == _dense_rref(a)
+    assert a == snapshot
+    assert nullspace(a) == _dense_nullspace(a)
+    b = [data.draw(sparse_scalar_st) for _ in a]
+    rows, pivots = _dense_rref([row + [rhs] for row, rhs in zip(a, b)])
+    ncols = len(a[0])
+    expected = None
+    if ncols not in pivots:
+        expected = [ZERO] * ncols
+        for r, c in enumerate(pivots):
+            expected[c] = rows[r][ncols]
+    assert solve(a, b) == expected
