@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
                       is_exponentiable, power_relation)
-from .elements import WeylElement, format_element, parse_element
+from .elements import WeylElement, bracket, format_element, parse_element
 from .errors import (BadParams, DegreeTooHigh, DimensionExceeded,
                      ExprSyntaxError, IrrationalSpectrum, NoProportionality,
                      NonScalarCasimir, NotDiagonalisable, NotInA1Form,
@@ -108,8 +108,7 @@ def _cmd_mul(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_bracket(args) -> tuple[dict, list[str], int]:
-    a, b = parse_element(args.a), parse_element(args.b)
-    x = a * b - b * a
+    x = bracket(parse_element(args.a), parse_element(args.b))
     return (_payload("bracket", bracket=_element_json(x)),
             [format_element(x)], 0)
 

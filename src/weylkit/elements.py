@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from sympy.utilities.iterables import multiset_permutations
-
 from .errors import BadParams, ExprSyntaxError, NotInjective
 from .scalars import ONE, ZERO, Scalar, ScalarSyntaxError, format_scalar, scan_scalar
 
@@ -91,7 +89,8 @@ class WeylElement:
         return max((i + j for (i, j) in self.terms), default=-1)
 
     def leading_monomial(self) -> Monomial:
-        assert self.terms, "zero element has no leading monomial"
+        if not self.terms:
+            raise BadParams("zero element has no leading monomial")
         return min(self.terms, key=_term_order)
 
     def coeff(self, i: int, j: int) -> Scalar:
@@ -261,6 +260,17 @@ class SymTensor:
         return len(self.factors)
 
 
+def _distinct_orderings(word: Sequence[int]):
+    """Each distinct ordering of word exactly once, in lexicographic order."""
+    if not word:
+        yield ()
+    for first in sorted(set(word)):
+        rest = list(word)
+        rest.remove(first)
+        for tail in _distinct_orderings(rest):
+            yield (first,) + tail
+
+
 def symmetrize(t) -> WeylElement:
     """The symmetrised product (1/n!) Σ_σ v_{σ(1)} … v_{σ(n)}; lands in W_n."""
     factors = t.factors if isinstance(t, SymTensor) else SymTensor(t).factors
@@ -280,7 +290,7 @@ def symmetrize(t) -> WeylElement:
     weight = Fraction(math.prod(math.factorial(c) for c in counts.values()),
                       math.factorial(n))
     total = zero
-    for perm in multiset_permutations(word):
+    for perm in _distinct_orderings(word):
         total = total + reduce(lambda acc, k: acc * distinct[k], perm, one)
     return total.scale(weight)
 

@@ -93,14 +93,6 @@ class LieAlgebraStruct:
                         raise PreconditionFailed(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
 
-    def structure_triples(self):
-        """All (i, j, k, scalar) with i < j, in deterministic order."""
-        out = []
-        for (i, j) in sorted(self.c):
-            for k in sorted(self.c[(i, j)]):
-                out.append((i, j, k, self.c[(i, j)][k]))
-        return out
-
     def __repr__(self):
         return f"<LieAlgebraStruct dim={self.dim} labels={self.labels}>"
 

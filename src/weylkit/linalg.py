@@ -5,21 +5,20 @@ elimination is exact field arithmetic, so ranks, solution sets and spectra
 are decided, never estimated.  Eigenvalues go through the characteristic
 polynomial (Faddeev–LeVerrier, division-exact) factorised over Q(i) via
 sympy's QQ_I domain: a factor of degree two or more means the spectrum
-leaves Q(i) and is reported as such rather than approximated.
+leaves Q(i) and is reported as such rather than approximated.  sympy is
+imported there, on first use, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-import sympy
-
-from .errors import IrrationalSpectrum
+from .errors import BadParams, IrrationalSpectrum
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
-    "identity", "zeros", "mat_mul", "mat_vec", "columns_to_matrix", "rref",
+    "identity", "zeros", "mat_mul", "mat_vec", "rref",
     "rank", "solve", "nullspace", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
@@ -36,23 +35,16 @@ def zeros(nrows: int, ncols: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    assert not a or not b or len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise BadParams(f"cannot multiply a {len(a)}x{len(a[0])} by a {len(b)}-row matrix")
     return [[sum((x * b[k][c] for k, x in enumerate(row) if x), ZERO)
              for c in range(len(b[0]) if b else 0)] for row in a]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    assert not a or len(a[0]) == len(v)
+    if a and len(a[0]) != len(v):
+        raise BadParams(f"cannot apply a {len(a)}x{len(a[0])} matrix to {len(v)} coordinates")
     return [sum((x * v[k] for k, x in enumerate(row) if x), ZERO) for row in a]
-
-
-def columns_to_matrix(cols: Sequence[Vector]) -> Matrix:
-    """Assemble the matrix whose c-th column is cols[c]."""
-    if not cols:
-        return []
-    n = len(cols[0])
-    assert all(len(col) == n for col in cols)
-    return [[col[r] for col in cols] for r in range(n)]
 
 
 def rref(a: Matrix):
@@ -90,7 +82,8 @@ def rank(a: Matrix) -> int:
 
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """One exact solution of a·x = b (free variables zero), or None."""
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise BadParams(f"a {len(a)}-row system needs {len(a)} right-hand sides, got {len(b)}")
     if not a:
         return []
     aug = [row + [rhs] for row, rhs in zip(a, b)]
@@ -141,6 +134,7 @@ def charpoly(a: Matrix) -> list[Scalar]:
 
 
 def _to_sympy(c: Scalar):
+    import sympy
     return (sympy.Rational(c.re.numerator, c.re.denominator)
             + sympy.Rational(c.im.numerator, c.im.denominator) * sympy.I)
 
@@ -159,6 +153,7 @@ def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
     n = len(a)
     if n == 0:
         return []
+    import sympy
     coeffs = charpoly(a)
     x = sympy.Symbol("x")
     poly = sympy.Poly(sum(_to_sympy(c) * x ** k for k, c in enumerate(coeffs)),

@@ -183,6 +183,10 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        # a real Scalar equals the int or Fraction of the same value, so it
+        # must hash like it
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
 
     def sort_key(self):

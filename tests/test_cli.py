@@ -1,10 +1,15 @@
 """End-to-end command tests: output text, JSON payloads and exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylkit
 from weylkit import Scalar, WeylElement
 from weylkit.cli import main
 from weylkit.elements import format_element, parse_element, zero
@@ -270,3 +275,36 @@ def test_integers_too_long_to_print_are_a_resource_bound(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("bound hit:") and "4300 digits" in err
+
+
+def test_commands_run_without_loading_sympy():
+    # sympy is imported only to factorise a characteristic polynomial
+    script = """
+import contextlib, io, sys
+import weylkit, weylkit.cli
+from weylkit.linalg import eigenvalues
+from weylkit.scalars import ONE, ZERO, Scalar
+commands = [
+    (["mul", "q^2", "p^2"], 0), (["bracket", "p", "q"], 0),
+    (["apply", "phi(2,1); scale(3)", "q"], 0), (["closure", "p^3", "q"], 0),
+    (["recognize", "p^2", "q^2"], 0), (["casimir", "fII(1)"], 0),
+    (["s11", "fII(1)"], 1), (["exotic"], 0),
+    (["act", "alpha1(1,1,0,1)", "1", "1", "0", "1", "fI"], 0),
+    (["triplet", "p", "q", "1"], 1),
+]
+for argv, want in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = weylkit.cli.main(argv)
+    if code != want:
+        raise SystemExit(f"{argv}: exit {code}, expected {want}")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+if loaded:
+    raise SystemExit(f"sympy loaded: {loaded[:5]}")
+if eigenvalues([[ZERO, -ONE], [ONE, ZERO]]) != [(Scalar(0, -1), 1), (Scalar(0, 1), 1)]:
+    raise SystemExit("wrong eigenvalues of the rotation matrix")
+"""
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr + done.stdout

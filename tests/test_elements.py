@@ -1,17 +1,21 @@
 """Normal-ordered arithmetic, spans, gradings and the expression language."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import weylkit
 from weylkit import Scalar, WeylElement, bracket, ad_pow, symmetrize
-from weylkit.elements import (ElementSpan, SymTensor, coordinates,
+from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, coordinates,
                               format_element, linear_span_dim, one,
                               parse_element, p, q, weight_decompose,
                               wn_components, zero)
@@ -224,10 +228,16 @@ def test_scaling_distributes_over_terms(x, c):
 def test_exponent_guards_raise_under_python_O():
     # the checks must not be asserts, which -O strips
     script = """
-from weylkit.elements import WeylElement, ad_pow, p, q
+from weylkit.elements import WeylElement, ad_pow, p, q, zero
 from weylkit.errors import BadParams
+from weylkit.linalg import identity, mat_mul, mat_vec, solve
+from weylkit.scalars import ONE
 for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
-             lambda: WeylElement.monomial(0, -2), lambda: ad_pow(p, q, -1)):
+             lambda: WeylElement.monomial(0, -2), lambda: ad_pow(p, q, -1),
+             lambda: zero.leading_monomial(),
+             lambda: mat_mul(identity(2), identity(3)),
+             lambda: mat_vec(identity(2), [ONE] * 3),
+             lambda: solve(identity(2), [ONE] * 3)):
     try:
         call()
     except BadParams:
@@ -239,3 +249,12 @@ for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr + done.stdout
+
+
+@given(st.lists(st.integers(0, 2), max_size=7))
+def test_distinct_orderings_are_the_distinct_permutations(word):
+    got = list(_distinct_orderings(word))
+    assert len(got) == len(set(got))
+    assert set(got) == set(itertools.permutations(word))
+    assert len(got) == math.factorial(len(word)) // math.prod(
+        math.factorial(c) for c in Counter(word).values())

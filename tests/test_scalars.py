@@ -221,3 +221,16 @@ def test_zero_is_canonical():
     for z in (ZERO, Scalar(), Scalar(0, 0), Scalar(Fraction(0, 7)), ONE - ONE,
               Scalar(Fraction(1, 3), 2) - Scalar(Fraction(1, 3), 2), ZERO * Scalar(5, 7)):
         assert (z.a, z.b, z.d) == (0, 0, 1) and not z and z == 0
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_real_scalars_hash_like_the_equal_rational(x):
+    assert Scalar(x) == x and hash(Scalar(x)) == hash(x)
+
+
+def test_real_scalars_mix_with_ints_and_fractions_as_keys():
+    assert {Scalar(1): "x"}.get(1) == "x"
+    assert {1: "x"}.get(Scalar(1)) == "x"
+    assert {Fraction(-3, 4): "x"}.get(Scalar(Fraction(-3, 4))) == "x"
+    assert len({Scalar(1), 1, Fraction(1)}) == 1
+    assert len({Scalar(Fraction(1, 2)), Fraction(1, 2), Scalar(Fraction(1, 2), 1)}) == 2
