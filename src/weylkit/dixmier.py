@@ -23,7 +23,7 @@ from .elements import (ElementSpan, WeylElement, bracket, coordinates,
 from .errors import (DegreeTooHigh, NoProportionality, PreconditionFailed,
                      ZeroElement)
 from .linalg import nullspace
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 __all__ = [
     "DixmierClass", "classify_low_degree",
@@ -120,13 +120,7 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
         for mono, coeff in img.terms.items():
             a[rows[mono]][c] = coeff
         a[rows[m]][c] = a[rows[m]][c] - lam
-    basis = []
-    for vec in nullspace(a):
-        v = zero
-        for c, m in enumerate(unknowns):
-            if vec[c]:
-                v = v + WeylElement.monomial(*m, coeff=vec[c])
-        basis.append(v)
+    basis = [WeylElement(dict(zip(unknowns, vec))) for vec in nullspace(a)]
     return linear_span_dim(basis)[1]
 
 

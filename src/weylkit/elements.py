@@ -25,6 +25,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadParams, ExprSyntaxError, NotInjective
+from .linalg import Echelon
 from .scalars import ONE, ZERO, Scalar, ScalarSyntaxError, format_scalar, scan_scalar
 
 __all__ = [
@@ -41,6 +42,13 @@ ScalarLike = Union[Scalar, int, Fraction]
 def _term_order(m: Monomial):
     """Sort key for printing order: descending total degree, then descending i."""
     return (-(m[0] + m[1]), -m[0])
+
+
+def _wrap(terms: dict) -> "WeylElement":
+    """An element on a term dict that is already clean (no zero coefficients)."""
+    res = WeylElement.__new__(WeylElement)
+    res.terms = terms
+    return res
 
 
 @lru_cache(maxsize=None)
@@ -117,16 +125,12 @@ class WeylElement:
                 out[m] = s
             else:
                 out.pop(m, None)
-        res = WeylElement.__new__(WeylElement)
-        res.terms = out
-        return res
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = WeylElement.__new__(WeylElement)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = WeylElement._coerce(other)
@@ -141,9 +145,7 @@ class WeylElement:
         c = c if isinstance(c, Scalar) else Scalar(c)
         if not c:
             return zero
-        res = WeylElement.__new__(WeylElement)
-        res.terms = {m: c * v for m, v in self.terms.items()}
-        return res
+        return _wrap({m: c * v for m, v in self.terms.items()})
 
     def __truediv__(self, c):
         if isinstance(c, (Scalar, int, Fraction)):
@@ -169,9 +171,7 @@ class WeylElement:
                         out[key] = v
                     else:
                         out.pop(key, None)
-        res = WeylElement.__new__(WeylElement)
-        res.terms = out
-        return res
+        return _wrap(out)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -339,91 +339,44 @@ def weight_decompose(x: WeylElement) -> list[WeightComponent]:
 
 
 class ElementSpan:
-    """Incremental echelon form of a span of elements.
+    """Incremental echelon form of a span of elements (a linalg.Echelon).
 
-    Pivots are leading monomials in printing order, normalised to coefficient
-    one; rows keep insertion order, and each row carries its expression in
-    terms of the inserted generators (dict generator-index -> Scalar), so
-    membership queries can report exact coordinates.
+    Pivots are leading monomials in printing order, normalised to
+    coefficient one; ``rows`` keeps the pivot rows in insertion order, and
+    each carries its expression over the inserted generators, so membership
+    queries can report exact coordinates.
     """
 
     def __init__(self):
-        self.rows: list[tuple[Monomial, WeylElement, dict[int, Scalar]]] = []
-        self._by_lead: dict[Monomial, int] = {}
-        self.ngens = 0
+        self._echelon = Echelon(key=_term_order)
+        self.rows: list[WeylElement] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, x: WeylElement):
-        """Eliminate pivot monomials from x; returns (remainder, row coords)."""
-        used: dict[int, Scalar] = {}
-        while not x.is_zero():
-            lead = x.leading_monomial()
-            ridx = self._by_lead.get(lead)
-            if ridx is None:
-                break
-            c = x.coeff(*lead)
-            x = x - self.rows[ridx][1].scale(c)
-            used[ridx] = used.get(ridx, ZERO) + c
-        return x, used
-
     def insert(self, x: WeylElement) -> Optional[WeylElement]:
         """Add a generator; returns the new pivot row if the span grew."""
-        gen = self.ngens
-        self.ngens += 1
-        rem, used = self._reduce(x)
-        if rem.is_zero():
+        row = self._echelon.insert(x.terms)
+        if row is None:
             return None
-        c = rem.coeff(*rem.leading_monomial())
-        row = rem.scale(c.inverse())
-        coords = {gen: c.inverse()}
-        for ridx, d in used.items():
-            for g, v in self.rows[ridx][2].items():
-                s = coords.get(g, ZERO) - d * v / c
-                if s:
-                    coords[g] = s
-                else:
-                    coords.pop(g, None)
-        self._by_lead[row.leading_monomial()] = len(self.rows)
-        self.rows.append((row.leading_monomial(), row, coords))
-        return row
+        self.rows.append(_wrap(row))
+        return self.rows[-1]
 
     def contains(self, x: WeylElement) -> bool:
-        rem, _ = self._reduce(x)
-        return rem.is_zero()
+        return self._echelon.contains(x.terms)
 
     def express(self, x: WeylElement) -> Optional[list[Scalar]]:
         """Coordinates of x over the inserted generators, or None if outside."""
-        rem, used = self._reduce(x)
-        if not rem.is_zero():
-            return None
-        out = [ZERO] * self.ngens
-        for ridx, d in used.items():
-            for g, v in self.rows[ridx][2].items():
-                out[g] = out[g] + d * v
-        return out
+        return self._echelon.express(x.terms)
 
     def row_coordinates(self, x: WeylElement) -> Optional[list[Scalar]]:
         """Coordinates of x over the pivot rows, or None if outside."""
-        rem, used = self._reduce(x)
-        if not rem.is_zero():
-            return None
-        return [used.get(r, ZERO) for r in range(len(self.rows))]
+        return self._echelon.row_coordinates(x.terms)
 
     def reduced_basis(self) -> list[WeylElement]:
         """Canonical fully-reduced basis, pivots in printing order."""
-        order = sorted(range(len(self.rows)), key=lambda r: _term_order(self.rows[r][0]))
-        basis = [self.rows[r][1] for r in order]
-        leads = [self.rows[r][0] for r in order]
-        for a in range(len(basis)):
-            for b in range(len(basis)):
-                if a != b:
-                    c = basis[a].coeff(*leads[b])
-                    if c:
-                        basis[a] = basis[a] - basis[b].scale(c)
-        return basis
+        return [_wrap(row) for row in self._echelon.reduced_rows()]
 
 
 def linear_span_dim(xs: Sequence[WeylElement]):
@@ -437,9 +390,8 @@ def linear_span_dim(xs: Sequence[WeylElement]):
 def coordinates(x: WeylElement, basis: Sequence[WeylElement]) -> Optional[list[Scalar]]:
     """Coordinates of x in the given (independent) basis; None if outside."""
     span = ElementSpan()
-    for b in basis:
-        if span.insert(b) is None:
-            raise NotInjective("basis elements are linearly dependent")
+    if any(span.insert(b) is None for b in basis):
+        raise NotInjective("basis elements are linearly dependent")
     return span.express(x)
 
 

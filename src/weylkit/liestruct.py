@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import (ElementSpan, WeylElement, bracket, format_element,
-                       one, p, q, zero)
+from .elements import ElementSpan, WeylElement, bracket, one, p, q, zero
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
-from .linalg import eigen_decomposition, mat_mul, nullspace, rank, rref, solve
+from .linalg import Echelon, eigen_decomposition, mat_mul, nullspace, solve
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -39,22 +39,30 @@ __all__ = [
 Vector = list[Scalar]
 
 
+def _sparse(v: Vector) -> dict[int, Scalar]:
+    return {k: x for k, x in enumerate(v) if x}
+
+
 class LieAlgebraStruct:
     """Structure constants c^k_{ij} over a finite basis, stored for i < j."""
 
     def __init__(self, dim: int, labels: Sequence[str],
                  c: dict[tuple[int, int], dict[int, Scalar]]):
-        assert len(labels) == dim
+        if len(labels) != dim:
+            raise BadParams(f"{dim} basis vectors need {dim} labels, got {len(labels)}")
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
+        signed: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), row in c.items():
             if not (0 <= i < j < dim):
                 raise BadParams("structure constants must be indexed with i < j")
             clean = {k: v for k, v in row.items() if v}
             if clean:
-                table[(i, j)] = clean
+                table[(i, j)] = signed[(i, j)] = clean
+                signed[(j, i)] = {k: -v for k, v in clean.items()}
         self.dim = dim
         self.labels = list(labels)
         self.c = table
+        self._signed = signed
         self._check_jacobi()
 
     def basis_vector(self, i: int) -> Vector:
@@ -62,34 +70,39 @@ class LieAlgebraStruct:
         v[i] = ONE
         return v
 
+    def basis_bracket(self, i: int, j: int) -> dict[int, Scalar]:
+        """[e_i, e_j] as a sparse row {k: c^k_{ij}}, read from c with its sign."""
+        return self._signed.get((i, j), {})
+
+    def sparse_bracket(self, u: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """[u, v] for sparse coordinate rows {basis index: Scalar}."""
+        out: dict[int, Scalar] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, s in self.basis_bracket(i, j).items():
+                    out[k] = out.get(k, ZERO) + a * b * s
+        return {k: x for k, x in out.items() if x}
+
     def bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        out = [ZERO] * self.dim
-        for (i, j), row in self.c.items():
-            coef = u[i] * v[j] - u[j] * v[i]
-            if coef:
-                for k, s in row.items():
-                    out[k] = out[k] + coef * s
-        return out
+        w = self.sparse_bracket(_sparse(u), _sparse(v))
+        return [w.get(k, ZERO) for k in range(self.dim)]
 
     def ad_matrix(self, u: Vector) -> list[Vector]:
-        cols = [self.bracket_vec(u, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        su = _sparse(u)
+        cols = [self.sparse_bracket(su, {j: ONE}) for j in range(self.dim)]
+        return [[col.get(k, ZERO) for col in cols] for k in range(self.dim)]
 
     def _check_jacobi(self):
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
-                bij = self.bracket_vec(self.basis_vector(i), self.basis_vector(j))
                 for k in range(j + 1, n):
-                    ek = self.basis_vector(k)
-                    total = self.bracket_vec(bij, ek)
-                    bjk = self.bracket_vec(self.basis_vector(j), ek)
-                    for t, x in enumerate(self.bracket_vec(bjk, self.basis_vector(i))):
-                        total[t] = total[t] + x
-                    bki = self.bracket_vec(ek, self.basis_vector(i))
-                    for t, x in enumerate(self.bracket_vec(bki, self.basis_vector(j))):
-                        total[t] = total[t] + x
-                    if any(total):
+                    total: dict[int, Scalar] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, s in self.basis_bracket(a, b).items():
+                            for t, x in self.basis_bracket(m, c).items():
+                                total[t] = total.get(t, ZERO) + s * x
+                    if any(total.values()):
                         raise PreconditionFailed(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
 
@@ -153,18 +166,14 @@ def normalize_tag(tag: CatalogTag) -> CatalogTag:
 
 def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) -> CatalogEntry:
     span = ElementSpan()
-    for x in images:
-        if span.insert(x) is None:
-            raise NotInjective("realisation images are linearly dependent")
+    if any(span.insert(x) is None for x in images):
+        raise NotInjective("realisation images are linearly dependent")
     c: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            coords = span.express(bracket(images[i], images[j]))
-            if coords is None:
-                raise PreconditionFailed("images do not span a Lie subalgebra")
-            row = {k: v for k, v in enumerate(coords) if v}
-            if row:
-                c[(i, j)] = row
+    for i, j in combinations(range(len(images)), 2):
+        coords = span.express(bracket(images[i], images[j]))
+        if coords is None:
+            raise PreconditionFailed("images do not span a Lie subalgebra")
+        c[(i, j)] = dict(enumerate(coords))
     algebra = LieAlgebraStruct(len(images), labels, c)
     return CatalogEntry(algebra, Realization(algebra, list(images)))
 
@@ -273,13 +282,10 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
                     raise DimensionExceeded(max_dim)
         i += 1
     c: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            coords = span.row_coordinates(bracket(rows[a], rows[b]))
-            assert coords is not None
-            row = {k: v for k, v in enumerate(coords) if v}
-            if row:
-                c[(a, b)] = row
+    for a, b in combinations(range(len(rows)), 2):
+        coords = span.row_coordinates(bracket(rows[a], rows[b]))
+        assert coords is not None
+        c[(a, b)] = dict(enumerate(coords))
     algebra = LieAlgebraStruct(len(rows), [f"b{k}" for k in range(len(rows))], c)
     return Realization(algebra, rows)
 
@@ -289,44 +295,44 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
     if len(images) != algebra.dim:
         raise BadParams("one image per basis vector required")
     span = ElementSpan()
-    for x in images:
-        if span.insert(x) is None:
-            raise NotInjective("realisation images are linearly dependent")
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            expected = zero
-            for k, s in algebra.c.get((i, j), {}).items():
-                expected = expected + images[k].scale(s)
-            if bracket(images[i], images[j]) != expected:
-                raise NotHomomorphism(
-                    f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
-                    f"does not match the structure constants")
+    if any(span.insert(x) is None for x in images):
+        raise NotInjective("realisation images are linearly dependent")
+    for i, j in combinations(range(algebra.dim), 2):
+        expected = sum((images[k].scale(s) for k, s in algebra.basis_bracket(i, j).items()),
+                       zero)
+        if bracket(images[i], images[j]) != expected:
+            raise NotHomomorphism(
+                f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
+                f"does not match the structure constants")
     return Realization(algebra, list(images))
 
 
 # -- coordinate subspace helpers ----------------------------------------------------
 
 
-def _vspan(vectors: Sequence[Vector]):
-    """RREF span of coordinate vectors; returns (rows, pivots)."""
-    if not vectors:
-        return [], []
-    rows, pivots = rref([list(v) for v in vectors])
-    return rows[:len(pivots)], pivots
+def _span(rows) -> Echelon:
+    """Echelon span of sparse coordinate rows {basis index: Scalar}."""
+    span = Echelon()
+    for row in rows:
+        span.insert(row)
+    return span
 
 
-def _vcontains(v: Vector, rows, pivots) -> bool:
-    rem = list(v)
-    for r, c in enumerate(pivots):
-        if rem[c]:
-            f = rem[c]
-            rem = [x - f * y for x, y in zip(rem, rows[r])]
-    return not any(rem)
+def _bracket_span(algebra: LieAlgebraStruct, rows_a, rows_b) -> Echelon:
+    return _span(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
 
 
-def _bracket_span(algebra: LieAlgebraStruct, rows_a, rows_b):
-    prods = [algebra.bracket_vec(u, v) for u in rows_a for v in rows_b]
-    return _vspan(prods)
+def _series_dims(algebra: LieAlgebraStruct, rows, derived: bool) -> list[int]:
+    """Dimensions of the derived (or lower-central) series of span(rows),
+    down to the first term that vanishes or stops shrinking."""
+    dims = [len(rows)]
+    cur = rows
+    while True:
+        nxt = _bracket_span(algebra, cur if derived else rows, cur)
+        dims.append(nxt.dim)
+        if nxt.dim in (0, dims[-2]):
+            return dims
+        cur = nxt.rows
 
 
 class AlgebraInvariants(NamedTuple):
@@ -337,41 +343,26 @@ class AlgebraInvariants(NamedTuple):
     nilpotent: bool
 
 
-def _center(algebra: LieAlgebraStruct):
+def _center(algebra: LieAlgebraStruct) -> Echelon:
+    """The centre: the x with Σ_i x_i c^k_{ij} = 0 for every j and k."""
     n = algebra.dim
-    rows = []
-    for j in range(n):
-        cols = [algebra.bracket_vec(algebra.basis_vector(i), algebra.basis_vector(j))
-                for i in range(n)]
-        for k in range(n):
-            rows.append([cols[i][k] for i in range(n)])
-    return _vspan(nullspace(rows)) if rows else _vspan([])
+    eqs = [[ZERO] * n for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            for k, s in algebra.basis_bracket(i, j).items():
+                eqs[j * n + k][i] = s
+    return _span(_sparse(v) for v in nullspace(eqs))
 
 
 def invariants(algebra: LieAlgebraStruct) -> AlgebraInvariants:
     """Derived and lower-central dimension profiles, centre, flags."""
-    full = _vspan([algebra.basis_vector(i) for i in range(algebra.dim)])
-    derived = [algebra.dim]
-    cur = full
-    while True:
-        nxt = _bracket_span(algebra, cur[0], cur[0])
-        derived.append(len(nxt[1]))
-        if len(nxt[1]) in (0, derived[-2]):
-            break
-        cur = nxt
-    lower = [algebra.dim]
-    cur = full
-    while True:
-        nxt = _bracket_span(algebra, full[0], cur[0])
-        lower.append(len(nxt[1]))
-        if len(nxt[1]) in (0, lower[-2]):
-            break
-        cur = nxt
-    center_rows, center_pivots = _center(algebra)
+    full = [{i: ONE} for i in range(algebra.dim)]
+    derived = _series_dims(algebra, full, derived=True)
+    lower = _series_dims(algebra, full, derived=False)
     return AlgebraInvariants(
         derived_series_dims=derived,
         lower_central_dims=lower,
-        center_dim=len(center_pivots),
+        center_dim=_center(algebra).dim,
         solvable=derived[-1] == 0,
         nilpotent=lower[-1] == 0,
     )
@@ -379,46 +370,28 @@ def invariants(algebra: LieAlgebraStruct) -> AlgebraInvariants:
 
 def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
     """The quotient algebra on a complement of the centre."""
-    z_rows, z_pivots = _center(algebra)
-    keep = [i for i in range(algebra.dim) if i not in z_pivots]
-    index = {pos: t for t, pos in enumerate(keep)}
-
-    def reduce_mod_center(v: Vector) -> Vector:
-        rem = list(v)
-        for r, c in enumerate(z_pivots):
-            if rem[c]:
-                f = rem[c]
-                rem = [x - f * y for x, y in zip(rem, z_rows[r])]
-        return rem
-
-    c: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for a in range(len(keep)):
-        for b in range(a + 1, len(keep)):
-            w = reduce_mod_center(algebra.bracket_vec(
-                algebra.basis_vector(keep[a]), algebra.basis_vector(keep[b])))
-            assert all(not w[i] for i in z_pivots)
-            row = {index[i]: w[i] for i in range(algebra.dim) if w[i]}
-            if row:
-                c[(a, b)] = row
+    center = _center(algebra)
+    keep = [i for i in range(algebra.dim) if i not in center.pivots]
+    # brackets are read in the basis (centre rows, kept basis vectors)
+    basis = Echelon()
+    for row in center.rows + [{i: ONE} for i in keep]:
+        basis.insert(row)
+    c = {(a, b): dict(enumerate(basis.express(algebra.basis_bracket(i, j))[center.dim:]))
+         for (a, i), (b, j) in combinations(enumerate(keep), 2)}
     return LieAlgebraStruct(len(keep), [algebra.labels[i] for i in keep], c)
 
 
 def change_basis(algebra: LieAlgebraStruct, matrix: list[Vector]) -> LieAlgebraStruct:
     """The same algebra on the basis f_j = Σ_i matrix[i][j]·e_i."""
     n = algebra.dim
-    if rank([list(r) for r in matrix]) != n:
+    if len(matrix) != n or any(len(r) != n for r in matrix):
+        raise BadParams(f"basis-change matrix must be {n}x{n}")
+    cols = [{i: matrix[i][j] for i in range(n) if matrix[i][j]} for j in range(n)]
+    span = Echelon()
+    if any(span.insert(col) is None for col in cols):
         raise BadParams("basis-change matrix is singular")
-    c: dict[tuple[int, int], dict[int, Scalar]] = {}
-    cols = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = algebra.bracket_vec(cols[a], cols[b])
-            coords = solve([list(r) for r in matrix], w)
-            if coords is None:
-                raise BadParams("basis-change matrix is singular")
-            row = {k: v for k, v in enumerate(coords) if v}
-            if row:
-                c[(a, b)] = row
+    c = {(a, b): dict(enumerate(span.express(algebra.sparse_bracket(cols[a], cols[b]))))
+         for a, b in combinations(range(n), 2)}
     return LieAlgebraStruct(n, [f"f{k}" for k in range(n)], c)
 
 
@@ -464,10 +437,8 @@ def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
         killing.append(row)
     if not derived_rows:
         return n
-    rows = []
-    for d in derived_rows:
-        rows.append([sum((killing[i][j] * d[j] for j in range(n) if d[j]), ZERO)
-                     for i in range(n)])
+    rows = [[sum((killing[i][j] * x for j, x in d.items()), ZERO) for i in range(n)]
+            for d in derived_rows]
     return len(nullspace(rows))
 
 
@@ -483,7 +454,6 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     """
     inv = invariants(algebra)
     n = algebra.dim
-    full_rows = [algebra.basis_vector(i) for i in range(n)]
     if inv.derived_series_dims[1] == 0:
         return CatalogTag("Abelian", n)
     if inv.nilpotent:
@@ -491,34 +461,22 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         if m is not None:
             return normalize_tag(CatalogTag("L", m))
         return CatalogTag("Unknown")
+    full = [{i: ONE} for i in range(n)]
+    derived = _bracket_span(algebra, full, full)
     if inv.solvable:
-        derived_rows, derived_pivots = _bracket_span(algebra, full_rows, full_rows)
-        center_rows, center_pivots = _center(algebra)
+        center = _center(algebra)
         # the catalog solvables are all one generator over derived + centre
-        ext_rows, ext_pivots = _vspan(derived_rows + center_rows)
-        if n - len(ext_pivots) != 1:
+        ext = _span(derived.rows + center.rows)
+        if n - ext.dim != 1:
             return CatalogTag("Unknown")
-        h = next(algebra.basis_vector(i) for i in range(n)
-                 if not _vcontains(algebra.basis_vector(i), ext_rows, ext_pivots))
-        dd_rows, dd_pivots = _bracket_span(algebra, derived_rows, derived_rows)
-        if not dd_pivots:
-            # abelian derived algebra: diagonalise ad(h) on it
-            ad_cols = []
-            for d in derived_rows:
-                w = algebra.bracket_vec(h, d)
-                coords = [w[c] for c in derived_pivots]
-                rem = list(w)
-                for r, c in enumerate(derived_pivots):
-                    if rem[c]:
-                        f = rem[c]
-                        rem = [x - f * y for x, y in zip(rem, derived_rows[r])]
-                if any(rem):
-                    return CatalogTag("Unknown")
-                ad_cols.append(coords)
-            mat = [[ad_cols[j][k] for j in range(len(ad_cols))]
-                   for k in range(len(ad_cols))]
+        h = next(e for e in full if not ext.contains(e))
+        if _bracket_span(algebra, derived.rows, derived.rows).dim == 0:
+            # abelian derived algebra (an ideal): diagonalise ad(h) on it
+            ad_cols = [derived.row_coordinates(algebra.sparse_bracket(h, d))
+                       for d in derived.rows]
+            mat = [[col[k] for col in ad_cols] for k in range(derived.dim)]
             decomp = eigen_decomposition(mat)
-            if sum(len(vecs) for _, vecs in decomp) != len(derived_rows):
+            if sum(len(vecs) for _, vecs in decomp) != derived.dim:
                 return CatalogTag("Unknown")
             eigs = []
             for lam, vecs in decomp:
@@ -526,7 +484,7 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
             if any(not e for e in eigs):
                 return CatalogTag("Unknown")
             profile = _integer_profile(eigs)
-            central_extra = len(center_pivots)
+            central_extra = center.dim
             if central_extra > 1:
                 return CatalogTag("Unknown")
             if all(i > 0 for i in profile) or all(i < 0 for i in profile):
@@ -538,27 +496,18 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
                 return CatalogTag("LTildeModC", 2)
             return CatalogTag("Unknown")
         # non-abelian derived algebra: the extended filiform families
-        sub_lower = [len(derived_pivots)]
-        cur = (derived_rows, derived_pivots)
-        while True:
-            nxt = _bracket_span(algebra, derived_rows, cur[0])
-            sub_lower.append(len(nxt[1]))
-            if len(nxt[1]) in (0, sub_lower[-2]):
-                break
-            cur = nxt
-        m = _filiform_parameter(sub_lower)
+        m = _filiform_parameter(_series_dims(algebra, derived.rows, derived=False))
         if m is None:
             return CatalogTag("Unknown")
-        if len(center_pivots) == 1 and n == m + 2:
+        if center.dim == 1 and n == m + 2:
             return CatalogTag("LTilde", m)
-        if len(center_pivots) == 0 and n == m + 2:
+        if center.dim == 0 and n == m + 2:
             return CatalogTag("LTildeModC", m + 1)
         return CatalogTag("Unknown")
     # non-solvable: separate the four catalog entries by coarse invariants
-    derived_rows, derived_pivots = _bracket_span(algebra, full_rows, full_rows)
-    rad = _radical(algebra, derived_rows)
+    rad = _radical(algebra, derived.rows)
     zc = inv.center_dim
-    perfect = len(derived_pivots) == n
+    perfect = derived.dim == n
     if n == 3 and rad == 0 and perfect:
         return CatalogTag("Sl2")
     if n == 4 and rad == 1 and zc == 1:
@@ -571,6 +520,10 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
 
 
 # -- filiform normal bases ------------------------------------------------------------
+
+
+def _combine(images: Sequence[WeylElement], coeffs: Vector) -> WeylElement:
+    return sum((x.scale(c) for x, c in zip(images, coeffs) if c), zero)
 
 
 def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
@@ -600,11 +553,7 @@ def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
     sol = solve(stacked, rhs)
     if sol is None:
         return None
-    w = zero
-    for k, v in enumerate(sol):
-        if v:
-            w = w + images[k].scale(v)
-    chain = [cand_p, w]
+    chain = [cand_p, _combine(images, sol)]
     for _ in range(dim - 2):
         chain.append(bracket(cand_p, chain[-1]))
     check = ElementSpan()
@@ -640,24 +589,23 @@ def filiform_normal_basis(realization: Realization) -> list[WeylElement]:
         raise PreconditionFailed("abelian algebras have no filiform chain")
     images = realization.images
     span = ElementSpan()
-    for x in images:
-        if span.insert(x) is None:
-            raise NotInjective("realisation images are linearly dependent")
+    if any(span.insert(x) is None for x in images):
+        raise NotInjective("realisation images are linearly dependent")
     # lower-central chain of spans, down to the last nonzero term
     terms = [span]
     while True:
         nxt = ElementSpan()
         for x in images:
-            for _, row, _ in terms[-1].rows:
+            for row in terms[-1].rows:
                 nxt.insert(bracket(x, row))
         if nxt.dim == 0:
             break
         terms.append(nxt)
     last = terms[-1]
-    if last.dim != 1 or not last.rows[0][1].is_scalar():
+    if last.dim != 1 or not last.rows[0].is_scalar():
         raise NotInA1Form("the chain does not terminate in the scalars")
     penultimate = terms[-2]
-    target = next((row for _, row, _ in penultimate.rows if not last.contains(row)),
+    target = next((row for row in penultimate.rows if not last.contains(row)),
                   None)
     if target is None:
         raise NotInA1Form("no direction for the next-to-last chain element")
@@ -682,14 +630,4 @@ def weight_spaces(realization: Realization, h_index: int) -> dict[Scalar, list[W
     if total != algebra.dim:
         raise NotDiagonalisable(
             f"eigenspaces span {total} of {algebra.dim} dimensions")
-    out: dict[Scalar, list[WeylElement]] = {}
-    for lam, vecs in decomp:
-        elems = []
-        for v in vecs:
-            x = zero
-            for k, s in enumerate(v):
-                if s:
-                    x = x + realization.images[k].scale(s)
-            elems.append(x)
-        out[lam] = elems
-    return out
+    return {lam: [_combine(realization.images, v) for v in vecs] for lam, vecs in decomp}

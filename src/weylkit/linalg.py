@@ -1,12 +1,17 @@
-"""Exact dense linear algebra over the Gaussian-rational scalars.
+"""Exact linear algebra over the Gaussian-rational scalars.
 
-Matrices are lists of rows of Scalars; vectors are lists of Scalars.  All
-elimination is exact field arithmetic, so ranks, solution sets and spectra
-are decided, never estimated.  Eigenvalues go through the characteristic
-polynomial (Faddeev–LeVerrier, division-exact) factorised over Q(i) via
-sympy's QQ_I domain: a factor of degree two or more means the spectrum
-leaves Q(i) and is reported as such rather than approximated.  sympy is
-imported there, on first use, so the rest of the package loads without it.
+Every row reduction in the package goes through one sparse engine,
+``Echelon``: rows are dicts from hashable columns (matrix column indices
+here, monomials in ``elements.ElementSpan``, basis indices in ``liestruct``)
+to nonzero Scalars, each row's pivot is its least column under a sort key,
+and only nonzero entries are ever touched.  The dense entry points ``rref``,
+``rank``, ``solve`` and ``nullspace`` take lists of rows of Scalars and are
+built on it.  All elimination is exact field arithmetic, so ranks, solution
+sets and spectra are decided, never estimated.  Eigenvalues go through the
+characteristic polynomial (Faddeev–LeVerrier, division-exact) factorised over
+Q(i) via sympy's QQ_I domain: a factor of degree two or more means the
+spectrum leaves Q(i) and is reported as such rather than approximated.  sympy
+is imported there, on first use, so the rest of the package loads without it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import BadParams, IrrationalSpectrum
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
-    "identity", "zeros", "mat_mul", "mat_vec", "rref",
+    "Echelon", "identity", "zeros", "mat_mul", "mat_vec", "rref",
     "rank", "solve", "nullspace", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
@@ -47,37 +52,123 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((x * v[k] for k, x in enumerate(row) if x), ZERO) for row in a]
 
 
+class Echelon:
+    """Sparse echelon form of a growing span, over hashable columns.
+
+    Rows are dicts {column: nonzero Scalar}; a row's pivot is its least column
+    under ``key`` (the column itself by default).  Stored rows keep insertion
+    order, with distinct pivots of coefficient one.  ``reduce`` eliminates
+    only while the leading column is a pivot, which decides membership.  Each
+    row also carries its expression over the inserted generators (generator
+    index -> Scalar), for ``express``.
+    """
+
+    def __init__(self, key=None):
+        self.key = key
+        self.rows: list[dict] = []
+        self.pivots: list = []
+        self._row_of: dict = {}  # pivot column -> row index
+        self._coords: list[dict] = []
+        self.ngens = 0
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: dict):
+        """Top-reduce v; returns (remainder, {row index: multiple subtracted})."""
+        v = dict(v)
+        used: dict[int, Scalar] = {}
+        while v:
+            lead = min(v, key=self.key)
+            r = self._row_of.get(lead)
+            if r is None:
+                break
+            c = v[lead]
+            _subtract(v, self.rows[r], c)
+            used[r] = c
+        return v, used
+
+    def insert(self, v: dict) -> Optional[dict]:
+        """Add a generator; returns its new row, or None if v is in the span."""
+        gen = self.ngens
+        self.ngens += 1
+        rem, used = self.reduce(v)
+        if not rem:
+            return None
+        pivot = min(rem, key=self.key)
+        inv = rem[pivot].inverse()
+        row = {col: x * inv for col, x in rem.items()}
+        coords = {gen: inv}
+        for r, c in used.items():
+            _subtract(coords, self._coords[r], c * inv)
+        self._coords.append(coords)
+        self._row_of[pivot] = len(self.rows)
+        self.rows.append(row)
+        self.pivots.append(pivot)
+        return row
+
+    def contains(self, v: dict) -> bool:
+        return not self.reduce(v)[0]
+
+    def express(self, v: dict) -> Optional[list[Scalar]]:
+        """Coordinates of v over the inserted generators, or None if outside."""
+        rem, used = self.reduce(v)
+        if rem:
+            return None
+        out = [ZERO] * self.ngens
+        for r, c in used.items():
+            for g, x in self._coords[r].items():
+                out[g] = out[g] + c * x
+        return out
+
+    def row_coordinates(self, v: dict) -> Optional[list[Scalar]]:
+        """Coordinates of v over the stored rows, or None if outside."""
+        rem, used = self.reduce(v)
+        if rem:
+            return None
+        return [used.get(r, ZERO) for r in range(len(self.rows))]
+
+    def reduced_rows(self) -> list[dict]:
+        """The unique fully reduced basis of the span, pivots ascending."""
+        done: dict = {}  # pivot -> reduced row, filled from the last pivot down
+        for pivot in sorted(self.pivots, key=self.key, reverse=True):
+            row = dict(self.rows[self._row_of[pivot]])
+            # reduced rows vanish on each other's pivots, so one pass clears all
+            for col, c in [(col, c) for col, c in row.items() if col in done]:
+                _subtract(row, done[col], c)
+            done[pivot] = row
+        return list(done.values())[::-1]
+
+
+def _subtract(v: dict, row: dict, c: Scalar):
+    """v -= c·row in place, dropping entries that cancel."""
+    for col, x in row.items():
+        y = v.get(col, ZERO) - c * x
+        if y:
+            v[col] = y
+        else:
+            del v[col]
+
+
+def _row_span(a: Matrix) -> Echelon:
+    span = Echelon()
+    for row in a:
+        span.insert({c: x for c, x in enumerate(row) if x})
+    return span
+
+
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, nrows) if rows[k][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        # only the pivot row's nonzero columns change the other rows
-        support = [(j, y) for j, y in enumerate(rows[r]) if y]
-        for k in range(nrows):
-            row = rows[k]
-            f = row[c]
-            if k != r and f:
-                for j, y in support:
-                    row[j] = row[j] - f * y
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    ncols = len(a[0]) if a else 0
+    span = _row_span(a)
+    rows = [[r.get(c, ZERO) for c in range(ncols)] for r in span.reduced_rows()]
+    rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
+    return rows, sorted(span.pivots)
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return _row_span(a).dim
 
 
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
@@ -86,14 +177,13 @@ def solve(a: Matrix, b: Vector) -> Optional[Vector]:
         raise BadParams(f"a {len(a)}-row system needs {len(a)} right-hand sides, got {len(b)}")
     if not a:
         return []
-    aug = [row + [rhs] for row, rhs in zip(a, b)]
-    rows, pivots = rref(aug)
     ncols = len(a[0])
+    rows, pivots = rref([row + [rhs] for row, rhs in zip(a, b)])
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols]
     return x
 
 
@@ -103,13 +193,12 @@ def nullspace(a: Matrix) -> list[Vector]:
         return []
     rows, pivots = rref(a)
     ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
         basis.append(v)
     return basis
 

@@ -238,6 +238,18 @@ def test_json_is_byte_stable(capsys):
     assert first[0] == 1 and json.loads(first[1])["verdict"] == "NotInS11Pattern"
 
 
+# --json stdout and exit code of closure, recognition, invariants, filiform
+# chains, weights, eigenvectors, ftest and s11, recorded from the code as it
+# was before all row reduction moved onto linalg.Echelon.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_json_output_matches_the_recorded_golden(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
 def test_json_negative_results_still_emit_payloads(capsys):
     code, out, _ = run(capsys, "ftest", "--json", "--max-iter", "6",
                        "p*q^2 + q", "q")

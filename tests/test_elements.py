@@ -157,6 +157,111 @@ def test_reduced_basis_is_canonical():
     assert a.reduced_basis() == b.reduced_basis()
 
 
+# -- ElementSpan against the elimination it replaced -----------------------------
+
+
+def _leading(x):
+    return min(x.terms, key=lambda m: (-(m[0] + m[1]), -m[0]))
+
+
+class _ReferenceSpan:
+    """The element-level echelon span ElementSpan was before it became an
+    adapter over linalg.Echelon (reference): whole-element subtraction,
+    leading monomial recomputed at every step."""
+
+    def __init__(self):
+        self.rows = []
+        self._by_lead = {}
+        self.ngens = 0
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, x):
+        used = {}
+        while not x.is_zero():
+            lead = _leading(x)
+            ridx = self._by_lead.get(lead)
+            if ridx is None:
+                break
+            c = x.coeff(*lead)
+            x = x - self.rows[ridx][1].scale(c)
+            used[ridx] = used.get(ridx, Scalar(0)) + c
+        return x, used
+
+    def insert(self, x):
+        gen = self.ngens
+        self.ngens += 1
+        rem, used = self._reduce(x)
+        if rem.is_zero():
+            return None
+        c = rem.coeff(*_leading(rem))
+        row = rem.scale(c.inverse())
+        coords = {gen: c.inverse()}
+        for ridx, d in used.items():
+            for g, v in self.rows[ridx][2].items():
+                s = coords.get(g, Scalar(0)) - d * v / c
+                if s:
+                    coords[g] = s
+                else:
+                    coords.pop(g, None)
+        self._by_lead[_leading(row)] = len(self.rows)
+        self.rows.append((_leading(row), row, coords))
+        return row
+
+    def contains(self, x):
+        return self._reduce(x)[0].is_zero()
+
+    def express(self, x):
+        rem, used = self._reduce(x)
+        if not rem.is_zero():
+            return None
+        out = [Scalar(0)] * self.ngens
+        for ridx, d in used.items():
+            for g, v in self.rows[ridx][2].items():
+                out[g] = out[g] + d * v
+        return out
+
+    def row_coordinates(self, x):
+        rem, used = self._reduce(x)
+        if not rem.is_zero():
+            return None
+        return [used.get(r, Scalar(0)) for r in range(len(self.rows))]
+
+    def reduced_basis(self):
+        order = sorted(range(len(self.rows)),
+                       key=lambda r: (-sum(self.rows[r][0]), -self.rows[r][0][0]))
+        basis = [self.rows[r][1] for r in order]
+        leads = [self.rows[r][0] for r in order]
+        for a in range(len(basis)):
+            for b in range(len(basis)):
+                if a != b:
+                    c = basis[a].coeff(*leads[b])
+                    if c:
+                        basis[a] = basis[a] - basis[b].scale(c)
+        return basis
+
+
+@given(st.lists(element_st(max_degree=2, max_terms=4), max_size=8), st.data())
+def test_span_matches_the_reference_elimination(gens, data):
+    new, ref = ElementSpan(), _ReferenceSpan()
+    for x in gens:
+        got, want = new.insert(x), ref.insert(x)
+        assert (got is None) == (want is None) and got == want
+        assert new.dim == ref.dim
+    # probes inside the span (combinations of the generators) and outside it
+    probes = data.draw(st.lists(element_st(max_degree=2, max_terms=3), max_size=3))
+    for coeffs in data.draw(st.lists(st.lists(scalar_st, min_size=len(gens),
+                                              max_size=len(gens)), max_size=3)):
+        probes.append(sum((x.scale(c) for x, c in zip(gens, coeffs)), zero))
+    for x in probes:
+        assert new.contains(x) == ref.contains(x)
+        assert new.express(x) == ref.express(x)
+        assert new.row_coordinates(x) == ref.row_coordinates(x)
+    assert new.reduced_basis() == ref.reduced_basis()
+
+
 def test_linear_span_dim_and_coordinates():
     dim, basis = linear_span_dim([p, q, parse_element("p + q"), zero])
     assert dim == 2 and len(basis) == 2
@@ -230,6 +335,7 @@ def test_exponent_guards_raise_under_python_O():
     script = """
 from weylkit.elements import WeylElement, ad_pow, p, q, zero
 from weylkit.errors import BadParams
+from weylkit.liestruct import LieAlgebraStruct
 from weylkit.linalg import identity, mat_mul, mat_vec, solve
 from weylkit.scalars import ONE
 for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
@@ -237,7 +343,8 @@ for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
              lambda: zero.leading_monomial(),
              lambda: mat_mul(identity(2), identity(3)),
              lambda: mat_vec(identity(2), [ONE] * 3),
-             lambda: solve(identity(2), [ONE] * 3)):
+             lambda: solve(identity(2), [ONE] * 3),
+             lambda: LieAlgebraStruct(2, ["a"], {})):
     try:
         call()
     except BadParams:

@@ -1,5 +1,6 @@
 """Structure constants, catalog families, closure, recognition, normal chains."""
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, Realization,
                                quotient_by_center, recognize,
                                verify_realization, weight_spaces)
 from weylkit.morphisms import apply, compose, phi, phi_prime
+from weylkit.scalars import ONE, ZERO
 
 S = Scalar
 
@@ -26,6 +28,59 @@ def test_struct_checks_jacobi():
     with pytest.raises(PreconditionFailed):
         LieAlgebraStruct(3, ["a", "b", "c"],
                          {(0, 1): {2: S(1)}, (0, 2): {0: S(1)}})
+
+
+def _dense_bracket(dim, c, u, v):
+    """[u, v] on dense coordinate vectors straight from the i < j table (reference)."""
+    out = [ZERO] * dim
+    for (i, j), row in c.items():
+        coef = u[i] * v[j] - u[j] * v[i]
+        for k, s in row.items():
+            out[k] = out[k] + coef * s
+    return out
+
+
+def _dense_jacobiator_vanishes(dim, c):
+    e = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
+
+    def br(u, v):
+        return _dense_bracket(dim, c, u, v)
+
+    for i, j, k in itertools.combinations(range(dim), 3):
+        terms = (br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]),
+                 br(br(e[k], e[i]), e[j]))
+        if any(x + y + z for x, y, z in zip(*terms)):
+            return False
+    return True
+
+
+@st.composite
+def struct_table_st(draw):
+    """Random sparse antisymmetric tables of dimension at most 5."""
+    dim = draw(st.integers(1, 5))
+    entry = st.sampled_from([S(1), S(-1), S(2), S(0, 1)])
+    c = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        if draw(st.integers(0, 2)) == 0:
+            ks = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=2, unique=True))
+            c[(i, j)] = {k: draw(entry) for k in ks}
+    return dim, c
+
+
+@given(struct_table_st(), st.data())
+def test_jacobi_check_matches_a_dense_jacobiator(table, data):
+    dim, c = table
+    labels = [f"e{k}" for k in range(dim)]
+    if not _dense_jacobiator_vanishes(dim, c):
+        with pytest.raises(PreconditionFailed):
+            LieAlgebraStruct(dim, labels, c)
+        return
+    algebra = LieAlgebraStruct(dim, labels, c)
+    vec = st.lists(st.sampled_from([ZERO, S(1), S(-2), S(1, 3)]), min_size=dim, max_size=dim)
+    u, v = data.draw(vec), data.draw(vec)
+    assert algebra.bracket_vec(u, v) == _dense_bracket(dim, c, u, v)
+    cols = [_dense_bracket(dim, c, u, algebra.basis_vector(j)) for j in range(dim)]
+    assert algebra.ad_matrix(u) == [[col[k] for col in cols] for k in range(dim)]
 
 
 def test_struct_bracket_and_ad():
