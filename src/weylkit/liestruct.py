@@ -283,8 +283,8 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
         i += 1
     c: dict[tuple[int, int], dict[int, Scalar]] = {}
     for a, b in combinations(range(len(rows)), 2):
+        # never None: the loop above has closed the span under brackets
         coords = span.row_coordinates(bracket(rows[a], rows[b]))
-        assert coords is not None
         c[(a, b)] = dict(enumerate(coords))
     algebra = LieAlgebraStruct(len(rows), [f"b{k}" for k in range(len(rows))], c)
     return Realization(algebra, rows)

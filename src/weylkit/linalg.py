@@ -7,16 +7,21 @@ to nonzero Scalars, each row's pivot is its least column under a sort key,
 and only nonzero entries are ever touched.  The dense entry points ``rref``,
 ``rank``, ``solve`` and ``nullspace`` take lists of rows of Scalars and are
 built on it.  All elimination is exact field arithmetic, so ranks, solution
-sets and spectra are decided, never estimated.  Eigenvalues go through the
-characteristic polynomial (Faddeev–LeVerrier, division-exact) factorised over
-Q(i) via sympy's QQ_I domain: a factor of degree two or more means the
-spectrum leaves Q(i) and is reported as such rather than approximated.  sympy
-is imported there, on first use, so the rest of the package loads without it.
+sets and spectra are decided, never estimated.  Eigenvalues come from the
+characteristic polynomial (Faddeev–LeVerrier, division-exact), scaled to be
+monic over Z[i], whose Q(i)-roots are then Gaussian integers dividing its
+lowest nonzero coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the
+divisors are enumerated by trial division and tested by exact Horner
+deflation, which makes the search complete without sympy; only above the
+budget is the polynomial factorised over Q(i) by sympy, imported then.  A
+factor of degree two or more with no root means the spectrum leaves Q(i),
+and is reported as such rather than approximated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Optional
 
 from .errors import BadParams, IrrationalSpectrum
@@ -222,6 +227,90 @@ def charpoly(a: Matrix) -> list[Scalar]:
     return coeffs
 
 
+# Trial division of N(a₀) runs to its square root, so the root search in
+# ``eigenvalues`` never takes more than about 10⁵ divisions.
+_NORM_BUDGET = 10 ** 10
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _gmul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _gdiv(u: tuple[int, int], v: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """u/v when the quotient is a Gaussian integer, else None."""
+    n = v[0] * v[0] + v[1] * v[1]
+    re, im = u[0] * v[0] + u[1] * v[1], u[1] * v[0] - u[0] * v[1]
+    if re % n or im % n:
+        return None
+    return re // n, im // n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n > 0, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _two_squares(p: int) -> tuple[int, int]:
+    """(x, y) with x² + y² = p, for a prime p ≡ 1 (mod 4) (Hermite–Serret)."""
+    c = 2
+    while (t := pow(c, (p - 1) // 4, p)) * t % p != p - 1:
+        c += 1
+    r0, r1 = p, t
+    while r1 * r1 > p:
+        r0, r1 = r1, r0 % r1
+    return r1, isqrt(p - r1 * r1)
+
+
+def _gaussian_divisors(z: tuple[int, int]) -> Optional[list[tuple[int, int]]]:
+    """Every divisor of z ≠ 0 in Z[i], or None when its norm exceeds the budget."""
+    norm = z[0] * z[0] + z[1] * z[1]
+    if norm > _NORM_BUDGET:
+        return None
+    divisors = [(1, 0)]  # one per associate class
+    for p in _prime_factors(norm):
+        if p == 2:
+            primes = [(1, 1)]
+        elif p % 4 == 3:
+            primes = [(p, 0)]
+        else:
+            x, y = _two_squares(p)
+            primes = [(x, y), (x, -y)]
+        for pi in primes:
+            powers = [(1, 0)]
+            while (rest := _gdiv(z, pi)) is not None:
+                z = rest
+                powers.append(_gmul(powers[-1], pi))
+            divisors = [_gmul(u, v) for u in divisors for v in powers]
+    return [_gmul(u, v) for v in divisors for u in _UNITS]
+
+
+def _deflate(poly: list[tuple[int, int]], z: tuple[int, int]) -> Optional[list[tuple[int, int]]]:
+    """poly/(t - z) by Horner, highest coefficient first; None unless z is a root."""
+    x, y = z
+    out = []
+    cr = ci = 0
+    for ar, ai in poly:
+        cr, ci = ar + cr * x - ci * y, ai + cr * y + ci * x
+        out.append((cr, ci))
+    return out[:-1] if out[-1] == (0, 0) else None
+
+
+def _root_free(degree: int) -> IrrationalSpectrum:
+    return IrrationalSpectrum(
+        f"characteristic polynomial has a factor of degree {degree} with no root in Q(i)")
+
+
 def _to_sympy(c: Scalar):
     import sympy
     return (sympy.Rational(c.re.numerator, c.re.denominator)
@@ -233,30 +322,62 @@ def _from_sympy(expr) -> Scalar:
     return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
+def _factor_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
+    """The Q(i)-roots of a charpoly by sympy's factorisation over QQ_I."""
+    import sympy
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sum(_to_sympy(c) * x ** k for k, c in enumerate(coeffs)),
+                      x, domain="QQ_I")
+    roots = []
+    rest = 0
+    for f, mult in poly.factor_list()[1]:
+        if f.degree() > 1:
+            rest += f.degree() * mult
+        else:
+            top, const = (_from_sympy(c) for c in f.all_coeffs())
+            roots.append(((-const) / top, mult))
+    if rest:
+        raise _root_free(rest)
+    return roots
+
+
 def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
     """Eigenvalues in Q(i) with algebraic multiplicities, deterministic order.
 
-    Raises IrrationalSpectrum if the characteristic polynomial has an
-    irreducible factor of degree at least two over Q(i).
+    With D the lcm of the entry denominators, det(tI - D·a) is monic over
+    Z[i], and Z[i] is integrally closed, so its Q(i)-roots are Gaussian
+    integers.  Past the zero roots, each divides the lowest nonzero
+    coefficient a₀.  Every divisor of a₀ is tried, and each root found is
+    counted and deflated by exact Horner division, then divided by D.  While
+    N(a₀) ≤ _NORM_BUDGET this search is complete and sympy is never loaded;
+    above it the polynomial is factorised over Q(i) by sympy instead.
+
+    Raises IrrationalSpectrum if a factor of degree at least two (not
+    necessarily irreducible) has no root in Q(i).
     """
     n = len(a)
     if n == 0:
         return []
-    import sympy
+    d = lcm(*(x.d for row in a for x in row))
     coeffs = charpoly(a)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(_to_sympy(c) * x ** k for k, c in enumerate(coeffs)),
-                      x, domain="QQ_I")
-    _, factors = poly.factor_list()
-    out = []
-    for f, mult in factors:
-        if f.degree() > 1:
-            raise IrrationalSpectrum(
-                f"characteristic polynomial has an irreducible factor of degree {f.degree()} over Q(i)")
-        top, const = (_from_sympy(c) for c in f.all_coeffs())
-        out.append(((-const) / top, mult))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+    # det(tI - D·a), highest coefficient first; D^(n-k)·c_k lies in Z[i]
+    poly = [((c := coeffs[k] * d ** (n - k)).a, c.b) for k in range(n, -1, -1)]
+    roots: dict[tuple[int, int], int] = {}
+    while poly[-1] == (0, 0):
+        poly.pop()
+        roots[(0, 0)] = roots.get((0, 0), 0) + 1
+    if len(poly) > 1:
+        candidates = _gaussian_divisors(poly[-1])
+        if candidates is None:
+            return sorted(_factor_roots(coeffs), key=lambda pair: pair[0].sort_key())
+        for z in candidates:
+            while len(poly) > 1 and (rest := _deflate(poly, z)) is not None:
+                poly = rest
+                roots[z] = roots.get(z, 0) + 1
+        if len(poly) > 1:
+            raise _root_free(len(poly) - 1)
+    out = [(Scalar(Fraction(x, d), Fraction(y, d)), m) for (x, y), m in roots.items()]
+    return sorted(out, key=lambda pair: pair[0].sort_key())
 
 
 def eigen_decomposition(a: Matrix) -> list[tuple[Scalar, list[Vector]]]:

@@ -289,9 +289,25 @@ def test_integers_too_long_to_print_are_a_resource_bound(capsys):
         assert err.startswith("bound hit:") and "4300 digits" in err
 
 
+_NO_SYMPY_CHECK = """
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+if loaded:
+    raise SystemExit(f"sympy loaded: {loaded[:5]}")
+"""
+
+
+def _run_without_sympy(script):
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script + _NO_SYMPY_CHECK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr + done.stdout
+
+
 def test_commands_run_without_loading_sympy():
-    # sympy is imported only to factorise a characteristic polynomial
-    script = """
+    # sympy is imported only to factorise a characteristic polynomial whose
+    # eigenvalue search is over the norm budget
+    _run_without_sympy("""
 import contextlib, io, sys
 import weylkit, weylkit.cli
 from weylkit.linalg import eigenvalues
@@ -303,20 +319,38 @@ commands = [
     (["s11", "fII(1)"], 1), (["exotic"], 0),
     (["act", "alpha1(1,1,0,1)", "1", "1", "0", "1", "fI"], 0),
     (["triplet", "p", "q", "1"], 1),
+    (["weights", "--", "p*q - 1/2", "-1/2*q^2", "1/2*p^2"], 0),
+    (["recognize", "p*q", "p", "p^3"], 0),
 ]
 for argv, want in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = weylkit.cli.main(argv)
     if code != want:
         raise SystemExit(f"{argv}: exit {code}, expected {want}")
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
-if loaded:
-    raise SystemExit(f"sympy loaded: {loaded[:5]}")
 if eigenvalues([[ZERO, -ONE], [ONE, ZERO]]) != [(Scalar(0, -1), 1), (Scalar(0, 1), 1)]:
     raise SystemExit("wrong eigenvalues of the rotation matrix")
-"""
-    src = str(Path(weylkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr + done.stdout
+""")
+
+
+def test_benchmark_weight_spaces_and_recognition_run_without_loading_sympy():
+    # the weight classes and R index sets of the spectra benchmark workload,
+    # and recognition of every catalog class (the roundtrip workload's)
+    _run_without_sympy("""
+import sys
+from weylkit.liestruct import CatalogTag, catalog, normalize_tag, recognize, weight_spaces
+weights = [("Sl2", None, 2), ("Sl2xC", None, 3), ("Sl2SemidirectH3", None, 5),
+           ("LTilde", 3, 0)]
+weights += [("R", idx, 0) for idx in [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]]
+for kind, param, h in weights:
+    spaces = weight_spaces(catalog(CatalogTag(kind, param)).realization, h)
+    if sum(len(v) for v in spaces.values()) != catalog(CatalogTag(kind, param)).algebra.dim:
+        raise SystemExit(f"{kind}{param}: weight spaces do not span")
+tags = [("Abelian", 2), ("Heisenberg3", None), ("Sl2", None), ("Sl2xC", None),
+        ("Sl2SemidirectH3", None), ("Sl2SemidirectC2", None), ("L", 3), ("L", 4),
+        ("LTilde", 2), ("LTilde", 3), ("LTildeModC", 3), ("R", (1,)), ("R", (1, 3)),
+        ("R", (2, 4)), ("R", (0, 1, 3)), ("R", (1, 2)), ("R", (3, 4))]
+for kind, param in tags:
+    tag = CatalogTag(kind, param)
+    if recognize(catalog(tag).algebra) != normalize_tag(tag):
+        raise SystemExit(f"{tag} recognised as {recognize(catalog(tag).algebra)}")
+""")

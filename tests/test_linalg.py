@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weylkit import linalg
 from weylkit.errors import IrrationalSpectrum
 from weylkit.linalg import (charpoly, eigen_decomposition, eigenvalues,
                             mat_mul, mat_vec, nullspace, rank, rref, solve)
@@ -174,3 +178,168 @@ def test_rref_nullspace_solve_match_dense_elimination(a, data):
         for r, c in enumerate(pivots):
             expected[c] = rows[r][ncols]
     assert solve(a, b) == expected
+
+
+# -- eigenvalues against sympy's factorisation over Q(i) ---------------------------
+
+
+def _factor_list_eigenvalues(a):
+    """Reference: sympy's charpoly and factor_list over QQ_I, sorted like eigenvalues."""
+    from sympy import Poly, Symbol
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def back(g):
+        return Scalar(Fraction(int(g.x.numerator), int(g.x.denominator)),
+                      Fraction(int(g.y.numerator), int(g.y.denominator)))
+
+    n = len(a)
+    dm = DomainMatrix([[QQ_I(QQ(x.re.numerator, x.re.denominator),
+                             QQ(x.im.numerator, x.im.denominator)) for x in row]
+                       for row in a], (n, n), QQ_I)
+    out = []
+    for f, mult in Poly(dm.charpoly(), Symbol("t"), domain=QQ_I).factor_list()[1]:
+        if f.degree() > 1:
+            raise IrrationalSpectrum(f"irreducible factor of degree {f.degree()}")
+        top, const = f.rep.to_list()
+        out.append((-back(const) / back(top), mult))
+    return sorted(out, key=lambda pair: pair[0].sort_key())
+
+
+def _elementary(n, r, c, g):
+    e = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    e[r][c] = g
+    return e
+
+
+def _conjugate(a, moves):
+    """u·a·u⁻¹ for u the product of the elementary Z[i] matrices I + g·e_rc."""
+    n = len(a)
+    for r, c, g in moves:
+        a = mat_mul(mat_mul(_elementary(n, r, c, g), a), _elementary(n, r, c, -g))
+    return a
+
+
+def _triangular(diagonal, above):
+    n = len(diagonal)
+    return [[diagonal[r] if r == c else (above[r][c] if c > r else ZERO)
+             for c in range(n)] for r in range(n)]
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[ZERO] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            out[k + r][k:k + len(b)] = row
+        k += len(b)
+    return out
+
+
+gaussian_int_st = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+_HALF_THIRD = Scalar(Fraction(1, 2), Fraction(1, 3))
+# small values keep N(a₀) under the norm budget, so the root search is what runs
+eigen_st = st.one_of(
+    st.builds(Scalar, st.integers(-4, 4), st.integers(-4, 4)),
+    st.sampled_from([_HALF_THIRD, Scalar(Fraction(-3, 2)), Scalar(0, Fraction(-1, 3)),
+                     Scalar(Fraction(1, 2), Fraction(-1, 2)), Scalar(Fraction(2, 3), 2)]))
+
+
+@st.composite
+def moves_st(draw, n):
+    if n == 1:
+        return []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda rc: rc[0] != rc[1])
+    return [(*draw(pair), draw(gaussian_int_st)) for _ in range(draw(st.integers(0, 2 * n)))]
+
+
+@st.composite
+def split_matrix_st(draw):
+    """A matrix with a prescribed Q(i) spectrum, repeated values likely."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(eigen_st, min_size=1, max_size=3))
+    spectrum = [draw(st.sampled_from(pool)) for _ in range(n)]
+    above = [[draw(st.one_of(st.just(ZERO), eigen_st)) for _ in range(n)] for _ in range(n)]
+    return spectrum, _conjugate(_triangular(spectrum, above), draw(moves_st(n)))
+
+
+@given(split_matrix_st())
+def test_eigenvalues_match_the_factoriser_on_split_spectra(case):
+    spectrum, a = case
+    got = eigenvalues(a)
+    assert got == _factor_list_eigenvalues(a)
+    assert dict(got) == Counter(spectrum)
+
+
+@pytest.mark.parametrize("spectrum", [
+    [_HALF_THIRD],
+    [Scalar(5)],
+    [ZERO],
+    [_HALF_THIRD, _HALF_THIRD, Scalar(-1)],
+    [ZERO, ZERO, ZERO, ZERO],
+    [ZERO, ZERO, Scalar(2), Scalar(0, 1), Scalar(Fraction(-2, 5))],
+    [Scalar(0, 3), Scalar(0, -3), Scalar(-4), Scalar(-4), Scalar(2), ZERO],
+], ids=["1x1 non-integral", "1x1 integer", "1x1 zero", "repeated non-integral",
+        "nilpotent", "double zero root", "workload-like"])
+def test_eigenvalues_of_prescribed_spectra(spectrum):
+    rng = random.Random(len(spectrum))
+    n = len(spectrum)
+    above = [[Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
+    moves = [(r, c, Scalar(rng.randint(-2, 2), rng.randint(-2, 2)))
+             for r, c in ((rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)) if r != c]
+    a = _conjugate(_triangular(spectrum, above), moves)
+    got = eigenvalues(a)
+    assert got == _factor_list_eigenvalues(a)
+    assert dict(got) == Counter(spectrum)
+
+
+def _companion(*coeffs):
+    """Companion matrix of the monic t^n + coeffs[n-1] t^(n-1) + … + coeffs[0]."""
+    n = len(coeffs)
+    return [[(ONE if r == c + 1 else ZERO) if c < n - 1 else ZERO - coeffs[r]
+             for c in range(n)] for r in range(n)]
+
+
+X2_MINUS_2, X2_PLUS_2, X2_MINUS_I = _companion(-2, 0), _companion(2, 0), _companion(Scalar(0, -1), 0)
+
+
+@given(st.sampled_from([X2_MINUS_2, X2_PLUS_2, X2_MINUS_I]),
+       st.lists(st.sampled_from([X2_MINUS_2, X2_PLUS_2, X2_MINUS_I]), max_size=1),
+       st.lists(eigen_st, max_size=2), st.data())
+def test_root_free_factors_raise(block, extra, split, data):
+    a = _block_diagonal(block, *extra, _triangular(split, [[ONE] * len(split)] * len(split)))
+    a = _conjugate(a, data.draw(moves_st(len(a))))
+    with pytest.raises(IrrationalSpectrum, match=f"factor of degree {2 + 2 * len(extra)} "):
+        eigenvalues(a)
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    fallback = linalg._factor_roots
+    monkeypatch.setattr(linalg, "_factor_roots", lambda coeffs: calls.append(1) or fallback(coeffs))
+    return calls
+
+
+def test_eigenvalues_above_the_norm_budget_use_the_factoriser(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    big = Scalar(999999999989)  # prime
+    for spectrum in ([big], [big, Scalar(0, 1), ZERO], [Scalar(999983, 1000), Scalar(-2)]):
+        a = _conjugate(_triangular(spectrum, [[ONE] * 3] * 3), [(1, 0, Scalar(1, 1))][:len(spectrum) - 1])
+        got = eigenvalues(a)
+        assert got == _factor_list_eigenvalues(a)
+        assert dict(got) == Counter(spectrum)
+    with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
+        eigenvalues(_companion(-999999999989, 0))
+    assert len(calls) == 4
+    # the norm of the lowest nonzero coefficient is what puts these over the budget
+    assert 999983 ** 2 + 1000 ** 2 > linalg._NORM_BUDGET
+
+
+def test_eigenvalues_below_the_norm_budget_never_use_the_factoriser(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    spectrum = [Scalar(99991), Scalar(0, 1)]  # 99991² is just under the budget
+    assert dict(eigenvalues(_triangular(spectrum, [[ONE] * 2] * 2))) == Counter(spectrum)
+    with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
+        eigenvalues(_companion(-2, 0))
+    assert calls == []
