@@ -23,7 +23,7 @@ from .elements import (ElementSpan, WeylElement, bracket, coordinates,
 from .errors import (DegreeTooHigh, NoProportionality, PreconditionFailed,
                      ZeroElement)
 from .linalg import nullspace
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, as_scalar
 
 __all__ = [
     "DixmierClass", "classify_low_degree",
@@ -106,7 +106,7 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     satisfies the eigen-equation in the full algebra, not just modulo high
     degree.  Returns a canonical echelon basis (possibly empty).
     """
-    lam = lam if isinstance(lam, Scalar) else Scalar(lam)
+    lam = as_scalar(lam)
     unknowns = _monomials_up_to(max_degree)
     images = [bracket(x, WeylElement.monomial(i, j)) for (i, j) in unknowns]
     rows: dict[tuple[int, int], int] = {}

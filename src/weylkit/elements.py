@@ -26,7 +26,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadParams, ExprSyntaxError, NotInjective
 from .linalg import Echelon
-from .scalars import ONE, ZERO, Scalar, ScalarSyntaxError, format_scalar, scan_scalar
+from .scalars import (ONE, ZERO, Scalar, ScalarSyntaxError, as_scalar, format_scalar,
+                      scan_scalar)
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
@@ -64,7 +65,7 @@ class WeylElement:
     def __init__(self, terms: Optional[dict] = None):
         clean: dict[Monomial, Scalar] = {}
         for (i, j), c in (terms or {}).items():
-            c = c if isinstance(c, Scalar) else Scalar(c)
+            c = as_scalar(c)
             if c:
                 clean[(i, j)] = c
         self.terms = clean
@@ -142,15 +143,14 @@ class WeylElement:
         return (-self) + other
 
     def scale(self, c: ScalarLike) -> "WeylElement":
-        c = c if isinstance(c, Scalar) else Scalar(c)
+        c = as_scalar(c)
         if not c:
             return zero
         return _wrap({m: c * v for m, v in self.terms.items()})
 
     def __truediv__(self, c):
         if isinstance(c, (Scalar, int, Fraction)):
-            c = c if isinstance(c, Scalar) else Scalar(c)
-            return self.scale(c.inverse())
+            return self.scale(as_scalar(c).inverse())
         return NotImplemented
 
     # -- the product -----------------------------------------------------------
@@ -250,8 +250,7 @@ class SymTensor:
         fs = []
         for f in factors:
             a, b = f
-            fs.append((a if isinstance(a, Scalar) else Scalar(a),
-                       b if isinstance(b, Scalar) else Scalar(b)))
+            fs.append((as_scalar(a), as_scalar(b)))
         if not fs:
             raise BadParams("symmetric tensor needs at least one factor")
         self.factors = tuple(fs)

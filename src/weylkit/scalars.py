@@ -212,6 +212,11 @@ ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
+def as_scalar(x) -> Scalar:
+    """x as a Scalar: x itself if it is one, else Scalar(x)."""
+    return x if isinstance(x, Scalar) else Scalar(x)
+
+
 # -- text grammar -----------------------------------------------------------
 #
 #   scalar   := rational 'i'? | rational ('+'|'-') rational 'i' | sign? 'i'

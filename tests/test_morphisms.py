@@ -1,5 +1,7 @@
 """Automorphism generators, group families and the morphism expressions."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from weylkit.morphisms import (LTildeGroupElement, RGroupElement, WeylMorphism,
                                parse_morphism, phi, phi_prime, r_group_identity,
                                r_group_inv, r_group_mul, r_to_aut, scale,
                                sl2_semidirect_aut, translation)
+from weylkit.sl2orbits import SL2Element, beta_hat
 
 from .strategies import element_st, nonzero_scalar_st, scalar_st
 
@@ -23,6 +26,14 @@ from .strategies import element_st, nonzero_scalar_st, scalar_st
 def test_images_must_satisfy_the_relation():
     with pytest.raises(PreconditionFailed):
         WeylMorphism(p, p)
+
+
+def test_public_constructor_builds_an_endomorphism_without_inverse():
+    m = WeylMorphism(p, q + p ** 2)
+    assert m.inverse is None
+    assert compose(m, phi(1, 2)).inverse is None
+    assert compose(phi(1, 2), m).inverse is None
+    assert compose(m, m).image_q == parse_element("q + 2*p^2")
 
 
 def test_generator_images():
@@ -200,3 +211,67 @@ def test_parsed_chain_acts_as_composition(x):
     m = parse_morphism("phiP(2,i); scale(2); phi(1,-1)")
     by_hand = compose(phi(1, -1), compose(scale(2), phi_prime(2, Scalar(0, 1))))
     assert apply(m, x) == apply(by_hand, x)
+
+
+# -- every automorphism constructor carries a correct inverse -------------------------
+
+
+def _unimodular(a, b, c):
+    """((a, b), (c, d)) with d chosen so that the determinant is 1; a ≠ 0."""
+    return ((a, b), (c, (1 + b * c) / a))
+
+
+_unimodular_st = st.builds(_unimodular, nonzero_scalar_st, scalar_st, scalar_st)
+_pair_st = st.lists(scalar_st, min_size=2, max_size=2)
+
+
+def _literal(name, args):
+    return f"{name}({','.join(map(str, args))})"
+
+
+_literal_st = st.one_of(
+    st.builds(lambda n, lam: _literal("phi", (n, lam)), st.integers(0, 2), scalar_st),
+    st.builds(lambda n, lam: _literal("phiP", (n, lam)), st.integers(0, 2), scalar_st),
+    st.builds(lambda u: _literal("scale", (u,)), nonzero_scalar_st),
+    st.builds(lambda b: _literal("translate", b), _pair_st),
+    st.builds(lambda g: _literal("alpha1", g[0] + g[1]), _unimodular_st),
+    st.just("id"),
+)
+
+# Each link is a degree ≤ 2 automorphism; the chain strategy below bounds the
+# product of the link degrees, which bounds the degree of the composite.
+_link_st = st.one_of(
+    st.just(identity_morphism()),
+    st.builds(phi, st.integers(0, 2), scalar_st),
+    st.builds(phi_prime, st.integers(0, 2), scalar_st),
+    st.builds(scale, nonzero_scalar_st),
+    st.builds(translation, scalar_st, scalar_st),
+    st.builds(alpha1_hat, _unimodular_st),
+    st.builds(sl2_semidirect_aut, _unimodular_st, _pair_st),
+    st.sampled_from([(1,), (2,), (3,), (1, 3), (2, 3)]).flatmap(
+        lambda idx: st.builds(lambda a, s: r_to_aut(RGroupElement(idx, a, s)),
+                              st.lists(scalar_st, min_size=len(idx), max_size=len(idx)),
+                              nonzero_scalar_st)),
+    st.builds(lambda a, t, s: ltilde_to_aut(LTildeGroupElement(a, t, s)),
+              st.lists(scalar_st, min_size=1, max_size=4), scalar_st, nonzero_scalar_st),
+    st.builds(lambda a1, a3: beta_hat(SL2Element(a1, 0, a3, a1.inverse())),
+              nonzero_scalar_st, scalar_st),
+    st.lists(_literal_st, min_size=1, max_size=2).map(lambda ts: parse_morphism("; ".join(ts))),
+)
+
+
+def _degree(m):
+    return max(m.image_p.degree(), m.image_q.degree())
+
+
+_chain_st = st.lists(_link_st, min_size=1, max_size=4).filter(
+    lambda links: reduce(lambda d, m: d * _degree(m), links, 1) <= 4)
+
+
+@given(_chain_st)
+def test_automorphism_chains_carry_their_inverse(links):
+    m = reduce(compose, links)
+    assert bracket(m.image_p, m.image_q) == one
+    inv = invert(m)
+    assert compose(m, inv).is_identity()
+    assert compose(inv, m).is_identity()
