@@ -22,7 +22,7 @@ from .elements import (ElementSpan, WeylElement, bracket, coordinates,
                        linear_span_dim, one, p, q, wn_components, zero)
 from .errors import (DegreeTooHigh, NoProportionality, PreconditionFailed,
                      ZeroElement)
-from .linalg import nullspace
+from .linalg import kernel
 from .scalars import ZERO, Scalar, as_scalar
 
 __all__ = [
@@ -108,19 +108,10 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     """
     lam = as_scalar(lam)
     unknowns = _monomials_up_to(max_degree)
-    images = [bracket(x, WeylElement.monomial(i, j)) for (i, j) in unknowns]
-    rows: dict[tuple[int, int], int] = {}
-    for m in unknowns:
-        rows.setdefault(m, len(rows))
-    for img in images:
-        for m in img.terms:
-            rows.setdefault(m, len(rows))
-    a = [[ZERO] * len(unknowns) for _ in rows]
-    for c, (m, img) in enumerate(zip(unknowns, images)):
-        for mono, coeff in img.terms.items():
-            a[rows[mono]][c] = coeff
-        a[rows[m]][c] = a[rows[m]][c] - lam
-    basis = [WeylElement(dict(zip(unknowns, vec))) for vec in nullspace(a)]
+    monomials = [WeylElement.monomial(i, j) for (i, j) in unknowns]
+    # the differences drop cancelled terms, so every column entry is nonzero
+    columns = [(bracket(x, m) - m.scale(lam)).terms for m in monomials]
+    basis = [WeylElement({unknowns[j]: c for j, c in rel.items()}) for rel in kernel(columns)]
     return linear_span_dim(basis)[1]
 
 

@@ -26,7 +26,7 @@ from .elements import ElementSpan, WeylElement, bracket, one, p, q, zero
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
-from .linalg import Echelon, eigen_decomposition, mat_mul, nullspace, solve
+from .linalg import Echelon, eigen_decomposition, kernel, mat_mul, solve
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -265,21 +265,16 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     if not gens:
         raise BadParams("at least one generator required")
     span = ElementSpan()
-    rows: list[WeylElement] = []
     for g in gens:
-        r = span.insert(g)
-        if r is not None:
-            rows.append(r)
+        span.insert(g)
+    rows = span.rows  # grows with each insert that enlarges the span
     if len(rows) > max_dim:
         raise DimensionExceeded(max_dim)
     i = 0
     while i < len(rows):
         for j in range(i):
-            r = span.insert(bracket(rows[i], rows[j]))
-            if r is not None:
-                rows.append(r)
-                if len(rows) > max_dim:
-                    raise DimensionExceeded(max_dim)
+            if span.insert(bracket(rows[i], rows[j])) is not None and len(rows) > max_dim:
+                raise DimensionExceeded(max_dim)
         i += 1
     c: dict[tuple[int, int], dict[int, Scalar]] = {}
     for a, b in combinations(range(len(rows)), 2):
@@ -322,17 +317,16 @@ def _bracket_span(algebra: LieAlgebraStruct, rows_a, rows_b) -> Echelon:
     return _span(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
 
 
-def _series_dims(algebra: LieAlgebraStruct, rows, derived: bool) -> list[int]:
-    """Dimensions of the derived (or lower-central) series of span(rows),
-    down to the first term that vanishes or stops shrinking."""
-    dims = [len(rows)]
-    cur = rows
-    while True:
-        nxt = _bracket_span(algebra, cur if derived else rows, cur)
-        dims.append(nxt.dim)
-        if nxt.dim in (0, dims[-2]):
-            return dims
-        cur = nxt.rows
+def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> list[Echelon]:
+    """The derived (or lower-central) series of span(rows) from its first term
+    [rows, rows] down to the first term that vanishes or stops shrinking."""
+    terms = [first]
+    prev = len(rows)
+    while terms[-1].dim not in (0, prev):
+        prev = terms[-1].dim
+        cur = terms[-1].rows
+        terms.append(_bracket_span(algebra, cur if derived else rows, cur))
+    return terms
 
 
 class AlgebraInvariants(NamedTuple):
@@ -344,28 +338,29 @@ class AlgebraInvariants(NamedTuple):
 
 
 def _center(algebra: LieAlgebraStruct) -> Echelon:
-    """The centre: the x with Σ_i x_i c^k_{ij} = 0 for every j and k."""
+    """The centre: the relations among the columns ad(e_i) = {(j, k): c^k_{ij}}."""
     n = algebra.dim
-    eqs = [[ZERO] * n for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            for k, s in algebra.basis_bracket(i, j).items():
-                eqs[j * n + k][i] = s
-    return _span(_sparse(v) for v in nullspace(eqs))
+    columns = [{(j, k): s for j in range(n) for k, s in algebra.basis_bracket(i, j).items()}
+               for i in range(n)]
+    return _span(kernel(columns))
+
+
+def _invariants(algebra: LieAlgebraStruct):
+    """The invariants, with the derived series [g, g], [D, D], … and the centre."""
+    n = algebra.dim
+    full = [{i: ONE} for i in range(n)]
+    first = _bracket_span(algebra, full, full)
+    series = _series(algebra, full, first, derived=True)
+    derived = [n] + [t.dim for t in series]
+    lower = [n] + [t.dim for t in _series(algebra, full, first, derived=False)]
+    center = _center(algebra)
+    inv = AlgebraInvariants(derived, lower, center.dim, derived[-1] == 0, lower[-1] == 0)
+    return inv, series, center
 
 
 def invariants(algebra: LieAlgebraStruct) -> AlgebraInvariants:
     """Derived and lower-central dimension profiles, centre, flags."""
-    full = [{i: ONE} for i in range(algebra.dim)]
-    derived = _series_dims(algebra, full, derived=True)
-    lower = _series_dims(algebra, full, derived=False)
-    return AlgebraInvariants(
-        derived_series_dims=derived,
-        lower_central_dims=lower,
-        center_dim=_center(algebra).dim,
-        solvable=derived[-1] == 0,
-        nilpotent=lower[-1] == 0,
-    )
+    return _invariants(algebra)[0]
 
 
 def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
@@ -373,9 +368,7 @@ def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
     center = _center(algebra)
     keep = [i for i in range(algebra.dim) if i not in center.pivots]
     # brackets are read in the basis (centre rows, kept basis vectors)
-    basis = Echelon()
-    for row in center.rows + [{i: ONE} for i in keep]:
-        basis.insert(row)
+    basis = _span(center.rows + [{i: ONE} for i in keep])
     c = {(a, b): dict(enumerate(basis.express(algebra.basis_bracket(i, j))[center.dim:]))
          for (a, i), (b, j) in combinations(enumerate(keep), 2)}
     return LieAlgebraStruct(len(keep), [algebra.labels[i] for i in keep], c)
@@ -425,21 +418,16 @@ def _integer_profile(eigs: list[Scalar]) -> Optional[list[int]]:
 
 
 def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
-    """Dimension of the radical, via the Killing-orthogonal of the derived algebra."""
+    """Dimension of the radical, the Killing-orthogonal of the derived algebra."""
     n = algebra.dim
-    ads = [algebra.ad_matrix(algebra.basis_vector(i)) for i in range(n)]
-    killing = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = mat_mul(ads[i], ads[j])
-            row.append(sum((prod[d][d] for d in range(n)), ZERO))
-        killing.append(row)
-    if not derived_rows:
-        return n
-    rows = [[sum((killing[i][j] * x for j, x in d.items()), ZERO) for i in range(n)]
-            for d in derived_rows]
-    return len(nullspace(rows))
+    br = algebra.basis_bracket
+    rows = []
+    for d in derived_rows:
+        ad_d = [algebra.sparse_bracket(d, {l: ONE}) for l in range(n)]
+        # K(d, e_i) = tr(ad d · ad e_i) = Σ_{k,l} [d, e_l]_k · c^l_{ik}
+        rows.append(_sparse([sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
+                                  for k, x in col.items()), ZERO) for i in range(n)]))
+    return n - _span(rows).dim
 
 
 def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
@@ -452,7 +440,7 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     families, separated by their centres); non-solvable ones by dimension,
     centre and radical.  Anything else is Unknown.
     """
-    inv = invariants(algebra)
+    inv, series, center = _invariants(algebra)
     n = algebra.dim
     if inv.derived_series_dims[1] == 0:
         return CatalogTag("Abelian", n)
@@ -462,15 +450,14 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
             return normalize_tag(CatalogTag("L", m))
         return CatalogTag("Unknown")
     full = [{i: ONE} for i in range(n)]
-    derived = _bracket_span(algebra, full, full)
+    derived = series[0]
     if inv.solvable:
-        center = _center(algebra)
         # the catalog solvables are all one generator over derived + centre
         ext = _span(derived.rows + center.rows)
         if n - ext.dim != 1:
             return CatalogTag("Unknown")
         h = next(e for e in full if not ext.contains(e))
-        if _bracket_span(algebra, derived.rows, derived.rows).dim == 0:
+        if inv.derived_series_dims[2] == 0:
             # abelian derived algebra (an ideal): diagonalise ad(h) on it
             ad_cols = [derived.row_coordinates(algebra.sparse_bracket(h, d))
                        for d in derived.rows]
@@ -496,7 +483,8 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
                 return CatalogTag("LTildeModC", 2)
             return CatalogTag("Unknown")
         # non-abelian derived algebra: the extended filiform families
-        m = _filiform_parameter(_series_dims(algebra, derived.rows, derived=False))
+        lower = _series(algebra, derived.rows, series[1], derived=False)
+        m = _filiform_parameter([derived.dim] + [t.dim for t in lower])
         if m is None:
             return CatalogTag("Unknown")
         if center.dim == 1 and n == m + 2:
@@ -514,7 +502,7 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         return CatalogTag("Sl2xC")
     if n == 5 and rad == 2 and zc == 0 and perfect:
         return CatalogTag("Sl2SemidirectC2")
-    if n == 6 and rad == 3 and zc == 1:
+    if n == 6 and rad == 3 and zc == 1 and perfect:
         return CatalogTag("Sl2SemidirectH3")
     return CatalogTag("Unknown")
 

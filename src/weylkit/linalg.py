@@ -4,10 +4,12 @@ Every row reduction in the package goes through one sparse engine,
 ``Echelon``: rows are dicts from hashable columns (matrix column indices
 here, monomials in ``elements.ElementSpan``, basis indices in ``liestruct``)
 to nonzero Scalars, each row's pivot is its least column under a sort key,
-and only nonzero entries are ever touched.  The dense entry points ``rref``,
-``rank``, ``solve`` and ``nullspace`` take lists of rows of Scalars and are
-built on it.  All elimination is exact field arithmetic, so ranks, solution
-sets and spectra are decided, never estimated.  Eigenvalues come from the
+and only nonzero entries are ever touched.  Rows carry their coordinates
+over the inserted generators, so ``kernel`` reads a relation off each
+column that reduces to zero, with no back-reduction; ``nullspace`` and
+``solve`` insert the columns of a dense matrix, ``rref`` and ``rank`` its
+rows.  All elimination is exact field arithmetic, so ranks, solution sets
+and spectra are decided, never estimated.  Eigenvalues come from the
 characteristic polynomial (Faddeev–LeVerrier, division-exact), scaled to be
 monic over Z[i], whose Q(i)-roots are then Gaussian integers dividing its
 lowest nonzero coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the
@@ -29,7 +31,7 @@ from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "Echelon", "identity", "zeros", "mat_mul", "mat_vec", "rref",
-    "rank", "solve", "nullspace", "charpoly", "eigenvalues", "eigen_decomposition",
+    "rank", "kernel", "solve", "nullspace", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
 Matrix = list[list[Scalar]]
@@ -96,9 +98,12 @@ class Echelon:
 
     def insert(self, v: dict) -> Optional[dict]:
         """Add a generator; returns its new row, or None if v is in the span."""
+        return self._append(*self.reduce(v))
+
+    def _append(self, rem: dict, used: dict) -> Optional[dict]:
+        """Record a generator from its reduction; a new row unless rem is zero."""
         gen = self.ngens
         self.ngens += 1
-        rem, used = self.reduce(v)
         if not rem:
             return None
         pivot = min(rem, key=self.key)
@@ -156,7 +161,7 @@ def _subtract(v: dict, row: dict, c: Scalar):
             del v[col]
 
 
-def _row_span(a: Matrix) -> Echelon:
+def _row_span(a) -> Echelon:
     span = Echelon()
     for row in a:
         span.insert({c: x for c, x in enumerate(row) if x})
@@ -176,36 +181,37 @@ def rank(a: Matrix) -> int:
     return _row_span(a).dim
 
 
+def kernel(columns: list[dict]) -> list[dict]:
+    """The relations among sparse columns inserted in order: for each column j
+    that reduces to zero, e_j − (its coordinates over the earlier columns)."""
+    span = Echelon()
+    basis = []
+    for j, col in enumerate(columns):
+        rem, used = span.reduce(col)
+        if span._append(rem, used) is None:
+            relation = {j: ONE}
+            for r, c in used.items():
+                _subtract(relation, span._coords[r], c)
+            basis.append(relation)
+    return basis
+
+
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """One exact solution of a·x = b (free variables zero), or None."""
     if len(a) != len(b):
         raise BadParams(f"a {len(a)}-row system needs {len(a)} right-hand sides, got {len(b)}")
     if not a:
         return []
-    ncols = len(a[0])
-    rows, pivots = rref([row + [rhs] for row, rhs in zip(a, b)])
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = row[ncols]
-    return x
+    columns = _row_span(zip(*a))  # the columns of a, as generators
+    return columns.express({r: x for r, x in enumerate(b) if x})
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    """A basis of the kernel of a (one vector per free column)."""
+    """A basis of the kernel of a (one vector per free column), by ``kernel``."""
     if not a:
         return []
-    rows, pivots = rref(a)
-    ncols = len(a[0])
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f]
-        basis.append(v)
-    return basis
+    columns = [{r: x for r, x in enumerate(col) if x} for col in zip(*a)]
+    return [[v.get(c, ZERO) for c in range(len(columns))] for v in kernel(columns)]
 
 
 def charpoly(a: Matrix) -> list[Scalar]:

@@ -169,6 +169,11 @@ def alpha1_hat(g: Sequence[Sequence]) -> WeylMorphism:
     a1, a2, a3, a4 = (as_scalar(x) for x in (a1, a2, a3, a4))
     if a1 * a4 - a2 * a3 != ONE:
         raise NotUnimodular("matrix parameter must have determinant 1")
+    return _alpha1(a1, a2, a3, a4)
+
+
+def _alpha1(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> WeylMorphism:
+    """alpha1_hat on Scalar entries already known to have determinant one."""
     return _mk(q.scale(a2) + p.scale(a4), q.scale(a1) + p.scale(a3),
                (q.scale(-a2) + p.scale(a1), q.scale(a4) + p.scale(-a3)))
 

@@ -42,7 +42,8 @@ __all__ = [
 
 
 class Sl2Realization(NamedTuple):
-    """Images of the standard basis e₊, e₋, e₀; build via triplet_check."""
+    """Images of e₊, e₋, e₀ forming a triplet: checked by triplet_check for outside
+    input, true by construction in f_I, f_II, f_II_variant, exotic_g, group_act."""
 
     X: WeylElement
     Y: WeylElement
@@ -64,21 +65,21 @@ def triplet_check(X: WeylElement, Y: WeylElement, H: WeylElement) -> Sl2Realizat
 
 def f_I() -> Sl2Realization:
     """The quadratic triplet: X = -q²/2, Y = p²/2, H = pq - 1/2."""
-    return triplet_check((q * q).scale(Fraction(-1, 2)),
-                         (p * p).scale(Fraction(1, 2)),
-                         p * q - one.scale(Fraction(1, 2)))
+    return Sl2Realization((q * q).scale(Fraction(-1, 2)),
+                          (p * p).scale(Fraction(1, 2)),
+                          p * q - one.scale(Fraction(1, 2)))
 
 
 def f_II(b) -> Sl2Realization:
     """The one-parameter family: X = (b+pq)q, Y = -p, H = 2pq + b."""
-    return triplet_check((one.scale(b) + p * q) * q, -p,
-                         (p * q).scale(2) + one.scale(b))
+    return Sl2Realization((one.scale(b) + p * q) * q, -p,
+                          (p * q).scale(2) + one.scale(b))
 
 
 def f_II_variant(b) -> Sl2Realization:
     """The swapped variant: X = -q, Y = p(b+pq), H = 2pq + b."""
-    return triplet_check(-q, p * (one.scale(b) + p * q),
-                         (p * q).scale(2) + one.scale(b))
+    return Sl2Realization(-q, p * (one.scale(b) + p * q),
+                          (p * q).scale(2) + one.scale(b))
 
 
 # -- formal words --------------------------------------------------------------------
@@ -185,16 +186,16 @@ class SL2Element:
         return SL2Element(1, 0, 0, 1)
 
     def inverse(self) -> "SL2Element":
-        return SL2Element(self.a4, -self.a2, -self.a3, self.a1)
+        return _sl2(self.a4, -self.a2, -self.a3, self.a1)
 
     def __neg__(self) -> "SL2Element":
-        return SL2Element(-self.a1, -self.a2, -self.a3, -self.a4)
+        return _sl2(-self.a1, -self.a2, -self.a3, -self.a4)
 
     def __mul__(self, other: "SL2Element") -> "SL2Element":
-        return SL2Element(self.a1 * other.a1 + self.a2 * other.a3,
-                          self.a1 * other.a2 + self.a2 * other.a4,
-                          self.a3 * other.a1 + self.a4 * other.a3,
-                          self.a3 * other.a2 + self.a4 * other.a4)
+        return _sl2(self.a1 * other.a1 + self.a2 * other.a3,
+                    self.a1 * other.a2 + self.a2 * other.a4,
+                    self.a3 * other.a1 + self.a4 * other.a3,
+                    self.a3 * other.a2 + self.a4 * other.a4)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SL2Element)
@@ -203,6 +204,13 @@ class SL2Element:
 
     def __repr__(self):
         return f"SL2Element({self.a1!r}, {self.a2!r}, {self.a3!r}, {self.a4!r})"
+
+
+def _sl2(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> SL2Element:
+    """An SL2Element on entries known to have determinant one; skips __init__."""
+    g = object.__new__(SL2Element)
+    g.a1, g.a2, g.a3, g.a4 = a1, a2, a3, a4
+    return g
 
 
 def _ad_rows(g: SL2Element) -> list[tuple[Scalar, Scalar, Scalar]]:
@@ -216,19 +224,18 @@ def _ad_rows(g: SL2Element) -> list[tuple[Scalar, Scalar, Scalar]]:
 
 
 def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Realization:
-    """(α, g)·f = α ∘ f ∘ Ad(g)⁻¹, returned as a checked triplet."""
+    """(α, g)·f = α ∘ f ∘ Ad(g)⁻¹, a triplet with no re-check: Ad(g)⁻¹ is an
+    automorphism of sl(2), and α, an endomorphism of the simple algebra A₁,
+    is injective and preserves brackets."""
     if alpha.inverse is None:
         raise NotInvertible("the action needs an invertible substitution")
-    rows = _ad_rows(g.inverse())
-    imgs = []
-    for cx, cy, ch in rows:
-        imgs.append(alpha(r.X.scale(cx) + r.Y.scale(cy) + r.H.scale(ch)))
-    return triplet_check(*imgs)
+    return Sl2Realization(*(alpha(r.X.scale(cx) + r.Y.scale(cy) + r.H.scale(ch))
+                            for cx, cy, ch in _ad_rows(g.inverse())))
 
 
 def alpha1_hat(g: SL2Element) -> WeylMorphism:
     """The linear substitution intertwining the quadratic triplet with Ad(g)."""
-    return morphisms.alpha1_hat(((g.a1, g.a2), (g.a3, g.a4)))
+    return morphisms._alpha1(g.a1, g.a2, g.a3, g.a4)
 
 
 def beta_hat(g: SL2Element) -> WeylMorphism:
@@ -256,11 +263,12 @@ def _exotic_substitution() -> tuple[UWord, UWord, UWord]:
 
 
 def exotic_g() -> Sl2Realization:
-    """The substituted triplet f_II(1) ∘ (x, y+hx+xh-4x³, h-4x²)."""
+    """The substituted triplet f_II(1) ∘ (x, y+hx+xh-4x³, h-4x²); the
+    substitution keeps the sl(2) relations in U(sl(2)), so it is a triplet."""
     base = f_II(1)
     wx, wy, wh = _exotic_substitution()
-    return triplet_check(eval_uword(base, wx), eval_uword(base, wy),
-                         eval_uword(base, wh))
+    return Sl2Realization(eval_uword(base, wx), eval_uword(base, wy),
+                          eval_uword(base, wh))
 
 
 class ExoticReport(NamedTuple):

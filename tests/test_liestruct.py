@@ -309,6 +309,30 @@ def test_recognize_unknown_for_mixed_spectrum():
     assert recognize(algebra) == CatalogTag("Unknown")
 
 
+def _sl2_times(extra):
+    """sl₂ on e0, e1, e2 (X, Y, H) plus e3, e4, e5 with the brackets in extra."""
+    c = {(0, 1): {2: ONE}, (0, 2): {0: S(-2)}, (1, 2): {1: S(2)}}
+    c.update(extra)
+    return LieAlgebraStruct(6, [f"e{k}" for k in range(6)], c)
+
+
+# sl₂ × H₃ and (sl₂ ⋉ ℂ²) × ℂ share n = 6, a 3-dimensional radical and a
+# 1-dimensional centre with sl₂ ⋉ H₃ but are not perfect; sl₂ ⋉ ℂ³ is sl₂
+# acting on a copy (e3, e4, e5) of itself.
+NEAR_MISSES = {
+    "sl2 x H3": {(4, 5): {3: ONE}},
+    "(sl2 x| C2) x C": {(0, 4): {3: ONE}, (1, 3): {4: ONE},
+                        (2, 3): {3: ONE}, (2, 4): {4: S(-1)}},
+    "sl2 x| C3": {(0, 4): {5: ONE}, (0, 5): {3: S(-2)}, (1, 3): {5: S(-1)},
+                  (1, 5): {4: S(2)}, (2, 3): {3: S(2)}, (2, 4): {4: S(-2)}},
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_recognize_near_misses_of_sl2_semidirect_h3_are_unknown(name):
+    assert recognize(_sl2_times(NEAR_MISSES[name])) == CatalogTag("Unknown")
+
+
 # -- filiform chains ------------------------------------------------------------------
 
 

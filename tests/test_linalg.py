@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylkit import linalg
+from weylkit import dixmier, liestruct, linalg
+from weylkit.elements import p, q
 from weylkit.errors import IrrationalSpectrum
-from weylkit.linalg import (charpoly, eigen_decomposition, eigenvalues,
+from weylkit.linalg import (charpoly, eigen_decomposition, eigenvalues, kernel,
                             mat_mul, mat_vec, nullspace, rank, rref, solve)
 from weylkit.scalars import ONE, ZERO, Scalar
 
@@ -178,6 +179,91 @@ def test_rref_nullspace_solve_match_dense_elimination(a, data):
         for r, c in enumerate(pivots):
             expected[c] = rows[r][ncols]
     assert solve(a, b) == expected
+
+
+# -- kernels by column insertion against the rref-based versions they replaced ----
+
+
+def _rref_solve(a, b):
+    """solve as it was built on rref, with free variables zero (reference)."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    rows, pivots = rref([row + [rhs] for row, rhs in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def _rref_nullspace(a):
+    """nullspace as it was built on rref, one vector per free column (reference)."""
+    if not a:
+        return []
+    rows, pivots = rref(a)
+    ncols = len(a[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def system_st(draw):
+    """A sparse or low-rank matrix a with a right-hand side b.
+
+    Low-rank matrices are products of sparse factors through rank ≤ 3, so
+    most have free columns; b is a·x for a drawn x, or drawn freely, which
+    on a rank-deficient a is usually inconsistent.
+    """
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        a = [[draw(sparse_scalar_st) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        r = draw(st.integers(1, 3))
+        left = [[draw(sparse_scalar_st) for _ in range(r)] for _ in range(nrows)]
+        right = [[draw(sparse_scalar_st) for _ in range(ncols)] for _ in range(r)]
+        a = mat_mul(left, right)
+    if draw(st.booleans()):
+        b = mat_vec(a, [draw(sparse_scalar_st) for _ in range(ncols)])
+    else:
+        b = [draw(sparse_scalar_st) for _ in range(nrows)]
+    return a, b
+
+
+@given(system_st())
+def test_kernel_nullspace_and_solve_match_the_rref_versions(system):
+    a, b = system
+    assert nullspace(a) == _rref_nullspace(a)
+    assert solve(a, b) == _rref_solve(a, b)
+    # kernel alone, on sparse columns keyed by non-integer rows
+    ncols = len(a[0])
+    columns = [{("row", r): row[c] for r, row in enumerate(a) if row[c]} for c in range(ncols)]
+    relations = kernel(columns)
+    assert all(all(rel.values()) for rel in relations)
+    assert [[rel.get(c, ZERO) for c in range(ncols)] for rel in relations] == nullspace(a)
+
+
+def test_kernels_use_no_dense_routine(monkeypatch):
+    def dense(*args):
+        raise AssertionError("a dense routine was called")
+
+    for module in (linalg, liestruct, dixmier):
+        for name in ("rref", "nullspace", "mat_mul"):
+            monkeypatch.setattr(module, name, dense, raising=False)
+    a = _mat([[1, 2, 3], [2, 4, 6]])
+    assert len(nullspace(a)) == 2
+    assert solve(a, [Scalar(1), Scalar(2)]) == [ONE, ZERO, ZERO]
+    for tag in ("Sl2SemidirectH3", "Sl2SemidirectC2"):
+        algebra = liestruct.catalog(liestruct.CatalogTag(tag)).algebra
+        assert liestruct.recognize(algebra) == liestruct.CatalogTag(tag)
+    assert len(dixmier.eigenvectors_truncated(p * q, 1, 4)) == 2
 
 
 # -- eigenvalues against sympy's factorisation over Q(i) ---------------------------

@@ -1,6 +1,7 @@
 """Canonical triplets, the Casimir, the group action, and the weight pattern."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -10,14 +11,15 @@ from weylkit import Scalar, bracket
 from weylkit.elements import one, p, parse_element, q, zero
 from weylkit.errors import (NotInBorel, NotInvertible, NotUnimodular,
                             RelationFailed)
-from weylkit.morphisms import apply, compose, invert, phi, phi_prime, scale
+from weylkit.morphisms import (apply, compose, invert, phi, phi_prime, scale,
+                               translation)
 from weylkit.sl2orbits import (SL2Element, Sl2Realization, UWord, alpha1_hat,
                                beta_hat, casimir, casimir_word, eval_uword,
                                exotic_g, exotic_report, f_I, f_II,
                                f_II_variant, group_act, isotropy_check,
                                s11_test, triplet_check)
 
-from .strategies import scalar_st
+from .strategies import nonzero_scalar_st, scalar_st
 
 S = Scalar
 
@@ -128,6 +130,54 @@ def test_sl2_element_group_laws():
     assert g * g.inverse() == e
     assert (g * h).inverse() == h.inverse() * g.inverse()
     assert g * e == g and e * g == g
+
+
+def _unimodular(a1, a2, a3):
+    return SL2Element(a1, a2, a3, (1 + a2 * a3) / a1)
+
+
+sl2_st = st.builds(_unimodular, nonzero_scalar_st, scalar_st, scalar_st)
+_small_st = st.integers(-2, 2).map(Scalar)
+small_sl2_st = st.builds(_unimodular, _small_st.filter(bool), _small_st, _small_st)
+
+
+@given(sl2_st, sl2_st)
+def test_products_inverses_and_negatives_stay_unimodular(g, h):
+    for m in (g * h, g.inverse(), -g, h.inverse() * -g):
+        assert m.a1 * m.a4 - m.a2 * m.a3 == 1
+
+
+# α chains of affine and triangular links, of degree at most 2 overall; the
+# exotic triplet (degree 9) meets one affine link and a small g, to keep its
+# products small
+_link_st = st.one_of(
+    st.builds(phi, st.integers(0, 2), scalar_st),
+    st.builds(phi_prime, st.integers(0, 2), scalar_st),
+    st.builds(scale, nonzero_scalar_st),
+    st.builds(translation, scalar_st, scalar_st),
+    st.builds(alpha1_hat, sl2_st),
+)
+
+
+def _alpha_st(max_degree, max_links):
+    return st.lists(_link_st, min_size=1, max_size=max_links).map(
+        lambda links: reduce(compose, links)).filter(
+        lambda m: max(m.image_p.degree(), m.image_q.degree()) <= max_degree)
+
+
+_action_st = st.one_of(
+    st.tuples(_alpha_st(2, 2), sl2_st, st.just(f_I())),
+    st.tuples(_alpha_st(2, 2), sl2_st, st.builds(f_II, scalar_st)),
+    st.tuples(_alpha_st(1, 1), small_sl2_st, st.just(exotic_g())),
+)
+
+
+@given(_action_st)
+def test_group_act_needs_no_check(action):
+    alpha, g, r = action
+    acted = group_act(alpha, g, r)
+    assert triplet_check(*acted) == acted
+    assert casimir(acted) == casimir(r)
 
 
 def test_group_act_by_identity_fixes():
