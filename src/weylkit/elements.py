@@ -8,6 +8,12 @@ form
 
     q^j p^k = sum_m (-1)^m C(j,m) C(k,m) m! p^{k-m} q^{j-m}.
 
+Products, brackets and ``linear_combination`` share one integer kernel:
+operands are cleared to Gaussian integers over a shared denominator (the
+content/primitive-part split), sums accumulate in place as plain ints, and
+each output coefficient is reduced once by ``_norm``.  A bracket sums its
+own closed form, not xy - yx.
+
 Also here: the symmetrisation map onto the grading subspaces W_n (the image
 of the n-th symmetric power of span{p, q}), the decomposition of an element
 along that grading, the weight decomposition under ad(pq), and exact linear
@@ -26,13 +32,13 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadParams, ExprSyntaxError, NotInjective
 from .linalg import Echelon
-from .scalars import (ONE, ZERO, Scalar, ScalarSyntaxError, as_scalar, format_scalar,
+from .scalars import (ONE, ZERO, Scalar, ScalarSyntaxError, _norm, as_scalar, format_scalar,
                       scan_scalar)
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
-    "bracket", "ad_pow", "symmetrize", "weight_decompose", "wn_components",
-    "linear_span_dim", "coordinates", "parse_element", "format_element",
+    "bracket", "ad_pow", "linear_combination", "symmetrize", "weight_decompose",
+    "wn_components", "linear_span_dim", "coordinates", "parse_element", "format_element",
     "p", "q", "one", "zero",
 ]
 
@@ -53,8 +59,79 @@ def _wrap(terms: dict) -> "WeylElement":
 
 
 @lru_cache(maxsize=None)
-def _swap_coeff(j: int, k: int, m: int) -> int:
-    return (-1) ** m * math.comb(j, m) * math.comb(k, m) * math.factorial(m)
+def _swap_row(j: int, k: int, start: int) -> tuple:
+    """The pairs (m, (-1)^m C(j,m) C(k,m) m!) for m = start..min(j, k)."""
+    return tuple((m, (-1) ** m * math.comb(j, m) * math.comb(k, m) * math.factorial(m))
+                 for m in range(start, min(j, k) + 1))
+
+
+def _cleared(terms: dict) -> tuple[list, int]:
+    """Terms as Gaussian-integer triples (monomial, re, im) over one denominator D."""
+    den = 1
+    for c in terms.values():
+        if c.d != 1:
+            den = math.lcm(den, c.d)
+    return [(m, c.a * (den // c.d), c.b * (den // c.d)) for m, c in terms.items()], den
+
+
+def _collect(re_acc: dict, im_acc: dict, den: int) -> dict:
+    """Canonical Scalar terms from integer sums over den: one gcd per surviving term."""
+    out = {}
+    for key, re in re_acc.items():
+        im = im_acc.get(key, 0)
+        if re or im:
+            out[key] = _norm(re, im, den)
+    return out
+
+
+def _kernel(x_terms: dict, y_terms: dict, commutator: bool) -> dict:
+    """The terms of x·y, or of [x, y] when ``commutator``, over D_x·D_y.
+
+    p^a q^b · p^c q^d and p^c q^d · p^a q^b put swap term m on the same
+    monomial p^{a+c-m} q^{b+d-m}, and their m = 0 terms are equal, so a
+    commutator sums the rows of (b, c) minus (d, a) from m = 1.
+    """
+    xs, dx = _cleared(x_terms)
+    ys, dy = _cleared(y_terms)
+    re_acc: dict = {}
+    im_acc: dict = {}
+    for (a, b), xr, xi in xs:
+        for (c, d), yr, yi in ys:
+            re = xr * yr - xi * yi
+            im = xr * yi + xi * yr
+            i, j = a + c, b + d
+            if commutator:
+                rows = ((_swap_row(b, c, 1), re, im), (_swap_row(d, a, 1), -re, -im))
+            else:
+                rows = ((_swap_row(b, c, 0), re, im),)
+            for row, r, s in rows:
+                for m, k in row:
+                    key = (i - m, j - m)
+                    re_acc[key] = re_acc.get(key, 0) + r * k
+                    if s:
+                        im_acc[key] = im_acc.get(key, 0) + s * k
+    return _collect(re_acc, im_acc, dx * dy)
+
+
+def linear_combination(pairs: Iterable[tuple[ScalarLike, "WeylElement"]]) -> "WeylElement":
+    """Σ c·x over (c, x) pairs, as Gaussian integers over the lcm of the c.d·D_x."""
+    parts = []
+    den = 1
+    for c, x in pairs:
+        c = as_scalar(c)
+        if c:
+            xs, dx = _cleared(x.terms)
+            parts.append((c, c.d * dx, xs))
+            den = math.lcm(den, c.d * dx)
+    re_acc: dict = {}
+    im_acc: dict = {}
+    for c, e, xs in parts:
+        ca, cb = c.a * (den // e), c.b * (den // e)
+        for key, xr, xi in xs:
+            re_acc[key] = re_acc.get(key, 0) + ca * xr - cb * xi
+            if im := ca * xi + cb * xr:
+                im_acc[key] = im_acc.get(key, 0) + im
+    return _wrap(_collect(re_acc, im_acc, den))
 
 
 class WeylElement:
@@ -160,18 +237,7 @@ class WeylElement:
             return self.scale(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
-        for (a, b), cx in self.terms.items():
-            for (c, d), cy in other.terms.items():
-                cc = cx * cy
-                for m in range(min(b, c) + 1):
-                    key = (a + c - m, b + d - m)
-                    v = out.get(key, ZERO) + cc * _swap_coeff(b, c, m)
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-        return _wrap(out)
+        return _wrap(_kernel(self.terms, other.terms, False))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -221,8 +287,8 @@ zero = WeylElement({})
 
 
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """The commutator xy - yx."""
-    return x * y - y * x
+    """The commutator xy - yx, from its own closed form (see ``_kernel``)."""
+    return _wrap(_kernel(x.terms, y.terms, True))
 
 
 def ad_pow(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
@@ -286,12 +352,10 @@ def symmetrize(t) -> WeylElement:
     for k in word:
         counts[k] = counts.get(k, 0) + 1
     # each distinct ordering stands for prod(mult!) identical permutations
-    weight = Fraction(math.prod(math.factorial(c) for c in counts.values()),
-                      math.factorial(n))
-    total = zero
-    for perm in _distinct_orderings(word):
-        total = total + reduce(lambda acc, k: acc * distinct[k], perm, one)
-    return total.scale(weight)
+    weight = Scalar(Fraction(math.prod(math.factorial(c) for c in counts.values()),
+                             math.factorial(n)))
+    return linear_combination((weight, reduce(lambda acc, k: acc * distinct[k], perm, one))
+                              for perm in _distinct_orderings(word))
 
 
 @lru_cache(maxsize=None)
@@ -312,10 +376,8 @@ def wn_components(x: WeylElement) -> dict[int, WeylElement]:
     rem = x
     while not rem.is_zero():
         d = rem.degree()
-        comp = zero
-        for (i, j), c in rem.terms.items():
-            if i + j == d:
-                comp = comp + _delta_monomial(i, j).scale(c)
+        comp = linear_combination((c, _delta_monomial(i, j))
+                                  for (i, j), c in rem.terms.items() if i + j == d)
         out[d] = comp
         rem = rem - comp
     return out
@@ -518,16 +580,16 @@ class _ElementParser:
                 self.pos += 1
             elif self.peek() == "+":
                 self.pos += 1
-        total = self.term().scale(sign)
+        terms = [(sign, self.term())]
         while True:
             self.skip_ws()
             if self.pos == len(self.text):
-                return total
+                return linear_combination(terms)
             op = self.peek()
             if op not in "+-":
                 self.error("expected '+' or '-'")
             self.pos += 1
-            total = total + self.term().scale(-1 if op == "-" else 1)
+            terms.append((-1 if op == "-" else 1, self.term()))
 
 
 def parse_element(text: str) -> WeylElement:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import ElementSpan, WeylElement, bracket, one, p, q, zero
+from .elements import ElementSpan, WeylElement, bracket, linear_combination, one, p, q
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
@@ -293,8 +293,8 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
     if any(span.insert(x) is None for x in images):
         raise NotInjective("realisation images are linearly dependent")
     for i, j in combinations(range(algebra.dim), 2):
-        expected = sum((images[k].scale(s) for k, s in algebra.basis_bracket(i, j).items()),
-                       zero)
+        expected = linear_combination((s, images[k])
+                                      for k, s in algebra.basis_bracket(i, j).items())
         if bracket(images[i], images[j]) != expected:
             raise NotHomomorphism(
                 f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
@@ -510,10 +510,6 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
 # -- filiform normal bases ------------------------------------------------------------
 
 
-def _combine(images: Sequence[WeylElement], coeffs: Vector) -> WeylElement:
-    return sum((x.scale(c) for x, c in zip(images, coeffs) if c), zero)
-
-
 def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
                cand_p: WeylElement, cand_q: WeylElement) -> Optional[list[WeylElement]]:
     """Attempt the normal chain for a pair with [P, Q] = 1."""
@@ -541,7 +537,7 @@ def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
     sol = solve(stacked, rhs)
     if sol is None:
         return None
-    chain = [cand_p, _combine(images, sol)]
+    chain = [cand_p, linear_combination(zip(sol, images))]
     for _ in range(dim - 2):
         chain.append(bracket(cand_p, chain[-1]))
     check = ElementSpan()
@@ -618,4 +614,5 @@ def weight_spaces(realization: Realization, h_index: int) -> dict[Scalar, list[W
     if total != algebra.dim:
         raise NotDiagonalisable(
             f"eigenspaces span {total} of {algebra.dim} dimensions")
-    return {lam: [_combine(realization.images, v) for v in vecs] for lam, vecs in decomp}
+    return {lam: [linear_combination(zip(v, realization.images)) for v in vecs]
+            for lam, vecs in decomp}

@@ -347,16 +347,35 @@ def _factor_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     return roots
 
 
+def _root_scale(a: Matrix, coeffs: list[Scalar]) -> int:
+    """The least D > 0 with D^(n-k)·c_k in Z[i] for every charpoly coefficient c_k.
+
+    It divides the lcm L of the entry denominators, which is one such D (and
+    is used as it is above the norm budget): p^e for each prime p of L.
+    """
+    n = len(coeffs) - 1
+    bound = lcm(*(x.d for row in a for x in row))
+    if bound > _NORM_BUDGET:
+        return bound
+    d = 1
+    for p in _prime_factors(bound):
+        e = 0
+        while any(c.d % p ** (e * (n - k) + 1) == 0 for k, c in enumerate(coeffs[:n])):
+            e += 1
+        d *= p ** e
+    return d
+
+
 def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
     """Eigenvalues in Q(i) with algebraic multiplicities, deterministic order.
 
-    With D the lcm of the entry denominators, det(tI - D·a) is monic over
-    Z[i], and Z[i] is integrally closed, so its Q(i)-roots are Gaussian
-    integers.  Past the zero roots, each divides the lowest nonzero
-    coefficient a₀.  Every divisor of a₀ is tried, and each root found is
-    counted and deflated by exact Horner division, then divided by D.  While
-    N(a₀) ≤ _NORM_BUDGET this search is complete and sympy is never loaded;
-    above it the polynomial is factorised over Q(i) by sympy instead.
+    With D from ``_root_scale``, det(tI - D·a) is monic over Z[i], and Z[i]
+    is integrally closed, so its Q(i)-roots are Gaussian integers.  Past the
+    zero roots, each divides the lowest nonzero coefficient a₀.  Every
+    divisor of a₀ is tried, and each root found is counted and deflated by
+    exact Horner division, then divided by D.  While N(a₀) ≤ _NORM_BUDGET
+    this search is complete and sympy is never loaded; above it the
+    polynomial is factorised over Q(i) by sympy instead.
 
     Raises IrrationalSpectrum if a factor of degree at least two (not
     necessarily irreducible) has no root in Q(i).
@@ -364,8 +383,8 @@ def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
     n = len(a)
     if n == 0:
         return []
-    d = lcm(*(x.d for row in a for x in row))
     coeffs = charpoly(a)
+    d = _root_scale(a, coeffs)
     # det(tI - D·a), highest coefficient first; D^(n-k)·c_k lies in Z[i]
     poly = [((c := coeffs[k] * d ** (n - k)).a, c.b) for k in range(n, -1, -1)]
     roots: dict[tuple[int, int], int] = {}
@@ -392,9 +411,11 @@ def eigen_decomposition(a: Matrix) -> list[tuple[Scalar, list[Vector]]]:
     The caller decides what a defective operator means for it; this just
     reports each eigenspace (geometric) basis.
     """
+    n = len(a)
     out = []
     for lam, _ in eigenvalues(a):
-        shifted = [[a[r][c] - (lam if r == c else ZERO) for c in range(len(a))]
-                   for r in range(len(a))]
-        out.append((lam, nullspace(shifted)))
+        # the sparse columns of a - λI, for kernel
+        shifted = [{r: x for r in range(n) if (x := a[r][c] - lam if r == c else a[r][c])}
+                   for c in range(n)]
+        out.append((lam, [[v.get(c, ZERO) for c in range(n)] for v in kernel(shifted)]))
     return out

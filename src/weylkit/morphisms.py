@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .elements import (WeylElement, bracket, format_element, one, p, q, zero)
+from .elements import (WeylElement, bracket, format_element, linear_combination, one, p,
+                       q, zero)
 from .errors import (BadParams, ExprSyntaxError, IndexMismatch, NotInvertible,
                      NotLocallyNilpotent, NotUnimodular, PreconditionFailed,
                      SizeMismatch, ZeroScale)
@@ -51,10 +52,7 @@ def _apply_images(image_p: WeylElement, image_q: WeylElement, x: WeylElement) ->
     powers_q = [one]
     for _ in range(max_j):
         powers_q.append(powers_q[-1] * image_q)
-    total = zero
-    for (i, j), c in x.terms.items():
-        total = total + (powers_p[i] * powers_q[j]).scale(c)
-    return total
+    return linear_combination((c, powers_p[i] * powers_q[j]) for (i, j), c in x.terms.items())
 
 
 class WeylMorphism:
@@ -189,13 +187,12 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
     Division by k! is exact; if no power of ad(z) kills x within max_iter
     steps the element is reported as (locally) non-nilpotent on x.
     """
-    total = x
-    term = x
+    terms = [x]
     for k in range(1, max_iter + 1):
-        term = bracket(z, term) / k
+        term = bracket(z, terms[-1]) / k
         if term.is_zero():
-            return total
-        total = total + term
+            return linear_combination((ONE, t) for t in terms)
+        terms.append(term)
     raise NotLocallyNilpotent(format_element(z), max_iter)
 
 

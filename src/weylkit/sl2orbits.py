@@ -21,12 +21,13 @@ On top of them:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple, Optional
 
 from . import morphisms
 from .dixmier import eigenvectors_truncated
 from .elements import (ElementSpan, WeylElement, bracket, format_element,
-                       one, p, parse_element, q, zero)
+                       linear_combination, one, p, parse_element, q)
 from .errors import (BadParams, NonScalarCasimir, NotInBorel, NotInvertible,
                      NotUnimodular, RelationFailed)
 from .morphisms import WeylMorphism
@@ -150,13 +151,8 @@ def casimir_word() -> UWord:
 def eval_uword(r: Sl2Realization, w: UWord) -> WeylElement:
     """Substitute the triplet images for the letters and multiply."""
     sub = {"x": r.X, "y": r.Y, "h": r.H}
-    total = zero
-    for word, c in w.terms.items():
-        prod = one
-        for ch in word:
-            prod = prod * sub[ch]
-        total = total + prod.scale(c)
-    return total
+    return linear_combination((c, reduce(lambda acc, ch: acc * sub[ch], word, one))
+                              for word, c in w.terms.items())
 
 
 def casimir(r: Sl2Realization) -> Scalar:

@@ -78,9 +78,11 @@ def test_a01_products_match_the_rewriting_oracle():
         for j in range(7):
             for k in range(7):
                 for l in range(7):
-                    lhs = WeylElement.monomial(i, j) * WeylElement.monomial(k, l)
-                    assert lhs == oracle_product(i, j, k, l), (i, j, k, l)
-    _passed(1, "2401 monomial products equal the single-swap rewriting oracle")
+                    x, y = WeylElement.monomial(i, j), WeylElement.monomial(k, l)
+                    assert x * y == oracle_product(i, j, k, l), (i, j, k, l)
+                    assert bracket(x, y) == (oracle_product(i, j, k, l)
+                                             - oracle_product(k, l, i, j)), (i, j, k, l)
+    _passed(1, "2401 monomial products and brackets equal the single-swap rewriting oracle")
 
 
 # -- 2: the standard triplets satisfy the defining relations -------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import weylkit
 from weylkit import Scalar, WeylElement, bracket, ad_pow, symmetrize
 from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, coordinates,
-                              format_element, linear_span_dim, one,
+                              format_element, linear_combination, linear_span_dim, one,
                               parse_element, p, q, weight_decompose,
                               wn_components, zero)
 from weylkit.errors import ExprSyntaxError
@@ -328,6 +328,77 @@ def test_bracket_lowers_total_degree_by_two(x, y):
 @given(element_st(), scalar_st)
 def test_scaling_distributes_over_terms(x, c):
     assert x.scale(c) + x.scale(Scalar(1) - c) == x
+
+
+# -- the integer kernel against the Scalar loop it replaced ----------------------------
+
+
+def _reference_product(x: WeylElement, y: WeylElement) -> WeylElement:
+    """The Scalar-by-Scalar normal-ordering loop the integer kernel replaced, frozen."""
+    out = {}
+    for (a, b), cx in x.terms.items():
+        for (c, d), cy in y.terms.items():
+            cc = cx * cy
+            for m in range(min(b, c) + 1):
+                key = (a + c - m, b + d - m)
+                swap = (-1) ** m * math.comb(b, m) * math.comb(c, m) * math.factorial(m)
+                v = out.get(key, Scalar(0)) + cc * swap
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+    return WeylElement(out)
+
+
+big_fraction_st = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                            st.one_of(st.sampled_from([1, 2, 3, 6, 35]),
+                                      st.integers(1, 10 ** 30)))
+kernel_scalar_st = st.builds(Scalar, big_fraction_st,
+                             st.one_of(st.just(0), big_fraction_st)).filter(bool)
+kernel_element_st = st.one_of(
+    st.just(zero),
+    kernel_scalar_st.map(lambda c: WeylElement({(0, 0): c})),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), kernel_scalar_st,
+                    max_size=4).map(WeylElement))
+
+
+@st.composite
+def kernel_pair_st(draw):
+    """Two operands; the second often commutes with the first, so the bracket cancels."""
+    x = draw(kernel_element_st)
+    y = draw(st.one_of(kernel_element_st, st.just(x),
+                       kernel_scalar_st.map(x.scale), st.just(x * x + p * q)))
+    return x, y
+
+
+def _assert_canonical(x: WeylElement):
+    for c in x.terms.values():
+        assert c and c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
+
+
+@given(kernel_pair_st())
+def test_kernel_matches_the_scalar_loop(pair):
+    x, y = pair
+    prod, rev, br = x * y, y * x, bracket(x, y)
+    assert prod == _reference_product(x, y)
+    assert rev == _reference_product(y, x)
+    assert br == _reference_product(x, y) - _reference_product(y, x)
+    for value in (prod, rev, br):
+        _assert_canonical(value)
+
+
+@given(kernel_element_st, kernel_scalar_st)
+def test_kernel_with_a_scalar_operand(x, c):
+    assert x * c == c * x == _reference_product(x, WeylElement({(0, 0): c}))
+    assert bracket(x, WeylElement({(0, 0): c})).is_zero()
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0), kernel_scalar_st), kernel_element_st),
+                max_size=5))
+def test_linear_combination_matches_repeated_addition(pairs):
+    got = linear_combination(pairs)
+    assert got == sum((x.scale(c) for c, x in pairs), zero)
+    _assert_canonical(got)
 
 
 def test_exponent_guards_raise_under_python_O():

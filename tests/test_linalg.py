@@ -264,6 +264,15 @@ def test_kernels_use_no_dense_routine(monkeypatch):
         algebra = liestruct.catalog(liestruct.CatalogTag(tag)).algebra
         assert liestruct.recognize(algebra) == liestruct.CatalogTag(tag)
     assert len(dixmier.eigenvectors_truncated(p * q, 1, 4)) == 2
+    # charpoly's matrix products are the one dense step of an eigen-search;
+    # each eigenspace is read off the sparse columns of a - λI
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    b = _mat([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+    assert [(lam, len(vecs)) for lam, vecs in eigen_decomposition(b)] == [(Scalar(-1), 1),
+                                                                          (Scalar(2), 1)]
+    real = liestruct.catalog(liestruct.CatalogTag("Sl2")).realization
+    spaces = liestruct.weight_spaces(real, real.algebra.labels.index("H"))
+    assert sorted(len(v) for v in spaces.values()) == [1, 1, 1]
 
 
 # -- eigenvalues against sympy's factorisation over Q(i) ---------------------------
@@ -375,6 +384,29 @@ def test_eigenvalues_of_prescribed_spectra(spectrum):
     moves = [(r, c, Scalar(rng.randint(-2, 2), rng.randint(-2, 2)))
              for r, c in ((rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)) if r != c]
     a = _conjugate(_triangular(spectrum, above), moves)
+    got = eigenvalues(a)
+    assert got == _factor_list_eigenvalues(a)
+    assert dict(got) == Counter(spectrum)
+
+
+def test_mixed_denominators_stay_on_the_root_search(monkeypatch):
+    # entry denominators 5, 7, 14, 35 and 70 but a spectrum over 2: scaled by
+    # the entry lcm 70, N(a₀) is about 10¹⁴, past the norm budget, while the
+    # least scale 2 gives N(a₀) = 81
+    spectrum = [Scalar(Fraction(3, 2)), Scalar(Fraction(-1, 2)), Scalar(0, Fraction(3, 2)),
+                Scalar(Fraction(1, 2))]
+    above = [[ZERO, Scalar(Fraction(1, 35)), Scalar(Fraction(2, 7)), Scalar(Fraction(3, 5))],
+             [ZERO, ZERO, Scalar(Fraction(-4, 5)), Scalar(0, Fraction(1, 7))],
+             [ZERO, ZERO, ZERO, Scalar(Fraction(2, 35), 1)],
+             [ZERO] * 4]
+    a = _conjugate(_triangular(spectrum, above), [(0, 1, Scalar(1, 1)), (2, 0, Scalar(-2)),
+                                                  (3, 1, Scalar(0, 1)), (1, 2, ONE)])
+    assert max(x.d for row in a for x in row) == 70
+
+    def no_fallback(coeffs):
+        raise AssertionError("eigenvalues fell back to the factoriser")
+
+    monkeypatch.setattr(linalg, "_factor_roots", no_fallback)
     got = eigenvalues(a)
     assert got == _factor_list_eigenvalues(a)
     assert dict(got) == Counter(spectrum)
