@@ -247,8 +247,10 @@ class WeylElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise BadParams(f"element powers need a nonnegative integer exponent, got {n!r}")
-        result = one
-        for _ in range(n):
+        if n == 0:
+            return one
+        result = self
+        for _ in range(n - 1):
             result = result * self
         return result
 
@@ -354,7 +356,9 @@ def symmetrize(t) -> WeylElement:
     # each distinct ordering stands for prod(mult!) identical permutations
     weight = Scalar(Fraction(math.prod(math.factorial(c) for c in counts.values()),
                              math.factorial(n)))
-    return linear_combination((weight, reduce(lambda acc, k: acc * distinct[k], perm, one))
+    # SymTensor has at least one factor, so every ordering is a nonempty word
+    return linear_combination((weight, reduce(lambda acc, k: acc * distinct[k], perm[1:],
+                                              distinct[perm[0]]))
                               for perm in _distinct_orderings(word))
 
 
@@ -423,6 +427,18 @@ class ElementSpan:
             return None
         self.rows.append(_wrap(row))
         return self.rows[-1]
+
+    def insert_coordinates(self, x: WeylElement) -> dict[int, Scalar]:
+        """Add x as ``insert`` does; returns its coordinates {row index: Scalar}
+        over the pivot rows, counting the row it adds, if any."""
+        echelon = self._echelon
+        rem, used = echelon.reduce(x.terms)
+        row = echelon._append(rem, used)
+        if row is None:
+            return used
+        self.rows.append(_wrap(row))
+        # x = Σ used[r]·rows[r] + rem, and the new row is rem scaled to a unit pivot
+        return {**used, len(self.rows) - 1: rem[echelon.pivots[-1]]}
 
     def contains(self, x: WeylElement) -> bool:
         return self._echelon.contains(x.terms)

@@ -9,7 +9,7 @@ exact embedding into the algebra.  On top of those sit:
   three extensions, the filiform chain algebras L(n), their solvable
   extensions LTilde(n) = L(n) ⋊ ⟨pq⟩, the quotients LTilde(n)/centre, and
   the diagonal families R(i₁,…,i_n) spanned by pq and powers of p;
-* Lie closure of a generating set by breadth-first bracketing;
+* Lie closure of a generating set by breadth-first bracketing, each pair once;
 * derived/lower-central invariants, centre, quotient by centre;
 * a recogniser mapping a structure back to its normalised catalog tag; and
 * normal bases for the filiform algebras via a commutation pair [P, Q] = 1.
@@ -259,28 +259,28 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     """Close a generating set under brackets; exact echelon basis.
 
     Basis rows keep insertion order (generators first), so a distinguished
-    first generator stays at index 0.  Exceeding max_dim suggests the
+    first generator stays at index 0.  Each pair of rows is bracketed once:
+    reducing [rows[j], rows[i]] (j < i) both closes the span and gives the
+    structure constants c^k_{ji}, its coordinates over the rows, which stay
+    final since rows are only appended.  Exceeding max_dim suggests the
     closure is infinite-dimensional.
     """
-    if not gens:
-        raise BadParams("at least one generator required")
     span = ElementSpan()
     for g in gens:
         span.insert(g)
     rows = span.rows  # grows with each insert that enlarges the span
+    if not rows:
+        raise BadParams("at least one nonzero generator required")
     if len(rows) > max_dim:
         raise DimensionExceeded(max_dim)
+    c: dict[tuple[int, int], dict[int, Scalar]] = {}
     i = 0
     while i < len(rows):
         for j in range(i):
-            if span.insert(bracket(rows[i], rows[j])) is not None and len(rows) > max_dim:
+            c[(j, i)] = span.insert_coordinates(bracket(rows[j], rows[i]))
+            if len(rows) > max_dim:
                 raise DimensionExceeded(max_dim)
         i += 1
-    c: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for a, b in combinations(range(len(rows)), 2):
-        # never None: the loop above has closed the span under brackets
-        coords = span.row_coordinates(bracket(rows[a], rows[b]))
-        c[(a, b)] = dict(enumerate(coords))
     algebra = LieAlgebraStruct(len(rows), [f"b{k}" for k in range(len(rows))], c)
     return Realization(algebra, rows)
 
@@ -317,6 +317,13 @@ def _bracket_span(algebra: LieAlgebraStruct, rows_a, rows_b) -> Echelon:
     return _span(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
 
 
+def _derived_span(algebra: LieAlgebraStruct, rows) -> Echelon:
+    """[span(rows), span(rows)], one bracket per unordered pair: the reversed
+    pairs are negatives and the diagonal is zero, so the rows are those of
+    ``_bracket_span(algebra, rows, rows)``."""
+    return _span(algebra.sparse_bracket(u, v) for u, v in combinations(rows, 2))
+
+
 def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> list[Echelon]:
     """The derived (or lower-central) series of span(rows) from its first term
     [rows, rows] down to the first term that vanishes or stops shrinking."""
@@ -325,7 +332,8 @@ def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> l
     while terms[-1].dim not in (0, prev):
         prev = terms[-1].dim
         cur = terms[-1].rows
-        terms.append(_bracket_span(algebra, cur if derived else rows, cur))
+        terms.append(_derived_span(algebra, cur) if derived
+                     else _bracket_span(algebra, rows, cur))
     return terms
 
 
@@ -349,7 +357,7 @@ def _invariants(algebra: LieAlgebraStruct):
     """The invariants, with the derived series [g, g], [D, D], … and the centre."""
     n = algebra.dim
     full = [{i: ONE} for i in range(n)]
-    first = _bracket_span(algebra, full, full)
+    first = _derived_span(algebra, full)
     series = _series(algebra, full, first, derived=True)
     derived = [n] + [t.dim for t in series]
     lower = [n] + [t.dim for t in _series(algebra, full, first, derived=False)]

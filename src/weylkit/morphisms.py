@@ -46,13 +46,15 @@ def _apply_images(image_p: WeylElement, image_q: WeylElement, x: WeylElement) ->
         return zero
     max_i = max(i for (i, _) in x.terms)
     max_j = max(j for (_, j) in x.terms)
-    powers_p = [one]
-    for _ in range(max_i):
+    powers_p = [one, image_p]
+    for _ in range(max_i - 1):
         powers_p.append(powers_p[-1] * image_p)
-    powers_q = [one]
-    for _ in range(max_j):
+    powers_q = [one, image_q]
+    for _ in range(max_j - 1):
         powers_q.append(powers_q[-1] * image_q)
-    return linear_combination((c, powers_p[i] * powers_q[j]) for (i, j), c in x.terms.items())
+    return linear_combination((c, powers_p[i] * powers_q[j] if i and j else
+                               powers_p[i] if i else powers_q[j])
+                              for (i, j), c in x.terms.items())
 
 
 class WeylMorphism:

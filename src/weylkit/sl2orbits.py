@@ -151,7 +151,8 @@ def casimir_word() -> UWord:
 def eval_uword(r: Sl2Realization, w: UWord) -> WeylElement:
     """Substitute the triplet images for the letters and multiply."""
     sub = {"x": r.X, "y": r.Y, "h": r.H}
-    return linear_combination((c, reduce(lambda acc, ch: acc * sub[ch], word, one))
+    return linear_combination((c, reduce(lambda acc, ch: acc * sub[ch], word[1:], sub[word[0]])
+                                  if word else one)
                               for word, c in w.terms.items())
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
                              power_relation)
 from weylkit.elements import WeylElement, bracket, format_element, p, q, zero
+from weylkit.errors import DimensionExceeded
 from weylkit.liestruct import (CatalogTag, catalog, filiform_normal_basis,
                                invariants, lie_closure, normalize_tag, recognize)
 from weylkit.morphisms import (LTildeGroupElement, RGroupElement, compose, exp_ad,
@@ -312,3 +313,37 @@ def test_a13_weight_two_space_is_polynomial_multiples_of_x():
     assert rep.plus.eigen_dim == rep.plus.pattern_dim
     assert rep.in_pattern
     _passed(13, "weight +2 eigenspace equals X times polynomials in H up to degree 8")
+
+
+# -- 14: the closure census of low-degree monomial pairs -----------------------------
+
+
+_PAPER_NON_SOLVABLE = {"Sl2", "Sl2xC", "Sl2SemidirectH3"}
+
+
+def test_a14_closure_census_of_low_degree_monomial_pairs():
+    # (x, y) and (x, y + pq) for the distinct monomials of total degree 1-3,
+    # listed by degree and then by p-exponent, with x before y
+    monos = [WeylElement.monomial(i, d - i) for d in (1, 2, 3) for i in range(d + 1)]
+    census: dict[str, int] = {}
+    exceeded = 0
+    for a, x in enumerate(monos):
+        for y in monos[a + 1:]:
+            for gens in ([x, y], [x, y + p * q]):
+                try:
+                    real = lie_closure(gens, max_dim=10)
+                except DimensionExceeded:
+                    exceeded += 1
+                    continue
+                tag = recognize(real.algebra)
+                assert tag.kind != "Unknown", gens
+                if not invariants(real.algebra).solvable:
+                    assert tag.kind in _PAPER_NON_SOLVABLE, (gens, tag)
+                assert catalog(tag).algebra.dim == real.algebra.dim, (gens, tag)
+                census[str(tag)] = census.get(str(tag), 0) + 1
+    assert exceeded == 28
+    assert census == {"R(1)": 22, "Abelian(2)": 6, "Sl2": 5, "L(3)": 2, "L(4)": 2,
+                      "LTilde(2)": 2, "LTilde(3)": 2, "Heisenberg3": 1, "R(0,1)": 1,
+                      "Sl2xC": 1}
+    _passed(14, "72 monomial pairs: 28 exceed dimension 10, 44 close onto catalog "
+               "classes, the non-solvable ones among sl2, sl2xC and sl2⋉H3")

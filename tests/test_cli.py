@@ -46,6 +46,13 @@ def test_closure_hits_the_dimension_bound(capsys):
     assert code == 3 and "8" in err
 
 
+def test_zero_generators_are_a_usage_error(capsys):
+    # they would close to the zero algebra, which no catalog tag names
+    for cmd in ("recognize", "closure"):
+        code, out, err = run(capsys, cmd, "0", "0")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_closure_of_a_finite_pair(capsys):
     code, out, _ = run(capsys, "closure", "p^3", "q")
     lines = out.splitlines()

@@ -20,6 +20,9 @@ from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, coord
                               parse_element, p, q, weight_decompose,
                               wn_components, zero)
 from weylkit.errors import ExprSyntaxError
+from weylkit.morphisms import phi
+from weylkit.scalars import ONE
+from weylkit.sl2orbits import UWord, casimir_word, eval_uword, f_I, f_II
 
 from .oracles import oracle_product
 from .strategies import element_st, scalar_st
@@ -436,3 +439,28 @@ def test_distinct_orderings_are_the_distinct_permutations(word):
     assert set(got) == set(itertools.permutations(word))
     assert len(got) == math.factorial(len(word)) // math.prod(
         math.factorial(c) for c in Counter(word).values())
+
+
+def test_powers_images_and_words_never_multiply_by_the_unit(monkeypatch):
+    x = parse_element("p^2*q + 3*p - q^3 + 7")
+    tensor = SymTensor([(1, 0), (0, 1), (1, 1)])
+    morphism = phi(2, Scalar(3))
+    word = casimir_word() + UWord({(): ONE})
+    triplets = [f_I(), f_II(Scalar(2))]
+
+    def run():
+        return ([x ** n for n in range(4)], symmetrize(tensor), morphism(x),
+                [eval_uword(r, word) for r in triplets])
+
+    expected = run()
+    unit_operands = []
+    mul = WeylElement.__mul__
+
+    def checked_mul(a, b):
+        if isinstance(b, WeylElement) and one in (a, b):
+            unit_operands.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylElement, "__mul__", checked_mul)
+    assert run() == expected
+    assert unit_operands == []

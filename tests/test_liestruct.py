@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weylkit.liestruct as liestruct
 from weylkit import Scalar, bracket
 from weylkit.elements import (ElementSpan, WeylElement, one, p, parse_element,
                               q, zero)
@@ -180,8 +181,66 @@ def test_lie_closure_respects_max_dim():
 
 
 def test_lie_closure_rejects_empty_input():
-    with pytest.raises(BadParams):
-        lie_closure([])
+    # all-zero generators would close to the zero algebra, which has no tag
+    for gens in ([], [zero], [zero, zero]):
+        with pytest.raises(BadParams):
+            lie_closure(gens)
+
+
+def _reference_closure(gens, max_dim):
+    """A two-pass closure (reference): close the span, then bracket every
+    pair of rows again and read its coordinates for the structure constants."""
+    span = ElementSpan()
+    for g in gens:
+        span.insert(g)
+    rows = span.rows
+    if len(rows) > max_dim:
+        raise DimensionExceeded(max_dim)
+    i = 0
+    while i < len(rows):
+        for j in range(i):
+            if span.insert(bracket(rows[i], rows[j])) is not None and len(rows) > max_dim:
+                raise DimensionExceeded(max_dim)
+        i += 1
+    c = {}
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        c[(a, b)] = dict(enumerate(span.row_coordinates(bracket(rows[a], rows[b]))))
+    return LieAlgebraStruct(len(rows), [f"b{k}" for k in range(len(rows))], c), rows
+
+
+# sums of one or two monomials of total degree at most 3: about half of the
+# pairs and triples close within dimension 10, the rest exceed it
+_unit_sum_st = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+    lambda m: sum(m) <= 3), min_size=1, max_size=2).map(
+    lambda monos: WeylElement({m: 1 for m in monos}))
+
+
+@given(st.lists(_unit_sum_st, min_size=2, max_size=3))
+def test_lie_closure_matches_the_two_pass_reference(gens):
+    try:
+        expected, rows = _reference_closure(gens, 10)
+    except DimensionExceeded:
+        with pytest.raises(DimensionExceeded):
+            lie_closure(gens, max_dim=10)
+        return
+    real = lie_closure(gens, max_dim=10)
+    assert real.images == rows
+    assert real.algebra.c == expected.c
+
+
+@pytest.mark.parametrize("gens", [["p^2", "q^2"], ["p^3", "q"], ["p*q", "p^3", "p"],
+                                  ["p*q", "q^2", "q^3"], ["p", "p^2", "p^3"],
+                                  ["p^2", "q^2", "p*q", "1", "p"]])
+def test_lie_closure_brackets_each_pair_once(monkeypatch, gens):
+    calls = []
+
+    def counting_bracket(x, y):
+        calls.append((x, y))
+        return bracket(x, y)
+
+    monkeypatch.setattr(liestruct, "bracket", counting_bracket)
+    n = lie_closure([parse_element(g) for g in gens]).algebra.dim
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_verify_realization_rejects_wrong_constants():
