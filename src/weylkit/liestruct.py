@@ -22,11 +22,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import ElementSpan, WeylElement, bracket, linear_combination, one, p, q
+from .elements import ElementSpan, WeylElement, ad_pow, bracket, linear_combination, one, p, q
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
-from .linalg import Echelon, eigen_decomposition, kernel, mat_mul, solve
+from .linalg import Echelon, eigen_decomposition, kernel
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 Vector = list[Scalar]
-
-
-def _sparse(v: Vector) -> dict[int, Scalar]:
-    return {k: x for k, x in enumerate(v) if x}
 
 
 class LieAlgebraStruct:
@@ -65,11 +61,6 @@ class LieAlgebraStruct:
         self._signed = signed
         self._check_jacobi()
 
-    def basis_vector(self, i: int) -> Vector:
-        v = [ZERO] * self.dim
-        v[i] = ONE
-        return v
-
     def basis_bracket(self, i: int, j: int) -> dict[int, Scalar]:
         """[e_i, e_j] as a sparse row {k: c^k_{ij}}, read from c with its sign."""
         return self._signed.get((i, j), {})
@@ -82,15 +73,6 @@ class LieAlgebraStruct:
                 for k, s in self.basis_bracket(i, j).items():
                     out[k] = out.get(k, ZERO) + a * b * s
         return {k: x for k, x in out.items() if x}
-
-    def bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        w = self.sparse_bracket(_sparse(u), _sparse(v))
-        return [w.get(k, ZERO) for k in range(self.dim)]
-
-    def ad_matrix(self, u: Vector) -> list[Vector]:
-        su = _sparse(u)
-        cols = [self.sparse_bracket(su, {j: ONE}) for j in range(self.dim)]
-        return [[col.get(k, ZERO) for col in cols] for k in range(self.dim)]
 
     def _check_jacobi(self):
         n = self.dim
@@ -433,20 +415,34 @@ def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
     for d in derived_rows:
         ad_d = [algebra.sparse_bracket(d, {l: ONE}) for l in range(n)]
         # K(d, e_i) = tr(ad d · ad e_i) = Σ_{k,l} [d, e_l]_k · c^l_{ik}
-        rows.append(_sparse([sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
-                                  for k, x in col.items()), ZERO) for i in range(n)]))
+        rows.append({i: s for i in range(n)
+                     if (s := sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
+                                   for k, x in col.items()), ZERO))})
     return n - _span(rows).dim
+
+
+def _model_filiform(algebra: LieAlgebraStruct, derived: Echelon) -> bool:
+    """Whether the centraliser of [g, g] is abelian of codimension 1: the
+    relations among the columns ad(e_i) restricted to the rows of [g, g]."""
+    n = algebra.dim
+    columns = [{(r, k): s for r, d in enumerate(derived.rows)
+                for k, s in algebra.sparse_bracket({i: ONE}, d).items()} for i in range(n)]
+    centraliser = kernel(columns)
+    return len(centraliser) == n - 1 and not any(
+        algebra.sparse_bracket(u, v) for u, v in combinations(centraliser, 2))
 
 
 def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     """Map a structure back to its normalised catalog tag.
 
     The decision tree follows the classification: abelian and nilpotent
-    cases are settled by the lower-central profile; solvable non-nilpotent
-    ones by diagonalising a complement generator on the derived algebra
-    (abelian derived: the diagonal families; filiform derived: the extended
-    families, separated by their centres); non-solvable ones by dimension,
-    centre and radical.  Anything else is Unknown.
+    cases by the lower-central profile, a filiform one L(m) with m ≥ 3 only
+    when the centraliser of [g, g] is abelian of codimension 1 (in Vergne's
+    Q_n it is not); solvable non-nilpotent ones by diagonalising a complement
+    generator on the derived algebra (abelian derived: the diagonal
+    families; filiform derived: the extended families, separated by their
+    centres); non-solvable ones by dimension, centre and radical.  Anything
+    else is Unknown.
     """
     inv, series, center = _invariants(algebra)
     n = algebra.dim
@@ -454,9 +450,9 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         return CatalogTag("Abelian", n)
     if inv.nilpotent:
         m = _filiform_parameter(inv.lower_central_dims)
-        if m is not None:
-            return normalize_tag(CatalogTag("L", m))
-        return CatalogTag("Unknown")
+        if m is None or (m >= 3 and not _model_filiform(algebra, series[0])):
+            return CatalogTag("Unknown")
+        return normalize_tag(CatalogTag("L", m))
     full = [{i: ONE} for i in range(n)]
     derived = series[0]
     if inv.solvable:
@@ -520,29 +516,19 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
 
 def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
                cand_p: WeylElement, cand_q: WeylElement) -> Optional[list[WeylElement]]:
-    """Attempt the normal chain for a pair with [P, Q] = 1."""
+    """Attempt the normal chain for a pair with [P, Q] = 1.  The seed w = Σ sol_j·x_j
+    solves ad(P)^(dim-3)(w) = Q and [w, Q] = 0: column j holds ad(P)^(dim-3)(x_j),
+    keyed (0, monomial), beside [x_j, Q], keyed (1, monomial)."""
     dim = len(images)
-    ad_p = []
+    cols = Echelon()
     for x in images:
-        coords = span.express(bracket(cand_p, x))
-        if coords is None:
+        x_q = bracket(x, cand_q)
+        if not (span.contains(bracket(cand_p, x)) and span.contains(x_q)):
             return None
-        ad_p.append(coords[:dim])
-    mat = [[ad_p[j][k] for j in range(dim)] for k in range(dim)]
-    power = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
-    for _ in range(dim - 3):
-        power = mat_mul(mat, power)
-    q_coords = span.express(cand_q)
-    ad_q = []
-    for x in images:
-        coords = span.express(bracket(x, cand_q))
-        if coords is None:
-            return None
-        ad_q.append(coords[:dim])
-    ad_q_mat = [[ad_q[j][k] for j in range(dim)] for k in range(dim)]
-    stacked = power + ad_q_mat
-    rhs = q_coords[:dim] + [ZERO] * dim
-    sol = solve(stacked, rhs)
+        col = {(0, m): c for m, c in ad_pow(cand_p, x, dim - 3).terms.items()}
+        col.update(((1, m), c) for m, c in x_q.terms.items())
+        cols.insert(col)
+    sol = cols.express({(0, m): c for m, c in cand_q.terms.items()})
     if sol is None:
         return None
     chain = [cand_p, linear_combination(zip(sol, images))]
@@ -616,7 +602,8 @@ def weight_spaces(realization: Realization, h_index: int) -> dict[Scalar, list[W
     algebra = realization.algebra
     if not 0 <= h_index < algebra.dim:
         raise BadParams("h_index out of range")
-    mat = algebra.ad_matrix(algebra.basis_vector(h_index))
+    mat = [[algebra.basis_bracket(h_index, j).get(k, ZERO) for j in range(algebra.dim)]
+           for k in range(algebra.dim)]
     decomp = eigen_decomposition(mat)
     total = sum(len(vecs) for _, vecs in decomp)
     if total != algebra.dim:

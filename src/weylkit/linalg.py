@@ -5,19 +5,20 @@ Every row reduction in the package goes through one sparse engine,
 here, monomials in ``elements.ElementSpan``, basis indices in ``liestruct``)
 to nonzero Scalars, each row's pivot is its least column under a sort key,
 and only nonzero entries are ever touched.  Rows carry their coordinates
-over the inserted generators, so ``kernel`` reads a relation off each
-column that reduces to zero, with no back-reduction; ``nullspace`` and
-``solve`` insert the columns of a dense matrix, ``rref`` and ``rank`` its
-rows.  All elimination is exact field arithmetic, so ranks, solution sets
-and spectra are decided, never estimated.  Eigenvalues come from the
-characteristic polynomial (Faddeev–LeVerrier, division-exact), scaled to be
-monic over Z[i], whose Q(i)-roots are then Gaussian integers dividing its
-lowest nonzero coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the
-divisors are enumerated by trial division and tested by exact Horner
-deflation, which makes the search complete without sympy; only above the
-budget is the polynomial factorised over Q(i) by sympy, imported then.  A
-factor of degree two or more with no root means the spectrum leaves Q(i),
-and is reported as such rather than approximated.
+over the inserted generators, so ``Echelon.express`` solves a linear system
+over its inserted columns and ``kernel`` reads a relation off each column
+that reduces to zero, with no back-reduction.  ``rref`` remains, over the
+same engine, for the baseline script ``perfbench/baseline.py``.  All
+elimination is exact field arithmetic, so ranks, solution sets and spectra
+are decided, never estimated.  Eigenvalues come from the characteristic
+polynomial (Faddeev–LeVerrier, division-exact, the one dense matrix
+product), scaled to be monic over Z[i], whose Q(i)-roots are then Gaussian
+integers dividing its lowest nonzero coefficient a₀.  While N(a₀) is within
+``_NORM_BUDGET`` the divisors are enumerated by trial division and tested by
+exact Horner deflation, which makes the search complete without sympy; only
+above the budget is the polynomial factorised over Q(i) by sympy, imported
+then.  A factor of degree two or more with no root means the spectrum leaves
+Q(i), and is reported as such rather than approximated.
 """
 
 from __future__ import annotations
@@ -30,20 +31,11 @@ from .errors import BadParams, IrrationalSpectrum
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
-    "Echelon", "identity", "zeros", "mat_mul", "mat_vec", "rref",
-    "rank", "kernel", "solve", "nullspace", "charpoly", "eigenvalues", "eigen_decomposition",
+    "Echelon", "mat_mul", "rref", "kernel", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[ZERO] * ncols for _ in range(nrows)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -51,12 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise BadParams(f"cannot multiply a {len(a)}x{len(a[0])} by a {len(b)}-row matrix")
     return [[sum((x * b[k][c] for k, x in enumerate(row) if x), ZERO)
              for c in range(len(b[0]) if b else 0)] for row in a]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    if a and len(a[0]) != len(v):
-        raise BadParams(f"cannot apply a {len(a)}x{len(a[0])} matrix to {len(v)} coordinates")
-    return [sum((x * v[k] for k, x in enumerate(row) if x), ZERO) for row in a]
 
 
 class Echelon:
@@ -161,24 +147,15 @@ def _subtract(v: dict, row: dict, c: Scalar):
             del v[col]
 
 
-def _row_span(a) -> Echelon:
-    span = Echelon()
-    for row in a:
-        span.insert({c: x for c, x in enumerate(row) if x})
-    return span
-
-
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     ncols = len(a[0]) if a else 0
-    span = _row_span(a)
+    span = Echelon()
+    for row in a:
+        span.insert({c: x for c, x in enumerate(row) if x})
     rows = [[r.get(c, ZERO) for c in range(ncols)] for r in span.reduced_rows()]
     rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
     return rows, sorted(span.pivots)
-
-
-def rank(a: Matrix) -> int:
-    return _row_span(a).dim
 
 
 def kernel(columns: list[dict]) -> list[dict]:
@@ -196,24 +173,6 @@ def kernel(columns: list[dict]) -> list[dict]:
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Optional[Vector]:
-    """One exact solution of a·x = b (free variables zero), or None."""
-    if len(a) != len(b):
-        raise BadParams(f"a {len(a)}-row system needs {len(a)} right-hand sides, got {len(b)}")
-    if not a:
-        return []
-    columns = _row_span(zip(*a))  # the columns of a, as generators
-    return columns.express({r: x for r, x in enumerate(b) if x})
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """A basis of the kernel of a (one vector per free column), by ``kernel``."""
-    if not a:
-        return []
-    columns = [{r: x for r, x in enumerate(col) if x} for col in zip(*a)]
-    return [[v.get(c, ZERO) for c in range(len(columns))] for v in kernel(columns)]
-
-
 def charpoly(a: Matrix) -> list[Scalar]:
     """Coefficients c with det(tI - a) = Σ c[k] t^k, c[n] = 1.
 
@@ -222,7 +181,7 @@ def charpoly(a: Matrix) -> list[Scalar]:
     n = len(a)
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    am = zeros(n, n)  # a · M_{k-1}
+    am = [[ZERO] * n for _ in range(n)]  # a · M_{k-1}
     for k in range(1, n + 1):
         m = [list(row) for row in am]
         for d in range(n):

@@ -1,11 +1,16 @@
-"""An independent normal-ordering oracle based on single-swap rewriting.
+"""Independent normal-ordering oracles based on single-swap rewriting.
 
-A word in the letters 'p', 'q' is normal-ordered by repeatedly replacing the
-leftmost "qp" with "pq" minus the word with the pair deleted (qp = pq - 1).
-No structure is shared with the library's closed-form product.
+Both use the defining relation qp = pq - 1 only, and share no structure with
+the library's closed-form product.  ``oracle_product`` normal-orders a whole
+letter word by repeatedly replacing its leftmost "qp" with "pq" minus the word
+with the pair deleted; its cost grows quickly with the degree, so it serves as
+a cross-check on low degrees.  ``swap_product`` applies one swap at a time to
+a left factor q, memoised on the monomial it meets:
+q·p^a q^b = p·(q·p^(a-1) q^b) - p^(a-1) q^b.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from weylkit import Scalar, WeylElement
 from weylkit.elements import zero
@@ -46,3 +51,25 @@ def oracle_product(i: int, j: int, k: int, l: int) -> WeylElement:
     for (a, b), c in table.items():
         out = out + WeylElement.monomial(a, b, coeff=Scalar(c))
     return out
+
+
+@cache
+def _q_times(a: int, b: int) -> tuple:
+    """q·p^a q^b as ((i, j), integer coefficient) pairs, by the single swap."""
+    if a == 0:
+        return (((0, b + 1), 1),)
+    out = {(i + 1, j): c for (i, j), c in _q_times(a - 1, b)}
+    out[(a - 1, b)] = out.get((a - 1, b), 0) - 1
+    return tuple((m, c) for m, c in out.items() if c)
+
+
+def swap_product(i: int, j: int, k: int, l: int) -> WeylElement:
+    """The product p^i q^j · p^k q^l: q applied j times to p^k q^l, then p^i prepended."""
+    terms = {(k, l): 1}
+    for _ in range(j):
+        nxt: dict = {}
+        for (a, b), c in terms.items():
+            for m, x in _q_times(a, b):
+                nxt[m] = nxt.get(m, 0) + c * x
+        terms = {m: c for m, c in nxt.items() if c}
+    return WeylElement({(a + i, b): Scalar(c) for (a, b), c in terms.items()})

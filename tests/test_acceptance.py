@@ -26,7 +26,7 @@ from weylkit.sl2orbits import (SL2Element, alpha1_hat, beta_hat, casimir, exotic
                                exotic_report, f_I, f_II, f_II_variant,
                                isotropy_check, s11_test, triplet_check)
 
-from .oracles import oracle_product
+from .oracles import swap_product
 
 
 def _passed(number: int, headline: str) -> None:
@@ -80,9 +80,9 @@ def test_a01_products_match_the_rewriting_oracle():
             for k in range(7):
                 for l in range(7):
                     x, y = WeylElement.monomial(i, j), WeylElement.monomial(k, l)
-                    assert x * y == oracle_product(i, j, k, l), (i, j, k, l)
-                    assert bracket(x, y) == (oracle_product(i, j, k, l)
-                                             - oracle_product(k, l, i, j)), (i, j, k, l)
+                    assert x * y == swap_product(i, j, k, l), (i, j, k, l)
+                    assert bracket(x, y) == (swap_product(i, j, k, l)
+                                             - swap_product(k, l, i, j)), (i, j, k, l)
     _passed(1, "2401 monomial products and brackets equal the single-swap rewriting oracle")
 
 

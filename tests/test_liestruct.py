@@ -41,6 +41,10 @@ def _dense_bracket(dim, c, u, v):
     return out
 
 
+def _sparse(v):
+    return {k: x for k, x in enumerate(v) if x}
+
+
 def _dense_jacobiator_vanishes(dim, c):
     e = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
 
@@ -79,19 +83,30 @@ def test_jacobi_check_matches_a_dense_jacobiator(table, data):
     algebra = LieAlgebraStruct(dim, labels, c)
     vec = st.lists(st.sampled_from([ZERO, S(1), S(-2), S(1, 3)]), min_size=dim, max_size=dim)
     u, v = data.draw(vec), data.draw(vec)
-    assert algebra.bracket_vec(u, v) == _dense_bracket(dim, c, u, v)
-    cols = [_dense_bracket(dim, c, u, algebra.basis_vector(j)) for j in range(dim)]
-    assert algebra.ad_matrix(u) == [[col[k] for col in cols] for k in range(dim)]
+
+    def via_sparse(u, v):
+        w = algebra.sparse_bracket(_sparse(u), _sparse(v))
+        return [w.get(k, ZERO) for k in range(dim)]
+
+    assert via_sparse(u, v) == _dense_bracket(dim, c, u, v)
+    # the columns of ad(u)
+    for j in range(dim):
+        e_j = [ONE if k == j else ZERO for k in range(dim)]
+        assert via_sparse(u, e_j) == _dense_bracket(dim, c, u, e_j)
 
 
 def test_struct_bracket_and_ad():
-    sl2 = catalog(CatalogTag("Sl2")).algebra
-    x, y, h = (sl2.basis_vector(i) for i in range(3))
-    assert sl2.bracket_vec(h, x) == [c * S(2) for c in x]
-    assert sl2.bracket_vec(h, y) == [c * S(-2) for c in y]
-    assert sl2.bracket_vec(x, y) == h
-    mat = sl2.ad_matrix(h)
-    assert mat[0][0] == S(2) and mat[1][1] == S(-2) and mat[2][2] == S(0)
+    entry = catalog(CatalogTag("Sl2"))
+    sl2 = entry.algebra
+    x, y, h = ({i: ONE} for i in range(3))
+    assert sl2.sparse_bracket(h, x) == {0: S(2)}
+    assert sl2.sparse_bracket(h, y) == {1: S(-2)}
+    assert sl2.sparse_bracket(x, y) == h
+    assert sl2.sparse_bracket(h, h) == {}
+    # ad(h) is diagonal with weights 2, -2, 0 on X, Y, H
+    images = entry.realization.images
+    spaces = weight_spaces(entry.realization, 2)
+    assert spaces == {S(2): [images[0]], S(-2): [images[1]], S(0): [images[2]]}
 
 
 REALISED_TAGS = [
@@ -340,11 +355,12 @@ def test_recognize_catalog_structures(tag, expected):
 
 def test_recognize_is_basis_independent():
     rng = random.Random(21)
-    for tag, expected in RECOGNIZE_GOLDEN[:8]:
+    filiform = [(CatalogTag("L", m), CatalogTag("L", m)) for m in range(3, 8)]
+    for tag, expected in RECOGNIZE_GOLDEN[:8] + filiform:
         algebra = catalog(tag).algebra
         n = algebra.dim
         while True:
-            mat = [[S(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            mat = [[S(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
             try:
                 moved = change_basis(algebra, mat)
                 break
@@ -368,28 +384,35 @@ def test_recognize_unknown_for_mixed_spectrum():
     assert recognize(algebra) == CatalogTag("Unknown")
 
 
-def _sl2_times(extra):
-    """sl₂ on e0, e1, e2 (X, Y, H) plus e3, e4, e5 with the brackets in extra."""
-    c = {(0, 1): {2: ONE}, (0, 2): {0: S(-2)}, (1, 2): {1: S(2)}}
-    c.update(extra)
-    return LieAlgebraStruct(6, [f"e{k}" for k in range(6)], c)
+SL2 = {(0, 1): {2: ONE}, (0, 2): {0: S(-2)}, (1, 2): {1: S(2)}}
+
+
+def _filiform_model(n):
+    """[e0, ek] = e(k+1) for 1 ≤ k < n, the table of L(n)."""
+    return {(0, k): {k + 1: ONE} for k in range(1, n)}
 
 
 # sl₂ × H₃ and (sl₂ ⋉ ℂ²) × ℂ share n = 6, a 3-dimensional radical and a
 # 1-dimensional centre with sl₂ ⋉ H₃ but are not perfect; sl₂ ⋉ ℂ³ is sl₂
-# acting on a copy (e3, e4, e5) of itself.
+# (e0, e1, e2) acting on a copy (e3, e4, e5) of itself.  Vergne's Q₆ and the
+# model L(4) plus [e1, e2] = e4 have the lower-central profile of L(5) and
+# L(4), but no abelian ideal of codimension 1.
 NEAR_MISSES = {
-    "sl2 x H3": {(4, 5): {3: ONE}},
-    "(sl2 x| C2) x C": {(0, 4): {3: ONE}, (1, 3): {4: ONE},
-                        (2, 3): {3: ONE}, (2, 4): {4: S(-1)}},
-    "sl2 x| C3": {(0, 4): {5: ONE}, (0, 5): {3: S(-2)}, (1, 3): {5: S(-1)},
-                  (1, 5): {4: S(2)}, (2, 3): {3: S(2)}, (2, 4): {4: S(-2)}},
+    "sl2 x H3": (6, {**SL2, (4, 5): {3: ONE}}),
+    "(sl2 x| C2) x C": (6, {**SL2, (0, 4): {3: ONE}, (1, 3): {4: ONE},
+                            (2, 3): {3: ONE}, (2, 4): {4: S(-1)}}),
+    "sl2 x| C3": (6, {**SL2, (0, 4): {5: ONE}, (0, 5): {3: S(-2)}, (1, 3): {5: S(-1)},
+                      (1, 5): {4: S(2)}, (2, 3): {3: S(2)}, (2, 4): {4: S(-2)}}),
+    "Q6": (6, {**_filiform_model(5), (1, 4): {5: ONE}, (2, 3): {5: S(-1)}}),
+    "L(4) + [e1,e2]=e4": (5, {**_filiform_model(4), (1, 2): {4: ONE}}),
 }
 
 
 @pytest.mark.parametrize("name", NEAR_MISSES)
 def test_recognize_near_misses_of_sl2_semidirect_h3_are_unknown(name):
-    assert recognize(_sl2_times(NEAR_MISSES[name])) == CatalogTag("Unknown")
+    dim, c = NEAR_MISSES[name]
+    algebra = LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c)
+    assert recognize(algebra) == CatalogTag("Unknown")
 
 
 # -- filiform chains ------------------------------------------------------------------
@@ -409,13 +432,17 @@ def test_filiform_normal_basis_of_catalog_families():
 
 
 def test_filiform_normal_basis_survives_conjugation():
-    m = compose(phi(2, S(1, 1)), phi_prime(1, -2))
-    entry = catalog(CatalogTag("L", 4))
-    real = lie_closure([apply(m, x) for x in entry.realization.images])
-    chain = filiform_normal_basis(real)
-    assert len(chain) == 5
-    for k in range(1, 4):
-        assert bracket(chain[0], chain[k]) == chain[k + 1]
+    conjugations = (compose(phi(2, S(1, 1)), phi_prime(1, -2)),
+                    compose(phi_prime(3, S(0, 1)), phi(1, S(2, -1))))
+    for n, m in itertools.product(range(2, 7), conjugations):
+        images = catalog(CatalogTag("L", n)).realization.images
+        chain = filiform_normal_basis(lie_closure([apply(m, x) for x in images]))
+        assert len(chain) == n + 1
+        for k in range(1, n):
+            assert bracket(chain[0], chain[k]) == chain[k + 1]
+        assert bracket(chain[0], chain[n]).is_zero()
+        for a, b in itertools.combinations(chain[1:], 2):
+            assert bracket(a, b).is_zero()
 
 
 def test_filiform_normal_basis_preconditions():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from weylkit import dixmier, liestruct, linalg
 from weylkit.elements import p, q
 from weylkit.errors import IrrationalSpectrum
-from weylkit.linalg import (charpoly, eigen_decomposition, eigenvalues, kernel,
-                            mat_mul, mat_vec, nullspace, rank, rref, solve)
+from weylkit.linalg import (Echelon, charpoly, eigen_decomposition, eigenvalues, kernel,
+                            mat_mul, rref)
 from weylkit.scalars import ONE, ZERO, Scalar
 
 from .strategies import scalar_st
@@ -22,6 +22,41 @@ from .strategies import scalar_st
 def _mat(rows):
     return [[Scalar(Fraction(c)) if not isinstance(c, Scalar) else c
              for c in row] for row in rows]
+
+
+def _mat_vec(a, v):
+    return [sum((x * v[k] for k, x in enumerate(row)), ZERO) for row in a]
+
+
+def _sparse(v):
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def _columns(a):
+    """The sparse columns of a dense matrix, keyed by row index."""
+    return [_sparse(col) for col in zip(*a)]
+
+
+def _rank(a):
+    """The rank of a, as the dimension of an Echelon over its rows."""
+    span = Echelon()
+    for row in a:
+        span.insert(_sparse(row))
+    return span.dim
+
+
+def _nullspace(a):
+    """``kernel`` on the columns of a, one dense vector per free column."""
+    return [[v.get(c, ZERO) for c in range(len(a[0]))] for v in kernel(_columns(a))]
+
+
+def _solve(a, b):
+    """One solution of a·x = b, free variables zero, by ``Echelon.express``
+    over the inserted columns of a; None if there is none."""
+    columns = Echelon()
+    for col in _columns(a):
+        columns.insert(col)
+    return columns.express(_sparse(b))
 
 
 def test_rref_idempotent_and_pivots():
@@ -34,23 +69,23 @@ def test_rref_idempotent_and_pivots():
 
 
 def test_rank():
-    assert rank(_mat([[1, 2], [2, 4]])) == 1
-    assert rank(_mat([[1, 0], [0, 1]])) == 2
+    assert _rank(_mat([[1, 2], [2, 4]])) == 1
+    assert _rank(_mat([[1, 0], [0, 1]])) == 2
 
 
 def test_solve_consistent_and_inconsistent():
     a = _mat([[1, 1], [1, -1]])
-    x = solve(a, [Scalar(3), Scalar(1)])
+    x = _solve(a, [Scalar(3), Scalar(1)])
     assert x == [Scalar(2), Scalar(1)]
-    assert solve(_mat([[1, 1], [1, 1]]), [Scalar(0), Scalar(1)]) is None
+    assert _solve(_mat([[1, 1], [1, 1]]), [Scalar(0), Scalar(1)]) is None
 
 
 def test_nullspace_annihilates():
     a = _mat([[1, 2, 3], [2, 4, 6]])
-    basis = nullspace(a)
+    basis = _nullspace(a)
     assert len(basis) == 2
     for v in basis:
-        assert mat_vec(a, v) == [ZERO, ZERO]
+        assert _mat_vec(a, v) == [ZERO, ZERO]
 
 
 def test_charpoly_companion():
@@ -71,7 +106,7 @@ def test_eigen_decomposition_diagonalisable():
     for lam, vecs in decomp.items():
         assert len(vecs) == 1
         v = vecs[0]
-        assert mat_vec(a, v) == [lam * c for c in v]
+        assert _mat_vec(a, v) == [lam * c for c in v]
 
 
 def test_eigen_decomposition_gaussian_rational_spectrum():
@@ -89,18 +124,18 @@ def test_irrational_spectrum_is_reported():
                 min_size=3, max_size=3),
        st.lists(scalar_st, min_size=3, max_size=3))
 def test_solve_certifies_its_answer(a, b):
-    x = solve(a, b)
+    x = _solve(a, b)
     if x is not None:
-        assert mat_vec(a, x) == b
+        assert _mat_vec(a, x) == b
 
 
 @given(st.lists(st.lists(scalar_st, min_size=2, max_size=2),
                 min_size=3, max_size=3))
 def test_nullspace_dimension_complements_rank(a):
-    assert rank(a) + len(nullspace(a)) == 2
+    assert _rank(a) + len(_nullspace(a)) == 2
     zero_vec = [ZERO] * 3
-    for v in nullspace(a):
-        assert mat_vec(a, v) == zero_vec
+    for v in _nullspace(a):
+        assert _mat_vec(a, v) == zero_vec
 
 
 @given(st.lists(st.lists(scalar_st, min_size=2, max_size=2),
@@ -169,7 +204,7 @@ def test_rref_nullspace_solve_match_dense_elimination(a, data):
     snapshot = [list(row) for row in a]
     assert rref(a) == _dense_rref(a)
     assert a == snapshot
-    assert nullspace(a) == _dense_nullspace(a)
+    assert _nullspace(a) == _dense_nullspace(a)
     b = [data.draw(sparse_scalar_st) for _ in a]
     rows, pivots = _dense_rref([row + [rhs] for row, rhs in zip(a, b)])
     ncols = len(a[0])
@@ -178,7 +213,7 @@ def test_rref_nullspace_solve_match_dense_elimination(a, data):
         expected = [ZERO] * ncols
         for r, c in enumerate(pivots):
             expected[c] = rows[r][ncols]
-    assert solve(a, b) == expected
+    assert _solve(a, b) == expected
 
 
 # -- kernels by column insertion against the rref-based versions they replaced ----
@@ -231,7 +266,7 @@ def system_st(draw):
         right = [[draw(sparse_scalar_st) for _ in range(ncols)] for _ in range(r)]
         a = mat_mul(left, right)
     if draw(st.booleans()):
-        b = mat_vec(a, [draw(sparse_scalar_st) for _ in range(ncols)])
+        b = _mat_vec(a, [draw(sparse_scalar_st) for _ in range(ncols)])
     else:
         b = [draw(sparse_scalar_st) for _ in range(nrows)]
     return a, b
@@ -240,14 +275,14 @@ def system_st(draw):
 @given(system_st())
 def test_kernel_nullspace_and_solve_match_the_rref_versions(system):
     a, b = system
-    assert nullspace(a) == _rref_nullspace(a)
-    assert solve(a, b) == _rref_solve(a, b)
+    assert _nullspace(a) == _rref_nullspace(a)
+    assert _solve(a, b) == _rref_solve(a, b)
     # kernel alone, on sparse columns keyed by non-integer rows
     ncols = len(a[0])
     columns = [{("row", r): row[c] for r, row in enumerate(a) if row[c]} for c in range(ncols)]
     relations = kernel(columns)
     assert all(all(rel.values()) for rel in relations)
-    assert [[rel.get(c, ZERO) for c in range(ncols)] for rel in relations] == nullspace(a)
+    assert [[rel.get(c, ZERO) for c in range(ncols)] for rel in relations] == _rref_nullspace(a)
 
 
 def test_kernels_use_no_dense_routine(monkeypatch):
@@ -255,14 +290,16 @@ def test_kernels_use_no_dense_routine(monkeypatch):
         raise AssertionError("a dense routine was called")
 
     for module in (linalg, liestruct, dixmier):
-        for name in ("rref", "nullspace", "mat_mul"):
+        for name in ("rref", "mat_mul"):
             monkeypatch.setattr(module, name, dense, raising=False)
     a = _mat([[1, 2, 3], [2, 4, 6]])
-    assert len(nullspace(a)) == 2
-    assert solve(a, [Scalar(1), Scalar(2)]) == [ONE, ZERO, ZERO]
+    assert len(_nullspace(a)) == 2
+    assert _solve(a, [Scalar(1), Scalar(2)]) == [ONE, ZERO, ZERO]
     for tag in ("Sl2SemidirectH3", "Sl2SemidirectC2"):
         algebra = liestruct.catalog(liestruct.CatalogTag(tag)).algebra
         assert liestruct.recognize(algebra) == liestruct.CatalogTag(tag)
+    chain = liestruct.filiform_normal_basis(liestruct.catalog(liestruct.CatalogTag("L", 5)).realization)
+    assert len(chain) == 6
     assert len(dixmier.eigenvectors_truncated(p * q, 1, 4)) == 2
     # charpoly's matrix products are the one dense step of an eigen-search;
     # each eigenspace is read off the sparse columns of a - λI
