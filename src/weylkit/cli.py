@@ -32,10 +32,10 @@ from .errors import (BadParams, DegreeTooHigh, DimensionExceeded,
                      WeylError, ZeroElement)
 from .liestruct import (filiform_normal_basis, invariants, lie_closure,
                         recognize, weight_spaces)
-from .morphisms import WeylMorphism, apply, parse_morphism
+from .morphisms import apply, parse_morphism
 from .scalars import Scalar, ScalarSyntaxError, format_scalar, parse_scalar
 from .sl2orbits import (SL2Element, Sl2Realization, casimir, exotic_g,
-                        exotic_report, f_I, f_II, beta_hat, group_act,
+                        exotic_report, f_I, f_II, group_act,
                         isotropy_check, s11_test, triplet_check)
 
 # A handler returns (json payload, human-readable lines, exit code).
@@ -63,19 +63,6 @@ def _payload(command: str, **fields) -> dict:
     out = {"schema": f"weyl/{command}/v1"}
     out.update(fields)
     return out
-
-
-def _parse_morphism_arg(text: str) -> WeylMorphism:
-    return parse_morphism(text, extra={"beta": _literal_beta})
-
-
-def _literal_beta(args: list[Scalar]) -> WeylMorphism:
-    if len(args) != 2:
-        raise ExprSyntaxError("beta takes two arguments: beta(a1, a3)")
-    a1, a3 = args
-    if not a1:
-        raise ExprSyntaxError("beta requires a1 != 0")
-    return beta_hat(SL2Element(a1, Scalar(0), a3, a1.inverse()))
 
 
 def _parse_group_element(texts: list[str]) -> SL2Element:
@@ -114,7 +101,7 @@ def _cmd_bracket(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_apply(args) -> tuple[dict, list[str], int]:
-    m = _parse_morphism_arg(args.morphism)
+    m = parse_morphism(args.morphism)
     x = apply(m, parse_element(args.element))
     return (_payload("apply", image=_element_json(x)), [format_element(x)], 0)
 
@@ -293,7 +280,7 @@ def _cmd_casimir(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_act(args) -> tuple[dict, list[str], int]:
-    m = _parse_morphism_arg(args.morphism)
+    m = parse_morphism(args.morphism)
     g = _parse_group_element([args.a1, args.a2, args.a3, args.a4])
     out = group_act(m, g, _parse_realization(args.realization))
     return (_payload("act", realization=_realization_json(out)),
@@ -301,7 +288,7 @@ def _cmd_act(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_isotropy(args) -> tuple[dict, list[str], int]:
-    m = _parse_morphism_arg(args.morphism)
+    m = parse_morphism(args.morphism)
     g = _parse_group_element([args.a1, args.a2, args.a3, args.a4])
     fixed = isotropy_check(_parse_realization(args.realization), m, g)
     return (_payload("isotropy", fixed=fixed),

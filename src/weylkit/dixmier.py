@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .elements import (ElementSpan, WeylElement, bracket, coordinates,
                        linear_span_dim, one, p, q, wn_components, zero)
-from .errors import (DegreeTooHigh, NoProportionality, PreconditionFailed,
-                     ZeroElement)
+from .errors import (BadParams, DegreeTooHigh, NoProportionality,
+                     PreconditionFailed, ZeroElement)
 from .linalg import kernel
 from .scalars import ZERO, Scalar, as_scalar
 
@@ -81,6 +81,8 @@ def f_test(z: WeylElement, a: WeylElement, max_iter: int = 64) -> FTestResult:
     strictly growing steps certify that a is outside the finite-orbit part
     of ad(z) up to that bound.
     """
+    if max_iter < 1:
+        raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
     span = ElementSpan()
     span.insert(a)
     cur = a
@@ -106,6 +108,8 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     satisfies the eigen-equation in the full algebra, not just modulo high
     degree.  Returns a canonical echelon basis (possibly empty).
     """
+    if max_degree < 0:
+        raise BadParams(f"the truncation degree must be natural, got {max_degree}")
     lam = as_scalar(lam)
     unknowns = _monomials_up_to(max_degree)
     monomials = [WeylElement.monomial(i, j) for (i, j) in unknowns]
@@ -136,6 +140,8 @@ def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PRO
     nilpotently.  Negative evidence is a probe whose ad-orbit span keeps
     growing: such an element lies outside both exponentiable classes.
     """
+    if max_iter < 1:
+        raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
     if x.is_zero():
         raise ZeroElement("the zero element has no partition class")
     if x.is_scalar():

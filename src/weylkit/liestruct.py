@@ -26,7 +26,7 @@ from .elements import ElementSpan, WeylElement, ad_pow, bracket, linear_combinat
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
-from .linalg import Echelon, eigen_decomposition, kernel
+from .linalg import Echelon, _subtract, eigen_decomposition, kernel
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -247,6 +247,8 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     final since rows are only appended.  Exceeding max_dim suggests the
     closure is infinite-dimensional.
     """
+    if max_dim < 1:
+        raise BadParams(f"the dimension cap must be at least 1, got {max_dim}")
     span = ElementSpan()
     for g in gens:
         span.insert(g)
@@ -421,14 +423,19 @@ def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
     return n - _span(rows).dim
 
 
-def _model_filiform(algebra: LieAlgebraStruct, derived: Echelon) -> bool:
-    """Whether the centraliser of [g, g] is abelian of codimension 1: the
-    relations among the columns ad(e_i) restricted to the rows of [g, g]."""
-    n = algebra.dim
-    columns = [{(r, k): s for r, d in enumerate(derived.rows)
-                for k, s in algebra.sparse_bracket({i: ONE}, d).items()} for i in range(n)]
-    centraliser = kernel(columns)
-    return len(centraliser) == n - 1 and not any(
+def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:
+    """Whether the centraliser in span(rows) of span(derived_rows) is abelian
+    of codimension 1, for independent rows: the relations among the columns
+    ad(u) restricted to derived_rows, for u in rows."""
+    columns = [{(r, k): s for r, d in enumerate(derived_rows)
+                for k, s in algebra.sparse_bracket(u, d).items()} for u in rows]
+    centraliser = []
+    for relation in kernel(columns):
+        u: dict = {}
+        for i, c in relation.items():
+            _subtract(u, rows[i], -c)
+        centraliser.append(u)
+    return len(centraliser) == len(rows) - 1 and not any(
         algebra.sparse_bracket(u, v) for u, v in combinations(centraliser, 2))
 
 
@@ -440,20 +447,20 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     when the centraliser of [g, g] is abelian of codimension 1 (in Vergne's
     Q_n it is not); solvable non-nilpotent ones by diagonalising a complement
     generator on the derived algebra (abelian derived: the diagonal
-    families; filiform derived: the extended families, separated by their
-    centres); non-solvable ones by dimension, centre and radical.  Anything
-    else is Unknown.
+    families; filiform derived D, under the same centraliser test on D and
+    [D, D]: the extended families, separated by their centres); non-solvable
+    ones by dimension, centre and radical.  Anything else is Unknown.
     """
     inv, series, center = _invariants(algebra)
     n = algebra.dim
     if inv.derived_series_dims[1] == 0:
         return CatalogTag("Abelian", n)
+    full = [{i: ONE} for i in range(n)]
     if inv.nilpotent:
         m = _filiform_parameter(inv.lower_central_dims)
-        if m is None or (m >= 3 and not _model_filiform(algebra, series[0])):
+        if m is None or (m >= 3 and not _model_filiform(algebra, full, series[0].rows)):
             return CatalogTag("Unknown")
         return normalize_tag(CatalogTag("L", m))
-    full = [{i: ONE} for i in range(n)]
     derived = series[0]
     if inv.solvable:
         # the catalog solvables are all one generator over derived + centre
@@ -489,7 +496,7 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         # non-abelian derived algebra: the extended filiform families
         lower = _series(algebra, derived.rows, series[1], derived=False)
         m = _filiform_parameter([derived.dim] + [t.dim for t in lower])
-        if m is None:
+        if m is None or (m >= 3 and not _model_filiform(algebra, derived.rows, series[1].rows)):
             return CatalogTag("Unknown")
         if center.dim == 1 and n == m + 2:
             return CatalogTag("LTilde", m)

@@ -178,6 +178,11 @@ def _alpha1(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> WeylMorphism:
                (q.scale(-a2) + p.scale(a1), q.scale(a4) + p.scale(-a3)))
 
 
+def _beta(a1: Scalar, a3: Scalar) -> WeylMorphism:
+    """p ↦ p/a₁², q ↦ a₁²q - a₁a₃: the isotropy substitution of f_II for a₁ ≠ 0."""
+    return compose(translation(0, -a3 / a1), scale(a1 * a1))
+
+
 def sl2_semidirect_aut(g: Sequence[Sequence], b: Sequence) -> WeylMorphism:
     """The automorphism α̂₁(g)∘α̂₂(b) of the unimodular-affine family."""
     return compose(alpha1_hat(g), translation(b[0], b[1]))
@@ -189,6 +194,8 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
     Division by k! is exact; if no power of ad(z) kills x within max_iter
     steps the element is reported as (locally) non-nilpotent on x.
     """
+    if max_iter < 1:
+        raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
     terms = [x]
     for k in range(1, max_iter + 1):
         term = bracket(z, terms[-1]) / k
@@ -348,8 +355,8 @@ def ltilde_to_aut(g: LTildeGroupElement) -> WeylMorphism:
 #   chain   := literal (';' literal)*          applied left to right
 #   literal := 'id' | name '(' scalar (',' scalar)* ')'
 #
-# with names phi, phiP, scale, alpha1, translate.  "phi(2,1); scale(i)" means:
-# apply phi(2,1) first, then scale(i).
+# with names phi, phiP, scale, alpha1, translate, beta.  "phi(2,1); scale(i)"
+# means: apply phi(2,1) first, then scale(i).
 
 
 def _arity(args, n, name):
@@ -380,20 +387,25 @@ def _literal_alpha1(args):
     return alpha1_hat(((args[0], args[1]), (args[2], args[3])))
 
 
+def _literal_beta(args):
+    a1, a3 = _arity(args, 2, "beta")
+    if not a1:
+        raise ExprSyntaxError("beta requires a1 != 0")
+    return _beta(a1, a3)
+
+
 _LITERALS = {
     "phi": _literal_phi,
     "phiP": _literal_phi_prime,
     "scale": lambda args: scale(*_arity(args, 1, "scale")),
     "translate": lambda args: translation(*_arity(args, 2, "translate")),
     "alpha1": _literal_alpha1,
+    "beta": _literal_beta,
 }
 
 
-def parse_morphism(text: str, extra=None) -> WeylMorphism:
+def parse_morphism(text: str) -> WeylMorphism:
     """Parse a ';'-chain of named generators, composed left to right."""
-    table = dict(_LITERALS)
-    if extra:
-        table.update(extra)
     total = None
     for piece in text.split(";"):
         piece = piece.strip()
@@ -402,7 +414,7 @@ def parse_morphism(text: str, extra=None) -> WeylMorphism:
         else:
             head, sep, rest = piece.partition("(")
             name = head.strip()
-            if name not in table:
+            if name not in _LITERALS:
                 raise ExprSyntaxError(f"unknown morphism literal {name!r}")
             if not sep or not rest.rstrip().endswith(")"):
                 raise ExprSyntaxError(f"expected {name}(...)")
@@ -418,7 +430,7 @@ def parse_morphism(text: str, extra=None) -> WeylMorphism:
                     if chunk[end:].strip():
                         raise ExprSyntaxError(f"trailing input in argument of {name}(...)")
                     args.append(value)
-            m = table[name](args)
+            m = _LITERALS[name](args)
         total = m if total is None else compose(m, total)
     if total is None:
         raise ExprSyntaxError("empty morphism expression")

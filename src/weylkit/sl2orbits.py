@@ -5,15 +5,14 @@ H = pq - 1/2) and the one-parameter family X = (b+pq)q, Y = -p, H = 2pq+b,
 together with a variant obtained by swapping the roles of the generators.
 On top of them:
 
-* formal words in the letters x, y, h, evaluated through a triplet — enough
-  of the enveloping algebra to express the Casimir element and the
-  substitution that produces the exotic triplet;
-* the Casimir scalar of a triplet, an orbit invariant;
+* the Casimir scalar of a triplet, h²/2 + xy + yx evaluated by multiplying
+  its images, an orbit invariant;
 * the two-sided group action (α, g)·f = α ∘ f ∘ Ad(g)⁻¹ with the adjoint
   matrices written out over the basis (e₊, e₋, e₀);
 * the isotropy morphisms of both families and a pointwise isotropy check;
-* the exotic triplet built by substitution, with a report adjudicating
-  between the two transposed expansions of its H that circulate in print;
+* the exotic triplet, the images of x, y+hx+xh-4x³, h-4x² under f_II(1),
+  with a report adjudicating between the two transposed expansions of its H
+  that circulate in print;
 * a truncated test for the weight ±2 eigenspace pattern D(H, ±2) = X·ℂ[H],
   Y·ℂ[H] characterising the orbit of the one-parameter family.
 """
@@ -21,24 +20,22 @@ On top of them:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple, Optional
 
 from . import morphisms
 from .dixmier import eigenvectors_truncated
 from .elements import (ElementSpan, WeylElement, bracket, format_element,
                        linear_combination, one, p, parse_element, q)
-from .errors import (BadParams, NonScalarCasimir, NotInBorel, NotInvertible,
-                     NotUnimodular, RelationFailed)
+from .errors import (NonScalarCasimir, NotInBorel, NotInvertible, NotUnimodular,
+                     RelationFailed)
 from .morphisms import WeylMorphism
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, Scalar, as_scalar
 
 __all__ = [
-    "Sl2Realization", "UWord", "SL2Element", "ExoticReport", "S11Side",
-    "S11Report", "triplet_check", "f_I", "f_II", "f_II_variant",
-    "eval_uword", "casimir_word", "casimir", "group_act", "alpha1_hat",
-    "beta_hat", "isotropy_check", "exotic_g", "exotic_report", "s11_test",
-    "u_x", "u_y", "u_h",
+    "Sl2Realization", "SL2Element", "ExoticReport", "S11Side", "S11Report",
+    "triplet_check", "f_I", "f_II", "f_II_variant", "casimir", "group_act",
+    "alpha1_hat", "beta_hat", "isotropy_check", "exotic_g", "exotic_report",
+    "s11_test",
 ]
 
 
@@ -83,82 +80,11 @@ def f_II_variant(b) -> Sl2Realization:
                           (p * q).scale(2) + one.scale(b))
 
 
-# -- formal words --------------------------------------------------------------------
-
-
-class UWord:
-    """A finite sum of words in the letters x, y, h with scalar coefficients.
-
-    Multiplication is concatenation; no reordering is attempted, since
-    evaluation through a triplet multiplies in the Weyl algebra anyway.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[str, ...], Scalar]):
-        self.terms = {w: c for w, c in terms.items() if c}
-
-    @staticmethod
-    def letter(ch: str) -> "UWord":
-        if ch not in ("x", "y", "h"):
-            raise BadParams("letters are x, y and h")
-        return UWord({(ch,): ONE})
-
-    def __add__(self, other: "UWord") -> "UWord":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) + c
-        return UWord(out)
-
-    def __sub__(self, other: "UWord") -> "UWord":
-        return self + other.scale(Scalar(-1))
-
-    def __mul__(self, other: "UWord") -> "UWord":
-        out: dict[tuple[str, ...], Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, ZERO) + c1 * c2
-        return UWord(out)
-
-    def scale(self, c) -> "UWord":
-        c = as_scalar(c)
-        return UWord({w: v * c for w, v in self.terms.items()})
-
-    def __neg__(self) -> "UWord":
-        return self.scale(Scalar(-1))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UWord) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "UWord(0)"
-        parts = ["*".join(w) if w else "1" for w in sorted(self.terms)]
-        return f"UWord({' + '.join(parts)})"
-
-
-u_x = UWord.letter("x")
-u_y = UWord.letter("y")
-u_h = UWord.letter("h")
-
-
-def casimir_word() -> UWord:
-    """The Casimir element h²/2 + xy + yx."""
-    return (u_h * u_h).scale(Fraction(1, 2)) + u_x * u_y + u_y * u_x
-
-
-def eval_uword(r: Sl2Realization, w: UWord) -> WeylElement:
-    """Substitute the triplet images for the letters and multiply."""
-    sub = {"x": r.X, "y": r.Y, "h": r.H}
-    return linear_combination((c, reduce(lambda acc, ch: acc * sub[ch], word[1:], sub[word[0]])
-                                  if word else one)
-                              for word, c in w.terms.items())
-
-
 def casimir(r: Sl2Realization) -> Scalar:
-    """The scalar the Casimir element maps to; an orbit invariant."""
-    v = eval_uword(r, casimir_word())
+    """The scalar the Casimir h²/2 + xy + yx maps to, an orbit invariant; all
+    three products are formed, since H²/2 + H + 2YX equals it only where the
+    relations hold, and the check below is for inputs where they do not."""
+    v = linear_combination(((Fraction(1, 2), r.H * r.H), (1, r.X * r.Y), (1, r.Y * r.X)))
     if not v.is_scalar():
         raise NonScalarCasimir(
             "the Casimir image is not scalar; the input is not a triplet")
@@ -239,8 +165,7 @@ def beta_hat(g: SL2Element) -> WeylMorphism:
     """The substitution p ↦ p/a₁², q ↦ a₁²q - a₁a₃ for lower-triangular g."""
     if g.a2:
         raise NotInBorel("the matrix must be lower triangular")
-    return morphisms.compose(morphisms.translation(0, -g.a3 / g.a1),
-                             morphisms.scale(g.a1 * g.a1))
+    return morphisms._beta(g.a1, g.a3)
 
 
 def isotropy_check(r: Sl2Realization, alpha: WeylMorphism, g: SL2Element) -> bool:
@@ -252,20 +177,13 @@ def isotropy_check(r: Sl2Realization, alpha: WeylMorphism, g: SL2Element) -> boo
 # -- the exotic triplet --------------------------------------------------------------
 
 
-def _exotic_substitution() -> tuple[UWord, UWord, UWord]:
-    wx = u_x
-    wy = u_y + u_h * u_x + u_x * u_h - (u_x * u_x * u_x).scale(4)
-    wh = u_h - (u_x * u_x).scale(4)
-    return wx, wy, wh
-
-
 def exotic_g() -> Sl2Realization:
     """The substituted triplet f_II(1) ∘ (x, y+hx+xh-4x³, h-4x²); the
     substitution keeps the sl(2) relations in U(sl(2)), so it is a triplet."""
-    base = f_II(1)
-    wx, wy, wh = _exotic_substitution()
-    return Sl2Realization(eval_uword(base, wx), eval_uword(base, wy),
-                          eval_uword(base, wh))
+    x, y, h = f_II(1)
+    xx = x * x
+    return Sl2Realization(x, linear_combination(((1, y), (1, h * x), (1, x * h), (-4, xx * x))),
+                          linear_combination(((1, h), (-4, xx))))
 
 
 class ExoticReport(NamedTuple):

@@ -53,6 +53,18 @@ def test_zero_generators_are_a_usage_error(capsys):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ftest", "p", "q", "--max-iter", "-1"),
+    ("expmap", "p*q^2+q", "--max-iter", "0"),
+    ("eigvecs", "p*q", "0", "--degree", "-1"),
+    ("s11", "fI", "--degree", "-1"),
+    ("closure", "p", "q", "--max-dim", "0"),
+], ids=" ".join)
+def test_nonsensical_budgets_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_closure_of_a_finite_pair(capsys):
     code, out, _ = run(capsys, "closure", "p^3", "q")
     lines = out.splitlines()

@@ -21,8 +21,7 @@ from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, coord
                               wn_components, zero)
 from weylkit.errors import ExprSyntaxError
 from weylkit.morphisms import phi
-from weylkit.scalars import ONE
-from weylkit.sl2orbits import UWord, casimir_word, eval_uword, f_I, f_II
+from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II
 
 from .oracles import oracle_product, swap_product
 from .strategies import element_st, scalar_st
@@ -446,12 +445,11 @@ def test_powers_images_and_words_never_multiply_by_the_unit(monkeypatch):
     x = parse_element("p^2*q + 3*p - q^3 + 7")
     tensor = SymTensor([(1, 0), (0, 1), (1, 1)])
     morphism = phi(2, Scalar(3))
-    word = casimir_word() + UWord({(): ONE})
     triplets = [f_I(), f_II(Scalar(2))]
 
     def run():
         return ([x ** n for n in range(4)], symmetrize(tensor), morphism(x),
-                [eval_uword(r, word) for r in triplets])
+                [casimir(r) for r in triplets], exotic_g())
 
     expected = run()
     unit_operands = []

@@ -355,8 +355,10 @@ def test_recognize_catalog_structures(tag, expected):
 
 def test_recognize_is_basis_independent():
     rng = random.Random(21)
-    filiform = [(CatalogTag("L", m), CatalogTag("L", m)) for m in range(3, 8)]
-    for tag, expected in RECOGNIZE_GOLDEN[:8] + filiform:
+    filiform = [CatalogTag("L", m) for m in range(3, 8)]
+    filiform += [CatalogTag("LTilde", m) for m in range(2, 7)]
+    filiform += [CatalogTag("LTildeModC", m) for m in range(2, 8)]
+    for tag, expected in RECOGNIZE_GOLDEN[:8] + [(t, t) for t in filiform]:
         algebra = catalog(tag).algebra
         n = algebra.dim
         while True:
@@ -396,15 +398,19 @@ def _filiform_model(n):
 # 1-dimensional centre with sl₂ ⋉ H₃ but are not perfect; sl₂ ⋉ ℂ³ is sl₂
 # (e0, e1, e2) acting on a copy (e3, e4, e5) of itself.  Vergne's Q₆ and the
 # model L(4) plus [e1, e2] = e4 have the lower-central profile of L(5) and
-# L(4), but no abelian ideal of codimension 1.
+# L(4), but no abelian ideal of codimension 1; Q₆ extended by its grading
+# derivation e6 (weights 1, 1, 2, 3, 4, 5) has no centre and the derived
+# profile of LTildeModC(6).
+Q6 = {**_filiform_model(5), (1, 4): {5: ONE}, (2, 3): {5: S(-1)}}
 NEAR_MISSES = {
     "sl2 x H3": (6, {**SL2, (4, 5): {3: ONE}}),
     "(sl2 x| C2) x C": (6, {**SL2, (0, 4): {3: ONE}, (1, 3): {4: ONE},
                             (2, 3): {3: ONE}, (2, 4): {4: S(-1)}}),
     "sl2 x| C3": (6, {**SL2, (0, 4): {5: ONE}, (0, 5): {3: S(-2)}, (1, 3): {5: S(-1)},
                       (1, 5): {4: S(2)}, (2, 3): {3: S(2)}, (2, 4): {4: S(-2)}}),
-    "Q6": (6, {**_filiform_model(5), (1, 4): {5: ONE}, (2, 3): {5: S(-1)}}),
+    "Q6": (6, Q6),
     "L(4) + [e1,e2]=e4": (5, {**_filiform_model(4), (1, 2): {4: ONE}}),
+    "Q6 x| <e6>": (7, {**Q6, **{(k, 6): {k: S(-w)} for k, w in enumerate((1, 1, 2, 3, 4, 5))}}),
 }
 
 

@@ -108,6 +108,8 @@ def test_exp_ad_of_phi_generator():
 def test_exp_ad_reports_non_nilpotent_action():
     with pytest.raises(NotLocallyNilpotent):
         exp_ad(parse_element("p*q"), p, max_iter=16)
+    with pytest.raises(BadParams):
+        exp_ad(q, p, max_iter=0)
 
 
 # -- the solvable group families ------------------------------------------------------
@@ -188,19 +190,15 @@ def test_parse_morphism_identity_and_chain():
 
 def test_parse_morphism_all_literals():
     for text in ("phi(2,1)", "phiP(1,-i)", "scale(1/2)", "translate(1,2)",
-                 "alpha1(0,1,-1,0)"):
+                 "alpha1(0,1,-1,0)", "beta(2,1/3)"):
         m = parse_morphism(text)
         assert bracket(m.image_p, m.image_q) == one
 
 
-def test_parse_morphism_extra_literals_override():
-    m = parse_morphism("twist(2)", extra={"twist": lambda args: phi(1, args[0])})
-    assert m.image_q == parse_element("q + 2*p")
-
-
 @pytest.mark.parametrize("bad", ["", "phi", "phi(1)", "phi(1,2,3)", "nope(1)",
                                  "scale(0)", "phi(1,2);;scale(1)",
-                                 "alpha1(1,1,1,1)", "phi(-1,2)"])
+                                 "alpha1(1,1,1,1)", "phi(-1,2)", "beta(0,1)",
+                                 "beta(1)"])
 def test_parse_morphism_rejects_malformed(bad):
     with pytest.raises((ExprSyntaxError, BadParams)):
         parse_morphism(bad)

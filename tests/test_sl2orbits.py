@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from weylkit import Scalar, bracket
 from weylkit.elements import one, p, parse_element, q, zero
-from weylkit.errors import (NotInBorel, NotInvertible, NotUnimodular,
-                            RelationFailed)
+from weylkit.errors import (NonScalarCasimir, NotInBorel, NotInvertible,
+                            NotUnimodular, RelationFailed)
 from weylkit.morphisms import (apply, compose, invert, phi, phi_prime, scale,
                                translation)
-from weylkit.sl2orbits import (SL2Element, Sl2Realization, UWord, alpha1_hat,
-                               beta_hat, casimir, casimir_word, eval_uword,
-                               exotic_g, exotic_report, f_I, f_II,
+from weylkit.sl2orbits import (SL2Element, Sl2Realization, alpha1_hat, beta_hat,
+                               casimir, exotic_g, exotic_report, f_I, f_II,
                                f_II_variant, group_act, isotropy_check,
                                s11_test, triplet_check)
 
@@ -64,29 +63,7 @@ def test_f_II_variant_is_the_transposed_form():
     assert r.H == parse_element("2*p*q + 1")
 
 
-# -- words in the enveloping algebra ---------------------------------------------------
-
-
-def test_uword_algebra():
-    x, y = UWord.letter("x"), UWord.letter("y")
-    assert x * y - y * x != zero_word()
-    assert (x + y) * (x + y) == x * x + x * y + y * x + y * y
-    assert x.scale(S(2)) - x == x
-
-
-def zero_word():
-    return UWord({})
-
-
-def test_eval_uword_respects_products():
-    r = f_I()
-    w = UWord.letter("x") * UWord.letter("h") + UWord.letter("y").scale(S(3))
-    assert eval_uword(r, w) == r.X * r.H + r.Y.scale(S(3))
-
-
-def test_casimir_word_shape():
-    h, x, y = (UWord.letter(c) for c in "hxy")
-    assert casimir_word() == (h * h).scale(S(Fraction(1, 2))) + x * y + y * x
+# -- the Casimir ----------------------------------------------------------------------
 
 
 CASIMIR_GOLDEN = [
@@ -106,6 +83,12 @@ def test_casimir_of_the_diagonal_family(b, value):
 
 def test_casimir_of_f_I_is_minus_three_eighths():
     assert casimir(f_I()) == S(Fraction(-3, 8))
+
+
+def test_casimir_of_a_non_triplet_is_refused():
+    # H²/2 + XY + YX with X = p, Y = q, H = pq is not scalar
+    with pytest.raises(NonScalarCasimir):
+        casimir(Sl2Realization(p, q, p * q))
 
 
 def test_casimir_is_an_orbit_invariant():

@@ -1,6 +1,7 @@
 """Standing checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import weylkit
@@ -17,3 +18,14 @@ def test_no_assert_in_the_library():
              if isinstance(node, ast.Assert)]
     assert SOURCES
     assert not found, found
+
+
+def test_every_export_is_bound():
+    # a stale name in __all__ breaks `from weylkit.<module> import *`
+    missing = []
+    for path in SOURCES:
+        name = "weylkit" if path.stem == "__init__" else f"weylkit.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
+                    if not hasattr(module, n)]
+    assert not missing, missing
