@@ -32,9 +32,9 @@ from .errors import (BadParams, DegreeTooHigh, DimensionExceeded,
                      WeylError, ZeroElement)
 from .liestruct import (filiform_normal_basis, invariants, lie_closure,
                         recognize, weight_spaces)
-from .morphisms import apply, parse_morphism
-from .scalars import Scalar, ScalarSyntaxError, format_scalar, parse_scalar
-from .sl2orbits import (SL2Element, Sl2Realization, casimir, exotic_g,
+from .morphisms import SL2Element, apply, parse_morphism
+from .scalars import Scalar, format_scalar, parse_scalar
+from .sl2orbits import (Sl2Realization, casimir, exotic_g,
                         exotic_report, f_I, f_II, group_act,
                         isotropy_check, s11_test, triplet_check)
 
@@ -237,8 +237,11 @@ def _cmd_weights(args) -> tuple[dict, list[str], int]:
         raise ZeroElement("the weight element h must be nonzero")
     real = lie_closure([h] + _parse_generators(args.generators),
                        max_dim=args.max_dim)
+    # basis row 0 is h over its leading coefficient c, so ad(h) has weights c·λ
+    c = h.terms[h.leading_monomial()]
     spaces = weight_spaces(real, 0)
-    items = sorted(spaces.items(), key=lambda kv: kv[0].sort_key())
+    items = sorted(((c * lam, vecs) for lam, vecs in spaces.items()),
+                   key=lambda kv: kv[0].sort_key())
     lines = []
     weights = []
     for lam, vecs in items:
@@ -447,7 +450,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _RESOURCE as exc:
         print(f"bound hit: {exc}", file=sys.stderr)
         return 3
-    except (WeylError, ScalarSyntaxError) as exc:
+    except WeylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

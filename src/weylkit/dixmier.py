@@ -83,8 +83,7 @@ def f_test(z: WeylElement, a: WeylElement, max_iter: int = 64) -> FTestResult:
     """
     if max_iter < 1:
         raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
-    span = ElementSpan()
-    span.insert(a)
+    span = ElementSpan([a])
     cur = a
     for k in range(1, max_iter + 1):
         cur = bracket(z, cur)

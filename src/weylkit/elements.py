@@ -32,8 +32,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadParams, ExprSyntaxError, NotInjective
 from .linalg import Echelon
-from .scalars import (ONE, ZERO, Scalar, ScalarSyntaxError, _norm, as_scalar, format_scalar,
-                      scan_scalar)
+from .scalars import ONE, ZERO, Scalar, _norm, _ScalarScanner, as_scalar, format_scalar
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
@@ -404,7 +403,7 @@ def weight_decompose(x: WeylElement) -> list[WeightComponent]:
 
 
 class ElementSpan:
-    """Incremental echelon form of a span of elements (a linalg.Echelon).
+    """Incremental echelon form of the span of ``xs`` (a linalg.Echelon).
 
     Pivots are leading monomials in printing order, normalised to
     coefficient one; ``rows`` keeps the pivot rows in insertion order, and
@@ -412,9 +411,11 @@ class ElementSpan:
     queries can report exact coordinates.
     """
 
-    def __init__(self):
+    def __init__(self, xs: Iterable[WeylElement] = ()):
         self._echelon = Echelon(key=_term_order)
         self.rows: list[WeylElement] = []
+        for x in xs:
+            self.insert(x)
 
     @property
     def dim(self) -> int:
@@ -458,16 +459,14 @@ class ElementSpan:
 
 def linear_span_dim(xs: Sequence[WeylElement]):
     """Dimension of the span of xs, plus a canonical echelonised basis."""
-    span = ElementSpan()
-    for x in xs:
-        span.insert(x)
+    span = ElementSpan(xs)
     return span.dim, span.reduced_basis()
 
 
 def coordinates(x: WeylElement, basis: Sequence[WeylElement]) -> Optional[list[Scalar]]:
     """Coordinates of x in the given (independent) basis; None if outside."""
-    span = ElementSpan()
-    if any(span.insert(b) is None for b in basis):
+    span = ElementSpan(basis)
+    if span.dim != len(basis):
         raise NotInjective("basis elements are linearly dependent")
     return span.express(x)
 
@@ -523,38 +522,16 @@ def format_element(x: WeylElement) -> str:
     return out
 
 
-class _ElementParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
+class _ElementParser(_ScalarScanner):
     def error(self, message: str):
         raise ExprSyntaxError(message, self.pos)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.peek() in (" ", "\t"):
-            self.pos += 1
-
-    def take_nat(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a number")
-        return int(self.text[start:self.pos])
 
     def atom(self) -> WeylElement:
         self.skip_ws()
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            try:
-                value, self.pos = scan_scalar(self.text, self.pos)
-            except ScalarSyntaxError as exc:
-                raise ExprSyntaxError("bad scalar literal", exc.pos) from exc
+            value = self.take_scalar()
             self.skip_ws()
             if self.peek() != ")":
                 self.error("expected ')'")
@@ -569,11 +546,7 @@ class _ElementParser:
             return WeylElement.monomial(n, 0) if ch == "p" else WeylElement.monomial(0, n)
         if not ch:
             self.error("unexpected end of input")
-        try:
-            value, self.pos = scan_scalar(self.text, self.pos)
-        except ScalarSyntaxError as exc:
-            raise ExprSyntaxError("bad scalar literal", exc.pos) from exc
-        return one.scale(value)
+        return one.scale(self.take_scalar())
 
     def term(self) -> WeylElement:
         value = self.atom()

@@ -130,7 +130,7 @@ class NonScalarCasimir(WeylError):
 
 
 class NotInBorel(BadParams):
-    """A matrix parameter required to be upper triangular is not."""
+    """A matrix parameter required to be lower triangular (a₂ = 0) is not."""
 
 
 class ExprSyntaxError(WeylError, ValueError):

@@ -28,6 +28,7 @@ from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotInjective, NotNilpotent, PreconditionFailed)
 from .linalg import Echelon, _subtract, eigen_decomposition, kernel
 from .scalars import ONE, ZERO, Scalar
+from .sl2orbits import f_I
 
 __all__ = [
     "LieAlgebraStruct", "CatalogTag", "Realization", "CatalogEntry",
@@ -147,8 +148,8 @@ def normalize_tag(tag: CatalogTag) -> CatalogTag:
 
 
 def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) -> CatalogEntry:
-    span = ElementSpan()
-    if any(span.insert(x) is None for x in images):
+    span = ElementSpan(images)
+    if span.dim != len(images):
         raise NotInjective("realisation images are linearly dependent")
     c: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, j in combinations(range(len(images)), 2):
@@ -158,13 +159,6 @@ def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) ->
         c[(i, j)] = dict(enumerate(coords))
     algebra = LieAlgebraStruct(len(images), labels, c)
     return CatalogEntry(algebra, Realization(algebra, list(images)))
-
-
-def _sl2_images() -> list[WeylElement]:
-    x = (q * q).scale(Fraction(-1, 2))
-    y = (p * p).scale(Fraction(1, 2))
-    h = p * q - one.scale(Fraction(1, 2))
-    return [x, y, h]
 
 
 def _filiform_images(n: int) -> list[WeylElement]:
@@ -188,12 +182,12 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
     if kind == "Heisenberg3":
         return _struct_from_images(["Z", "P", "Q"], [one, p, q])
     if kind == "Sl2":
-        return _struct_from_images(["X", "Y", "H"], _sl2_images())
+        return _struct_from_images(["X", "Y", "H"], list(f_I()))
     if kind == "Sl2xC":
-        return _struct_from_images(["Z", "X", "Y", "H"], [one] + _sl2_images())
+        return _struct_from_images(["Z", "X", "Y", "H"], [one, *f_I()])
     if kind == "Sl2SemidirectH3":
         return _struct_from_images(["Z", "P", "Q", "X", "Y", "H"],
-                                   [one, p, q] + _sl2_images())
+                                   [one, p, q, *f_I()])
     if kind == "L":
         if not isinstance(param, int) or param < 2:
             raise BadParams("the filiform family starts at parameter 2")
@@ -249,9 +243,7 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     """
     if max_dim < 1:
         raise BadParams(f"the dimension cap must be at least 1, got {max_dim}")
-    span = ElementSpan()
-    for g in gens:
-        span.insert(g)
+    span = ElementSpan(gens)
     rows = span.rows  # grows with each insert that enlarges the span
     if not rows:
         raise BadParams("at least one nonzero generator required")
@@ -273,8 +265,7 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
     """Certify that the images realise the structure constants exactly."""
     if len(images) != algebra.dim:
         raise BadParams("one image per basis vector required")
-    span = ElementSpan()
-    if any(span.insert(x) is None for x in images):
+    if ElementSpan(images).dim != len(images):
         raise NotInjective("realisation images are linearly dependent")
     for i, j in combinations(range(algebra.dim), 2):
         expected = linear_combination((s, images[k])
@@ -289,23 +280,15 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
 # -- coordinate subspace helpers ----------------------------------------------------
 
 
-def _span(rows) -> Echelon:
-    """Echelon span of sparse coordinate rows {basis index: Scalar}."""
-    span = Echelon()
-    for row in rows:
-        span.insert(row)
-    return span
-
-
 def _bracket_span(algebra: LieAlgebraStruct, rows_a, rows_b) -> Echelon:
-    return _span(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
+    return Echelon(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
 
 
 def _derived_span(algebra: LieAlgebraStruct, rows) -> Echelon:
     """[span(rows), span(rows)], one bracket per unordered pair: the reversed
     pairs are negatives and the diagonal is zero, so the rows are those of
     ``_bracket_span(algebra, rows, rows)``."""
-    return _span(algebra.sparse_bracket(u, v) for u, v in combinations(rows, 2))
+    return Echelon(algebra.sparse_bracket(u, v) for u, v in combinations(rows, 2))
 
 
 def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> list[Echelon]:
@@ -334,7 +317,7 @@ def _center(algebra: LieAlgebraStruct) -> Echelon:
     n = algebra.dim
     columns = [{(j, k): s for j in range(n) for k, s in algebra.basis_bracket(i, j).items()}
                for i in range(n)]
-    return _span(kernel(columns))
+    return Echelon(kernel(columns))
 
 
 def _invariants(algebra: LieAlgebraStruct):
@@ -360,7 +343,7 @@ def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
     center = _center(algebra)
     keep = [i for i in range(algebra.dim) if i not in center.pivots]
     # brackets are read in the basis (centre rows, kept basis vectors)
-    basis = _span(center.rows + [{i: ONE} for i in keep])
+    basis = Echelon(center.rows + [{i: ONE} for i in keep])
     c = {(a, b): dict(enumerate(basis.express(algebra.basis_bracket(i, j))[center.dim:]))
          for (a, i), (b, j) in combinations(enumerate(keep), 2)}
     return LieAlgebraStruct(len(keep), [algebra.labels[i] for i in keep], c)
@@ -372,8 +355,8 @@ def change_basis(algebra: LieAlgebraStruct, matrix: list[Vector]) -> LieAlgebraS
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise BadParams(f"basis-change matrix must be {n}x{n}")
     cols = [{i: matrix[i][j] for i in range(n) if matrix[i][j]} for j in range(n)]
-    span = Echelon()
-    if any(span.insert(col) is None for col in cols):
+    span = Echelon(cols)
+    if span.dim != n:
         raise BadParams("basis-change matrix is singular")
     c = {(a, b): dict(enumerate(span.express(algebra.sparse_bracket(cols[a], cols[b]))))
          for a, b in combinations(range(n), 2)}
@@ -420,7 +403,7 @@ def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
         rows.append({i: s for i in range(n)
                      if (s := sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
                                    for k, x in col.items()), ZERO))})
-    return n - _span(rows).dim
+    return n - Echelon(rows).dim
 
 
 def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:
@@ -464,7 +447,7 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     derived = series[0]
     if inv.solvable:
         # the catalog solvables are all one generator over derived + centre
-        ext = _span(derived.rows + center.rows)
+        ext = Echelon(derived.rows + center.rows)
         if n - ext.dim != 1:
             return CatalogTag("Unknown")
         h = next(e for e in full if not ext.contains(e))
@@ -525,7 +508,8 @@ def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
                cand_p: WeylElement, cand_q: WeylElement) -> Optional[list[WeylElement]]:
     """Attempt the normal chain for a pair with [P, Q] = 1.  The seed w = Σ sol_j·x_j
     solves ad(P)^(dim-3)(w) = Q and [w, Q] = 0: column j holds ad(P)^(dim-3)(x_j),
-    keyed (0, monomial), beside [x_j, Q], keyed (1, monomial)."""
+    keyed (0, monomial), beside [x_j, Q], keyed (1, monomial).  The chain
+    stands only if it realises the catalog table of L(dim - 1)."""
     dim = len(images)
     cols = Echelon()
     for x in images:
@@ -541,18 +525,10 @@ def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
     chain = [cand_p, linear_combination(zip(sol, images))]
     for _ in range(dim - 2):
         chain.append(bracket(cand_p, chain[-1]))
-    check = ElementSpan()
-    if any(check.insert(x) is None for x in chain):
+    try:
+        verify_realization(catalog(CatalogTag("L", dim - 1)).algebra, chain)
+    except (NotInjective, NotHomomorphism):
         return None
-    for a in range(1, dim):
-        for b in range(a + 1, dim):
-            if not bracket(chain[a], chain[b]).is_zero():
-                return None
-    if not bracket(chain[0], chain[-1]).is_zero():
-        return None
-    for a in range(1, dim - 1):
-        if bracket(chain[0], chain[a]) != chain[a + 1]:
-            return None
     return chain
 
 
@@ -573,16 +549,13 @@ def filiform_normal_basis(realization: Realization) -> list[WeylElement]:
     if inv.derived_series_dims[1] == 0:
         raise PreconditionFailed("abelian algebras have no filiform chain")
     images = realization.images
-    span = ElementSpan()
-    if any(span.insert(x) is None for x in images):
+    span = ElementSpan(images)
+    if span.dim != len(images):
         raise NotInjective("realisation images are linearly dependent")
     # lower-central chain of spans, down to the last nonzero term
     terms = [span]
     while True:
-        nxt = ElementSpan()
-        for x in images:
-            for row in terms[-1].rows:
-                nxt.insert(bracket(x, row))
+        nxt = ElementSpan(bracket(x, row) for x in images for row in terms[-1].rows)
         if nxt.dim == 0:
             break
         terms.append(nxt)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BadParams, IrrationalSpectrum
 from .scalars import ONE, ZERO, Scalar
@@ -48,21 +48,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 class Echelon:
     """Sparse echelon form of a growing span, over hashable columns.
 
-    Rows are dicts {column: nonzero Scalar}; a row's pivot is its least column
-    under ``key`` (the column itself by default).  Stored rows keep insertion
+    Built from an iterable of rows, inserted in order.  Rows are dicts
+    {column: nonzero Scalar}; a row's pivot is its least column under ``key``
+    (the column itself by default).  Stored rows keep insertion
     order, with distinct pivots of coefficient one.  ``reduce`` eliminates
     only while the leading column is a pivot, which decides membership.  Each
     row also carries its expression over the inserted generators (generator
     index -> Scalar), for ``express``.
     """
 
-    def __init__(self, key=None):
+    def __init__(self, rows: Iterable[dict] = (), key=None):
         self.key = key
         self.rows: list[dict] = []
         self.pivots: list = []
         self._row_of: dict = {}  # pivot column -> row index
         self._coords: list[dict] = []
         self.ngens = 0
+        for row in rows:
+            self.insert(row)
 
     @property
     def dim(self) -> int:
@@ -150,9 +153,7 @@ def _subtract(v: dict, row: dict, c: Scalar):
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     ncols = len(a[0]) if a else 0
-    span = Echelon()
-    for row in a:
-        span.insert({c: x for c, x in enumerate(row) if x})
+    span = Echelon({c: x for c, x in enumerate(row) if x} for row in a)
     rows = [[r.get(c, ZERO) for c in range(ncols)] for r in span.reduced_rows()]
     rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
     return rows, sorted(span.pivots)

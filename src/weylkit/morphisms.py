@@ -13,9 +13,11 @@ each closed form once.
 
 Implemented generators: the triangular automorphisms fixing p (resp. q),
 weight scaling, ad-exponentials of locally nilpotent elements, the
-unimodular linear substitutions with their translation part, and the two
-explicit solvable automorphism-group families in exponential coordinates
-(the unit s plays e^v, which quotients away their discrete kernels).
+unimodular linear substitutions α̂₁(g) of an SL2Element g with their
+translation part, the isotropy substitutions β̂(g) of lower-triangular g,
+and the two explicit solvable automorphism-group families in exponential
+coordinates (the unit s plays e^v, which quotients away their discrete
+kernels).
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from typing import Optional, Sequence
 
 from .elements import (WeylElement, bracket, format_element, linear_combination, one, p,
                        q, zero)
-from .errors import (BadParams, ExprSyntaxError, IndexMismatch, NotInvertible,
+from .errors import (BadParams, ExprSyntaxError, IndexMismatch, NotInBorel, NotInvertible,
                      NotLocallyNilpotent, NotUnimodular, PreconditionFailed,
                      SizeMismatch, ZeroScale)
-from .scalars import ONE, Scalar, ScalarSyntaxError, as_scalar, scan_scalar
+from .scalars import ONE, Scalar, as_scalar, parse_scalar
 
 __all__ = [
     "WeylMorphism", "identity_morphism", "phi", "phi_prime", "scale",
-    "translation", "alpha1_hat", "alpha2_hat", "sl2_semidirect_aut",
+    "translation", "SL2Element", "alpha1_hat", "alpha2_hat", "beta_hat", "sl2_semidirect_aut",
     "apply", "compose", "invert", "exp_ad",
     "RGroupElement", "r_group_identity", "r_group_mul", "r_group_inv", "r_to_aut",
     "LTildeGroupElement", "ltilde_group_identity", "ltilde_group_mul",
@@ -163,27 +165,65 @@ def translation(b1, b2) -> WeylMorphism:
 alpha2_hat = translation
 
 
-def alpha1_hat(g: Sequence[Sequence]) -> WeylMorphism:
-    """The unimodular linear substitution p ↦ a₂q + a₄p, q ↦ a₁q + a₃p."""
-    (a1, a2), (a3, a4) = g
-    a1, a2, a3, a4 = (as_scalar(x) for x in (a1, a2, a3, a4))
-    if a1 * a4 - a2 * a3 != ONE:
-        raise NotUnimodular("matrix parameter must have determinant 1")
-    return _alpha1(a1, a2, a3, a4)
+class SL2Element:
+    """A unimodular 2×2 matrix of scalars, rows (a₁, a₂) and (a₃, a₄)."""
+
+    __slots__ = ("a1", "a2", "a3", "a4")
+
+    def __init__(self, a1, a2, a3, a4):
+        self.a1, self.a2, self.a3, self.a4 = (as_scalar(v) for v in (a1, a2, a3, a4))
+        if self.a1 * self.a4 - self.a2 * self.a3 != ONE:
+            raise NotUnimodular("matrix must have determinant 1")
+
+    @staticmethod
+    def identity() -> "SL2Element":
+        return SL2Element(1, 0, 0, 1)
+
+    def inverse(self) -> "SL2Element":
+        return _sl2(self.a4, -self.a2, -self.a3, self.a1)
+
+    def __neg__(self) -> "SL2Element":
+        return _sl2(-self.a1, -self.a2, -self.a3, -self.a4)
+
+    def __mul__(self, other: "SL2Element") -> "SL2Element":
+        return _sl2(self.a1 * other.a1 + self.a2 * other.a3,
+                    self.a1 * other.a2 + self.a2 * other.a4,
+                    self.a3 * other.a1 + self.a4 * other.a3,
+                    self.a3 * other.a2 + self.a4 * other.a4)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SL2Element)
+                and (self.a1, self.a2, self.a3, self.a4)
+                == (other.a1, other.a2, other.a3, other.a4))
+
+    def __repr__(self):
+        return f"SL2Element({self.a1!r}, {self.a2!r}, {self.a3!r}, {self.a4!r})"
 
 
-def _alpha1(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> WeylMorphism:
-    """alpha1_hat on Scalar entries already known to have determinant one."""
+def _sl2(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> SL2Element:
+    """An SL2Element on entries known to have determinant one; skips __init__."""
+    g = object.__new__(SL2Element)
+    g.a1, g.a2, g.a3, g.a4 = a1, a2, a3, a4
+    return g
+
+
+def alpha1_hat(g: SL2Element) -> WeylMorphism:
+    """The linear substitution p ↦ a₂q + a₄p, q ↦ a₁q + a₃p, which
+    intertwines the quadratic triplet with Ad(g)."""
+    a1, a2, a3, a4 = g.a1, g.a2, g.a3, g.a4
     return _mk(q.scale(a2) + p.scale(a4), q.scale(a1) + p.scale(a3),
                (q.scale(-a2) + p.scale(a1), q.scale(a4) + p.scale(-a3)))
 
 
-def _beta(a1: Scalar, a3: Scalar) -> WeylMorphism:
-    """p ↦ p/a₁², q ↦ a₁²q - a₁a₃: the isotropy substitution of f_II for a₁ ≠ 0."""
-    return compose(translation(0, -a3 / a1), scale(a1 * a1))
+def beta_hat(g: SL2Element) -> WeylMorphism:
+    """p ↦ p/a₁², q ↦ a₁²q - a₁a₃ for lower-triangular g: the isotropy
+    substitution of f_II."""
+    if g.a2:
+        raise NotInBorel("the matrix must be lower triangular")
+    return compose(translation(0, -g.a3 / g.a1), scale(g.a1 * g.a1))
 
 
-def sl2_semidirect_aut(g: Sequence[Sequence], b: Sequence) -> WeylMorphism:
+def sl2_semidirect_aut(g: SL2Element, b: Sequence) -> WeylMorphism:
     """The automorphism α̂₁(g)∘α̂₂(b) of the unimodular-affine family."""
     return compose(alpha1_hat(g), translation(b[0], b[1]))
 
@@ -382,16 +422,11 @@ def _literal_phi_prime(args):
     return phi_prime(_nat_arg(args, 0, "phiP"), args[1])
 
 
-def _literal_alpha1(args):
-    _arity(args, 4, "alpha1")
-    return alpha1_hat(((args[0], args[1]), (args[2], args[3])))
-
-
 def _literal_beta(args):
     a1, a3 = _arity(args, 2, "beta")
     if not a1:
         raise ExprSyntaxError("beta requires a1 != 0")
-    return _beta(a1, a3)
+    return beta_hat(SL2Element(a1, 0, a3, a1.inverse()))
 
 
 _LITERALS = {
@@ -399,7 +434,7 @@ _LITERALS = {
     "phiP": _literal_phi_prime,
     "scale": lambda args: scale(*_arity(args, 1, "scale")),
     "translate": lambda args: translation(*_arity(args, 2, "translate")),
-    "alpha1": _literal_alpha1,
+    "alpha1": lambda args: alpha1_hat(SL2Element(*_arity(args, 4, "alpha1"))),
     "beta": _literal_beta,
 }
 
@@ -419,17 +454,7 @@ def parse_morphism(text: str) -> WeylMorphism:
             if not sep or not rest.rstrip().endswith(")"):
                 raise ExprSyntaxError(f"expected {name}(...)")
             body = rest.rstrip()[:-1]
-            args = []
-            if body.strip():
-                for chunk in body.split(","):
-                    chunk = chunk.strip()
-                    try:
-                        value, end = scan_scalar(chunk)
-                    except ScalarSyntaxError as exc:
-                        raise ExprSyntaxError(f"bad scalar in {name}(...)", exc.pos) from exc
-                    if chunk[end:].strip():
-                        raise ExprSyntaxError(f"trailing input in argument of {name}(...)")
-                    args.append(value)
+            args = [parse_scalar(chunk) for chunk in body.split(",")] if body.strip() else []
             m = _LITERALS[name](args)
         total = m if total is None else compose(m, total)
     if total is None:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import ExprSyntaxError
+
 __all__ = ["Scalar", "ZERO", "ONE", "I", "parse_scalar", "format_scalar", "ScalarSyntaxError"]
 
 _new = object.__new__
@@ -225,12 +227,8 @@ def as_scalar(x) -> Scalar:
 # format_scalar produces the shortest of these forms; parse_scalar(format_scalar(s)) = s.
 
 
-class ScalarSyntaxError(ValueError):
+class ScalarSyntaxError(ExprSyntaxError):
     """Scalar literal rejected; carries the offending position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 def _fmt_rational(r: Fraction) -> str:
@@ -254,9 +252,11 @@ def format_scalar(s: Scalar) -> str:
 
 
 class _ScalarScanner:
-    def __init__(self, text: str, pos: int = 0):
+    """A cursor over text; the element parser extends it with its own rules."""
+
+    def __init__(self, text: str):
         self.text = text
-        self.pos = pos
+        self.pos = 0
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -267,7 +267,7 @@ class _ScalarScanner:
 
     def take_nat(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             raise ScalarSyntaxError("expected a digit", start)
@@ -275,7 +275,7 @@ class _ScalarScanner:
 
     def take_rational(self) -> Fraction:
         sign = 1
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             sign = -1 if self.peek() == "-" else 1
             self.pos += 1
         num = self.take_nat()
@@ -293,7 +293,7 @@ class _ScalarScanner:
         self.skip_ws()
         start = self.pos
         # bare (possibly signed) imaginary unit
-        if self.peek() in "+-" and self.text[self.pos + 1:self.pos + 2] == "i":
+        if self.peek() in ("+", "-") and self.text[self.pos + 1:self.pos + 2] == "i":
             self.pos += 2
             return Scalar(0, 1 if self.text[start] == "+" else -1)
         if self.peek() == "i":
@@ -303,7 +303,7 @@ class _ScalarScanner:
         if self.peek() == "i":
             self.pos += 1
             return Scalar(0, first)
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             mark = self.pos
             try:
                 second = self.take_rational()
@@ -328,10 +328,3 @@ def parse_scalar(text: str) -> Scalar:
     if sc.pos != len(text):
         raise ScalarSyntaxError("trailing input after scalar", sc.pos)
     return value
-
-
-def scan_scalar(text: str, pos: int = 0) -> tuple[Scalar, int]:
-    """Scan a scalar literal embedded at `pos`; returns (value, end position)."""
-    sc = _ScalarScanner(text, pos)
-    value = sc.take_scalar()
-    return value, sc.pos

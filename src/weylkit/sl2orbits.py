@@ -9,7 +9,8 @@ On top of them:
   its images, an orbit invariant;
 * the two-sided group action (α, g)·f = α ∘ f ∘ Ad(g)⁻¹ with the adjoint
   matrices written out over the basis (e₊, e₋, e₀);
-* the isotropy morphisms of both families and a pointwise isotropy check;
+* a pointwise isotropy check, for the isotropy morphisms α̂₁ and β̂ of both
+  families, which live in morphisms with SL2Element and are re-exported here;
 * the exotic triplet, the images of x, y+hx+xh-4x³, h-4x² under f_II(1),
   with a report adjudicating between the two transposed expansions of its H
   that circulate in print;
@@ -22,14 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import morphisms
 from .dixmier import eigenvectors_truncated
 from .elements import (ElementSpan, WeylElement, bracket, format_element,
                        linear_combination, one, p, parse_element, q)
-from .errors import (NonScalarCasimir, NotInBorel, NotInvertible, NotUnimodular,
-                     RelationFailed)
-from .morphisms import WeylMorphism
-from .scalars import ONE, Scalar, as_scalar
+from .errors import NonScalarCasimir, NotInvertible, RelationFailed
+from .morphisms import SL2Element, WeylMorphism, alpha1_hat, beta_hat
+from .scalars import Scalar
 
 __all__ = [
     "Sl2Realization", "SL2Element", "ExoticReport", "S11Side", "S11Report",
@@ -94,48 +93,6 @@ def casimir(r: Sl2Realization) -> Scalar:
 # -- the adjoint action --------------------------------------------------------------
 
 
-class SL2Element:
-    """A unimodular 2×2 matrix of scalars."""
-
-    __slots__ = ("a1", "a2", "a3", "a4")
-
-    def __init__(self, a1, a2, a3, a4):
-        self.a1, self.a2, self.a3, self.a4 = (as_scalar(v) for v in (a1, a2, a3, a4))
-        if self.a1 * self.a4 - self.a2 * self.a3 != ONE:
-            raise NotUnimodular("matrix must have determinant 1")
-
-    @staticmethod
-    def identity() -> "SL2Element":
-        return SL2Element(1, 0, 0, 1)
-
-    def inverse(self) -> "SL2Element":
-        return _sl2(self.a4, -self.a2, -self.a3, self.a1)
-
-    def __neg__(self) -> "SL2Element":
-        return _sl2(-self.a1, -self.a2, -self.a3, -self.a4)
-
-    def __mul__(self, other: "SL2Element") -> "SL2Element":
-        return _sl2(self.a1 * other.a1 + self.a2 * other.a3,
-                    self.a1 * other.a2 + self.a2 * other.a4,
-                    self.a3 * other.a1 + self.a4 * other.a3,
-                    self.a3 * other.a2 + self.a4 * other.a4)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SL2Element)
-                and (self.a1, self.a2, self.a3, self.a4)
-                == (other.a1, other.a2, other.a3, other.a4))
-
-    def __repr__(self):
-        return f"SL2Element({self.a1!r}, {self.a2!r}, {self.a3!r}, {self.a4!r})"
-
-
-def _sl2(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> SL2Element:
-    """An SL2Element on entries known to have determinant one; skips __init__."""
-    g = object.__new__(SL2Element)
-    g.a1, g.a2, g.a3, g.a4 = a1, a2, a3, a4
-    return g
-
-
 def _ad_rows(g: SL2Element) -> list[tuple[Scalar, Scalar, Scalar]]:
     """Coefficients of Ad(g)(e₊), Ad(g)(e₋), Ad(g)(e₀) over (e₊, e₋, e₀)."""
     a1, a2, a3, a4 = g.a1, g.a2, g.a3, g.a4
@@ -154,18 +111,6 @@ def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Reali
         raise NotInvertible("the action needs an invertible substitution")
     return Sl2Realization(*(alpha(r.X.scale(cx) + r.Y.scale(cy) + r.H.scale(ch))
                             for cx, cy, ch in _ad_rows(g.inverse())))
-
-
-def alpha1_hat(g: SL2Element) -> WeylMorphism:
-    """The linear substitution intertwining the quadratic triplet with Ad(g)."""
-    return morphisms._alpha1(g.a1, g.a2, g.a3, g.a4)
-
-
-def beta_hat(g: SL2Element) -> WeylMorphism:
-    """The substitution p ↦ p/a₁², q ↦ a₁²q - a₁a₃ for lower-triangular g."""
-    if g.a2:
-        raise NotInBorel("the matrix must be lower triangular")
-    return morphisms._beta(g.a1, g.a3)
 
 
 def isotropy_check(r: Sl2Realization, alpha: WeylMorphism, g: SL2Element) -> bool:
@@ -243,12 +188,8 @@ def _compare_side(h: WeylElement, lam: int, factor: WeylElement,
                   max_degree: int) -> S11Side:
     eig = eigenvectors_truncated(h, lam, max_degree)
     pattern = _pattern_span(factor, h, max_degree)
-    eig_span = ElementSpan()
-    for v in eig:
-        eig_span.insert(v)
-    pat_span = ElementSpan()
-    for v in pattern:
-        pat_span.insert(v)
+    eig_span = ElementSpan(eig)
+    pat_span = ElementSpan(pattern)
     witness = next((v for v in eig if not pat_span.contains(v)), None)
     if witness is None:
         witness = next((v for v in pattern if not eig_span.contains(v)), None)

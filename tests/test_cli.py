@@ -131,6 +131,10 @@ def test_weights_decomposition(capsys):
     code, out, _ = run(capsys, "weights", "p*q", "p^2", "q^2")
     assert code == 0
     assert out.splitlines() == ["-2: p^2", "0: p*q; 1", "2: q^2"]
+    # the weights are those of ad(h), not of ad(h) over h's leading coefficient
+    code, out, _ = run(capsys, "weights", "--", "-3*p*q", "p", "q")
+    assert code == 0
+    assert out.splitlines() == ["-3: q", "0: p*q; 1", "3: p"]
 
 
 def test_weights_not_diagonalisable_exits_one(capsys):

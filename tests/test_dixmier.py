@@ -10,7 +10,7 @@ from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated,
 from weylkit.elements import linear_span_dim, one, p, parse_element, q, zero
 from weylkit.errors import (DegreeTooHigh, NoProportionality,
                             PreconditionFailed, ZeroElement)
-from weylkit.morphisms import alpha1_hat, apply
+from weylkit.morphisms import SL2Element, alpha1_hat, apply
 
 from .strategies import scalar_st
 
@@ -48,7 +48,7 @@ def test_classify_rejects_high_degree():
 
 
 def test_classify_is_invariant_under_linear_substitution():
-    m = alpha1_hat(((1, 2), (1, 3)))
+    m = alpha1_hat(SL2Element(1, 2, 1, 3))
     for text, tag in CLASSIFY_GOLDEN:
         x = parse_element(text)
         assert classify_low_degree(apply(m, x)).tag == tag

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylkit import Scalar, WeylElement, bracket
+from weylkit import Scalar, WeylElement, bracket, parse_scalar
 from weylkit.elements import one, p, parse_element, q, zero
 from weylkit.errors import (BadParams, ExprSyntaxError, IndexMismatch,
                             NotInvertible, NotLocallyNilpotent, NotUnimodular,
                             PreconditionFailed, ZeroScale)
-from weylkit.morphisms import (LTildeGroupElement, RGroupElement, WeylMorphism,
-                               alpha1_hat, alpha2_hat, apply, compose, exp_ad,
+from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, WeylMorphism,
+                               alpha1_hat, alpha2_hat, apply, beta_hat, compose, exp_ad,
                                identity_morphism, invert, ltilde_group_identity,
                                ltilde_group_inv, ltilde_group_mul, ltilde_to_aut,
                                parse_morphism, phi, phi_prime, r_group_identity,
                                r_group_inv, r_group_mul, r_to_aut, scale,
                                sl2_semidirect_aut, translation)
-from weylkit.sl2orbits import SL2Element, beta_hat
 
 from .strategies import element_st, nonzero_scalar_st, scalar_st
 
@@ -79,11 +78,11 @@ def test_bad_generator_parameters():
     with pytest.raises(ZeroScale):
         scale(0)
     with pytest.raises(NotUnimodular):
-        alpha1_hat(((1, 1), (1, 1)))
+        alpha1_hat(SL2Element(1, 1, 1, 1))
 
 
 def test_alpha1_images_and_inverse():
-    m = alpha1_hat(((0, 1), (-1, 0)))
+    m = alpha1_hat(SL2Element(0, 1, -1, 0))
     assert apply(m, p) == q
     assert apply(m, q) == -p
     assert apply(invert(m), apply(m, p ** 2 * q)) == p ** 2 * q
@@ -161,8 +160,8 @@ def test_ltilde_last_coordinate_acts_trivially():
 
 
 def test_sl2_semidirect_aut_composes_the_two_parts():
-    m = sl2_semidirect_aut(((0, 1), (-1, 0)), (1, 1))
-    expected = compose(alpha1_hat(((0, 1), (-1, 0))), translation(1, 1))
+    m = sl2_semidirect_aut(SL2Element(0, 1, -1, 0), (1, 1))
+    expected = compose(alpha1_hat(SL2Element(0, 1, -1, 0)), translation(1, 1))
     assert m.image_p == expected.image_p and m.image_q == expected.image_q
 
 
@@ -211,12 +210,30 @@ def test_parsed_chain_acts_as_composition(x):
     assert apply(m, x) == apply(by_hand, x)
 
 
+_TOKENS = ["p", "q", "i", "0", "1", "2", "/", "+", "-", "*", "^", "(", ")", ",", ";", " ",
+           "\u00b2", "x", "id", "phi", "phiP", "scale", "translate", "alpha1", "beta"]
+_text_st = st.one_of(st.text(max_size=12),
+                     st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join))
+
+
+@pytest.mark.parametrize("parse", [parse_scalar, parse_element, parse_morphism])
+@given(_text_st)
+def test_parsers_reject_bad_text_with_a_syntax_error_inside_it(parse, text):
+    try:
+        parse(text)
+    except ExprSyntaxError as exc:
+        assert exc.pos is None or 0 <= exc.pos <= len(text)
+    except BadParams:
+        # a well-formed literal whose parameters leave the domain, e.g. scale(0)
+        assert parse is parse_morphism
+
+
 # -- every automorphism constructor carries a correct inverse -------------------------
 
 
 def _unimodular(a, b, c):
-    """((a, b), (c, d)) with d chosen so that the determinant is 1; a ≠ 0."""
-    return ((a, b), (c, (1 + b * c) / a))
+    """SL2Element(a, b, c, d) with d chosen so that the determinant is 1; a ≠ 0."""
+    return SL2Element(a, b, c, (1 + b * c) / a)
 
 
 _unimodular_st = st.builds(_unimodular, nonzero_scalar_st, scalar_st, scalar_st)
@@ -232,7 +249,7 @@ _literal_st = st.one_of(
     st.builds(lambda n, lam: _literal("phiP", (n, lam)), st.integers(0, 2), scalar_st),
     st.builds(lambda u: _literal("scale", (u,)), nonzero_scalar_st),
     st.builds(lambda b: _literal("translate", b), _pair_st),
-    st.builds(lambda g: _literal("alpha1", g[0] + g[1]), _unimodular_st),
+    st.builds(lambda g: _literal("alpha1", (g.a1, g.a2, g.a3, g.a4)), _unimodular_st),
     st.just("id"),
 )
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weylkit.scalars import (ONE, ZERO, Scalar, ScalarSyntaxError,
-                             format_scalar, parse_scalar, scan_scalar)
+                             _ScalarScanner, format_scalar, parse_scalar)
 
 from .strategies import scalar_st, nonzero_scalar_st
 
@@ -72,16 +72,21 @@ def test_parse_inverts_format(value, text):
     assert parse_scalar(text) == value
 
 
+def scan_scalar(text):
+    sc = _ScalarScanner(text)
+    return sc.take_scalar(), sc.pos
+
+
 def test_scan_stops_before_trailing_input():
-    value, pos = scan_scalar("3/4*q", 0)
+    value, pos = scan_scalar("3/4*q")
     assert value == Scalar(Fraction(3, 4)) and pos == 3
-    value, pos = scan_scalar("2i*p", 0)
+    value, pos = scan_scalar("2i*p")
     assert value == Scalar(0, 2) and pos == 2
 
 
 def test_scan_backtracks_over_partial_sum():
     # "1/2+i" is one literal; the following "+q" is not, and must be left.
-    value, pos = scan_scalar("1/2+i+q", 0)
+    value, pos = scan_scalar("1/2+i+q")
     assert value == Scalar(Fraction(1, 2), 1) and pos == 5
 
 
