@@ -7,8 +7,8 @@ object with `--json`.  Exit codes separate four situations:
 * 1 — the computation succeeded but the mathematical answer is negative
   (a relation fails, a span does not stabilise, a pattern is missed),
 * 2 — the input is malformed or violates a documented precondition,
-* 3 — a resource bound was hit: ``--max-iter``, ``--max-dim``, or an
-  integer too long to print in decimal.
+* 3 — a resource bound was hit: ``--max-iter``, ``--max-dim``, ``--degree``
+  past its ceiling, or an integer too long to print in decimal.
 
 Element arguments use the expression syntax of :func:`weylkit.parse_element`;
 arguments that begin with a minus sign must be preceded by ``--`` so the
@@ -25,11 +25,10 @@ from typing import Callable, Optional
 from .dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
                       is_exponentiable, power_relation)
 from .elements import WeylElement, bracket, format_element, parse_element
-from .errors import (BadParams, DegreeTooHigh, DimensionExceeded,
-                     ExprSyntaxError, IrrationalSpectrum, NoProportionality,
-                     NonScalarCasimir, NotDiagonalisable, NotInA1Form,
-                     NotLocallyNilpotent, NotNilpotent, RelationFailed,
-                     WeylError, ZeroElement)
+from .errors import (BudgetExceeded, DimensionExceeded, ExprSyntaxError,
+                     IrrationalSpectrum, NoProportionality, NonScalarCasimir,
+                     NotDiagonalisable, NotInA1Form, NotLocallyNilpotent,
+                     NotNilpotent, RelationFailed, WeylError, ZeroElement)
 from .liestruct import (filiform_normal_basis, invariants, lie_closure,
                         recognize, weight_spaces)
 from .morphisms import SL2Element, apply, parse_morphism
@@ -43,7 +42,7 @@ Handler = Callable[[argparse.Namespace], tuple[dict, list[str], int]]
 
 _NEGATIVE = (RelationFailed, NoProportionality, NotNilpotent, NotInA1Form,
              NotDiagonalisable, IrrationalSpectrum, NonScalarCasimir)
-_RESOURCE = (NotLocallyNilpotent, DimensionExceeded)
+_RESOURCE = (NotLocallyNilpotent, DimensionExceeded, BudgetExceeded)
 
 
 # -- serialisation helpers -----------------------------------------------------------

@@ -84,14 +84,20 @@ def _collect(re_acc: dict, im_acc: dict, den: int) -> dict:
 
 
 def _kernel(x_terms: dict, y_terms: dict, commutator: bool) -> dict:
-    """The terms of x·y, or of [x, y] when ``commutator``, over D_x·D_y.
+    """The terms of x·y, or of [x, y] when ``commutator``, over D_x·D_y."""
+    xs, dx = _cleared(x_terms)
+    ys, dy = _cleared(y_terms)
+    return _collect(*_accumulate(xs, ys, commutator), dx * dy)
+
+
+def _accumulate(xs: list, ys: list, commutator: bool) -> tuple[dict, dict]:
+    """The integer sums (real, imaginary; keys of the second within the first)
+    of x·y, or of [x, y] when ``commutator``, over cleared triples.
 
     p^a q^b · p^c q^d and p^c q^d · p^a q^b put swap term m on the same
     monomial p^{a+c-m} q^{b+d-m}, and their m = 0 terms are equal, so a
     commutator sums the rows of (b, c) minus (d, a) from m = 1.
     """
-    xs, dx = _cleared(x_terms)
-    ys, dy = _cleared(y_terms)
     re_acc: dict = {}
     im_acc: dict = {}
     for (a, b), xr, xi in xs:
@@ -109,7 +115,7 @@ def _kernel(x_terms: dict, y_terms: dict, commutator: bool) -> dict:
                     re_acc[key] = re_acc.get(key, 0) + r * k
                     if s:
                         im_acc[key] = im_acc.get(key, 0) + s * k
-    return _collect(re_acc, im_acc, dx * dy)
+    return re_acc, im_acc
 
 
 def linear_combination(pairs: Iterable[tuple[ScalarLike, "WeylElement"]]) -> "WeylElement":

@@ -23,6 +23,7 @@ __all__ = [
     "PreconditionFailed",
     "NoProportionality",
     "DimensionExceeded",
+    "BudgetExceeded",
     "NotInjective",
     "NotHomomorphism",
     "NotNilpotent",
@@ -95,6 +96,10 @@ class DimensionExceeded(WeylError):
     def __init__(self, max_dim: int):
         super().__init__(f"span exceeded {max_dim} dimensions without closing under brackets")
         self.max_dim = max_dim
+
+
+class BudgetExceeded(WeylError):
+    """The input asks for more work than a fixed budget allows; refused up front."""
 
 
 class NotInjective(WeylError):

@@ -1,48 +1,40 @@
 """Exact linear algebra over the Gaussian-rational scalars.
 
-Every row reduction in the package goes through one sparse engine,
-``Echelon``: rows are dicts from hashable columns (matrix column indices
-here, monomials in ``elements.ElementSpan``, basis indices in ``liestruct``)
-to nonzero Scalars, each row's pivot is its least column under a sort key,
-and only nonzero entries are ever touched.  Rows carry their coordinates
-over the inserted generators, so ``Echelon.express`` solves a linear system
-over its inserted columns and ``kernel`` reads a relation off each column
-that reduces to zero, with no back-reduction.  ``rref`` remains, over the
-same engine, for the baseline script ``perfbench/baseline.py``.  All
-elimination is exact field arithmetic, so ranks, solution sets and spectra
-are decided, never estimated.  Eigenvalues come from the characteristic
-polynomial (Faddeev–LeVerrier, division-exact, the one dense matrix
-product), scaled to be monic over Z[i], whose Q(i)-roots are then Gaussian
-integers dividing its lowest nonzero coefficient a₀.  While N(a₀) is within
-``_NORM_BUDGET`` the divisors are enumerated by trial division and tested by
-exact Horner deflation, which makes the search complete without sympy; only
-above the budget is the polynomial factorised over Q(i) by sympy, imported
-then.  A factor of degree two or more with no root means the spectrum leaves
-Q(i), and is reported as such rather than approximated.
+Row reductions over Scalars go through one sparse engine, ``Echelon``: rows
+are dicts from hashable columns to nonzero Scalars, each row's pivot is its
+least column under a sort key, and rows carry their coordinates over the
+inserted generators, so ``Echelon.express`` solves a linear system.  ``rref``
+remains, over the same engine, for the baseline script
+``perfbench/baseline.py``.  ``kernel`` and ``charpoly`` run on Gaussian
+integers and build Scalars only for their results: ``kernel`` clears each
+column over its own denominator and eliminates fraction-free, ``charpoly``
+runs Faddeev–LeVerrier on L·a, L the lcm of the entry denominators.
+Eigenvalues come from det(tI - D·a), monic over Z[i] for the least such D,
+so its Q(i)-roots are Gaussian integers dividing its lowest nonzero
+coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the divisors are
+enumerated by trial division and tested by exact Horner deflation, which
+makes the search complete without sympy; only above the budget is the
+polynomial factorised over Q(i) by sympy, imported then.  A factor of
+degree two or more with no root means the spectrum leaves Q(i), and is
+reported as such rather than approximated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
-from .errors import BadParams, IrrationalSpectrum
-from .scalars import ONE, ZERO, Scalar
+from .errors import IrrationalSpectrum
+from .scalars import ZERO, Scalar, _norm
 
 __all__ = [
-    "Echelon", "mat_mul", "rref", "kernel", "charpoly", "eigenvalues", "eigen_decomposition",
+    "Echelon", "rref", "kernel", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise BadParams(f"cannot multiply a {len(a)}x{len(a[0])} by a {len(b)}-row matrix")
-    return [[sum((x * b[k][c] for k, x in enumerate(row) if x), ZERO)
-             for c in range(len(b[0]) if b else 0)] for row in a]
 
 
 class Echelon:
@@ -161,36 +153,80 @@ def rref(a: Matrix):
 
 def kernel(columns: list[dict]) -> list[dict]:
     """The relations among sparse columns inserted in order: for each column j
-    that reduces to zero, e_j − (its coordinates over the earlier columns)."""
-    span = Echelon()
-    basis = []
+    that depends on the earlier ones, e_j − (its coordinates over them)."""
+    dens = [lcm(*{x.d for x in col.values()}) for col in columns]
+    out = []
+    # from Σ c_g·D_g·column_g = 0, with each column cleared over its own D_g
+    for j, coords in _int_relations([{k: (x.a * (d // x.d), x.b * (d // x.d))
+                                      for k, x in col.items()} for col, d in zip(columns, dens)]):
+        (cr, ci), n = coords[j], (coords[j][0] ** 2 + coords[j][1] ** 2) * dens[j]
+        out.append({g: _norm((a * cr + b * ci) * dens[g], (b * cr - a * ci) * dens[g], n)
+                    for g, (a, b) in coords.items()})
+    return out
+
+
+def _int_relations(columns: list[dict]):
+    """Fraction-free elimination of Gaussian-integer columns {key: (re, im)}:
+    v ← p·v − c·row jointly on entries and coordinates, integer content divided
+    out after each step.  Yields (j, c) for each column that reduces to zero,
+    c the primitive relation Σ c_g·columns[g] = 0 over g ≤ j, c_j ≠ 0."""
+    rows: dict = {}  # pivot key -> (pivot value, row, coordinates)
     for j, col in enumerate(columns):
-        rem, used = span.reduce(col)
-        if span._append(rem, used) is None:
-            relation = {j: ONE}
-            for r, c in used.items():
-                _subtract(relation, span._coords[r], c)
-            basis.append(relation)
-    return basis
+        v, coords = dict(col), {j: (1, 0)}
+        while v and (hit := rows.get(lead := min(v))) is not None:
+            (pr, pi), row, row_coords = hit
+            cr, ci = v[lead]
+            for w, u in ((v, row), (coords, row_coords)):
+                for k, (a, b) in w.items():
+                    w[k] = (pr * a - pi * b, pr * b + pi * a)
+                for k, (a, b) in u.items():
+                    x, y = w.get(k, (0, 0))
+                    x, y = x - cr * a + ci * b, y - cr * b - ci * a
+                    if x or y:
+                        w[k] = (x, y)
+                    else:
+                        del w[k]
+            g = 0
+            for a, b in chain(v.values(), coords.values()):
+                if (g := gcd(g, a, b)) == 1:
+                    break
+            else:
+                for w in (v, coords):
+                    for k, (a, b) in w.items():
+                        w[k] = (a // g, b // g)
+        if v:
+            rows[lead] = (v[lead], v, coords)
+        else:
+            yield j, coords
 
 
 def charpoly(a: Matrix) -> list[Scalar]:
-    """Coefficients c with det(tI - a) = Σ c[k] t^k, c[n] = 1.
-
-    Faddeev–LeVerrier recursion; the division by the step index is exact.
-    """
+    """Coefficients c with det(tI - a) = Σ c[k] t^k, c[n] = 1, as b_k / L^(n-k)
+    from Faddeev–LeVerrier on L·a over Z[i], where division by k is exact."""
     n = len(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    am = [[ZERO] * n for _ in range(n)]  # a · M_{k-1}
+    den = lcm(*{x.d for row in a for x in row})
+    # the nonzero entries (column, re, im) of each row of L·a
+    rows = [[(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(row) if x]
+            for row in a]
+    coeffs = [(0, 0)] * n + [(1, 0)]
+    # L·a · M_{k-1} as real and imaginary int matrices: lists of int pairs kept
+    # alive between steps fragment the allocator's pools
+    mr, mi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        m = [list(row) for row in am]
+        cr, ci = coeffs[n - k + 1]
         for d in range(n):
-            m[d][d] = m[d][d] + coeffs[n - k + 1]
-        am = mat_mul(a, m)
-        tr = sum((am[d][d] for d in range(n)), ZERO)
-        coeffs[n - k] = -tr / k
-    return coeffs
+            mr[d][d], mi[d][d] = mr[d][d] + cr, mi[d][d] + ci
+        out = []
+        for row in rows:
+            re, im = [0] * n, [0] * n
+            for j, xr, xi in row:
+                for c, (yr, yi) in enumerate(zip(mr[j], mi[j])):
+                    re[c] += xr * yr - xi * yi
+                    im[c] += xr * yi + xi * yr
+            out.append((re, im))
+        mr, mi = map(list, zip(*out))
+        coeffs[n - k] = (-sum(mr[d][d] for d in range(n)) // k, -sum(mi[d][d] for d in range(n)) // k)
+    return [_norm(re, im, den ** (n - k)) for k, (re, im) in enumerate(coeffs)]
 
 
 # Trial division of N(a₀) runs to its square root, so the root search in

@@ -442,9 +442,9 @@ _LITERALS = {
 def parse_morphism(text: str) -> WeylMorphism:
     """Parse a ';'-chain of named generators, composed left to right."""
     total = None
+    offset = 0  # of the piece in text, so that error positions index the chain
     for piece in text.split(";"):
-        piece = piece.strip()
-        if piece == "id":
+        if piece.strip() == "id":
             m = identity_morphism()
         else:
             head, sep, rest = piece.partition("(")
@@ -454,9 +454,13 @@ def parse_morphism(text: str) -> WeylMorphism:
             if not sep or not rest.rstrip().endswith(")"):
                 raise ExprSyntaxError(f"expected {name}(...)")
             body = rest.rstrip()[:-1]
-            args = [parse_scalar(chunk) for chunk in body.split(",")] if body.strip() else []
+            args, start = [], offset + len(head) + 1
+            for chunk in body.split(",") if body.strip() else []:
+                args.append(parse_scalar(text, start, start + len(chunk)))
+                start += len(chunk) + 1
             m = _LITERALS[name](args)
         total = m if total is None else compose(m, total)
+        offset += len(piece) + 1
     if total is None:
         raise ExprSyntaxError("empty morphism expression")
     return total

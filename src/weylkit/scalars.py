@@ -254,9 +254,9 @@ def format_scalar(s: Scalar) -> str:
 class _ScalarScanner:
     """A cursor over text; the element parser extends it with its own rules."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -321,10 +321,11 @@ class _ScalarScanner:
         return Scalar(first)
 
 
-def parse_scalar(text: str) -> Scalar:
-    sc = _ScalarScanner(text)
+def parse_scalar(text: str, start: int = 0, end: int | None = None) -> Scalar:
+    """The scalar literal text[start:end]; error positions index the whole text."""
+    sc = _ScalarScanner(text, start)
     value = sc.take_scalar()
     sc.skip_ws()
-    if sc.pos != len(text):
+    if sc.pos != (len(text) if end is None else end):
         raise ScalarSyntaxError("trailing input after scalar", sc.pos)
     return value

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .dixmier import eigenvectors_truncated
-from .elements import (ElementSpan, WeylElement, bracket, format_element,
-                       linear_combination, one, p, parse_element, q)
+from .elements import (ElementSpan, WeylElement, bracket, linear_combination, one, p,
+                       parse_element, q)
 from .errors import NonScalarCasimir, NotInvertible, RelationFailed
 from .morphisms import SL2Element, WeylMorphism, alpha1_hat, beta_hat
 from .scalars import Scalar

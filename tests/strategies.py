@@ -11,6 +11,11 @@ fraction_st = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                            max_denominator=6)
 scalar_st = st.builds(Scalar, fraction_st, fraction_st)
 nonzero_scalar_st = scalar_st.filter(bool)
+# 30-digit numerators over small shared or unrelated large denominators
+big_fraction_st = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                            st.one_of(st.sampled_from([1, 2, 3, 6, 35]),
+                                      st.integers(1, 10 ** 30)))
+big_scalar_st = st.builds(Scalar, big_fraction_st, st.one_of(st.just(0), big_fraction_st))
 
 
 def _assemble(terms) -> WeylElement:

@@ -50,6 +50,8 @@ def test_tracer_records_spans_and_restores_the_library():
     try:
         elements.bracket(p, q)
         linalg.kernel([{0: Scalar(1), 1: Scalar(2)}, {0: Scalar(2), 1: Scalar(4)}])
+        # bracket and kernel run on integers, so time one Scalar operation too
+        Scalar(1) / Scalar(3)
         totals, counters = tracer.take()
     finally:
         tracer.uninstall()

@@ -215,6 +215,28 @@ def test_apply_rejects_unknown_literal(capsys):
     assert code == 2 and "unknown morphism literal" in err
 
 
+@pytest.mark.parametrize("chain, position", [
+    ("phi(1,2); scale(x)", 16),
+    ("phi(1, 2) ;  scale( 1 ,  y)", 25),
+    (" phi(1, 2 x) ", 10),
+    ("id; translate(1, 2/0)", 20),
+])
+def test_apply_reports_argument_positions_in_the_whole_chain(capsys, chain, position):
+    code, out, err = run(capsys, "apply", chain, "p")
+    assert code == 2 and out == ""
+    assert err.endswith(f"(at position {position})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigvecs", "--degree", "61", "p*q", "2"),
+    ("s11", "--degree", "61", "exotic"),
+    ("eigvecs", "--degree", "10000000000", "p*q", "2"),
+], ids=" ".join)
+def test_degree_windows_past_the_budget_are_resource_bounds(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("bound hit:") and "1891" in err
+
+
 def test_expmap_verdicts(capsys):
     assert run(capsys, "expmap", "p^3")[0] == 0
     code, out, _ = run(capsys, "expmap", "--max-iter", "12", "p*q^2 + q")

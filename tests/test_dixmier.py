@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylkit import Scalar, bracket
+from weylkit import Scalar, bracket, dixmier
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated,
                              f_test, is_exponentiable, power_relation)
 from weylkit.elements import linear_span_dim, one, p, parse_element, q, zero
-from weylkit.errors import (DegreeTooHigh, NoProportionality,
-                            PreconditionFailed, ZeroElement)
+from weylkit.errors import BudgetExceeded, DegreeTooHigh, PreconditionFailed, ZeroElement
 from weylkit.morphisms import SL2Element, alpha1_hat, apply
+from weylkit.sl2orbits import f_I, s11_test
 
 from .strategies import scalar_st
 
@@ -88,6 +88,25 @@ def test_eigenvectors_satisfy_the_equation_exactly():
 
 def test_eigenvectors_empty_for_odd_weight_of_even_spectrum():
     assert eigenvectors_truncated(parse_element("2*p*q + 1"), 3, 7) == []
+
+
+def test_eigenvector_windows_past_the_budget_are_refused_before_any_column(monkeypatch):
+    class ColumnBuilt(Exception):
+        pass
+
+    def no_columns(*args):
+        raise ColumnBuilt
+
+    monkeypatch.setattr(dixmier, "_accumulate", no_columns)
+    x = parse_element("2*p*q + 1")
+    assert (60 + 1) * (60 + 2) // 2 == dixmier._WINDOW_BUDGET
+    with pytest.raises(ColumnBuilt):  # the largest accepted window
+        eigenvectors_truncated(x, 2, 60)
+    for degree in (61, 10 ** 12):
+        with pytest.raises(BudgetExceeded):
+            eigenvectors_truncated(x, 2, degree)
+        with pytest.raises(BudgetExceeded):
+            s11_test(f_I(), degree)
 
 
 def test_power_relation_basic():

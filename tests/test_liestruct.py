@@ -13,10 +13,9 @@ from weylkit.elements import (ElementSpan, WeylElement, one, p, parse_element,
                               q, zero)
 from weylkit.errors import (BadParams, DimensionExceeded, NotHomomorphism,
                             NotInjective, NotNilpotent, PreconditionFailed)
-from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, Realization,
-                               catalog, change_basis, filiform_normal_basis,
-                               invariants, lie_closure, normalize_tag,
-                               quotient_by_center, recognize,
+from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_basis,
+                               filiform_normal_basis, invariants, lie_closure,
+                               normalize_tag, quotient_by_center, recognize,
                                verify_realization, weight_spaces)
 from weylkit.morphisms import apply, compose, phi, phi_prime
 from weylkit.scalars import ONE, ZERO

@@ -4,19 +4,19 @@ from fractions import Fraction
 
 import random
 from collections import Counter
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weylkit import dixmier, liestruct, linalg
-from weylkit.elements import p, q
+from weylkit.elements import WeylElement, bracket, linear_span_dim, p, q
 from weylkit.errors import IrrationalSpectrum
-from weylkit.linalg import (Echelon, charpoly, eigen_decomposition, eigenvalues, kernel,
-                            mat_mul, rref)
+from weylkit.linalg import Echelon, charpoly, eigen_decomposition, eigenvalues, kernel, rref
 from weylkit.scalars import ONE, ZERO, Scalar
 
-from .strategies import scalar_st
+from .strategies import big_scalar_st, scalar_st
 
 
 def _mat(rows):
@@ -26,6 +26,10 @@ def _mat(rows):
 
 def _mat_vec(a, v):
     return [sum((x * v[k] for k, x in enumerate(row)), ZERO) for row in a]
+
+
+def _mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
 
 
 def _sparse(v):
@@ -146,7 +150,7 @@ def test_charpoly_is_multiplicative_on_determinant(a, b):
     # the constant coefficient of det(tI - ·) is det on even sizes
     det_a = charpoly(a)[0]
     det_b = charpoly(b)[0]
-    assert charpoly(mat_mul(a, b))[0] == det_a * det_b
+    assert charpoly(_mat_mul(a, b))[0] == det_a * det_b
 
 
 # -- rref against the dense elimination it replaced --------------------------------
@@ -264,7 +268,7 @@ def system_st(draw):
         r = draw(st.integers(1, 3))
         left = [[draw(sparse_scalar_st) for _ in range(r)] for _ in range(nrows)]
         right = [[draw(sparse_scalar_st) for _ in range(ncols)] for _ in range(r)]
-        a = mat_mul(left, right)
+        a = _mat_mul(left, right)
     if draw(st.booleans()):
         b = _mat_vec(a, [draw(sparse_scalar_st) for _ in range(ncols)])
     else:
@@ -290,8 +294,7 @@ def test_kernels_use_no_dense_routine(monkeypatch):
         raise AssertionError("a dense routine was called")
 
     for module in (linalg, liestruct, dixmier):
-        for name in ("rref", "mat_mul"):
-            monkeypatch.setattr(module, name, dense, raising=False)
+        monkeypatch.setattr(module, "rref", dense, raising=False)
     a = _mat([[1, 2, 3], [2, 4, 6]])
     assert len(_nullspace(a)) == 2
     assert _solve(a, [Scalar(1), Scalar(2)]) == [ONE, ZERO, ZERO]
@@ -301,15 +304,142 @@ def test_kernels_use_no_dense_routine(monkeypatch):
     chain = liestruct.filiform_normal_basis(liestruct.catalog(liestruct.CatalogTag("L", 5)).realization)
     assert len(chain) == 6
     assert len(dixmier.eigenvectors_truncated(p * q, 1, 4)) == 2
-    # charpoly's matrix products are the one dense step of an eigen-search;
-    # each eigenspace is read off the sparse columns of a - λI
-    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    # charpoly runs on Gaussian integers; each eigenspace is read off the
+    # sparse columns of a - λI
     b = _mat([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
     assert [(lam, len(vecs)) for lam, vecs in eigen_decomposition(b)] == [(Scalar(-1), 1),
                                                                           (Scalar(2), 1)]
     real = liestruct.catalog(liestruct.CatalogTag("Sl2")).realization
     spaces = liestruct.weight_spaces(real, real.algebra.labels.index("H"))
     assert sorted(len(v) for v in spaces.values()) == [1, 1, 1]
+
+
+# -- the Gaussian-integer engines against the Scalar code they replaced -------------
+
+
+def _echelon_kernel(columns):
+    """``kernel`` as it was built on ``Echelon`` insertion, frozen (reference)."""
+    span = Echelon()
+    basis = []
+    for j, col in enumerate(columns):
+        rem, used = span.reduce(col)
+        if span._append(rem, used) is None:
+            relation = {j: ONE}
+            for r, c in used.items():
+                linalg._subtract(relation, span._coords[r], c)
+            basis.append(relation)
+    return basis
+
+
+def _scalar_charpoly(a):
+    """``charpoly`` as it was: Faddeev–LeVerrier on Scalars, frozen (reference)."""
+    n = len(a)
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    am = [[ZERO] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [list(row) for row in am]
+        for d in range(n):
+            m[d][d] = m[d][d] + coeffs[n - k + 1]
+        am = _mat_mul(a, m)
+        tr = sum((am[d][d] for d in range(n)), ZERO)
+        coeffs[n - k] = -tr / k
+    return coeffs
+
+
+@st.composite
+def dense_columns_st(draw, nrows=None, ncols=None):
+    """Dense columns of 30-digit Gaussian rationals over mixed denominators, with
+    zero columns, duplicates, multiples and combinations of earlier columns."""
+    nrows = nrows or draw(st.integers(1, 5))
+    entry = st.one_of(st.just(ZERO), big_scalar_st)
+    columns = []
+    for _ in range(ncols or draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["fresh", "zero", "duplicate", "combination"]))
+        if kind == "zero":
+            col = [ZERO] * nrows
+        elif kind == "fresh" or not columns:
+            col = [draw(entry) for _ in range(nrows)]
+        elif kind == "duplicate":
+            col = list(draw(st.sampled_from(columns)))
+        else:
+            col = [ZERO] * nrows
+            for other in draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3)):
+                c = draw(st.one_of(big_scalar_st, scalar_st))
+                col = [x + c * y for x, y in zip(col, other)]
+        columns.append(col)
+    return columns
+
+
+def _cleared(col):
+    d = lcm(*(x.d for x in col.values()))
+    return {k: (x.a * (d // x.d), x.b * (d // x.d)) for k, x in col.items()}
+
+
+@given(dense_columns_st())
+def test_kernel_matches_the_echelon_kernel(columns):
+    sparse = [_sparse(col) for col in columns]
+    assert kernel(sparse) == _echelon_kernel(sparse)
+    # the integer relations have their content divided out
+    for _, coords in linalg._int_relations([_cleared(col) for col in sparse]):
+        assert gcd(*(t for pair in coords.values() for t in pair)) == 1
+
+
+def _domain_charpoly(a):
+    """Reference: sympy's DomainMatrix.charpoly over QQ_I, coefficients ascending."""
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(a)
+    dm = DomainMatrix([[QQ_I(QQ(x.re.numerator, x.re.denominator),
+                             QQ(x.im.numerator, x.im.denominator)) for x in row]
+                       for row in a], (n, n), QQ_I)
+    return [Scalar(Fraction(int(g.x.numerator), int(g.x.denominator)),
+                   Fraction(int(g.y.numerator), int(g.y.denominator)))
+            for g in reversed(dm.charpoly())]
+
+
+@st.composite
+def square_matrix_st(draw):
+    n = draw(st.integers(1, 5))
+    return [list(row) for row in zip(*draw(dense_columns_st(n, n)))]
+
+
+@given(square_matrix_st())
+def test_charpoly_matches_the_scalar_recursion_and_sympy(a):
+    assert charpoly(a) == _scalar_charpoly(a) == _domain_charpoly(a)
+
+
+def _bracket_eigenvectors(x, lam, max_degree):
+    """``eigenvectors_truncated`` as it was: the Scalar columns [x, m] − λm of
+    ``bracket`` fed to the frozen kernel (reference)."""
+    unknowns = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
+    columns = [(bracket(x, WeylElement.monomial(*m)) - WeylElement.monomial(*m).scale(lam)).terms
+               for m in unknowns]
+    return linear_span_dim([WeylElement({unknowns[j]: c for j, c in rel.items()})
+                            for rel in _echelon_kernel(columns)])[1]
+
+
+@st.composite
+def eigen_problem_st(draw):
+    """x = c·pq + e plus optional terms, and λ often c·k, where m = p^i q^j with
+    j − i = k gives a zero column; 30-digit numerators, mixed denominators."""
+    c = draw(big_scalar_st.filter(bool))
+    x = WeylElement({(1, 1): c, (0, 0): draw(big_scalar_st)})
+    for m in draw(st.lists(st.sampled_from([(1, 0), (0, 1), (2, 0), (0, 2), (1, 2), (2, 1)]),
+                           max_size=2, unique=True)):
+        x = x + WeylElement({m: draw(st.one_of(big_scalar_st, scalar_st))})
+    weight = st.integers(-3, 3).map(lambda k: c * k)
+    # c·k/r is a weight only if the denominator r is mishandled
+    off_weight = st.tuples(st.integers(-3, 3), st.integers(2, 4)).map(lambda kr: c * kr[0] / kr[1])
+    lam = draw(st.one_of(weight, weight, weight, off_weight, big_scalar_st, scalar_st))
+    return x, lam, draw(st.integers(0, 5))
+
+
+@given(eigen_problem_st())
+def test_eigenvectors_truncated_match_the_bracket_columns(problem):
+    x, lam, degree = problem
+    assert dixmier.eigenvectors_truncated(x, lam, degree) == _bracket_eigenvectors(x, lam, degree)
 
 
 # -- eigenvalues against sympy's factorisation over Q(i) ---------------------------
@@ -348,7 +478,7 @@ def _conjugate(a, moves):
     """u·a·u⁻¹ for u the product of the elementary Z[i] matrices I + g·e_rc."""
     n = len(a)
     for r, c, g in moves:
-        a = mat_mul(mat_mul(_elementary(n, r, c, g), a), _elementary(n, r, c, -g))
+        a = _mat_mul(_mat_mul(_elementary(n, r, c, g), a), _elementary(n, r, c, -g))
     return a
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weylkit import Scalar, WeylElement, bracket, parse_scalar
-from weylkit.elements import one, p, parse_element, q, zero
+from weylkit.elements import one, p, parse_element, q
 from weylkit.errors import (BadParams, ExprSyntaxError, IndexMismatch,
                             NotInvertible, NotLocallyNilpotent, NotUnimodular,
                             PreconditionFailed, ZeroScale)

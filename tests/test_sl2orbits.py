@@ -8,11 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weylkit import Scalar, bracket
-from weylkit.elements import one, p, parse_element, q, zero
+from weylkit.elements import one, p, parse_element, q
 from weylkit.errors import (NonScalarCasimir, NotInBorel, NotInvertible,
                             NotUnimodular, RelationFailed)
-from weylkit.morphisms import (apply, compose, invert, phi, phi_prime, scale,
-                               translation)
+from weylkit.morphisms import apply, compose, phi, phi_prime, scale, translation
 from weylkit.sl2orbits import (SL2Element, Sl2Realization, alpha1_hat, beta_hat,
                                casimir, exotic_g, exotic_report, f_I, f_II,
                                f_II_variant, group_act, isotropy_check,

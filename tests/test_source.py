@@ -20,6 +20,25 @@ def test_no_assert_in_the_library():
     assert not found, found
 
 
+def test_no_unused_import_in_the_library():
+    # a name brought in by `from … import` and never read is dead weight;
+    # re-exports are the names a module lists in __all__
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for name in (alias.asname or alias.name for alias in node.names)
+                   if name != "annotations" and name not in read | exported]
+    assert not unused, unused
+
+
 def test_every_export_is_bound():
     # a stale name in __all__ breaks `from weylkit.<module> import *`
     missing = []
