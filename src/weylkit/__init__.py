@@ -10,7 +10,7 @@ the sl(2) realisations and their orbit structure.
 from .scalars import Scalar, parse_scalar, format_scalar
 from .elements import (
     WeylElement, SymTensor, WeightComponent,
-    bracket, ad_pow, symmetrize, weight_decompose, wn_components,
+    bracket, anticommutator, ad_pow, symmetrize, weight_decompose, wn_components,
     linear_span_dim, parse_element, format_element,
 )
 
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Scalar", "parse_scalar", "format_scalar",
     "WeylElement", "SymTensor", "WeightComponent",
-    "bracket", "ad_pow", "symmetrize", "weight_decompose", "wn_components",
+    "bracket", "anticommutator", "ad_pow", "symmetrize", "weight_decompose", "wn_components",
     "linear_span_dim", "parse_element", "format_element",
     "__version__",
 ]

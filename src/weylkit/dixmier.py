@@ -119,7 +119,7 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     xs = [(m, re * lam.d, im * lam.d) for m, re, im in xs]
     columns = []
     for m in unknowns:
-        re_acc, im_acc = _accumulate(xs, [(m, 1, 0)], True)
+        re_acc, im_acc = _accumulate(xs, [(m, 1, 0)], -1)
         re_acc[m] = re_acc.get(m, 0) - lam.a * dx
         im_acc[m] = im_acc.get(m, 0) - lam.b * dx
         columns.append({k: v for k, re in re_acc.items() if (v := (re, im_acc.get(k, 0))) != (0, 0)})

@@ -8,11 +8,14 @@ form
 
     q^j p^k = sum_m (-1)^m C(j,m) C(k,m) m! p^{k-m} q^{j-m}.
 
-Products, brackets and ``linear_combination`` share one integer kernel:
-operands are cleared to Gaussian integers over a shared denominator (the
-content/primitive-part split), sums accumulate in place as plain ints, and
-each output coefficient is reduced once by ``_norm``.  A bracket sums its
-own closed form, not xy - yx.
+Products, brackets, anticommutators and ``linear_combination`` share one
+integer kernel: operands are cleared to Gaussian integers over a shared
+denominator (the content/primitive-part split), sums accumulate in place as
+plain ints, and each output coefficient is reduced once by ``_norm``.  Each
+term pair walks one swap row.  Since p^a q^b · p^c q^d and p^c q^d · p^a q^b
+put swap term m on the same monomial, x·y + sign·y·x has one signed row per
+pair: sign 0 is the product x·y, sign -1 the bracket [x, y] (whose m = 0
+terms cancel) and sign +1 the anticommutator xy + yx.
 
 Also here: the symmetrisation map onto the grading subspaces W_n (the image
 of the n-th symmetric power of span{p, q}), the decomposition of an element
@@ -36,8 +39,9 @@ from .scalars import ONE, ZERO, Scalar, _norm, _ScalarScanner, as_scalar, format
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
-    "bracket", "ad_pow", "linear_combination", "symmetrize", "weight_decompose",
-    "wn_components", "linear_span_dim", "coordinates", "parse_element", "format_element",
+    "bracket", "anticommutator", "ad_pow", "linear_combination", "symmetrize",
+    "weight_decompose", "wn_components", "linear_span_dim", "coordinates", "parse_element",
+    "format_element",
     "p", "q", "one", "zero",
 ]
 
@@ -58,10 +62,28 @@ def _wrap(terms: dict) -> "WeylElement":
 
 
 @lru_cache(maxsize=None)
-def _swap_row(j: int, k: int, start: int) -> tuple:
-    """The pairs (m, (-1)^m C(j,m) C(k,m) m!) for m = start..min(j, k)."""
+def _swap_row(j: int, k: int) -> tuple:
+    """The pairs (m, (-1)^m C(j,m) C(k,m) m!) for m = 0..min(j, k)."""
     return tuple((m, (-1) ** m * math.comb(j, m) * math.comb(k, m) * math.factorial(m))
-                 for m in range(start, min(j, k) + 1))
+                 for m in range(min(j, k) + 1))
+
+
+_SIGNED_ROWS: dict = {}
+
+
+def _signed_row(b: int, c: int, d: int, a: int, sign: int) -> tuple:
+    """The nonzero pairs (m, k) of the (b, c) swap row plus sign × the (d, a) row.
+
+    Both rows open with 1 at m = 0, so a commutator row (sign -1) starts at m = 1.
+    """
+    key = (b, c, d, a, sign)
+    row = _SIGNED_ROWS.get(key)
+    if row is None:
+        ks = dict(_swap_row(b, c))
+        for m, k in _swap_row(d, a):
+            ks[m] = ks.get(m, 0) + sign * k
+        row = _SIGNED_ROWS[key] = tuple((m, k) for m, k in ks.items() if k)
+    return row
 
 
 def _cleared(terms: dict) -> tuple[list, int]:
@@ -83,21 +105,16 @@ def _collect(re_acc: dict, im_acc: dict, den: int) -> dict:
     return out
 
 
-def _kernel(x_terms: dict, y_terms: dict, commutator: bool) -> dict:
-    """The terms of x·y, or of [x, y] when ``commutator``, over D_x·D_y."""
+def _kernel(x_terms: dict, y_terms: dict, sign: int) -> dict:
+    """The terms of x·y + sign·y·x (sign 0: x·y alone) over D_x·D_y."""
     xs, dx = _cleared(x_terms)
     ys, dy = _cleared(y_terms)
-    return _collect(*_accumulate(xs, ys, commutator), dx * dy)
+    return _collect(*_accumulate(xs, ys, sign), dx * dy)
 
 
-def _accumulate(xs: list, ys: list, commutator: bool) -> tuple[dict, dict]:
+def _accumulate(xs: list, ys: list, sign: int) -> tuple[dict, dict]:
     """The integer sums (real, imaginary; keys of the second within the first)
-    of x·y, or of [x, y] when ``commutator``, over cleared triples.
-
-    p^a q^b · p^c q^d and p^c q^d · p^a q^b put swap term m on the same
-    monomial p^{a+c-m} q^{b+d-m}, and their m = 0 terms are equal, so a
-    commutator sums the rows of (b, c) minus (d, a) from m = 1.
-    """
+    of x·y + sign·y·x over cleared triples; sign 0 is x·y alone."""
     re_acc: dict = {}
     im_acc: dict = {}
     for (a, b), xr, xi in xs:
@@ -105,16 +122,16 @@ def _accumulate(xs: list, ys: list, commutator: bool) -> tuple[dict, dict]:
             re = xr * yr - xi * yi
             im = xr * yi + xi * yr
             i, j = a + c, b + d
-            if commutator:
-                rows = ((_swap_row(b, c, 1), re, im), (_swap_row(d, a, 1), -re, -im))
-            else:
-                rows = ((_swap_row(b, c, 0), re, im),)
-            for row, r, s in rows:
+            row = _signed_row(b, c, d, a, sign) if sign else _swap_row(b, c)
+            if im:
                 for m, k in row:
                     key = (i - m, j - m)
-                    re_acc[key] = re_acc.get(key, 0) + r * k
-                    if s:
-                        im_acc[key] = im_acc.get(key, 0) + s * k
+                    re_acc[key] = re_acc.get(key, 0) + re * k
+                    im_acc[key] = im_acc.get(key, 0) + im * k
+            else:
+                for m, k in row:
+                    key = (i - m, j - m)
+                    re_acc[key] = re_acc.get(key, 0) + re * k
     return re_acc, im_acc
 
 
@@ -242,7 +259,7 @@ class WeylElement:
             return self.scale(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return _wrap(_kernel(self.terms, other.terms, False))
+        return _wrap(_kernel(self.terms, other.terms, 0))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -294,8 +311,13 @@ zero = WeylElement({})
 
 
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """The commutator xy - yx, from its own closed form (see ``_kernel``)."""
-    return _wrap(_kernel(x.terms, y.terms, True))
+    """The commutator xy - yx, one signed swap row per term pair."""
+    return _wrap(_kernel(x.terms, y.terms, -1))
+
+
+def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
+    """xy + yx, one signed swap row per term pair."""
+    return _wrap(_kernel(x.terms, y.terms, 1))
 
 
 def ad_pow(x: WeylElement, y: WeylElement, n: int) -> WeylElement:

@@ -401,8 +401,8 @@ def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
         ad_d = [algebra.sparse_bracket(d, {l: ONE}) for l in range(n)]
         # K(d, e_i) = tr(ad d · ad e_i) = Σ_{k,l} [d, e_l]_k · c^l_{ik}
         rows.append({i: s for i in range(n)
-                     if (s := sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
-                                   for k, x in col.items()), ZERO))})
+                     if (s := sum((x * c for l, col in enumerate(ad_d) for k, x in col.items()
+                                   if (c := br(i, k).get(l))), ZERO))})
     return n - Echelon(rows).dim
 
 

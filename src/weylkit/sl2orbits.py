@@ -5,8 +5,8 @@ H = pq - 1/2) and the one-parameter family X = (b+pq)q, Y = -p, H = 2pq+b,
 together with a variant obtained by swapping the roles of the generators.
 On top of them:
 
-* the Casimir scalar of a triplet, h²/2 + xy + yx evaluated by multiplying
-  its images, an orbit invariant;
+* the Casimir scalar of a triplet, h²/2 + xy + yx evaluated on its images
+  (H·H and the anticommutator XY + YX), an orbit invariant;
 * the two-sided group action (α, g)·f = α ∘ f ∘ Ad(g)⁻¹ with the adjoint
   matrices written out over the basis (e₊, e₋, e₀);
 * a pointwise isotropy check, for the isotropy morphisms α̂₁ and β̂ of both
@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .dixmier import eigenvectors_truncated
-from .elements import (ElementSpan, WeylElement, bracket, linear_combination, one, p,
-                       parse_element, q)
+from .elements import (ElementSpan, WeylElement, anticommutator, bracket, linear_combination,
+                       one, p, parse_element, q)
 from .errors import NonScalarCasimir, NotInvertible, RelationFailed
 from .morphisms import SL2Element, WeylMorphism, alpha1_hat, beta_hat
 from .scalars import Scalar
@@ -80,10 +80,12 @@ def f_II_variant(b) -> Sl2Realization:
 
 
 def casimir(r: Sl2Realization) -> Scalar:
-    """The scalar the Casimir h²/2 + xy + yx maps to, an orbit invariant; all
-    three products are formed, since H²/2 + H + 2YX equals it only where the
+    """The scalar the Casimir h²/2 + xy + yx maps to, an orbit invariant.
+
+    XY + YX is formed as one anticommutator, which equals X·Y + Y·X for any
+    X, Y; the shortcut H²/2 + H + 2YX equals the Casimir only where the
     relations hold, and the check below is for inputs where they do not."""
-    v = linear_combination(((Fraction(1, 2), r.H * r.H), (1, r.X * r.Y), (1, r.Y * r.X)))
+    v = linear_combination(((Fraction(1, 2), r.H * r.H), (1, anticommutator(r.X, r.Y))))
     if not v.is_scalar():
         raise NonScalarCasimir(
             "the Casimir image is not scalar; the input is not a triplet")
@@ -127,8 +129,8 @@ def exotic_g() -> Sl2Realization:
     substitution keeps the sl(2) relations in U(sl(2)), so it is a triplet."""
     x, y, h = f_II(1)
     xx = x * x
-    return Sl2Realization(x, linear_combination(((1, y), (1, h * x), (1, x * h), (-4, xx * x))),
-                          linear_combination(((1, h), (-4, xx))))
+    y = linear_combination(((1, y), (1, anticommutator(h, x)), (-4, xx * x)))
+    return Sl2Realization(x, y, linear_combination(((1, h), (-4, xx))))
 
 
 class ExoticReport(NamedTuple):

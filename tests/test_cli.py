@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import weylkit
-from weylkit import Scalar, WeylElement
+from weylkit import Scalar, WeylElement, elements
 from weylkit.cli import main
 from weylkit.elements import format_element, parse_element, zero
 
@@ -332,6 +332,24 @@ def test_integers_too_long_to_print_are_a_resource_bound(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("bound hit:") and "4300 digits" in err
+
+
+def test_products_past_the_budget_are_refused_before_any_kernel_work(capsys, monkeypatch):
+    class KernelRan(Exception):
+        pass
+
+    def no_kernel(*args):
+        raise KernelRan
+
+    monkeypatch.setattr(elements, "_accumulate", no_kernel)
+    for command in ("mul", "bracket"):
+        with pytest.raises(KernelRan):  # the largest accepted product
+            run(capsys, command, "q^2400", "p^2400")
+        for a, b in (("q^2400", "p^2401"), ("q^3600", "p^3600"), ("q^20000", "p^20000"),
+                     ("q^2400 + q^2399", "p^2400")):
+            code, out, err = run(capsys, command, a, b)
+            assert code == 3 and out == ""
+            assert err.startswith("bound hit:") and "product budget" in err
 
 
 _NO_SYMPY_CHECK = """

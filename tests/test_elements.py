@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 
 import weylkit
 from weylkit import Scalar, WeylElement, bracket, ad_pow, symmetrize
-from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, coordinates,
-                              format_element, linear_combination, linear_span_dim, one,
-                              parse_element, p, q, weight_decompose,
-                              wn_components, zero)
+from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, _signed_row,
+                              _swap_row, anticommutator, coordinates, format_element,
+                              linear_combination, linear_span_dim, one, parse_element, p, q,
+                              weight_decompose, wn_components, zero)
 from weylkit.errors import ExprSyntaxError
 from weylkit.morphisms import phi
 from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II
 
 from .oracles import oracle_product, swap_product
-from .strategies import big_scalar_st, element_st, scalar_st
+from .strategies import big_fraction_st, big_scalar_st, element_st, scalar_st
 
 
 def _monomial_product(i: int, j: int, k: int, l: int) -> WeylElement:
@@ -356,18 +356,31 @@ def _reference_product(x: WeylElement, y: WeylElement) -> WeylElement:
 
 
 kernel_scalar_st = big_scalar_st.filter(bool)
-kernel_element_st = st.one_of(
-    st.just(zero),
-    kernel_scalar_st.map(lambda c: WeylElement({(0, 0): c})),
-    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), kernel_scalar_st,
-                    max_size=4).map(WeylElement))
+real_kernel_scalar_st = big_fraction_st.filter(bool).map(Scalar)
+
+
+def kernel_element_st(coeff_st):
+    return st.one_of(
+        st.just(zero),
+        coeff_st.map(lambda c: WeylElement({(0, 0): c})),
+        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), coeff_st,
+                        max_size=4).map(WeylElement))
+
+
+# real-only and complex operands, so each of xi, yi may be zero alone
+any_kernel_element_st = st.one_of(kernel_element_st(real_kernel_scalar_st),
+                                  kernel_element_st(kernel_scalar_st))
 
 
 @st.composite
 def kernel_pair_st(draw):
-    """Two operands; the second often commutes with the first, so the bracket cancels."""
-    x = draw(kernel_element_st)
-    y = draw(st.one_of(kernel_element_st, st.just(x),
+    """Two operands; the second often commutes with the first, so the bracket
+    cancels, or is mirrored: on x's monomials, so each pair p^a q^b, p^a q^b
+    has (b, c) = (d, a) and its commutator row cancels whole."""
+    x = draw(any_kernel_element_st)
+    mirrored = st.lists(kernel_scalar_st, min_size=len(x.terms), max_size=len(x.terms)).map(
+        lambda cs: WeylElement(dict(zip(x.terms, cs))))
+    y = draw(st.one_of(any_kernel_element_st, st.just(x), mirrored,
                        kernel_scalar_st.map(x.scale), st.just(x * x + p * q)))
     return x, y
 
@@ -380,21 +393,35 @@ def _assert_canonical(x: WeylElement):
 @given(kernel_pair_st())
 def test_kernel_matches_the_scalar_loop(pair):
     x, y = pair
-    prod, rev, br = x * y, y * x, bracket(x, y)
-    assert prod == _reference_product(x, y)
-    assert rev == _reference_product(y, x)
-    assert br == _reference_product(x, y) - _reference_product(y, x)
-    for value in (prod, rev, br):
+    prod, rev, br, anti = x * y, y * x, bracket(x, y), anticommutator(x, y)
+    xy, yx = _reference_product(x, y), _reference_product(y, x)
+    assert prod == xy
+    assert rev == yx
+    assert br == xy - yx
+    assert anti == xy + yx
+    for value in (prod, rev, br, anti):
         _assert_canonical(value)
 
 
-@given(kernel_element_st, kernel_scalar_st)
+def test_signed_rows_are_the_termwise_sum_and_difference_of_swap_rows():
+    for b, c, d, a in itertools.product(range(7), repeat=4):
+        first, second = dict(_swap_row(b, c)), dict(_swap_row(d, a))
+        for sign in (1, -1):
+            want = [(m, k) for m in range(max(min(b, c), min(d, a)) + 1)
+                    if (k := first.get(m, 0) + sign * second.get(m, 0))]
+            assert list(_signed_row(b, c, d, a, sign)) == want
+        # the m = 0 terms of a commutator cancel, and a mirrored pair cancels whole
+        assert all(m for m, _ in _signed_row(b, c, d, a, -1))
+        assert (b, c) != (d, a) or not _signed_row(b, c, d, a, -1)
+
+
+@given(any_kernel_element_st, kernel_scalar_st)
 def test_kernel_with_a_scalar_operand(x, c):
     assert x * c == c * x == _reference_product(x, WeylElement({(0, 0): c}))
     assert bracket(x, WeylElement({(0, 0): c})).is_zero()
 
 
-@given(st.lists(st.tuples(st.one_of(st.just(0), kernel_scalar_st), kernel_element_st),
+@given(st.lists(st.tuples(st.one_of(st.just(0), kernel_scalar_st), any_kernel_element_st),
                 max_size=5))
 def test_linear_combination_matches_repeated_addition(pairs):
     got = linear_combination(pairs)

@@ -17,6 +17,7 @@ from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_bas
                                filiform_normal_basis, invariants, lie_closure,
                                normalize_tag, quotient_by_center, recognize,
                                verify_realization, weight_spaces)
+from weylkit.linalg import Echelon
 from weylkit.morphisms import apply, compose, phi, phi_prime
 from weylkit.scalars import ONE, ZERO
 
@@ -418,6 +419,43 @@ def test_recognize_near_misses_of_sl2_semidirect_h3_are_unknown(name):
     dim, c = NEAR_MISSES[name]
     algebra = LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c)
     assert recognize(algebra) == CatalogTag("Unknown")
+
+
+def _full_sum_radical(algebra, derived_rows) -> int:
+    """The radical dimension with every structure constant in the Killing sum,
+    absent ones as ZERO, as computed before the sparse sum, frozen."""
+    n, br = algebra.dim, algebra.basis_bracket
+    rows = []
+    for d in derived_rows:
+        ad_d = [algebra.sparse_bracket(d, {l: ONE}) for l in range(n)]
+        rows.append({i: s for i in range(n)
+                     if (s := sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
+                                   for k, x in col.items()), ZERO))})
+    return n - Echelon(rows).dim
+
+
+def test_radical_sums_only_the_present_structure_constants():
+    rng = random.Random(11)
+    algebras = [catalog(CatalogTag(kind)).algebra
+                for kind in ("Sl2", "Sl2xC", "Sl2SemidirectC2", "Sl2SemidirectH3")]
+    algebras += [LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c)
+                 for dim, c in NEAR_MISSES.values()]
+    for algebra in list(algebras):
+        n = algebra.dim
+        while True:
+            try:
+                algebras.append(change_basis(algebra, [[S(rng.randint(-2, 2)) for _ in range(n)]
+                                                       for _ in range(n)]))
+                break
+            except BadParams:
+                continue
+    radicals = []
+    for algebra in algebras:
+        n = algebra.dim
+        derived = Echelon(algebra.basis_bracket(i, j) for i in range(n) for j in range(n)).rows
+        radicals.append(liestruct._radical(algebra, derived))
+        assert radicals[-1] == _full_sum_radical(algebra, derived)
+    assert radicals[:4] == [0, 1, 2, 3]
 
 
 # -- filiform chains ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weylkit import Scalar, bracket
-from weylkit.elements import one, p, parse_element, q
+from weylkit.elements import linear_combination, one, p, parse_element, q
 from weylkit.errors import (NonScalarCasimir, NotInBorel, NotInvertible,
                             NotUnimodular, RelationFailed)
 from weylkit.morphisms import apply, compose, phi, phi_prime, scale, translation
@@ -17,7 +17,7 @@ from weylkit.sl2orbits import (SL2Element, Sl2Realization, alpha1_hat, beta_hat,
                                f_II_variant, group_act, isotropy_check,
                                s11_test, triplet_check)
 
-from .strategies import nonzero_scalar_st, scalar_st
+from .strategies import element_st, nonzero_scalar_st, scalar_st
 
 S = Scalar
 
@@ -88,6 +88,35 @@ def test_casimir_of_a_non_triplet_is_refused():
     # H²/2 + XY + YX with X = p, Y = q, H = pq is not scalar
     with pytest.raises(NonScalarCasimir):
         casimir(Sl2Realization(p, q, p * q))
+
+
+def _three_product_casimir(r: Sl2Realization) -> Scalar:
+    """The Casimir from the products H·H, X·Y and Y·X, as formed before the
+    anticommutator, frozen."""
+    v = linear_combination(((Fraction(1, 2), r.H * r.H), (1, r.X * r.Y), (1, r.Y * r.X)))
+    if not v.is_scalar():
+        raise NonScalarCasimir("the Casimir image is not scalar")
+    return v.constant_term()
+
+
+casimir_input_st = st.one_of(
+    st.builds(f_II, scalar_st), st.builds(f_II_variant, scalar_st), st.just(f_I()),
+    # not triplets: mostly a non-scalar image, a scalar one when all three are scalars
+    st.builds(Sl2Realization, element_st(), element_st(), element_st()),
+    st.builds(Sl2Realization, element_st(0), element_st(0), element_st(0)),
+    st.builds(lambda r, c: Sl2Realization(r.X, r.Y, r.H + c), st.builds(f_II, scalar_st),
+              scalar_st))
+
+
+@given(casimir_input_st)
+def test_casimir_matches_the_three_product_form(r):
+    try:
+        want = _three_product_casimir(r)
+    except NonScalarCasimir:
+        with pytest.raises(NonScalarCasimir):
+            casimir(r)
+    else:
+        assert casimir(r) == want
 
 
 def test_casimir_is_an_orbit_invariant():

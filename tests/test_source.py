@@ -7,6 +7,7 @@ from pathlib import Path
 import weylkit
 
 SOURCES = sorted(Path(weylkit.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_no_assert_in_the_library():
@@ -22,9 +23,11 @@ def test_no_assert_in_the_library():
 
 def test_no_unused_import_in_the_library():
     # a name brought in by `from … import` and never read is dead weight;
-    # re-exports are the names a module lists in __all__
+    # re-exports are the names a module lists in __all__; the tests are held
+    # to the same rule
     unused = []
-    for path in SOURCES:
+    assert TESTS
+    for path in SOURCES + TESTS:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
