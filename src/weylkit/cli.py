@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
                       is_exponentiable, power_relation)
-from .elements import WeylElement, bracket, format_element, parse_element
+from .elements import WeylElement, _check_product, bracket, format_element, parse_element
 from .errors import (BudgetExceeded, DimensionExceeded, ExprSyntaxError,
                      IrrationalSpectrum, NoProportionality, NonScalarCasimir,
                      NotDiagonalisable, NotInA1Form, NotLocallyNilpotent,
@@ -89,20 +89,10 @@ def _parse_realization(texts: list[str]) -> Sl2Realization:
 # -- element arithmetic --------------------------------------------------------------
 
 
-# swap-row entries times (output degree + 1); the largest accepted product,
-# q^2400·p^2400, takes 1–1.6 s on a 2-vCPU x86 host with Python 3.11
-_PRODUCT_BUDGET = 2401 * 4801
-
-
 def _operands(args, commutator: bool) -> tuple[WeylElement, WeylElement]:
-    """The two elements, refused before any product work when the swap-row
-    entries of their term pairs times the output degree pass the budget."""
+    """The two elements, refused before any product work past the product budget."""
     x, y = parse_element(args.a), parse_element(args.b)
-    entries = sum(max(min(b, c), min(d, a) if commutator else 0) + 1
-                  for a, b in x.terms for c, d in y.terms)
-    if entries * (x.degree() + y.degree() + 1) > _PRODUCT_BUDGET:
-        raise BudgetExceeded(f"{entries} swap terms up to degree {x.degree() + y.degree()} "
-                             f"pass the product budget of {_PRODUCT_BUDGET}")
+    _check_product(x, y, commutator)
     return x, y
 
 

@@ -11,7 +11,7 @@ reach, so this module provides exactly what is decidable:
 * a certified semi-decision for everything else, by watching whether the
   iterated ad-orbit of probe elements spans a finite-dimensional space;
 * exact eigenvector searches [x, v] = λv in a bounded truncated degree window,
-  on Gaussian-integer columns reduced by the engine behind ``linalg.kernel``; and
+  by ``linalg.integer_kernel`` on the bracket columns; and
 * the commuting-eigenvector power relation X₁^{|λ₂|} = a·X₂^{|λ₁|}.
 """
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .elements import (ElementSpan, WeylElement, _accumulate, _cleared, _term_order, bracket,
-                       coordinates, linear_span_dim, p, q, wn_components, zero)
+                       coordinates, p, q, wn_components, zero)
 from .errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
                      PreconditionFailed, ZeroElement)
-from .linalg import _int_relations
-from .scalars import ZERO, Scalar, _mk, as_scalar
+from .linalg import integer_kernel
+from .scalars import ZERO, Scalar, as_scalar
 
 __all__ = [
     "DixmierClass", "classify_low_degree",
@@ -112,9 +112,12 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     if (max_degree + 1) * (max_degree + 2) // 2 > _WINDOW_BUDGET:
         raise BudgetExceeded(f"degree {max_degree} has over {_WINDOW_BUDGET} unknowns")
     lam = as_scalar(lam)
+    # in reverse printing order each relation is e_j minus independent columns
+    # only, so, reversed, the relations are already the canonical echelon basis
     unknowns = sorted(((i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)),
-                      key=_term_order)
-    # the columns D·([x, m] − λm) as Gaussian integers, D = D_x·λ.d
+                      key=_term_order, reverse=True)
+    # the columns D·([x, m] − λm) over Z[i], D = D_x·λ.d, keyed so that each
+    # pivot is a column's top-degree term
     xs, dx = _cleared(x.terms)
     xs = [(m, re * lam.d, im * lam.d) for m, re, im in xs]
     columns = []
@@ -122,10 +125,10 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
         re_acc, im_acc = _accumulate(xs, [(m, 1, 0)], -1)
         re_acc[m] = re_acc.get(m, 0) - lam.a * dx
         im_acc[m] = im_acc.get(m, 0) - lam.b * dx
-        columns.append({k: v for k, re in re_acc.items() if (v := (re, im_acc.get(k, 0))) != (0, 0)})
-    # each integer relation is a multiple of a kernel vector; the span is canonicalised
-    return linear_span_dim([WeylElement({unknowns[g]: _mk(a, b, 1) for g, (a, b) in c.items()})
-                            for _, c in _int_relations(columns)])[1]
+        columns.append({_term_order(k): (re, im) for k, re in re_acc.items()
+                        if (im := im_acc.get(k, 0)) or re})
+    return [WeylElement({unknowns[g]: c for g, c in relation.items()})
+            for relation in reversed(integer_kernel(columns))]
 
 
 class ExponentiabilityReport(NamedTuple):

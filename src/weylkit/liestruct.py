@@ -26,7 +26,7 @@ from .elements import ElementSpan, WeylElement, ad_pow, bracket, linear_combinat
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
-from .linalg import Echelon, _subtract, eigen_decomposition, kernel
+from .linalg import Echelon, eigen_decomposition, kernel
 from .scalars import ONE, ZERO, Scalar
 from .sl2orbits import f_I
 
@@ -412,12 +412,9 @@ def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:
     ad(u) restricted to derived_rows, for u in rows."""
     columns = [{(r, k): s for r, d in enumerate(derived_rows)
                 for k, s in algebra.sparse_bracket(u, d).items()} for u in rows]
-    centraliser = []
-    for relation in kernel(columns):
-        u: dict = {}
-        for i, c in relation.items():
-            _subtract(u, rows[i], -c)
-        centraliser.append(u)
+    centraliser = [{k: x for k in {k for i in rel for k in rows[i]}
+                    if (x := sum((c * rows[i].get(k, ZERO) for i, c in rel.items()), ZERO))}
+                   for rel in kernel(columns)]
     return len(centraliser) == len(rows) - 1 and not any(
         algebra.sparse_bracket(u, v) for u, v in combinations(centraliser, 2))
 

@@ -1,18 +1,23 @@
 """Exact linear algebra over the Gaussian-rational scalars.
 
-Row reductions over Scalars go through one sparse engine, ``Echelon``: rows
-are dicts from hashable columns to nonzero Scalars, each row's pivot is its
-least column under a sort key, and rows carry their coordinates over the
-inserted generators, so ``Echelon.express`` solves a linear system.  ``rref``
-remains, over the same engine, for the baseline script
-``perfbench/baseline.py``.  ``kernel`` and ``charpoly`` run on Gaussian
-integers and build Scalars only for their results: ``kernel`` clears each
-column over its own denominator and eliminates fraction-free, ``charpoly``
-runs Faddeev–LeVerrier on L·a, L the lcm of the entry denominators.
-Eigenvalues come from det(tI - D·a), monic over Z[i] for the least such D,
-so its Q(i)-roots are Gaussian integers dividing its lowest nonzero
-coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the divisors are
-enumerated by trial division and tested by exact Horner deflation, which
+Every elimination runs on one sparse engine, ``Echelon``.  Rows are dicts
+from hashable columns to Scalars, and a row's pivot is its least column
+under a sort key.  Each Scalar row enters once, cleared over the lcm of its
+denominators, and is top-reduced fraction-free over Z[i] (Bareiss) by
+v ← p·v − c·row, p the pivot value of the stored row.  The multiples
+subtracted and the scale of v follow each step, and the joint integer
+content of all three is divided out.  A row is stored as that reduction
+left it, so an append costs no division.  Scalars are built only at the
+edge: the rows with pivot one, on first use, and the coordinates returned.
+Each row keeps its own reduction, so ``express`` solves a linear system by
+back-substitution, and ``kernel`` (Scalar columns) and ``integer_kernel``
+(Z[i] columns) read each relation off that reduction.  ``rref`` remains, on
+the same engine, for the baseline script ``perfbench/baseline.py``.
+``charpoly`` runs Faddeev–LeVerrier on L·a over Z[i], L the lcm of the entry
+denominators.  Eigenvalues come from det(tI - D·a), monic over Z[i] for the
+least such D, so its Q(i)-roots are Gaussian integers dividing its lowest
+nonzero coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the divisors
+are enumerated by trial division and tested by exact Horner deflation, which
 makes the search complete without sympy; only above the budget is the
 polynomial factorised over Q(i) by sympy, imported then.  A factor of
 degree two or more with no root means the spectrum leaves Q(i), and is
@@ -27,10 +32,11 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import IrrationalSpectrum
-from .scalars import ZERO, Scalar, _norm
+from .scalars import ONE, ZERO, Scalar, _norm
 
 __all__ = [
-    "Echelon", "rref", "kernel", "charpoly", "eigenvalues", "eigen_decomposition",
+    "Echelon", "rref", "kernel", "integer_kernel", "charpoly", "eigenvalues",
+    "eigen_decomposition",
 ]
 
 Matrix = list[list[Scalar]]
@@ -42,104 +48,148 @@ class Echelon:
 
     Built from an iterable of rows, inserted in order.  Rows are dicts
     {column: nonzero Scalar}; a row's pivot is its least column under ``key``
-    (the column itself by default).  Stored rows keep insertion
-    order, with distinct pivots of coefficient one.  ``reduce`` eliminates
-    only while the leading column is a pivot, which decides membership.  Each
-    row also carries its expression over the inserted generators (generator
-    index -> Scalar), for ``express``.
+    (the column itself by default).  ``rows`` keeps the stored rows in
+    insertion order, with distinct pivots of coefficient one; reduction
+    eliminates only while the leading column is a pivot, which decides
+    membership.  Generators are counted in insertion order, whether or not
+    they add a row, for ``express``.
     """
 
     def __init__(self, rows: Iterable[dict] = (), key=None):
         self.key = key
-        self.rows: list[dict] = []
         self.pivots: list = []
-        self._row_of: dict = {}  # pivot column -> row index
-        self._coords: list[dict] = []
         self.ngens = 0
+        self._row_of: dict = {}  # pivot column -> row index
+        self._ints: list[dict] = []  # the stored rows over Z[i]
+        self._history: list[tuple] = []  # (generator g, s, used): s·x_g = row + Σ used[r]·row r
+        self._rows: list[dict] = []  # the Scalar rows built so far
         for row in rows:
             self.insert(row)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._ints)
 
-    def reduce(self, v: dict):
-        """Top-reduce v; returns (remainder, {row index: multiple subtracted})."""
-        v = dict(v)
-        used: dict[int, Scalar] = {}
-        while v:
-            lead = min(v, key=self.key)
-            r = self._row_of.get(lead)
-            if r is None:
-                break
-            c = v[lead]
-            _subtract(v, self.rows[r], c)
-            used[r] = c
-        return v, used
+    @property
+    def rows(self) -> list[dict]:
+        """The stored rows as Scalars with pivot one, each built on first use."""
+        for r in range(len(self._rows), len(self._ints)):
+            row, p = self._ints[r], self._ints[r][self.pivots[r]]
+            self._rows.append({col: _quotient(x, p) for col, x in row.items()})
+        return self._rows
+
+    def _reduce(self, v: dict):
+        """``_eliminate`` on v cleared over the lcm of its denominators."""
+        den = lcm(*{x.d for x in v.values()})
+        return self._eliminate(_clear(v, den), (den, 0))
+
+    def _eliminate(self, w: dict, s: tuple[int, int]):
+        """(rem, used, s, pivot) over Z[i] with s·v = rem + Σ used[r]·row r for
+        v = w/s, rem top-reduced with leading column pivot; the joint content of
+        rem, used and s is one."""
+        used: dict = {}
+        sr, si = s
+        while w and (r := self._row_of.get(lead := min(w, key=self.key))) is not None:
+            row = self._ints[r]
+            (pr, pi), (cr, ci) = row[lead], w[lead]
+            if pi or pr != 1:
+                for t in (w, used):
+                    for k, (a, b) in t.items():
+                        t[k] = (pr * a - pi * b, pr * b + pi * a)
+                sr, si = pr * sr - pi * si, pr * si + pi * sr
+            used[r] = (cr, ci)
+            for k, (a, b) in row.items():
+                x, y = w.get(k, (0, 0))
+                x, y = x - cr * a + ci * b, y - cr * b - ci * a
+                if x or y:
+                    w[k] = (x, y)
+                else:
+                    del w[k]
+            g = gcd(sr, si)
+            for a, b in chain(w.values(), used.values()):
+                if (g := gcd(g, a, b)) == 1:
+                    break
+            else:
+                sr, si = sr // g, si // g
+                for t in (w, used):
+                    for k, (a, b) in t.items():
+                        t[k] = (a // g, b // g)
+        return w, used, (sr, si), lead if w else None
+
+    def _append(self, rem: dict, used: dict, s, pivot) -> bool:
+        """Count a generator from its reduction; whether rem, nonzero, became a row."""
+        self.ngens += 1
+        if not rem:
+            return False
+        self._row_of[pivot] = len(self._ints)
+        self._ints.append(rem)
+        self._history.append((self.ngens - 1, s, used))
+        self.pivots.append(pivot)
+        return True
 
     def insert(self, v: dict) -> Optional[dict]:
         """Add a generator; returns its new row, or None if v is in the span."""
-        return self._append(*self.reduce(v))
+        return self.rows[-1] if self._append(*self._reduce(v)) else None
 
-    def _append(self, rem: dict, used: dict) -> Optional[dict]:
-        """Record a generator from its reduction; a new row unless rem is zero."""
-        gen = self.ngens
-        self.ngens += 1
-        if not rem:
-            return None
-        pivot = min(rem, key=self.key)
-        inv = rem[pivot].inverse()
-        row = {col: x * inv for col, x in rem.items()}
-        coords = {gen: inv}
-        for r, c in used.items():
-            _subtract(coords, self._coords[r], c * inv)
-        self._coords.append(coords)
-        self._row_of[pivot] = len(self.rows)
-        self.rows.append(row)
-        self.pivots.append(pivot)
-        return row
+    def insert_coordinates(self, v: dict) -> dict:
+        """Add v as ``insert`` does; returns its coordinates {row index: Scalar}
+        over ``rows``, counting the row it adds, if any."""
+        rem, used, s, pivot = self._reduce(v)
+        self._append(rem, used, s, pivot)
+        if rem:
+            used = {**used, self.dim - 1: (1, 0)}
+        return {r: _quotient(_gmul(c, self._ints[r][self.pivots[r]]), s) for r, c in used.items()}
 
     def contains(self, v: dict) -> bool:
-        return not self.reduce(v)[0]
+        return not self._reduce(v)[0]
 
     def express(self, v: dict) -> Optional[list[Scalar]]:
         """Coordinates of v over the inserted generators, or None if outside."""
-        rem, used = self.reduce(v)
+        rem, used, s, _ = self._reduce(v)
         if rem:
             return None
-        out = [ZERO] * self.ngens
-        for r, c in used.items():
-            for g, x in self._coords[r].items():
-                out[g] = out[g] + c * x
-        return out
+        coords = self._over_generators(used, s)
+        return [coords.get(g, ZERO) for g in range(self.ngens)]
+
+    def _over_generators(self, used: dict, s) -> dict:
+        """Coordinates over the generators x_g of s⁻¹·Σ used[r]·row r: from the
+        last row down, each row is replaced by its own reduction."""
+        used, out = dict(used), {}
+        for r in range(self.dim - 1, -1, -1):
+            if (u := used.pop(r, (0, 0))) != (0, 0):
+                g, s_r, used_r = self._history[r]
+                out[g] = _gmul(u, s_r)
+                for r2, c in used_r.items():
+                    (a, b), (x, y) = used.get(r2, (0, 0)), _gmul(u, c)
+                    used[r2] = (a - x, b - y)
+        return {g: _quotient(x, s) for g, x in out.items()}
 
     def row_coordinates(self, v: dict) -> Optional[list[Scalar]]:
-        """Coordinates of v over the stored rows, or None if outside."""
-        rem, used = self.reduce(v)
+        """Coordinates of v over ``rows``, or None if outside."""
+        rem, used, s, _ = self._reduce(v)
         if rem:
             return None
-        return [used.get(r, ZERO) for r in range(len(self.rows))]
+        return [_quotient(_gmul(used[r], row[pivot]), s) if r in used else ZERO
+                for r, (row, pivot) in enumerate(zip(self._ints, self.pivots))]
 
     def reduced_rows(self) -> list[dict]:
-        """The unique fully reduced basis of the span, pivots ascending."""
-        done: dict = {}  # pivot -> reduced row, filled from the last pivot down
-        for pivot in sorted(self.pivots, key=self.key, reverse=True):
-            row = dict(self.rows[self._row_of[pivot]])
-            # reduced rows vanish on each other's pivots, so one pass clears all
-            for col, c in [(col, c) for col, c in row.items() if col in done]:
-                _subtract(row, done[col], c)
-            done[pivot] = row
-        return list(done.values())[::-1]
+        """The unique fully reduced basis of the span, pivots ascending: from the
+        last pivot down, each row's tail is top-reduced by the rows already
+        done, under a key that puts every pivot before every other column."""
+        key = self.key or (lambda col: col)
+        pivots = set(self.pivots)
+        done = Echelon(key=lambda col: (col not in pivots, key(col)))
+        for pivot in sorted(pivots, key=key, reverse=True):
+            row = self.rows[self._row_of[pivot]]
+            rem, _, s, _ = done._reduce({col: x for col, x in row.items() if col != pivot})
+            done.insert({pivot: ONE, **{col: _quotient(x, s) for col, x in rem.items()}})
+        return done.rows[::-1]
 
 
-def _subtract(v: dict, row: dict, c: Scalar):
-    """v -= c·row in place, dropping entries that cancel."""
-    for col, x in row.items():
-        y = v.get(col, ZERO) - c * x
-        if y:
-            v[col] = y
-        else:
-            del v[col]
+def _quotient(x: tuple[int, int], y: tuple[int, int]) -> Scalar:
+    """x/y as a Scalar, for Gaussian integers x and y ≠ 0."""
+    (a, b), (c, d) = x, y
+    return _norm(a * c + b * d, b * c - a * d, c * c + d * d)
 
 
 def rref(a: Matrix):
@@ -151,53 +201,28 @@ def rref(a: Matrix):
     return rows, sorted(span.pivots)
 
 
+def _clear(v: dict, den: int) -> dict:
+    """den·v over Z[i], for a dict v of Scalars whose denominators divide den."""
+    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items()}
+
+
 def kernel(columns: list[dict]) -> list[dict]:
     """The relations among sparse columns inserted in order: for each column j
     that depends on the earlier ones, e_j − (its coordinates over them)."""
-    dens = [lcm(*{x.d for x in col.values()}) for col in columns]
+    den = lcm(*{x.d for col in columns for x in col.values()})
+    return integer_kernel([_clear(col, den) for col in columns])
+
+
+def integer_kernel(columns: list[dict]) -> list[dict]:
+    """``kernel`` for columns over Z[i], given as dicts {key: (re, im)}; the
+    relations are Scalars."""
+    span = Echelon()
     out = []
-    # from Σ c_g·D_g·column_g = 0, with each column cleared over its own D_g
-    for j, coords in _int_relations([{k: (x.a * (d // x.d), x.b * (d // x.d))
-                                      for k, x in col.items()} for col, d in zip(columns, dens)]):
-        (cr, ci), n = coords[j], (coords[j][0] ** 2 + coords[j][1] ** 2) * dens[j]
-        out.append({g: _norm((a * cr + b * ci) * dens[g], (b * cr - a * ci) * dens[g], n)
-                    for g, (a, b) in coords.items()})
-    return out
-
-
-def _int_relations(columns: list[dict]):
-    """Fraction-free elimination of Gaussian-integer columns {key: (re, im)}:
-    v ← p·v − c·row jointly on entries and coordinates, integer content divided
-    out after each step.  Yields (j, c) for each column that reduces to zero,
-    c the primitive relation Σ c_g·columns[g] = 0 over g ≤ j, c_j ≠ 0."""
-    rows: dict = {}  # pivot key -> (pivot value, row, coordinates)
     for j, col in enumerate(columns):
-        v, coords = dict(col), {j: (1, 0)}
-        while v and (hit := rows.get(lead := min(v))) is not None:
-            (pr, pi), row, row_coords = hit
-            cr, ci = v[lead]
-            for w, u in ((v, row), (coords, row_coords)):
-                for k, (a, b) in w.items():
-                    w[k] = (pr * a - pi * b, pr * b + pi * a)
-                for k, (a, b) in u.items():
-                    x, y = w.get(k, (0, 0))
-                    x, y = x - cr * a + ci * b, y - cr * b - ci * a
-                    if x or y:
-                        w[k] = (x, y)
-                    else:
-                        del w[k]
-            g = 0
-            for a, b in chain(v.values(), coords.values()):
-                if (g := gcd(g, a, b)) == 1:
-                    break
-            else:
-                for w in (v, coords):
-                    for k, (a, b) in w.items():
-                        w[k] = (a // g, b // g)
-        if v:
-            rows[lead] = (v[lead], v, coords)
-        else:
-            yield j, coords
+        rem, used, s, pivot = span._eliminate(dict(col), (1, 0))
+        if not span._append(rem, used, s, pivot):
+            out.append({j: ONE, **{g: -x for g, x in span._over_generators(used, s).items()}})
+    return out
 
 
 def charpoly(a: Matrix) -> list[Scalar]:

@@ -352,6 +352,32 @@ def test_products_past_the_budget_are_refused_before_any_kernel_work(capsys, mon
             assert err.startswith("bound hit:") and "product budget" in err
 
 
+def test_products_inside_an_argument_are_refused_before_any_kernel_work(capsys, monkeypatch):
+    class KernelRan(Exception):
+        pass
+
+    def no_kernel(*args):
+        raise KernelRan
+
+    monkeypatch.setattr(elements, "_accumulate", no_kernel)
+    with pytest.raises(KernelRan):  # the largest accepted product
+        run(capsys, "mul", "q^2400*p^2400", "1")
+    for argv in (("mul", "q^3600*p^3600", "1"), ("mul", "1", "q^2401*p^2400"),
+                 ("classify", "2 + q^20000*p^20000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("bound hit:") and "product budget" in err
+
+
+def test_a_product_past_the_budget_in_one_argument_exits_promptly():
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "weylkit.cli", "mul", "q^3600*p^3600", "1"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 3 and done.stdout == ""
+    assert "product budget" in done.stderr
+
+
 _NO_SYMPY_CHECK = """
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
 if loaded:

@@ -403,6 +403,13 @@ def test_kernel_matches_the_scalar_loop(pair):
         _assert_canonical(value)
 
 
+def test_swap_rows_by_the_ratio_match_the_binomial_form():
+    for j, k in itertools.product(range(41), repeat=2):
+        assert _swap_row(j, k) == tuple(
+            (m, (-1) ** m * math.comb(j, m) * math.comb(k, m) * math.factorial(m))
+            for m in range(min(j, k) + 1))
+
+
 def test_signed_rows_are_the_termwise_sum_and_difference_of_swap_rows():
     for b, c, d, a in itertools.product(range(7), repeat=4):
         first, second = dict(_swap_row(b, c)), dict(_swap_row(d, a))

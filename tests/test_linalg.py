@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import random
 from collections import Counter
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weylkit import dixmier, liestruct, linalg
-from weylkit.elements import WeylElement, bracket, linear_span_dim, p, q
+from weylkit.elements import WeylElement, _term_order, bracket, p, q
 from weylkit.errors import IrrationalSpectrum
 from weylkit.linalg import Echelon, charpoly, eigen_decomposition, eigenvalues, kernel, rref
 from weylkit.scalars import ONE, ZERO, Scalar
@@ -317,16 +317,107 @@ def test_kernels_use_no_dense_routine(monkeypatch):
 # -- the Gaussian-integer engines against the Scalar code they replaced -------------
 
 
+def _subtract(v, row, c):
+    """v -= c·row in place, dropping entries that cancel."""
+    for col, x in row.items():
+        y = v.get(col, ZERO) - c * x
+        if y:
+            v[col] = y
+        else:
+            del v[col]
+
+
+class _ScalarEchelon:
+    """``Echelon`` as it was, on Scalars with unit pivots, frozen (reference)."""
+
+    def __init__(self, rows=(), key=None):
+        self.key = key
+        self.rows = []
+        self.pivots = []
+        self._row_of = {}
+        self._coords = []
+        self.ngens = 0
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, v):
+        v = dict(v)
+        used = {}
+        while v:
+            lead = min(v, key=self.key)
+            r = self._row_of.get(lead)
+            if r is None:
+                break
+            c = v[lead]
+            _subtract(v, self.rows[r], c)
+            used[r] = c
+        return v, used
+
+    def insert(self, v):
+        return self._append(*self.reduce(v))
+
+    def insert_coordinates(self, v):
+        rem, used = self.reduce(v)
+        if self._append(rem, used) is None:
+            return used
+        return {**used, len(self.rows) - 1: rem[self.pivots[-1]]}
+
+    def _append(self, rem, used):
+        gen = self.ngens
+        self.ngens += 1
+        if not rem:
+            return None
+        pivot = min(rem, key=self.key)
+        inv = rem[pivot].inverse()
+        row = {col: x * inv for col, x in rem.items()}
+        coords = {gen: inv}
+        for r, c in used.items():
+            _subtract(coords, self._coords[r], c * inv)
+        self._coords.append(coords)
+        self._row_of[pivot] = len(self.rows)
+        self.rows.append(row)
+        self.pivots.append(pivot)
+        return row
+
+    def contains(self, v):
+        return not self.reduce(v)[0]
+
+    def express(self, v):
+        rem, used = self.reduce(v)
+        if rem:
+            return None
+        out = [ZERO] * self.ngens
+        for r, c in used.items():
+            for g, x in self._coords[r].items():
+                out[g] = out[g] + c * x
+        return out
+
+    def row_coordinates(self, v):
+        rem, used = self.reduce(v)
+        if rem:
+            return None
+        return [used.get(r, ZERO) for r in range(len(self.rows))]
+
+    def reduced_rows(self):
+        done = {}
+        for pivot in sorted(self.pivots, key=self.key, reverse=True):
+            row = dict(self.rows[self._row_of[pivot]])
+            for col, c in [(col, c) for col, c in row.items() if col in done]:
+                _subtract(row, done[col], c)
+            done[pivot] = row
+        return list(done.values())[::-1]
+
+
 def _echelon_kernel(columns):
     """``kernel`` as it was built on ``Echelon`` insertion, frozen (reference)."""
-    span = Echelon()
+    span = _ScalarEchelon()
     basis = []
     for j, col in enumerate(columns):
         rem, used = span.reduce(col)
         if span._append(rem, used) is None:
             relation = {j: ONE}
             for r, c in used.items():
-                linalg._subtract(relation, span._coords[r], c)
+                _subtract(relation, span._coords[r], c)
             basis.append(relation)
     return basis
 
@@ -371,18 +462,53 @@ def dense_columns_st(draw, nrows=None, ncols=None):
     return columns
 
 
-def _cleared(col):
-    d = lcm(*(x.d for x in col.values()))
-    return {k: (x.a * (d // x.d), x.b * (d // x.d)) for k, x in col.items()}
+def _content(pairs):
+    return gcd(*(t for pair in pairs for t in pair))
 
 
 @given(dense_columns_st())
 def test_kernel_matches_the_echelon_kernel(columns):
     sparse = [_sparse(col) for col in columns]
     assert kernel(sparse) == _echelon_kernel(sparse)
-    # the integer relations have their content divided out
-    for _, coords in linalg._int_relations([_cleared(col) for col in sparse]):
-        assert gcd(*(t for pair in coords.values() for t in pair)) == 1
+    # the engine divides out integer content: each reduction (remainder,
+    # multiples subtracted and scale) is primitive
+    span = Echelon()
+    for col in sparse:
+        rem, used, s, pivot = span._reduce(col)
+        assert _content([s, *rem.values(), *used.values()]) == 1
+        span._append(rem, used, s, pivot)
+
+
+# scrambled against _term_order, so the two keys give different pivots
+_MONOMIALS = [(0, 1), (2, 0), (0, 0), (1, 1), (3, 0)]
+
+
+@st.composite
+def echelon_problem_st(draw):
+    """A key, rows and query vectors over 30-digit numerators and mixed
+    denominators, with zero rows, duplicates, multiples and combinations."""
+    width = draw(st.integers(1, 5))
+    vectors = draw(dense_columns_st(width))
+    key = draw(st.sampled_from([None, _term_order]))
+    cols = range(width) if key is None else _MONOMIALS
+    sparse = [{cols[c]: x for c, x in enumerate(v) if x} for v in vectors]
+    return key, sparse[:draw(st.integers(0, len(sparse)))], sparse
+
+
+@given(echelon_problem_st())
+def test_echelon_matches_the_scalar_engine(problem):
+    key, rows, queries = problem
+    new, old = Echelon(rows, key=key), _ScalarEchelon(rows, key=key)
+    assert (new.rows, new.pivots, new.ngens) == (old.rows, old.pivots, old.ngens)
+    assert new.reduced_rows() == old.reduced_rows()
+    for v in queries:
+        assert new.contains(v) == old.contains(v)
+        assert new.express(v) == old.express(v)
+        assert new.row_coordinates(v) == old.row_coordinates(v)
+    new, old = Echelon(key=key), _ScalarEchelon(key=key)
+    for v in queries:
+        assert new.insert_coordinates(v) == old.insert_coordinates(v)
+    assert (new.rows, new.pivots) == (old.rows, old.pivots)
 
 
 def _domain_charpoly(a):
@@ -416,8 +542,9 @@ def _bracket_eigenvectors(x, lam, max_degree):
     unknowns = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
     columns = [(bracket(x, WeylElement.monomial(*m)) - WeylElement.monomial(*m).scale(lam)).terms
                for m in unknowns]
-    return linear_span_dim([WeylElement({unknowns[j]: c for j, c in rel.items()})
-                            for rel in _echelon_kernel(columns)])[1]
+    span = _ScalarEchelon(({unknowns[j]: c for j, c in rel.items()} for rel in _echelon_kernel(columns)),
+                          key=_term_order)
+    return [WeylElement(row) for row in span.reduced_rows()]
 
 
 @st.composite

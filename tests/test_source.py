@@ -51,3 +51,14 @@ def test_every_export_is_bound():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert not missing, missing
+
+
+def test_the_elimination_engine_stays_behind_linalg():
+    # Echelon is the one elimination routine; other modules reach it through
+    # its public names only, so its integer internals can change in one place
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in SOURCES if path.stem != "linalg"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level == 1
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, found
