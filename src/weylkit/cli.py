@@ -246,7 +246,7 @@ def _cmd_weights(args) -> tuple[dict, list[str], int]:
     real = lie_closure([h] + _parse_generators(args.generators),
                        max_dim=args.max_dim)
     # basis row 0 is h over its leading coefficient c, so ad(h) has weights c·λ
-    c = h.terms[h.leading_monomial()]
+    c = h.coeff(*h.leading_monomial())
     spaces = weight_spaces(real, 0)
     items = sorted(((c * lam, vecs) for lam, vecs in spaces.items()),
                    key=lambda kv: kv[0].sort_key())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import (ElementSpan, WeylElement, _accumulate, _cleared, _term_order, bracket,
+from .elements import (ElementSpan, WeylElement, _accumulate, _term_order, bracket,
                        coordinates, p, q, wn_components, zero)
 from .errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
                      PreconditionFailed, ZeroElement)
@@ -118,11 +118,11 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
                       key=_term_order, reverse=True)
     # the columns D·([x, m] − λm) over Z[i], D = D_x·λ.d, keyed so that each
     # pivot is a column's top-degree term
-    xs, dx = _cleared(x.terms)
-    xs = [(m, re * lam.d, im * lam.d) for m, re, im in xs]
+    dx = x.den
+    xs = [(m, (re * lam.d, im * lam.d)) for m, (re, im) in x.num.items()]
     columns = []
     for m in unknowns:
-        re_acc, im_acc = _accumulate(xs, [(m, 1, 0)], -1)
+        re_acc, im_acc = _accumulate(xs, ((m, (1, 0)),), -1)
         re_acc[m] = re_acc.get(m, 0) - lam.a * dx
         im_acc[m] = im_acc.get(m, 0) - lam.b * dx
         columns.append({_term_order(k): (re, im) for k, re in re_acc.items()

@@ -3,12 +3,14 @@
 Every elimination runs on one sparse engine, ``Echelon``.  Rows are dicts
 from hashable columns to Scalars, and a row's pivot is its least column
 under a sort key.  Each Scalar row enters once, cleared over the lcm of its
-denominators, and is top-reduced fraction-free over Z[i] (Bareiss) by
+denominators (an element passes its numerators over Z[i] with ``den``
+instead), and is top-reduced fraction-free over Z[i] (Bareiss) by
 v ← p·v − c·row, p the pivot value of the stored row.  The multiples
 subtracted and the scale of v follow each step, and the joint integer
 content of all three is divided out.  A row is stored as that reduction
-left it, so an append costs no division.  Scalars are built only at the
-edge: the rows with pivot one, on first use, and the coordinates returned.
+left it, in ``integer_rows``, so an append costs no division.  Scalars are
+built only at the edge: the rows with pivot one, on first use, and the
+coordinates returned.
 Each row keeps its own reduction, so ``express`` solves a linear system by
 back-substitution, and ``kernel`` (Scalar columns) and ``integer_kernel``
 (Z[i] columns) read each relation off that reduction.  ``rref`` remains, on
@@ -47,9 +49,11 @@ class Echelon:
     """Sparse echelon form of a growing span, over hashable columns.
 
     Built from an iterable of rows, inserted in order.  Rows are dicts
-    {column: nonzero Scalar}; a row's pivot is its least column under ``key``
-    (the column itself by default).  ``rows`` keeps the stored rows in
-    insertion order, with distinct pivots of coefficient one; reduction
+    {column: nonzero Scalar}, or, given ``den``, {column: (re, im)} over Z[i]
+    standing for the row over den; a row's pivot is its least column under
+    ``key`` (the column itself by default).  ``rows`` keeps the stored rows in
+    insertion order, with distinct pivots of coefficient one (``integer_rows``
+    as reduction left them, over Z[i]); reduction
     eliminates only while the leading column is a pivot, which decides
     membership.  Generators are counted in insertion order, whether or not
     they add a row, for ``express``.
@@ -60,7 +64,7 @@ class Echelon:
         self.pivots: list = []
         self.ngens = 0
         self._row_of: dict = {}  # pivot column -> row index
-        self._ints: list[dict] = []  # the stored rows over Z[i]
+        self.integer_rows: list[dict] = []  # the stored rows over Z[i]
         self._history: list[tuple] = []  # (generator g, s, used): s·x_g = row + Σ used[r]·row r
         self._rows: list[dict] = []  # the Scalar rows built so far
         for row in rows:
@@ -68,20 +72,23 @@ class Echelon:
 
     @property
     def dim(self) -> int:
-        return len(self._ints)
+        return len(self.integer_rows)
 
     @property
     def rows(self) -> list[dict]:
         """The stored rows as Scalars with pivot one, each built on first use."""
-        for r in range(len(self._rows), len(self._ints)):
-            row, p = self._ints[r], self._ints[r][self.pivots[r]]
+        for r in range(len(self._rows), len(self.integer_rows)):
+            row, p = self.integer_rows[r], self.integer_rows[r][self.pivots[r]]
             self._rows.append({col: _quotient(x, p) for col, x in row.items()})
         return self._rows
 
-    def _reduce(self, v: dict):
-        """``_eliminate`` on v cleared over the lcm of its denominators."""
-        den = lcm(*{x.d for x in v.values()})
-        return self._eliminate(_clear(v, den), (den, 0))
+    def _reduce(self, v: dict, den: Optional[int] = None):
+        """``_eliminate`` on Scalar v cleared over the lcm of its denominators,
+        or, given den > 0, on a copy of v over Z[i] standing for v/den."""
+        if den is None:
+            den = lcm(*{x.d for x in v.values()})
+            return self._eliminate(_clear(v, den), (den, 0))
+        return self._eliminate(dict(v), (den, 0))
 
     def _eliminate(self, w: dict, s: tuple[int, int]):
         """(rem, used, s, pivot) over Z[i] with s·v = rem + Σ used[r]·row r for
@@ -90,7 +97,7 @@ class Echelon:
         used: dict = {}
         sr, si = s
         while w and (r := self._row_of.get(lead := min(w, key=self.key))) is not None:
-            row = self._ints[r]
+            row = self.integer_rows[r]
             (pr, pi), (cr, ci) = row[lead], w[lead]
             if pi or pr != 1:
                 for t in (w, used):
@@ -121,31 +128,32 @@ class Echelon:
         self.ngens += 1
         if not rem:
             return False
-        self._row_of[pivot] = len(self._ints)
-        self._ints.append(rem)
+        self._row_of[pivot] = len(self.integer_rows)
+        self.integer_rows.append(rem)
         self._history.append((self.ngens - 1, s, used))
         self.pivots.append(pivot)
         return True
 
-    def insert(self, v: dict) -> Optional[dict]:
-        """Add a generator; returns its new row, or None if v is in the span."""
-        return self.rows[-1] if self._append(*self._reduce(v)) else None
+    def insert(self, v: dict, den: Optional[int] = None) -> bool:
+        """Add a generator; returns whether it added a row (v is outside the span)."""
+        return self._append(*self._reduce(v, den))
 
-    def insert_coordinates(self, v: dict) -> dict:
+    def insert_coordinates(self, v: dict, den: Optional[int] = None) -> dict:
         """Add v as ``insert`` does; returns its coordinates {row index: Scalar}
         over ``rows``, counting the row it adds, if any."""
-        rem, used, s, pivot = self._reduce(v)
+        rem, used, s, pivot = self._reduce(v, den)
         self._append(rem, used, s, pivot)
         if rem:
             used = {**used, self.dim - 1: (1, 0)}
-        return {r: _quotient(_gmul(c, self._ints[r][self.pivots[r]]), s) for r, c in used.items()}
+        return {r: _quotient(_gmul(c, self.integer_rows[r][self.pivots[r]]), s)
+                for r, c in used.items()}
 
-    def contains(self, v: dict) -> bool:
-        return not self._reduce(v)[0]
+    def contains(self, v: dict, den: Optional[int] = None) -> bool:
+        return not self._reduce(v, den)[0]
 
-    def express(self, v: dict) -> Optional[list[Scalar]]:
+    def express(self, v: dict, den: Optional[int] = None) -> Optional[list[Scalar]]:
         """Coordinates of v over the inserted generators, or None if outside."""
-        rem, used, s, _ = self._reduce(v)
+        rem, used, s, _ = self._reduce(v, den)
         if rem:
             return None
         coords = self._over_generators(used, s)
@@ -164,13 +172,13 @@ class Echelon:
                     used[r2] = (a - x, b - y)
         return {g: _quotient(x, s) for g, x in out.items()}
 
-    def row_coordinates(self, v: dict) -> Optional[list[Scalar]]:
+    def row_coordinates(self, v: dict, den: Optional[int] = None) -> Optional[list[Scalar]]:
         """Coordinates of v over ``rows``, or None if outside."""
-        rem, used, s, _ = self._reduce(v)
+        rem, used, s, _ = self._reduce(v, den)
         if rem:
             return None
         return [_quotient(_gmul(used[r], row[pivot]), s) if r in used else ZERO
-                for r, (row, pivot) in enumerate(zip(self._ints, self.pivots))]
+                for r, (row, pivot) in enumerate(zip(self.integer_rows, self.pivots))]
 
     def reduced_rows(self) -> list[dict]:
         """The unique fully reduced basis of the span, pivots ascending: from the

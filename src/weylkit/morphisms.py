@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .elements import (WeylElement, bracket, format_element, linear_combination, one, p,
-                       q, zero)
+from .elements import (WeylElement, _sum, bracket, format_element, linear_combination, one,
+                       p, q, zero)
 from .errors import (BadParams, ExprSyntaxError, IndexMismatch, NotInBorel, NotInvertible,
                      NotLocallyNilpotent, NotUnimodular, PreconditionFailed,
                      SizeMismatch, ZeroScale)
@@ -46,17 +46,17 @@ __all__ = [
 def _apply_images(image_p: WeylElement, image_q: WeylElement, x: WeylElement) -> WeylElement:
     if x.is_zero():
         return zero
-    max_i = max(i for (i, _) in x.terms)
-    max_j = max(j for (_, j) in x.terms)
+    max_i = max(i for (i, _) in x.num)
+    max_j = max(j for (_, j) in x.num)
     powers_p = [one, image_p]
     for _ in range(max_i - 1):
         powers_p.append(powers_p[-1] * image_p)
     powers_q = [one, image_q]
     for _ in range(max_j - 1):
         powers_q.append(powers_q[-1] * image_q)
-    return linear_combination((c, powers_p[i] * powers_q[j] if i and j else
-                               powers_p[i] if i else powers_q[j])
-                              for (i, j), c in x.terms.items())
+    return _sum([(a, b, x.den, powers_p[i] * powers_q[j] if i and j else
+                  powers_p[i] if i else powers_q[j])
+                 for (i, j), (a, b) in x.num.items()])
 
 
 class WeylMorphism:

@@ -111,7 +111,7 @@ def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Reali
     is injective and preserves brackets."""
     if alpha.inverse is None:
         raise NotInvertible("the action needs an invertible substitution")
-    return Sl2Realization(*(alpha(r.X.scale(cx) + r.Y.scale(cy) + r.H.scale(ch))
+    return Sl2Realization(*(alpha(linear_combination(((cx, r.X), (cy, r.Y), (ch, r.H))))
                             for cx, cy, ch in _ad_rows(g.inverse())))
 
 

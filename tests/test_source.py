@@ -62,3 +62,23 @@ def test_the_elimination_engine_stays_behind_linalg():
              if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level == 1
              for alias in node.names if alias.name.startswith("_")]
     assert not found, found
+
+
+def test_elements_build_scalars_only_at_the_edge():
+    # an element is Gaussian-integer numerators over one denominator; only the
+    # views that hand coefficients out call Scalar, as_scalar or _norm
+    edges = {"terms", "coeff", "constant_term", "as_records", "format_element"}
+    builders = {"Scalar", "as_scalar", "_norm"}
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside or node.name in edges
+        if not inside and isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) in builders:
+            found.append(f"elements.py:{node.lineno} {node.func.id}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse((SOURCES[0].parent / "elements.py").read_text(encoding="utf-8")), False)
+    assert not found, found
