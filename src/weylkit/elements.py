@@ -194,14 +194,15 @@ class WeylElement:
     def __init__(self, terms: Optional[dict] = None):
         """The element Σ c·p^i q^j of a dict {(i, j): Scalar, int or Fraction}."""
         cs = {(i, j): _triple(c) for (i, j), c in (terms or {}).items()}
+        for i, j in cs:
+            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                raise BadParams(f"monomial exponents must be nonnegative, got p^{i} q^{j}")
         # each triple is in lowest terms, so over the lcm of the d the content is one
         self.den = den = lcm(*{d for _, _, d in cs.values()})
         self.num = {m: (a * (den // d), b * (den // d)) for m, (a, b, d) in cs.items() if a or b}
 
     @staticmethod
     def monomial(i: int, j: int, coeff: ScalarLike = 1) -> "WeylElement":
-        if i < 0 or j < 0:
-            raise BadParams(f"monomial exponents must be nonnegative, got p^{i} q^{j}")
         return WeylElement({(i, j): coeff})
 
     # -- structure queries ----------------------------------------------------
@@ -313,6 +314,9 @@ class WeylElement:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # a scalar element equals the number of its value, so it hashes like it
+        if self.is_scalar():
+            return hash(self.constant_term())
         return hash((frozenset(self.num.items()), self.den))
 
     def __str__(self):

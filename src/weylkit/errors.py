@@ -1,10 +1,13 @@
 """Exception taxonomy shared across the library.
 
 Every failure a caller can act on gets its own class.  The CLI maps these to
-exit codes: user/usage problems (bad literals, out-of-range parameters,
-unsatisfied preconditions) exit 2, resource blow-ups (iteration or dimension
-caps) exit 3; see cli.py.  Mathematical negatives — a test that honestly
-answers "no" — are *results*, not exceptions, and never appear here.
+exit codes (see cli.py and the README's table): the mathematical negatives —
+a test that honestly answers "no": RelationFailed, NoProportionality,
+NotNilpotent, NotInA1Form, NotDiagonalisable, IrrationalSpectrum and
+NonScalarCasimir — exit 1; resource blow-ups (NotLocallyNilpotent,
+DimensionExceeded, BudgetExceeded) exit 3; user/usage problems (bad literals,
+out-of-range parameters, unsatisfied preconditions) and every other class
+exit 2.
 """
 
 from __future__ import annotations

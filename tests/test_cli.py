@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import weylkit
-from weylkit import Scalar, WeylElement, elements
+from weylkit import Scalar, WeylElement, cli, elements, errors
 from weylkit.cli import main
 from weylkit.elements import format_element, parse_element, zero
 
@@ -293,6 +293,43 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 def test_json_output_matches_the_recorded_golden(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+# stdout, stderr and exit code of `weyl --help`, bare `weyl`, `weyl nosuch` and
+# of every subcommand given `--help` and given no arguments, recorded at 80
+# columns (under Python 3.11's argparse layout) before the subcommands moved
+# onto the `_command` registry.
+SURFACE = json.loads((Path(__file__).parent / "golden_cli_surface.json").read_text())
+
+
+@pytest.mark.parametrize("case", SURFACE, ids=lambda case: " ".join(["weyl", *case["argv"]]))
+def test_help_and_usage_match_the_recorded_surface(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+_NEGATIVE = {"NoProportionality", "NotNilpotent", "NotInA1Form", "NotDiagonalisable",
+             "IrrationalSpectrum", "RelationFailed", "NonScalarCasimir"}
+_RESOURCE = {"NotLocallyNilpotent", "DimensionExceeded", "BudgetExceeded"}
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
+    args = {"NotLocallyNilpotent": ("p", 4), "DimensionExceeded": (8,)}.get(name, ("boom",))
+    exc = getattr(errors, name)(*args)
+
+    def raiser(*args):
+        raise exc
+    monkeypatch.setattr(cli, "casimir", raiser)
+    prefix, want = (("no:", 1) if name in _NEGATIVE else
+                    ("bound hit:", 3) if name in _RESOURCE else ("error:", 2))
+    code, out, err = run(capsys, "casimir", "fI")
+    assert (code, out) == (want, "") and err == f"{prefix} {exc}\n"
 
 
 def test_json_negative_results_still_emit_payloads(capsys):

@@ -436,6 +436,15 @@ def test_linear_combination_matches_repeated_addition(pairs):
     _assert_canonical(got)
 
 
+def test_scalar_elements_hash_like_the_equal_number():
+    # equal values must hash equal, or sets and dict lookups split them
+    half = Fraction(1, 2)
+    for x, c in ((one, 1), (zero, 0), (one.scale(half), half),
+                 (one.scale(Scalar(0, 1)), Scalar(0, 1)), (one.scale(Scalar(2, 3)), Scalar(2, 3))):
+        assert x == c and hash(x) == hash(c)
+        assert len({x, c}) == 1 and {x: "x"}.get(c) == "x"
+
+
 def test_exponent_guards_raise_under_python_O():
     # the checks must not be asserts, which -O strips
     script = """
@@ -444,6 +453,7 @@ from weylkit.errors import BadParams
 from weylkit.liestruct import LieAlgebraStruct
 for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
              lambda: WeylElement.monomial(0, -2), lambda: ad_pow(p, q, -1),
+             lambda: WeylElement({(-1, 0): 1}), lambda: WeylElement({(1.5, 0): 1}),
              lambda: zero.leading_monomial(),
              lambda: LieAlgebraStruct(2, ["a"], {})):
     try:

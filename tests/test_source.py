@@ -82,3 +82,26 @@ def test_elements_build_scalars_only_at_the_edge():
 
     visit(ast.parse((SOURCES[0].parent / "elements.py").read_text(encoding="utf-8")), False)
     assert not found, found
+
+
+def test_each_subcommand_is_declared_once_on_its_handler():
+    # a subcommand's name, help, arguments and schema are written in its
+    # `_command` decorator only: the parser is built from the registry and
+    # main stamps the schema, so neither repeats a subcommand name
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    handlers = {name: node for name, node in functions.items() if name.startswith("_cmd_")}
+    names = {name[len("_cmd_"):] for name in handlers}
+    found = []
+    for name, node in handlers.items():
+        calls = [d for d in node.decorator_list
+                 if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_command"]
+        if not calls:
+            found.append(f"{name} is not registered by @_command")
+        names |= {c.args[0].value for c in calls if c.args}
+        found += [f"{name}:{c.lineno} schema string" for c in ast.walk(node)
+                  if isinstance(c, ast.Constant) and "weyl/" in str(c.value)]
+    found += [f"_build_parser:{c.lineno} {c.value}" for c in ast.walk(functions["_build_parser"])
+              if isinstance(c, ast.Constant) and c.value in names]
+    assert handlers
+    assert not found, found
