@@ -81,8 +81,11 @@ def _make(num: dict, den: int) -> "WeylElement":
 
 # The perfbench workloads use at most 65 swap rows and 828 signed rows, but one
 # lie_closure([q^30, p^30]) asks for 10,120 and 61,053: kept whole, past 300 MB.
+# It walks them cyclically, where an LRU almost never hits, so a signed row past
+# _SHORT_ROW + 1 terms is built afresh (the workloads' rows have at most 5).
 _SWAP_CACHE = 8192
 _SIGNED_CACHE = 2048
+_SHORT_ROW = 8
 
 
 @lru_cache(maxsize=_SWAP_CACHE)
@@ -105,6 +108,13 @@ def _signed_row(b: int, c: int, d: int, a: int, sign: int) -> tuple:
     for m, k in _swap_row(d, a):
         ks[m] = ks.get(m, 0) + sign * k
     return tuple((m, k) for m, k in ks.items() if k)
+
+
+def _long_term_signed_row(b: int, c: int, d: int, a: int, sign: int) -> tuple:
+    """``_signed_row``, built afresh when min(b, c) or min(d, a) passes _SHORT_ROW."""
+    if min(b, c) > _SHORT_ROW or min(d, a) > _SHORT_ROW:
+        return _signed_row.__wrapped__(b, c, d, a, sign)
+    return _signed_row(b, c, d, a, sign)
 
 
 def _collect(re_acc: dict, im_acc: dict, den: int) -> "WeylElement":
@@ -139,11 +149,13 @@ def _accumulate(xs: Iterable, ys: Iterable, sign: int) -> tuple[dict, dict]:
     re_acc: dict = {}
     im_acc: dict = {}
     for (a, b), (xr, xi) in xs:
+        # only a term with an exponent past _SHORT_ROW can pair into a long row
+        signed_row = _signed_row if a <= _SHORT_ROW and b <= _SHORT_ROW else _long_term_signed_row
         for (c, d), (yr, yi) in ys:
             re = xr * yr - xi * yi
             im = xr * yi + xi * yr
             i, j = a + c, b + d
-            row = _signed_row(b, c, d, a, sign) if sign else _swap_row(b, c)
+            row = signed_row(b, c, d, a, sign) if sign else _swap_row(b, c)
             if im:
                 for m, k in row:
                     key = (i - m, j - m)

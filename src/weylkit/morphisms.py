@@ -11,6 +11,10 @@ closed form, from the two group families, or from `compose` and `invert` of
 such.  None of these re-checks the relation or the inverse; the tests pin
 each closed form once.
 
+One pass maps a batch of elements (`compose`'s two images, its two inverse
+images, a triplet in `sl2orbits.group_act`), forming each power of P and Q and
+each P^i·Q^j once for all of them.  A scalar maps to itself: morphisms are unital.
+
 Implemented generators: the triangular automorphisms fixing p (resp. q),
 weight scaling, ad-exponentials of locally nilpotent elements, the
 unimodular linear substitutions α̂₁(g) of an SL2Element g with their
@@ -43,20 +47,23 @@ __all__ = [
 ]
 
 
-def _apply_images(image_p: WeylElement, image_q: WeylElement, x: WeylElement) -> WeylElement:
-    if x.is_zero():
-        return zero
-    max_i = max(i for (i, _) in x.num)
-    max_j = max(j for (_, j) in x.num)
+def _apply_images(image_p: WeylElement, image_q: WeylElement,
+                  xs: Sequence[WeylElement]) -> list[WeylElement]:
+    """The images of xs under p ↦ image_p, q ↦ image_q, in one pass: the powers
+    of P and Q up to the largest exponents in xs, one P^i·Q^j per distinct
+    monomial of xs, then each image as one sum over that element's numerators."""
+    monomials = {m for x in xs for m in x.num}
+    max_i = max((i for i, _ in monomials), default=0)
+    max_j = max((j for _, j in monomials), default=0)
     powers_p = [one, image_p]
     for _ in range(max_i - 1):
         powers_p.append(powers_p[-1] * image_p)
     powers_q = [one, image_q]
     for _ in range(max_j - 1):
         powers_q.append(powers_q[-1] * image_q)
-    return _sum([(a, b, x.den, powers_p[i] * powers_q[j] if i and j else
-                  powers_p[i] if i else powers_q[j])
-                 for (i, j), (a, b) in x.num.items()])
+    images = {(i, j): powers_p[i] * powers_q[j] if i and j else powers_p[i] if i else powers_q[j]
+              for i, j in monomials}
+    return [_sum([(a, b, x.den, images[m]) for m, (a, b) in x.num.items()]) for x in xs]
 
 
 class WeylMorphism:
@@ -77,8 +84,12 @@ class WeylMorphism:
         self.image_q = image_q
         self.inverse = None
 
-    def __call__(self, x: WeylElement) -> WeylElement:
-        return _apply_images(self.image_p, self.image_q, x)
+    def __call__(self, x) -> WeylElement:
+        """The image of x; a scalar maps to itself, since a morphism is unital."""
+        element = WeylElement._coerce(x)
+        if element is None:
+            raise BadParams(f"a morphism applies to elements and scalars, not {type(x).__name__}")
+        return _apply_images(self.image_p, self.image_q, (element,))[0]
 
     def is_identity(self) -> bool:
         return self.image_p == p and self.image_q == q
@@ -116,13 +127,14 @@ def apply(m: WeylMorphism, x: WeylElement) -> WeylElement:
 
 
 def compose(m1: WeylMorphism, m2: WeylMorphism) -> WeylMorphism:
-    """The morphism applying m2 first, then m1; invertible if both are."""
+    """The morphism applying m2 first, then m1; invertible if both are.
+
+    m1 maps m2's two images in one batch, and m2⁻¹ maps m1⁻¹'s in another."""
     inverse = None
     if m1.inverse is not None and m2.inverse is not None:
         # (m1 ∘ m2)⁻¹ = m2⁻¹ ∘ m1⁻¹
-        inverse = (_apply_images(*m2.inverse, m1.inverse[0]),
-                   _apply_images(*m2.inverse, m1.inverse[1]))
-    return _mk(m1(m2.image_p), m1(m2.image_q), inverse)
+        inverse = tuple(_apply_images(*m2.inverse, m1.inverse))
+    return _mk(*_apply_images(m1.image_p, m1.image_q, (m2.image_p, m2.image_q)), inverse)
 
 
 def invert(m: WeylMorphism) -> WeylMorphism:

@@ -27,7 +27,7 @@ from .dixmier import eigenvectors_truncated
 from .elements import (ElementSpan, WeylElement, anticommutator, bracket, linear_combination,
                        one, p, parse_element, q)
 from .errors import NonScalarCasimir, NotInvertible, RelationFailed
-from .morphisms import SL2Element, WeylMorphism, alpha1_hat, beta_hat
+from .morphisms import SL2Element, WeylMorphism, _apply_images, alpha1_hat, beta_hat
 from .scalars import Scalar
 
 __all__ = [
@@ -108,10 +108,14 @@ def _ad_rows(g: SL2Element) -> list[tuple[Scalar, Scalar, Scalar]]:
 def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Realization:
     """(α, g)·f = α ∘ f ∘ Ad(g)⁻¹, a triplet with no re-check: Ad(g)⁻¹ is an
     automorphism of sl(2), and α, an endomorphism of the simple algebra A₁,
-    is injective and preserves brackets."""
+    is injective and preserves brackets.
+
+    α is linear, α(Σ c·r) = Σ c·α(r), so it maps X, Y and H in one batch and
+    the Ad(g)⁻¹ combinations are taken of their images."""
     if alpha.inverse is None:
         raise NotInvertible("the action needs an invertible substitution")
-    return Sl2Realization(*(alpha(linear_combination(((cx, r.X), (cy, r.Y), (ch, r.H))))
+    X, Y, H = _apply_images(alpha.image_p, alpha.image_q, r)
+    return Sl2Realization(*(linear_combination(((cx, X), (cy, Y), (ch, H)))
                             for cx, cy, ch in _ad_rows(g.inverse())))
 
 

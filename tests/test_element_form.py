@@ -1,19 +1,23 @@
 """Elements as Gaussian-integer numerators over one denominator: the canonical
 form, the bounded row caches, and a differential check against the frozen
-Scalar-term element (``tests/scalar_element.py``)."""
+Scalar-term element (``tests/scalar_element.py``), batched morphism application
+and the group action included."""
 
 import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from weylkit import Scalar, WeylElement
-from weylkit.elements import (_SIGNED_CACHE, _SWAP_CACHE, ElementSpan, _signed_row, _swap_row,
-                              anticommutator, bracket, format_element, linear_combination,
-                              one, p, q, weight_decompose, wn_components, zero)
-from weylkit.morphisms import compose, phi, phi_prime, scale, translation
+from weylkit import Scalar, WeylElement, elements
+from weylkit.elements import (_SHORT_ROW, _SIGNED_CACHE, _SWAP_CACHE, ElementSpan, _signed_row,
+                              _swap_row, anticommutator, bracket, format_element,
+                              linear_combination, one, p, q, weight_decompose, wn_components,
+                              zero)
+from weylkit.morphisms import (_apply_images, compose, invert, phi, phi_prime, scale,
+                               translation)
+from weylkit.sl2orbits import SL2Element, _ad_rows, exotic_g, f_I, f_II, group_act
 
 from . import scalar_element as frozen
 from .strategies import big_scalar_st, element_st, nonzero_scalar_st, scalar_st
@@ -100,22 +104,97 @@ unit_st = st.sampled_from([Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(Fraction(
 
 
 @st.composite
-def morphism_st(draw):
+def morphism_st(draw, max_n=3, max_links=3):
     """A short chain of triangular, scaling and translation automorphisms."""
-    makers = [lambda c: phi(draw(st.integers(1, 3)), c),
-              lambda c: phi_prime(draw(st.integers(1, 3)), c),
+    makers = [lambda c: phi(draw(st.integers(1, max_n)), c),
+              lambda c: phi_prime(draw(st.integers(1, max_n)), c),
               lambda c: scale(c),
               lambda c: translation(c, draw(unit_st))]
     m = None
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_links))):
         g = draw(st.sampled_from(makers))(draw(unit_st))
         m = g if m is None else compose(g, m)
     return m
 
 
-@given(morphism_st(), element_st(max_degree=3, max_terms=3))
-def test_morphism_application_matches_the_scalar_element(m, x):
-    assert_same(m(x), frozen.apply_images(_old(m.image_p), _old(m.image_q), _old(x)))
+@st.composite
+def batch_st(draw):
+    """0 to 4 elements, zero and scalars among them, sometimes one repeated."""
+    member = st.one_of(element_st(max_degree=3, max_terms=3), st.just(zero),
+                       coeff_st.map(lambda c: WeylElement({(0, 0): c})))
+    xs = draw(st.lists(member, max_size=3))
+    if xs and draw(st.booleans()):
+        xs.insert(draw(st.integers(0, len(xs))), draw(st.sampled_from(xs)))
+    return xs
+
+
+def _frozen_images(m, xs):
+    return [frozen.apply_images(_old(m.image_p), _old(m.image_q), _old(x)) for x in xs]
+
+
+@given(morphism_st(), batch_st())
+@example(phi(2, 1), [])
+@example(phi(2, 1), [zero, one.scale(3), zero])
+@example(compose(phi_prime(2, 1), phi(1, 2)), [p ** 3, q ** 2, p ** 3])  # no common monomial
+def test_morphism_application_matches_the_scalar_element(m, xs):
+    want = _frozen_images(m, xs)
+    got = _apply_images(m.image_p, m.image_q, xs)
+    for x, batched, w in zip(xs, got, want, strict=True):
+        assert_same(batched, w)
+        assert_same(m(x), w)
+        assert_canonical(batched)
+
+
+@given(morphism_st(max_links=2), morphism_st(max_links=2))
+def test_compose_matches_per_element_application(m1, m2):
+    m = compose(m1, m2)
+    want = _frozen_images(m1, (m2.image_p, m2.image_q)) + _frozen_images(invert(m2), m1.inverse)
+    for got, w in zip((m.image_p, m.image_q, *m.inverse), want, strict=True):
+        assert_same(got, w)
+
+
+def _frozen_group_act(alpha, g, r):
+    """group_act as it was: α applied to each Ad(g)⁻¹ combination of X, Y and H."""
+    old = [_old(v) for v in r]
+    return [frozen.apply_images(_old(alpha.image_p), _old(alpha.image_q),
+                                frozen.linear_combination(zip(row, old)))
+            for row in _ad_rows(g.inverse())]
+
+
+def _sl2(a1, a2, a3) -> SL2Element:
+    """The unimodular matrix with first row (a1, a2) and a3 below a1, for a1 != 0."""
+    return SL2Element(a1, a2, a3, (1 + a2 * a3) / a1)
+
+
+@given(st.one_of(st.just(f_I()), unit_st.map(f_II)), morphism_st(max_n=2),
+       st.builds(_sl2, unit_st, st.one_of(st.just(Scalar(0)), unit_st), unit_st))
+@example(exotic_g(), compose(phi(2, Scalar(0, 1)), scale(Scalar(1, 1))), _sl2(Scalar(1, 1), 2, -1))
+@example(exotic_g(), compose(translation(1, Fraction(1, 2)), phi_prime(1, 3)),
+         _sl2(1, 0, Scalar(0, 1)))
+def test_group_act_matches_the_per_combination_action(r, alpha, g):
+    for got, w in zip(group_act(alpha, g, r), _frozen_group_act(alpha, g, r), strict=True):
+        assert_same(got, w)
+
+
+def test_one_group_act_forms_each_power_and_monomial_image_once(monkeypatch):
+    r, g = exotic_g(), _sl2(Scalar(1, 1), 2, Scalar(0, -1))
+    alpha = compose(phi(2, Scalar(0, 1)), phi_prime(1, 3))
+    products = []
+    kernel = elements._kernel
+
+    def counted(x, y, sign):
+        products.append((x, y, sign))
+        return kernel(x, y, sign)
+
+    monkeypatch.setattr(elements, "_kernel", counted)
+    group_act(alpha, g, r)
+    monomials = {m for v in r for m in v.num}
+    max_i, max_j = max(i for i, _ in monomials), max(j for _, j in monomials)
+    mixed = sum(1 for i, j in monomials if i and j)
+    # the ladders P², …, P^max_i and Q², …, Q^max_j, then one P^i·Q^j per mixed monomial
+    assert len(products) == (max_i - 1) + (max_j - 1) + mixed
+    assert all(sign == 0 for _, _, sign in products)
+    assert len({(x, y) for x, y, _ in products}) == len(products)
 
 
 # -- the canonical form -----------------------------------------------------------------
@@ -173,3 +252,15 @@ def test_the_row_caches_stay_under_their_bounds():
     assert swap.maxsize == _SWAP_CACHE and signed.maxsize == _SIGNED_CACHE
     assert swap.currsize <= _SWAP_CACHE < swap.misses
     assert signed.currsize <= _SIGNED_CACHE < signed.misses
+
+
+def test_long_signed_rows_are_built_afresh():
+    # two of the six term pairs have a swap row past _SHORT_ROW + 1 terms; the
+    # first term of x is in both, and in one short pair, with p
+    x = WeylElement({(_SHORT_ROW + 4, _SHORT_ROW + 2): 3, (2, 1): Scalar(0, 1)})
+    y = WeylElement({(_SHORT_ROW + 3, _SHORT_ROW + 5): Fraction(1, 2), (0, _SHORT_ROW + 1): 1,
+                     (1, 0): -2})
+    _signed_row.cache_clear()
+    assert_same(bracket(x, y), frozen.bracket(_old(x), _old(y)))
+    assert_same(anticommutator(x, y), frozen.anticommutator(_old(x), _old(y)))
+    assert _signed_row.cache_info().currsize == 8  # the four short pairs, once per sign

@@ -448,19 +448,24 @@ def test_scalar_elements_hash_like_the_equal_number():
 def test_exponent_guards_raise_under_python_O():
     # the checks must not be asserts, which -O strips
     script = """
+from fractions import Fraction
 from weylkit.elements import WeylElement, ad_pow, p, q, zero
 from weylkit.errors import BadParams
 from weylkit.liestruct import LieAlgebraStruct
+from weylkit.morphisms import apply, phi
 for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
              lambda: WeylElement.monomial(0, -2), lambda: ad_pow(p, q, -1),
              lambda: WeylElement({(-1, 0): 1}), lambda: WeylElement({(1.5, 0): 1}),
              lambda: zero.leading_monomial(),
-             lambda: LieAlgebraStruct(2, ["a"], {})):
+             lambda: LieAlgebraStruct(2, ["a"], {}),
+             lambda: phi(1, 2)("p"), lambda: apply(phi(1, 2), None)):
     try:
         call()
     except BadParams:
         continue
     raise SystemExit("no BadParams")
+if phi(1, 2)(3) != 3 or apply(phi(1, 2), Fraction(1, 2)) != Fraction(1, 2):
+    raise SystemExit("a scalar did not map to itself")
 """
     src = str(Path(weylkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

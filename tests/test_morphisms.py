@@ -1,5 +1,6 @@
 """Automorphism generators, group families and the morphism expressions."""
 
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -70,6 +71,18 @@ def test_morphism_is_multiplicative(x, y):
     m = compose(phi(2, 1), phi_prime(1, -1))
     assert apply(m, x * y) == apply(m, x) * apply(m, y)
     assert apply(m, x + y) == apply(m, x) + apply(m, y)
+
+
+def test_a_scalar_maps_to_itself_and_other_input_is_refused():
+    m = compose(phi(1, 2), scale(Scalar(0, 1)))
+    for c in (3, Fraction(1, 2), Scalar(1, -2), 0):
+        assert m(c) == apply(m, c) == c
+        assert isinstance(m(c), WeylElement)
+    for bad in ("p", None, 1.5, [p]):
+        with pytest.raises(BadParams):
+            m(bad)
+        with pytest.raises(BadParams):
+            apply(m, bad)
 
 
 def test_bad_generator_parameters():
