@@ -7,7 +7,8 @@ automorphism groups.  Full classification of an arbitrary element is out of
 reach, so this module provides exactly what is decidable:
 
 * a complete decision for elements of total degree at most two, through the
-  determinant of ad of the quadratic part acting on span{p, q};
+  determinant of ad of the quadratic part acting on span{p, q}, read off the
+  coefficients of p², pq and q²;
 * a certified semi-decision for everything else, by watching whether the
   iterated ad-orbit of probe elements spans a finite-dimensional space;
 * exact eigenvector searches [x, v] = λv in a bounded truncated degree window,
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import (ElementSpan, WeylElement, _accumulate, _term_order, bracket,
-                       coordinates, p, q, wn_components, zero)
+from .elements import ElementSpan, WeylElement, _accumulate, _term_order, bracket, p, q
 from .errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
                      PreconditionFailed, ZeroElement)
 from .linalg import integer_kernel
@@ -45,23 +45,21 @@ class DixmierClass(NamedTuple):
 def classify_low_degree(x: WeylElement) -> DixmierClass:
     """Decide the partition class of an element of total degree ≤ 2.
 
-    The quadratic grading component acts on span{p, q}; its 2×2 matrix is
-    traceless, so the action is nilpotent exactly when the determinant
-    vanishes (first class), and invertible-semisimple otherwise (third).
+    The quadratic part a·p² + b·pq + c·q² acts on span{p, q} by the
+    traceless 2×2 matrix [[−b, 2a], [−2c, b]], so the action is nilpotent
+    exactly when det = 4ac − b² vanishes (first class), and
+    invertible-semisimple otherwise (third).
     Scalars sit outside the partition and are tagged as such.
     """
-    comps = wn_components(x)
-    if any(n > 2 for n in comps):
+    if x.degree() > 2:
         raise DegreeTooHigh("no decision procedure above total degree 2")
     if x.is_scalar():
         return DixmierClass("Scalar")
-    w2 = comps.get(2, zero)
-    # [w2, p] and [w2, q] are homogeneous of degree 1, so both lie in span{p, q}
-    col_p = coordinates(bracket(w2, p), [p, q])
-    col_q = coordinates(bracket(w2, q), [p, q])
-    # traceless: ad(w2) acts on span{p, q} through sp2
-    matrix = [[col_p[0], col_q[0]], [col_p[1], col_q[1]]]
-    det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    a, b, c = x.coeff(2, 0), x.coeff(1, 1), x.coeff(0, 2)
+    # the W₂ component is a·p² + b·δ(p ⊙ q) + c·q², with δ(p ⊙ q) = pq − 1/2;
+    # its ad sends p to −b·p − 2c·q and q to 2a·p + b·q
+    matrix = [[-b, 2 * a], [-2 * c, b]]
+    det = 4 * a * c - b * b
     cert = {"matrix": matrix, "det": det}
     return DixmierClass("Delta1" if not det else "Delta3", cert)
 

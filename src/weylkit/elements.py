@@ -18,7 +18,11 @@ x·y + sign·y·x has one signed row per pair: sign 0 is the product x·y, sign
 anticommutator xy + yx.  Sums add numerators over the lcm of the denominators.
 
 Also here: the symmetrisation map onto the grading subspaces W_n (the image
-of the n-th symmetric power of span{p, q}), the decomposition of an element
+of the n-th symmetric power of span{p, q}), as the Weyl ordering
+
+    δ(p^⊙i ⊙ q^⊙j) = sum_k (-1/2)^k k! C(i,k) C(j,k) p^{i-k} q^{j-k}
+
+of the commutative product of the factors; the decomposition of an element
 along that grading, the weight decomposition under ad(pq), and exact linear
 spans over the monomial basis.
 
@@ -28,9 +32,8 @@ descending p-exponent; the same order is used for echelon pivots.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -394,46 +397,31 @@ class SymTensor:
         return len(self.factors)
 
 
-def _distinct_orderings(word: Sequence[int]):
-    """Each distinct ordering of word exactly once, in lexicographic order."""
-    if not word:
-        yield ()
-    for first in sorted(set(word)):
-        rest = list(word)
-        rest.remove(first)
-        for tail in _distinct_orderings(rest):
-            yield (first,) + tail
+def _weyl_ordered(terms: Iterable, den: int) -> WeylElement:
+    """Σ c·δ(p^⊙i ⊙ q^⊙j) over pairs ((i, j), c), c Gaussian-integer numerators over den."""
+    return _sum([(a, b, den, _delta_monomial(i, j)) for (i, j), (a, b) in terms])
 
 
 def symmetrize(t) -> WeylElement:
-    """The symmetrised product (1/n!) Σ_σ v_{σ(1)} … v_{σ(n)}; lands in W_n."""
+    """The symmetrised product (1/n!) Σ_σ v_{σ(1)} … v_{σ(n)}; lands in W_n.
+
+    It is linear in the symmetric word, so it is the Weyl ordering of the
+    commutative product of the factors, expanded into monomials p^i q^j.
+    """
     factors = t.factors if isinstance(t, SymTensor) else SymTensor(t).factors
-    n = len(factors)
-    index: dict[tuple, int] = {}
-    distinct: list[WeylElement] = []
-    word = []
-    for f in factors:
-        if f not in index:
-            index[f] = len(distinct)
-            distinct.append(_sum(((*f[0], p), (*f[1], q))))
-        word.append(index[f])
-    counts: dict[int, int] = {}
-    for k in word:
-        counts[k] = counts.get(k, 0) + 1
-    # each distinct ordering stands for prod(mult!) identical permutations
-    weight = Fraction(math.prod(math.factorial(c) for c in counts.values()), math.factorial(n))
-    # SymTensor has at least one factor, so every ordering is a nonempty word
-    return linear_combination((weight, reduce(lambda acc, k: acc * distinct[k], perm[1:],
-                                              distinct[perm[0]]))
-                              for perm in _distinct_orderings(word))
+    (a, b), *rest = factors
+    poly = _sum([(*a, p), (*b, q)])
+    # p·p^i q^j and p^i q^j·q are normal-ordered already: the commutative products
+    for a, b in rest:
+        poly = _sum([(*a, p * poly), (*b, poly * q)])
+    return _weyl_ordered(poly.num.items(), poly.den)
 
 
 @lru_cache(maxsize=None)
 def _delta_monomial(i: int, j: int) -> WeylElement:
-    """δ(p^⊙i ⊙ q^⊙j): leading monomial p^i q^j with coefficient 1."""
-    if i == 0 and j == 0:
-        return one
-    return symmetrize([(1, 0)] * i + [(0, 1)] * j)
+    """δ(p^⊙i ⊙ q^⊙j): the swap row of (i, j), its k-th entry over 2^k."""
+    top = min(i, j)
+    return _make({(i - k, j - k): (c << (top - k), 0) for k, c in _swap_row(i, j)}, 1 << top)
 
 
 def wn_components(x: WeylElement) -> dict[int, WeylElement]:
@@ -446,8 +434,7 @@ def wn_components(x: WeylElement) -> dict[int, WeylElement]:
     rem = x
     while not rem.is_zero():
         d = rem.degree()
-        comp = _sum([(a, b, rem.den, _delta_monomial(i, j))
-                     for (i, j), (a, b) in rem.num.items() if i + j == d])
+        comp = _weyl_ordered(((m, c) for m, c in rem.num.items() if sum(m) == d), rem.den)
         out[d] = comp
         rem = rem - comp
     return out
@@ -565,17 +552,12 @@ def format_element(x: WeylElement) -> str:
     pieces = []
     for (i, j), c in sorted(x.terms.items(), key=lambda t: _term_order(t[0])):
         body = _format_body(i, j)
+        coeff = format_scalar(c)
+        neg = False
         if c.re and c.im:
-            neg = False
-            coeff = f"({format_scalar(c)})" if body else format_scalar(c)
-        else:
-            if c.im:
-                neg = c.im < 0
-                mag = Scalar(0, abs(c.im))
-            else:
-                neg = c.re < 0
-                mag = Scalar(abs(c.re))
-            coeff = format_scalar(mag)
+            coeff = f"({coeff})" if body else coeff
+        elif coeff[0] == "-":
+            neg, coeff = True, coeff[1:]
         if body and coeff == "1":
             text = body
         elif body:

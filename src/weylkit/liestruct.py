@@ -392,20 +392,6 @@ def _integer_profile(eigs: list[Scalar]) -> Optional[list[int]]:
     return [i // g for i in ints]
 
 
-def _radical(algebra: LieAlgebraStruct, derived_rows) -> int:
-    """Dimension of the radical, the Killing-orthogonal of the derived algebra."""
-    n = algebra.dim
-    br = algebra.basis_bracket
-    rows = []
-    for d in derived_rows:
-        ad_d = [algebra.sparse_bracket(d, {l: ONE}) for l in range(n)]
-        # K(d, e_i) = tr(ad d · ad e_i) = Σ_{k,l} [d, e_l]_k · c^l_{ik}
-        rows.append({i: s for i in range(n)
-                     if (s := sum((x * c for l, col in enumerate(ad_d) for k, x in col.items()
-                                   if (c := br(i, k).get(l))), ZERO))})
-    return n - Echelon(rows).dim
-
-
 def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:
     """Whether the centraliser in span(rows) of span(derived_rows) is abelian
     of codimension 1, for independent rows: the relations among the columns
@@ -429,7 +415,9 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     generator on the derived algebra (abelian derived: the diagonal
     families; filiform derived D, under the same centraliser test on D and
     [D, D]: the extended families, separated by their centres); non-solvable
-    ones by dimension, centre and radical.  Anything else is Unknown.
+    ones by Levi's theorem from dimension, perfectness and centre: 3 is sl2,
+    4 is sl2 × C, 5 and perfect is sl2 ⋉ C², 6, perfect with a 1-dimensional
+    centre is sl2 ⋉ H3.  Anything else is Unknown.
     """
     inv, series, center = _invariants(algebra)
     n = algebra.dim
@@ -483,17 +471,17 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         if center.dim == 0 and n == m + 2:
             return CatalogTag("LTildeModC", m + 1)
         return CatalogTag("Unknown")
-    # non-solvable: separate the four catalog entries by coarse invariants
-    rad = _radical(algebra, derived.rows)
-    zc = inv.center_dim
+    # non-solvable: by Levi, g = s ⋉ rad with s semisimple; below dimension 6
+    # s is a form of sl2 and a 6-dimensional s has no centre, so each entry
+    # has a 3-dimensional Levi factor and its radical is n − 3
     perfect = derived.dim == n
-    if n == 3 and rad == 0 and perfect:
+    if n == 3:
         return CatalogTag("Sl2")
-    if n == 4 and rad == 1 and zc == 1:
+    if n == 4:
         return CatalogTag("Sl2xC")
-    if n == 5 and rad == 2 and zc == 0 and perfect:
+    if n == 5 and perfect:
         return CatalogTag("Sl2SemidirectC2")
-    if n == 6 and rad == 3 and zc == 1 and perfect:
+    if n == 6 and perfect and center.dim == 1:
         return CatalogTag("Sl2SemidirectH3")
     return CatalogTag("Unknown")
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .elements import (WeylElement, _sum, bracket, format_element, linear_combination, one,
-                       p, q, zero)
+from .elements import WeylElement, _sum, bracket, format_element, linear_combination, one, p, q
 from .errors import (BadParams, ExprSyntaxError, IndexMismatch, NotInBorel, NotInvertible,
                      NotLocallyNilpotent, NotUnimodular, PreconditionFailed,
                      SizeMismatch, ZeroScale)
@@ -315,9 +314,8 @@ def r_group_inv(g: RGroupElement) -> RGroupElement:
 
 
 def _r_images(g: RGroupElement) -> tuple[WeylElement, WeylElement]:
-    shift = zero
-    for ak, ik in zip(g.a, g.indices):
-        shift = shift + WeylElement.monomial(ik - 1, 0).scale(ak / math.factorial(ik - 1))
+    shift = linear_combination((ak / math.factorial(ik - 1), WeylElement.monomial(ik - 1, 0))
+                               for ak, ik in zip(g.a, g.indices))
     return p.scale(g.s.inverse()), (q + shift).scale(g.s)
 
 
@@ -386,10 +384,8 @@ def ltilde_group_inv(g: LTildeGroupElement) -> LTildeGroupElement:
 
 def _ltilde_images(g: LTildeGroupElement) -> tuple[WeylElement, WeylElement]:
     n = len(g.a)
-    shift = zero
-    for k in range(1, n):
-        c = g.a[k - 1] * g.s ** (k - n) / math.factorial(n - k - 1)
-        shift = shift + WeylElement.monomial(n - k - 1, 0).scale(c)
+    shift = linear_combination((g.a[k - 1] * g.s ** (k - n) / math.factorial(n - k - 1),
+                                WeylElement.monomial(n - k - 1, 0)) for k in range(1, n))
     return p.scale(g.s.inverse()) + one.scale(g.t), (q + shift).scale(g.s)
 
 

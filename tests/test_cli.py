@@ -41,6 +41,30 @@ def test_classify_too_high_degree_is_a_usage_error(capsys):
     assert code == 2 and "degree" in err
 
 
+def test_classify_refuses_high_degree_before_any_symmetrisation(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("symmetrize reached")
+
+    monkeypatch.setattr(elements, "symmetrize", counted)
+    for text in ("p^3", "p^12*q^12", "1 + q^40*p^40"):
+        code, out, err = run(capsys, "classify", text)
+        assert code == 2 and out == "" and "degree" in err
+    assert calls == []
+
+
+def test_classify_of_a_high_degree_element_exits_promptly():
+    # the δ image of p^12 q^12 once took every distinct ordering of a 24-letter word
+    src = str(Path(weylkit.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "weylkit.cli", "classify", "p^12*q^12"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "degree" in done.stderr
+
+
 def test_closure_hits_the_dimension_bound(capsys):
     code, _, err = run(capsys, "closure", "--max-dim", "8", "p^3", "q^2")
     assert code == 3 and "8" in err

@@ -1,10 +1,10 @@
 """Partition verdicts, ad-orbit probes, truncated eigenspaces, power relations."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit import Scalar, bracket, dixmier
+from weylkit import Scalar, WeylElement, bracket, dixmier
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated,
                              f_test, is_exponentiable, power_relation)
 from weylkit.elements import linear_span_dim, one, p, parse_element, q, zero
@@ -12,6 +12,7 @@ from weylkit.errors import BudgetExceeded, DegreeTooHigh, PreconditionFailed, Ze
 from weylkit.morphisms import SL2Element, alpha1_hat, apply
 from weylkit.sl2orbits import f_I, s11_test
 
+from . import enumerated
 from .strategies import scalar_st
 
 
@@ -45,6 +46,18 @@ def test_classify_certificate_matches_det():
 def test_classify_rejects_high_degree():
     with pytest.raises(DegreeTooHigh):
         classify_low_degree(parse_element("p^3"))
+
+
+_QUADRATIC = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.sampled_from(_QUADRATIC), scalar_st).map(WeylElement))
+def test_classify_matches_the_bracket_certificate(x):
+    got = classify_low_degree(x)
+    expected = enumerated.classify_low_degree(x)
+    assert got.tag == expected.tag
+    assert repr(got.certificate) == repr(expected.certificate)
 
 
 def test_classify_is_invariant_under_linear_substitution():

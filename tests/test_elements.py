@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import weylkit
 from weylkit import Scalar, WeylElement, bracket, ad_pow, symmetrize
-from weylkit.elements import (ElementSpan, SymTensor, _distinct_orderings, _signed_row,
+from weylkit.elements import (ElementSpan, SymTensor, _signed_row,
                               _swap_row, anticommutator, coordinates, format_element,
                               linear_combination, linear_span_dim, one, parse_element, p, q,
                               weight_decompose, wn_components, zero)
@@ -23,6 +22,7 @@ from weylkit.errors import ExprSyntaxError
 from weylkit.morphisms import phi
 from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II
 
+from . import enumerated
 from .oracles import oracle_product, swap_product
 from .strategies import big_fraction_st, big_scalar_st, element_st, scalar_st
 
@@ -118,6 +118,33 @@ def test_symmetrize_repeated_factor():
 def test_symmetrize_lands_in_single_degree():
     x = symmetrize(SymTensor([(1, 2), (0, 1), (3, 0)]))
     assert set(wn_components(x)) == {3}
+
+
+# a few distinct Gaussian-rational factors, each drawn again and again
+_word_st = st.lists(st.tuples(scalar_st, scalar_st), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@given(_word_st)
+def test_symmetrize_matches_the_enumerated_orderings(word):
+    got = symmetrize(SymTensor(word))
+    expected = enumerated.symmetrize(SymTensor(word))
+    assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def test_weyl_ordered_monomials_match_the_enumerated_orderings():
+    for i, j in itertools.product(range(7), repeat=2):
+        if i + j <= 8:
+            x = WeylElement.monomial(i, j)
+            assert wn_components(x) == enumerated.wn_components(x)
+
+
+@given(element_st(max_degree=4, max_terms=5))
+def test_wn_components_match_the_enumerated_orderings(x):
+    got = wn_components(x)
+    expected = enumerated.wn_components(x)
+    assert list(got) == list(expected)
+    assert [(c.num, c.den) for c in got.values()] == [(c.num, c.den) for c in expected.values()]
 
 
 # -- spans ----------------------------------------------------------------------------
@@ -472,15 +499,6 @@ if phi(1, 2)(3) != 3 or apply(phi(1, 2), Fraction(1, 2)) != Fraction(1, 2):
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr + done.stdout
-
-
-@given(st.lists(st.integers(0, 2), max_size=7))
-def test_distinct_orderings_are_the_distinct_permutations(word):
-    got = list(_distinct_orderings(word))
-    assert len(got) == len(set(got))
-    assert set(got) == set(itertools.permutations(word))
-    assert len(got) == math.factorial(len(word)) // math.prod(
-        math.factorial(c) for c in Counter(word).values())
 
 
 def test_powers_images_and_words_never_multiply_by_the_unit(monkeypatch):

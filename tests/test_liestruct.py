@@ -396,11 +396,13 @@ def _filiform_model(n):
 
 # sl₂ × H₃ and (sl₂ ⋉ ℂ²) × ℂ share n = 6, a 3-dimensional radical and a
 # 1-dimensional centre with sl₂ ⋉ H₃ but are not perfect; sl₂ ⋉ ℂ³ is sl₂
-# (e0, e1, e2) acting on a copy (e3, e4, e5) of itself.  Vergne's Q₆ and the
-# model L(4) plus [e1, e2] = e4 have the lower-central profile of L(5) and
-# L(4), but no abelian ideal of codimension 1; Q₆ extended by its grading
-# derivation e6 (weights 1, 1, 2, 3, 4, 5) has no centre and the derived
-# profile of LTildeModC(6).
+# (e0, e1, e2) acting on a copy (e3, e4, e5) of itself, and sl₂ × sl₂ is
+# perfect of dimension 6 with no centre.  sl₂ × ℂ² and sl₂ × aff(1) share
+# n = 5 and a 2-dimensional radical with sl₂ ⋉ ℂ² but are not perfect.
+# Vergne's Q₆ and the model L(4) plus [e1, e2] = e4 have the lower-central
+# profile of L(5) and L(4), but no abelian ideal of codimension 1; Q₆
+# extended by its grading derivation e6 (weights 1, 1, 2, 3, 4, 5) has no
+# centre and the derived profile of LTildeModC(6).
 Q6 = {**_filiform_model(5), (1, 4): {5: ONE}, (2, 3): {5: S(-1)}}
 NEAR_MISSES = {
     "sl2 x H3": (6, {**SL2, (4, 5): {3: ONE}}),
@@ -408,6 +410,9 @@ NEAR_MISSES = {
                             (2, 3): {3: ONE}, (2, 4): {4: S(-1)}}),
     "sl2 x| C3": (6, {**SL2, (0, 4): {5: ONE}, (0, 5): {3: S(-2)}, (1, 3): {5: S(-1)},
                       (1, 5): {4: S(2)}, (2, 3): {3: S(2)}, (2, 4): {4: S(-2)}}),
+    "sl2 x sl2": (6, {**SL2, (3, 4): {5: ONE}, (3, 5): {3: S(-2)}, (4, 5): {4: S(2)}}),
+    "sl2 x C2": (5, SL2),
+    "sl2 x aff(1)": (5, {**SL2, (3, 4): {4: ONE}}),
     "Q6": (6, Q6),
     "L(4) + [e1,e2]=e4": (5, {**_filiform_model(4), (1, 2): {4: ONE}}),
     "Q6 x| <e6>": (7, {**Q6, **{(k, 6): {k: S(-w)} for k, w in enumerate((1, 1, 2, 3, 4, 5))}}),
@@ -422,8 +427,8 @@ def test_recognize_near_misses_of_sl2_semidirect_h3_are_unknown(name):
 
 
 def _full_sum_radical(algebra, derived_rows) -> int:
-    """The radical dimension with every structure constant in the Killing sum,
-    absent ones as ZERO, as computed before the sparse sum, frozen."""
+    """The radical dimension, the Killing-orthogonal of the derived algebra,
+    with every structure constant in the Killing sum (absent ones as ZERO), frozen."""
     n, br = algebra.dim, algebra.basis_bracket
     rows = []
     for d in derived_rows:
@@ -434,10 +439,29 @@ def _full_sum_radical(algebra, derived_rows) -> int:
     return n - Echelon(rows).dim
 
 
-def test_radical_sums_only_the_present_structure_constants():
+def _radical_rule(algebra) -> CatalogTag:
+    """The non-solvable branch of recognize as it was, by dimension, Killing
+    radical, centre and perfectness, frozen."""
+    n = algebra.dim
+    derived = Echelon(algebra.basis_bracket(i, j) for i in range(n) for j in range(n)).rows
+    rad = _full_sum_radical(algebra, derived)
+    zc = invariants(algebra).center_dim
+    perfect = len(derived) == n
+    if n == 3 and rad == 0 and perfect:
+        return CatalogTag("Sl2")
+    if n == 4 and rad == 1 and zc == 1:
+        return CatalogTag("Sl2xC")
+    if n == 5 and rad == 2 and zc == 0 and perfect:
+        return CatalogTag("Sl2SemidirectC2")
+    if n == 6 and rad == 3 and zc == 1 and perfect:
+        return CatalogTag("Sl2SemidirectH3")
+    return CatalogTag("Unknown")
+
+
+def test_recognize_matches_the_radical_rule_on_non_solvable_algebras():
     rng = random.Random(11)
-    algebras = [catalog(CatalogTag(kind)).algebra
-                for kind in ("Sl2", "Sl2xC", "Sl2SemidirectC2", "Sl2SemidirectH3")]
+    kinds = ("Sl2", "Sl2xC", "Sl2SemidirectC2", "Sl2SemidirectH3")
+    algebras = [catalog(CatalogTag(kind)).algebra for kind in kinds]
     algebras += [LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c)
                  for dim, c in NEAR_MISSES.values()]
     for algebra in list(algebras):
@@ -449,13 +473,10 @@ def test_radical_sums_only_the_present_structure_constants():
                 break
             except BadParams:
                 continue
-    radicals = []
-    for algebra in algebras:
-        n = algebra.dim
-        derived = Echelon(algebra.basis_bracket(i, j) for i in range(n) for j in range(n)).rows
-        radicals.append(liestruct._radical(algebra, derived))
-        assert radicals[-1] == _full_sum_radical(algebra, derived)
-    assert radicals[:4] == [0, 1, 2, 3]
+    non_solvable = [a for a in algebras if not invariants(a).solvable]
+    expected = [_radical_rule(a) for a in non_solvable]
+    assert [recognize(a) for a in non_solvable] == expected
+    assert len(expected) == 2 * (4 + 6) and expected[:4] == [CatalogTag(k) for k in kinds]
 
 
 # -- filiform chains ------------------------------------------------------------------

@@ -105,3 +105,34 @@ def test_each_subcommand_is_declared_once_on_its_handler():
               if isinstance(c, ast.Constant) and c.value in names]
     assert handlers
     assert not found, found
+
+
+def test_every_private_name_is_read():
+    # a private module-level function, class or constant that no module reads
+    # is dead code; the subcommand handlers are read through their decorator
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if name == "cli.py" and node.decorator_list:
+                    continue
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            private += [(f"{name}:{node.lineno}", d) for d in defined
+                        if d.startswith("_") and not d.startswith("__")]
+    unread = [f"{where} {d}" for where, d in private if d not in read]
+    assert private
+    assert not unread, unread
