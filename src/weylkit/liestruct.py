@@ -1,8 +1,9 @@
 """Finite-dimensional Lie algebras inside the Weyl algebra.
 
-A LieAlgebraStruct is a bare structure-constant table (antisymmetry by
-storage, Jacobi checked on construction); a Realization pairs one with an
-exact embedding into the algebra.  On top of those sit:
+A LieAlgebraStruct is a bare structure-constant table, kept over Z[i]
+(antisymmetry by storage; Jacobi checked on a table given to the constructor,
+holding by construction on the tables the library builds); a Realization
+pairs one with an exact embedding into the algebra.  On top of those sit:
 
 * the catalog of isomorphism classes that admit (or are quoted alongside)
   realisations: abelian, the 3-dimensional Heisenberg algebra, sl(2) and its
@@ -26,8 +27,8 @@ from .elements import ElementSpan, WeylElement, ad_pow, bracket, linear_combinat
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
-from .linalg import Echelon, eigen_decomposition, kernel
-from .scalars import ONE, ZERO, Scalar
+from .linalg import Echelon, eigen_decomposition, integer_kernel
+from .scalars import ONE, ZERO, Scalar, _clear, _norm, as_scalar
 from .sl2orbits import f_I
 
 __all__ = [
@@ -37,60 +38,73 @@ __all__ = [
     "weight_spaces", "quotient_by_center", "change_basis",
 ]
 
-Vector = list[Scalar]
-
 
 class LieAlgebraStruct:
-    """Structure constants c^k_{ij} over a finite basis, stored for i < j."""
+    """Structure constants c^k_{ij} over a finite basis: ``c`` holds them for
+    i < j as Scalars, ``_num`` for both orders as Z[i] numerators over ``_den``."""
 
     def __init__(self, dim: int, labels: Sequence[str],
                  c: dict[tuple[int, int], dict[int, Scalar]]):
         if len(labels) != dim:
             raise BadParams(f"{dim} basis vectors need {dim} labels, got {len(labels)}")
-        table: dict[tuple[int, int], dict[int, Scalar]] = {}
-        signed: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), row in c.items():
-            if not (0 <= i < j < dim):
-                raise BadParams("structure constants must be indexed with i < j")
-            clean = {k: v for k, v in row.items() if v}
-            if clean:
-                table[(i, j)] = signed[(i, j)] = clean
-                signed[(j, i)] = {k: -v for k, v in clean.items()}
-        self.dim = dim
-        self.labels = list(labels)
-        self.c = table
-        self._signed = signed
+        if any(not 0 <= i < j < dim or any(k not in range(dim) for k in row)
+               for (i, j), row in c.items()):
+            raise BadParams(f"structure constants c^k_ij need 0 <= i < j < {dim}, 0 <= k < {dim}")
+        self._fill(dim, labels, c)
         self._check_jacobi()
 
+    def _fill(self, dim: int, labels: Sequence[str], c: dict):
+        self.dim, self.labels = dim, list(labels)
+        self.c = {ij: clean for ij, row in c.items()
+                  if (clean := {k: x for k, v in row.items() if (x := as_scalar(v))})}
+        self._den = den = math.lcm(*{x.d for row in self.c.values() for x in row.values()})
+        self._num = {}
+        for (i, j), row in self.c.items():
+            self._num[(i, j)] = num = _clear(row, den)
+            self._num[(j, i)] = {k: (-a, -b) for k, (a, b) in num.items()}
+
     def basis_bracket(self, i: int, j: int) -> dict[int, Scalar]:
-        """[e_i, e_j] as a sparse row {k: c^k_{ij}}, read from c with its sign."""
-        return self._signed.get((i, j), {})
+        """[e_i, e_j] as a sparse row {k: c^k_{ij}}."""
+        return {k: _norm(a, b, self._den) for k, (a, b) in self._num.get((i, j), {}).items()}
 
     def sparse_bracket(self, u: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
         """[u, v] for sparse coordinate rows {basis index: Scalar}."""
-        out: dict[int, Scalar] = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                for k, s in self.basis_bracket(i, j).items():
-                    out[k] = out.get(k, ZERO) + a * b * s
-        return {k: x for k, x in out.items() if x}
+        du, dv = (math.lcm(*{x.d for x in w.values()}) for w in (u, v))
+        return {k: _norm(a, b, du * dv * self._den)
+                for k, (a, b) in self._bracket(_clear(u, du), _clear(v, dv)).items()}
+
+    def _bracket(self, u: dict, v: dict) -> dict:
+        """den·[u, v] for rows u and v over Z[i], den the table's denominator."""
+        return _combination(((a * c - b * d, a * d + b * c), row)
+                            for i, (a, b) in u.items() for j, (c, d) in v.items()
+                            if (row := self._num.get((i, j))))
 
     def _check_jacobi(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total: dict[int, Scalar] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, s in self.basis_bracket(a, b).items():
-                            for t, x in self.basis_bracket(m, c).items():
-                                total[t] = total.get(t, ZERO) + s * x
-                    if any(total.values()):
-                        raise PreconditionFailed(
-                            f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
+        for i, j, k in combinations(range(self.dim), 3):
+            if _combination((x, self._num.get((m, c), {}))
+                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                            for m, x in self._num.get((a, b), {}).items()):
+                raise PreconditionFailed(f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
 
     def __repr__(self):
         return f"<LieAlgebraStruct dim={self.dim} labels={self.labels}>"
+
+
+def _built(dim: int, labels: Sequence[str], c: dict) -> LieAlgebraStruct:
+    """A table read off brackets in A₁ or off a checked one: skips __init__'s checks."""
+    algebra = object.__new__(LieAlgebraStruct)
+    algebra._fill(dim, labels, c)
+    return algebra
+
+
+def _combination(pairs) -> dict:
+    """Σ z·row over pairs (z, row) of a Gaussian integer and a row over Z[i]."""
+    out: dict = {}
+    for (a, b), row in pairs:
+        for k, (x, y) in row.items():
+            re, im = out.get(k, (0, 0))
+            out[k] = (re + a * x - b * y, im + a * y + b * x)
+    return {k: z for k, z in out.items() if z != (0, 0)}
 
 
 class CatalogTag(NamedTuple):
@@ -157,7 +171,7 @@ def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) ->
         if coords is None:
             raise PreconditionFailed("images do not span a Lie subalgebra")
         c[(i, j)] = dict(enumerate(coords))
-    algebra = LieAlgebraStruct(len(images), labels, c)
+    algebra = _built(len(images), labels, c)
     return CatalogEntry(algebra, Realization(algebra, list(images)))
 
 
@@ -175,10 +189,8 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
     if kind == "Abelian":
         if not isinstance(param, int) or param < 1:
             raise BadParams("abelian algebras need a positive dimension")
-        labels = [f"Z{i}" for i in range(1, param + 1)]
-        images = [WeylElement.monomial(k, 0) for k in range(1, param + 1)]
-        algebra = LieAlgebraStruct(param, labels, {})
-        return CatalogEntry(algebra, Realization(algebra, images))
+        return _struct_from_images([f"Z{i}" for i in range(1, param + 1)],
+                                   [WeylElement.monomial(k, 0) for k in range(1, param + 1)])
     if kind == "Heisenberg3":
         return _struct_from_images(["Z", "P", "Q"], [one, p, q])
     if kind == "Sl2":
@@ -208,22 +220,16 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         images = [p * q] + [WeylElement.monomial(i, 0) for i in idx]
         return _struct_from_images(labels, images)
     if kind == "Sl2SemidirectC2":
-        labels = ["X", "Y", "H", "U", "V"]
-        s = Scalar
-        c = {(0, 1): {2: ONE}, (0, 2): {0: s(-2)}, (1, 2): {1: s(2)},
-             (0, 4): {3: ONE}, (1, 3): {4: ONE},
-             (2, 3): {3: ONE}, (2, 4): {4: s(-1)}}
-        return CatalogEntry(LieAlgebraStruct(5, labels, c), None)
+        c = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}, (0, 4): {3: 1},
+             (1, 3): {4: 1}, (2, 3): {3: 1}, (2, 4): {4: -1}}
+        return CatalogEntry(LieAlgebraStruct(5, ["X", "Y", "H", "U", "V"], c), None)
     if kind == "LTildeModC":
         n = param
         if not isinstance(n, int) or n < 2:
             raise BadParams("the quotient family starts at parameter 2")
         labels = ["h"] + [f"X{k}" for k in range(n)]
-        c: dict[tuple[int, int], dict[int, Scalar]] = {(0, 1): {1: Scalar(-1)}}
-        for k in range(1, n):
-            c[(0, k + 1)] = {k + 1: Scalar(n - k)}
-        for k in range(1, n - 1):
-            c[(1, k + 1)] = {k + 2: ONE}
+        c = {(0, 1): {1: -1}, **{(0, k + 1): {k + 1: n - k} for k in range(1, n)},
+             **{(1, k + 1): {k + 2: 1} for k in range(1, n - 1)}}
         return CatalogEntry(LieAlgebraStruct(n + 1, labels, c), None)
     raise BadParams(f"no catalog entry for kind {kind!r}")
 
@@ -257,7 +263,7 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
             if len(rows) > max_dim:
                 raise DimensionExceeded(max_dim)
         i += 1
-    algebra = LieAlgebraStruct(len(rows), [f"b{k}" for k in range(len(rows))], c)
+    algebra = _built(len(rows), [f"b{k}" for k in range(len(rows))], c)
     return Realization(algebra, rows)
 
 
@@ -280,15 +286,18 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
 # -- coordinate subspace helpers ----------------------------------------------------
 
 
-def _bracket_span(algebra: LieAlgebraStruct, rows_a, rows_b) -> Echelon:
-    return Echelon(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
+def _span(rows) -> Echelon:
+    """The span of rows over Z[i]; a span does not depend on the scale of its rows."""
+    span = Echelon()
+    for row in rows:
+        span.insert(row, 1)
+    return span
 
 
 def _derived_span(algebra: LieAlgebraStruct, rows) -> Echelon:
     """[span(rows), span(rows)], one bracket per unordered pair: the reversed
-    pairs are negatives and the diagonal is zero, so the rows are those of
-    ``_bracket_span(algebra, rows, rows)``."""
-    return Echelon(algebra.sparse_bracket(u, v) for u, v in combinations(rows, 2))
+    pairs are negatives and the diagonal is zero."""
+    return _span(algebra._bracket(u, v) for u, v in combinations(rows, 2))
 
 
 def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> list[Echelon]:
@@ -298,9 +307,9 @@ def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> l
     prev = len(rows)
     while terms[-1].dim not in (0, prev):
         prev = terms[-1].dim
-        cur = terms[-1].rows
+        cur = terms[-1].integer_rows
         terms.append(_derived_span(algebra, cur) if derived
-                     else _bracket_span(algebra, rows, cur))
+                     else _span(algebra._bracket(u, v) for u in rows for v in cur))
     return terms
 
 
@@ -315,15 +324,15 @@ class AlgebraInvariants(NamedTuple):
 def _center(algebra: LieAlgebraStruct) -> Echelon:
     """The centre: the relations among the columns ad(e_i) = {(j, k): c^k_{ij}}."""
     n = algebra.dim
-    columns = [{(j, k): s for j in range(n) for k, s in algebra.basis_bracket(i, j).items()}
+    columns = [{(j, k): z for j in range(n) for k, z in algebra._num.get((i, j), {}).items()}
                for i in range(n)]
-    return Echelon(kernel(columns))
+    return Echelon(integer_kernel(columns))
 
 
 def _invariants(algebra: LieAlgebraStruct):
     """The invariants, with the derived series [g, g], [D, D], … and the centre."""
     n = algebra.dim
-    full = [{i: ONE} for i in range(n)]
+    full = [{i: (1, 0)} for i in range(n)]
     first = _derived_span(algebra, full)
     series = _series(algebra, full, first, derived=True)
     derived = [n] + [t.dim for t in series]
@@ -343,24 +352,28 @@ def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
     center = _center(algebra)
     keep = [i for i in range(algebra.dim) if i not in center.pivots]
     # brackets are read in the basis (centre rows, kept basis vectors)
-    basis = Echelon(center.rows + [{i: ONE} for i in keep])
-    c = {(a, b): dict(enumerate(basis.express(algebra.basis_bracket(i, j))[center.dim:]))
+    basis = _span(center.integer_rows + [{i: (1, 0)} for i in keep])
+    c = {(a, b): dict(enumerate(basis.express(algebra._num.get((i, j), {}),
+                                              algebra._den)[center.dim:]))
          for (a, i), (b, j) in combinations(enumerate(keep), 2)}
-    return LieAlgebraStruct(len(keep), [algebra.labels[i] for i in keep], c)
+    return _built(len(keep), [algebra.labels[i] for i in keep], c)
 
 
-def change_basis(algebra: LieAlgebraStruct, matrix: list[Vector]) -> LieAlgebraStruct:
+def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAlgebraStruct:
     """The same algebra on the basis f_j = Σ_i matrix[i][j]·e_i."""
     n = algebra.dim
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise BadParams(f"basis-change matrix must be {n}x{n}")
-    cols = [{i: matrix[i][j] for i in range(n) if matrix[i][j]} for j in range(n)]
+    cols = [{i: x for i in range(n) if (x := as_scalar(matrix[i][j]))} for j in range(n)]
     span = Echelon(cols)
     if span.dim != n:
         raise BadParams("basis-change matrix is singular")
-    c = {(a, b): dict(enumerate(span.express(algebra.sparse_bracket(cols[a], cols[b]))))
+    d = math.lcm(*{x.d for col in cols for x in col.values()})
+    ints = [_clear(col, d) for col in cols]
+    den = d * d * algebra._den
+    c = {(a, b): dict(enumerate(span.express(algebra._bracket(ints[a], ints[b]), den)))
          for a, b in combinations(range(n), 2)}
-    return LieAlgebraStruct(n, [f"f{k}" for k in range(n)], c)
+    return _built(n, [f"f{k}" for k in range(n)], c)
 
 
 # -- recognition --------------------------------------------------------------------
@@ -375,34 +388,25 @@ def _filiform_parameter(lower_dims: list[int]) -> Optional[int]:
     return n if lower_dims == expected and n >= 2 else None
 
 
-def _integer_profile(eigs: list[Scalar]) -> Optional[list[int]]:
-    """Scale commensurable eigenvalues to a primitive integer vector."""
-    ref = next((e for e in eigs if e), None)
-    if ref is None:
-        return [0] * len(eigs)
-    ratios = []
-    for e in eigs:
-        r = e / ref
-        if r.im:
-            raise IrrationalSpectrum("eigenvalue ratios leave the rationals")
-        ratios.append(r.re)
-    scale = math.lcm(*(f.denominator for f in ratios))
-    ints = [int(f * scale) for f in ratios]
-    g = math.gcd(*(abs(i) for i in ints if i)) if any(ints) else 1
-    return [i // g for i in ints]
+def _integer_profile(eigs: list[Scalar]) -> list[int]:
+    """The nonzero eigenvalues over the first, times the lcm of the ratios'
+    denominators: a primitive integer vector, since its first entry is that lcm."""
+    ratios = [e / eigs[0] for e in eigs]
+    if any(r.im for r in ratios):
+        raise IrrationalSpectrum("eigenvalue ratios leave the rationals")
+    scale = math.lcm(*(r.re.denominator for r in ratios))
+    return [int(r.re * scale) for r in ratios]
 
 
 def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:
-    """Whether the centraliser in span(rows) of span(derived_rows) is abelian
-    of codimension 1, for independent rows: the relations among the columns
-    ad(u) restricted to derived_rows, for u in rows."""
-    columns = [{(r, k): s for r, d in enumerate(derived_rows)
-                for k, s in algebra.sparse_bracket(u, d).items()} for u in rows]
-    centraliser = [{k: x for k in {k for i in rel for k in rows[i]}
-                    if (x := sum((c * rows[i].get(k, ZERO) for i, c in rel.items()), ZERO))}
-                   for rel in kernel(columns)]
-    return len(centraliser) == len(rows) - 1 and not any(
-        algebra.sparse_bracket(u, v) for u, v in combinations(centraliser, 2))
+    """Whether the centraliser C in V = span(rows) of D = span(derived_rows) is
+    abelian of codimension 1, for independent rows with D = [V, V] of
+    codimension 2: C is the relations among the columns ad(u)|D, u in rows.
+    Codimension 1 makes C abelian: C ∩ D is the centre of D, of codimension at
+    most 1 in D, so D is abelian, lies in C and C = D + one vector centralising D."""
+    columns = [{(r, k): z for r, d in enumerate(derived_rows)
+                for k, z in algebra._bracket(u, d).items()} for u in rows]
+    return len(integer_kernel(columns)) == len(rows) - 1
 
 
 def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
@@ -423,48 +427,44 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     n = algebra.dim
     if inv.derived_series_dims[1] == 0:
         return CatalogTag("Abelian", n)
-    full = [{i: ONE} for i in range(n)]
+    full = [{i: (1, 0)} for i in range(n)]
     if inv.nilpotent:
         m = _filiform_parameter(inv.lower_central_dims)
-        if m is None or (m >= 3 and not _model_filiform(algebra, full, series[0].rows)):
+        if m is None or (m >= 3 and not _model_filiform(algebra, full, series[0].integer_rows)):
             return CatalogTag("Unknown")
         return normalize_tag(CatalogTag("L", m))
     derived = series[0]
     if inv.solvable:
         # the catalog solvables are all one generator over derived + centre
-        ext = Echelon(derived.rows + center.rows)
+        ext = _span(derived.integer_rows + center.integer_rows)
         if n - ext.dim != 1:
             return CatalogTag("Unknown")
-        h = next(e for e in full if not ext.contains(e))
+        h = next(i for i in range(n) if not ext.contains(full[i], 1))
         if inv.derived_series_dims[2] == 0:
             # abelian derived algebra (an ideal): diagonalise ad(h) on it
-            ad_cols = [derived.row_coordinates(algebra.sparse_bracket(h, d))
+            ad_cols = [derived.row_coordinates(algebra.sparse_bracket({h: ONE}, d))
                        for d in derived.rows]
             mat = [[col[k] for col in ad_cols] for k in range(derived.dim)]
-            decomp = eigen_decomposition(mat)
-            if sum(len(vecs) for _, vecs in decomp) != derived.dim:
-                return CatalogTag("Unknown")
-            eigs = []
-            for lam, vecs in decomp:
-                eigs.extend([lam] * len(vecs))
-            if any(not e for e in eigs):
+            eigs = [lam for lam, vecs in eigen_decomposition(mat) for _ in vecs]
+            if len(eigs) != derived.dim or not all(eigs):
                 return CatalogTag("Unknown")
             profile = _integer_profile(eigs)
-            central_extra = center.dim
-            if central_extra > 1:
+            if center.dim > 1:
                 return CatalogTag("Unknown")
-            if all(i > 0 for i in profile) or all(i < 0 for i in profile):
-                idx = sorted(abs(i) for i in profile)
+            # the ratios to the first eigenvalue: a profile of one sign is positive
+            if all(i > 0 for i in profile):
+                idx = sorted(profile)
                 if len(set(idx)) != len(idx):
                     return CatalogTag("Unknown")
-                return normalize_tag(CatalogTag("R", tuple([0] * central_extra + idx)))
-            if sorted(profile) == [-1, 1] and central_extra == 0:
+                return normalize_tag(CatalogTag("R", tuple([0] * center.dim + idx)))
+            if sorted(profile) == [-1, 1] and center.dim == 0:
                 return CatalogTag("LTildeModC", 2)
             return CatalogTag("Unknown")
         # non-abelian derived algebra: the extended filiform families
-        lower = _series(algebra, derived.rows, series[1], derived=False)
+        lower = _series(algebra, derived.integer_rows, series[1], derived=False)
         m = _filiform_parameter([derived.dim] + [t.dim for t in lower])
-        if m is None or (m >= 3 and not _model_filiform(algebra, derived.rows, series[1].rows)):
+        if m is None or (m >= 3 and not _model_filiform(algebra, derived.integer_rows,
+                                                         series[1].integer_rows)):
             return CatalogTag("Unknown")
         if center.dim == 1 and n == m + 2:
             return CatalogTag("LTilde", m)

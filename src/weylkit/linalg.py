@@ -34,7 +34,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import IrrationalSpectrum
-from .scalars import ONE, ZERO, Scalar, _norm
+from .scalars import ONE, ZERO, Scalar, _clear, _norm
 
 __all__ = [
     "Echelon", "rref", "kernel", "integer_kernel", "charpoly", "eigenvalues",
@@ -207,11 +207,6 @@ def rref(a: Matrix):
     rows = [[r.get(c, ZERO) for c in range(ncols)] for r in span.reduced_rows()]
     rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
     return rows, sorted(span.pivots)
-
-
-def _clear(v: dict, den: int) -> dict:
-    """den·v over Z[i], for a dict v of Scalars whose denominators divide den."""
-    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items()}
 
 
 def kernel(columns: list[dict]) -> list[dict]:

@@ -37,7 +37,7 @@ from .scalars import ONE, Scalar, as_scalar, parse_scalar
 
 __all__ = [
     "WeylMorphism", "identity_morphism", "phi", "phi_prime", "scale",
-    "translation", "SL2Element", "alpha1_hat", "alpha2_hat", "beta_hat", "sl2_semidirect_aut",
+    "translation", "SL2Element", "alpha1_hat", "beta_hat", "sl2_semidirect_aut",
     "apply", "compose", "invert", "exp_ad",
     "RGroupElement", "r_group_identity", "r_group_mul", "r_group_inv", "r_to_aut",
     "LTildeGroupElement", "ltilde_group_identity", "ltilde_group_mul",
@@ -173,8 +173,6 @@ def translation(b1, b2) -> WeylMorphism:
     return _mk(p - c1, q + c2, (p + c1, q - c2))
 
 
-alpha2_hat = translation
-
 
 class SL2Element:
     """A unimodular 2×2 matrix of scalars, rows (a₁, a₂) and (a₃, a₄)."""
@@ -235,7 +233,7 @@ def beta_hat(g: SL2Element) -> WeylMorphism:
 
 
 def sl2_semidirect_aut(g: SL2Element, b: Sequence) -> WeylMorphism:
-    """The automorphism α̂₁(g)∘α̂₂(b) of the unimodular-affine family."""
+    """The automorphism α̂₁(g)∘translation(b₁, b₂) of the unimodular-affine family."""
     return compose(alpha1_hat(g), translation(b[0], b[1]))
 
 

@@ -219,6 +219,11 @@ def as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
+def _clear(v: dict, den: int) -> dict:
+    """den·v over Z[i], for a dict v of Scalars whose denominators divide den."""
+    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items()}
+
+
 # -- text grammar -----------------------------------------------------------
 #
 #   scalar   := rational 'i'? | rational ('+'|'-') rational 'i' | sign? 'i'

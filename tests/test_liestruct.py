@@ -2,16 +2,17 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylkit.liestruct as liestruct
 from weylkit import Scalar, bracket
 from weylkit.elements import (ElementSpan, WeylElement, one, p, parse_element,
                               q, zero)
-from weylkit.errors import (BadParams, DimensionExceeded, NotHomomorphism,
+from weylkit.errors import (BadParams, DimensionExceeded, IrrationalSpectrum, NotHomomorphism,
                             NotInjective, NotNilpotent, PreconditionFailed)
 from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_basis,
                                filiform_normal_basis, invariants, lie_closure,
@@ -21,6 +22,8 @@ from weylkit.linalg import Echelon
 from weylkit.morphisms import apply, compose, phi, phi_prime
 from weylkit.scalars import ONE, ZERO
 
+from . import scalar_struct as frozen
+
 S = Scalar
 
 
@@ -29,6 +32,25 @@ def test_struct_checks_jacobi():
     with pytest.raises(PreconditionFailed):
         LieAlgebraStruct(3, ["a", "b", "c"],
                          {(0, 1): {2: S(1)}, (0, 2): {0: S(1)}})
+
+
+@pytest.mark.parametrize("k", [5, 2, -1])
+def test_struct_refuses_an_output_index_outside_the_basis(k):
+    with pytest.raises(BadParams):
+        LieAlgebraStruct(2, ["a", "b"], {(0, 1): {k: S(1)}})
+
+
+def test_struct_and_change_basis_store_int_and_fraction_entries_as_scalars():
+    sl2 = LieAlgebraStruct(3, ["X", "Y", "H"], SL2)
+    coerced = LieAlgebraStruct(3, ["X", "Y", "H"],
+                               {(0, 1): {2: 1}, (0, 2): {0: Fraction(-2)}, (1, 2): {1: 2}})
+    assert coerced.c == sl2.c
+    assert all(type(x) is Scalar for row in coerced.c.values() for x in row.values())
+    assert quotient_by_center(coerced).c == sl2.c
+    assert recognize(coerced) == CatalogTag("Sl2")
+    assert change_basis(sl2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).c == sl2.c
+    # f = (2X, Y/2, H): [f0, f1] = f2, [f0, f2] = -2 f0, [f1, f2] = 2 f1
+    assert change_basis(sl2, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]]).c == sl2.c
 
 
 def _dense_bracket(dim, c, u, v):
@@ -544,3 +566,102 @@ def test_catalog_round_trip_for_filiform(n):
     entry = catalog(CatalogTag("L", n))
     real = lie_closure(entry.realization.images)
     assert recognize(real.algebra) == normalize_tag(CatalogTag("L", n))
+
+
+# -- the integer table against the frozen Scalar table ---------------------------------
+
+
+CATALOG_CLASSES = ([CatalogTag("Abelian", n) for n in (1, 3)]
+                   + [CatalogTag(k) for k in ("Heisenberg3", "Sl2", "Sl2xC", "Sl2SemidirectH3",
+                                              "Sl2SemidirectC2")]
+                   + [CatalogTag("L", n) for n in range(2, 7)]
+                   + [CatalogTag("LTilde", n) for n in range(2, 6)]
+                   + [CatalogTag("LTildeModC", n) for n in range(2, 7)]
+                   + [CatalogTag("R", idx) for idx in ((1,), (1, 3), (2, 4), (0, 1, 3),
+                                                       (2, 3, 7), (0, 2, 5))])
+TABLES = {**{str(tag): (lambda tag=tag: catalog(tag).algebra) for tag in CATALOG_CLASSES},
+          **{name: (lambda dim=dim, c=c: LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c))
+             for name, (dim, c) in NEAR_MISSES.items()}}
+_QI = st.sampled_from([S(0), S(1), S(-1), S(2), S(0, 1), S(1, -1), S(Fraction(1, 2)),
+                       S(Fraction(-1, 3), 1)])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the library error it raised."""
+    try:
+        return f(*args)
+    except (BadParams, PreconditionFailed, IrrationalSpectrum) as exc:
+        return type(exc)
+
+
+def _assert_agrees(algebra, reference):
+    """The library's table and its invariants, recognition and quotient by the
+    centre equal the frozen Scalar table's."""
+    assert algebra.c == reference.c
+    assert tuple(invariants(algebra)) == tuple(frozen.invariants(reference))
+    assert _outcome(recognize, algebra) == _outcome(frozen.recognize, reference)
+    assert quotient_by_center(algebra).c == frozen.quotient_by_center(reference).c
+
+
+def _assert_basis_change_agrees(algebra, reference, data):
+    n = algebra.dim
+    matrix = data.draw(st.lists(st.lists(_QI, min_size=n, max_size=n), min_size=n, max_size=n))
+    moved = _outcome(change_basis, algebra, matrix)
+    expected = _outcome(frozen.change_basis, reference, matrix)
+    if isinstance(moved, type) or isinstance(expected, type):
+        assert moved == expected
+    else:
+        _assert_agrees(moved, expected)
+
+
+@pytest.mark.parametrize("name", TABLES)
+@settings(max_examples=4)
+@given(st.data())
+def test_integer_table_matches_the_scalar_table_on_the_catalog_and_near_misses(name, data):
+    algebra = TABLES[name]()
+    reference = frozen.ScalarStruct(algebra.dim, algebra.labels, algebra.c)
+    _assert_agrees(algebra, reference)
+    _assert_basis_change_agrees(algebra, reference, data)
+
+
+@given(struct_table_st(), st.data())
+def test_integer_table_matches_the_scalar_table_on_random_tables(table, data):
+    dim, c = table
+    labels = [f"e{k}" for k in range(dim)]
+    if not _dense_jacobiator_vanishes(dim, c):
+        return
+    algebra, reference = LieAlgebraStruct(dim, labels, c), frozen.ScalarStruct(dim, labels, c)
+    _assert_agrees(algebra, reference)
+    _assert_basis_change_agrees(algebra, reference, data)
+
+
+def test_library_tables_skip_the_jacobi_check(monkeypatch):
+    # closures and catalog realisations are read off brackets in A1, basis
+    # changes and quotients off a checked table: none of them runs the check,
+    # and each passes it when the check is run on it here as an oracle
+    check = LieAlgebraStruct._check_jacobi
+    outside = [catalog(CatalogTag("Sl2SemidirectC2")).algebra,
+               catalog(CatalogTag("LTildeModC", 4)).algebra]
+
+    def refuse(self):
+        raise AssertionError("the Jacobi check ran on a table the library built")
+
+    monkeypatch.setattr(LieAlgebraStruct, "_check_jacobi", refuse)
+    m = compose(phi_prime(2, S(1, 1)), phi(1, -2))
+    built = [catalog(tag).algebra for tag in REALISED_TAGS]
+    built += [lie_closure([parse_element(g) for g in gens]).algebra
+              for gens in (["p^2", "q^2"], ["p*q", "p^3", "p"], ["p", "q", "p*q"])]
+    built.append(lie_closure([apply(m, x) for x in
+                              catalog(CatalogTag("LTilde", 3)).realization.images]).algebra)
+    rng = random.Random(5)
+    for algebra in built[:] + outside:
+        n = algebra.dim
+        built.append(quotient_by_center(algebra))
+        matrix = [[S(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
+        try:
+            built.append(change_basis(algebra, matrix))
+        except BadParams:  # a singular draw
+            pass
+    assert len(built) > 2 * len(REALISED_TAGS)
+    for algebra in built:
+        check(algebra)

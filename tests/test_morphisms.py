@@ -13,7 +13,7 @@ from weylkit.errors import (BadParams, ExprSyntaxError, IndexMismatch,
                             NotInvertible, NotLocallyNilpotent, NotUnimodular,
                             PreconditionFailed, ZeroScale)
 from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, WeylMorphism,
-                               alpha1_hat, alpha2_hat, apply, beta_hat, compose, exp_ad,
+                               alpha1_hat, apply, beta_hat, compose, exp_ad,
                                identity_morphism, invert, ltilde_group_identity,
                                ltilde_group_inv, ltilde_group_mul, ltilde_to_aut,
                                parse_morphism, phi, phi_prime, r_group_identity,
@@ -104,7 +104,7 @@ def test_alpha1_images_and_inverse():
 def test_translation_is_the_ad_exponential():
     b1, b2 = Scalar(3), Scalar(0, -2)
     z = q.scale(b1) + p.scale(b2)
-    m = alpha2_hat(b1, b2)
+    m = translation(b1, b2)
     assert apply(m, p) == exp_ad(z, p)
     assert apply(m, q) == exp_ad(z, q)
 

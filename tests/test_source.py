@@ -84,6 +84,21 @@ def test_elements_build_scalars_only_at_the_edge():
     assert not found, found
 
 
+def test_structure_invariants_run_on_the_integer_table():
+    # a span does not depend on the scale of its rows, so the series, the centre
+    # and the filiform test bracket rows over Z[i] and build no Scalar to decide
+    # a dimension
+    scoped = {"_derived_span", "_series", "_center", "_invariants", "_model_filiform"}
+    builders = {"Scalar", "ONE", "ZERO", "as_scalar"}
+    tree = ast.parse((SOURCES[0].parent / "liestruct.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert scoped <= set(functions)
+    found = [f"{name}:{node.lineno} {node.id}" for name in sorted(scoped)
+             for node in ast.walk(functions[name])
+             if isinstance(node, ast.Name) and node.id in builders]
+    assert not found, found
+
+
 def test_each_subcommand_is_declared_once_on_its_handler():
     # a subcommand's name, help, arguments and schema are written in its
     # `_command` decorator only: the parser is built from the registry and
