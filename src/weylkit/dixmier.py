@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import ElementSpan, WeylElement, _accumulate, _term_order, bracket, p, q
+from .elements import ElementSpan, WeylElement, _accumulate, _make, _term_order, bracket, p, q
 from .errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
                      PreconditionFailed, ZeroElement)
 from .linalg import integer_kernel
@@ -80,8 +80,8 @@ def f_test(z: WeylElement, a: WeylElement, max_iter: int = 64) -> FTestResult:
     strictly growing steps certify that a is outside the finite-orbit part
     of ad(z) up to that bound.
     """
-    if max_iter < 1:
-        raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, int) or max_iter < 1:
+        raise BadParams(f"the iteration budget must be at least 1, got {max_iter!r}")
     span = ElementSpan([a])
     cur = a
     for k in range(1, max_iter + 1):
@@ -105,13 +105,14 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     satisfies the eigen-equation in the full algebra, not just modulo high
     degree.  Returns a canonical echelon basis (possibly empty).
     """
-    if max_degree < 0:
-        raise BadParams(f"the truncation degree must be natural, got {max_degree}")
+    if not isinstance(max_degree, int) or max_degree < 0:
+        raise BadParams(f"the truncation degree must be natural, got {max_degree!r}")
     if (max_degree + 1) * (max_degree + 2) // 2 > _WINDOW_BUDGET:
         raise BudgetExceeded(f"degree {max_degree} has over {_WINDOW_BUDGET} unknowns")
     lam = as_scalar(lam)
-    # in reverse printing order each relation is e_j minus independent columns
-    # only, so, reversed, the relations are already the canonical echelon basis
+    # in reverse printing order each relation is s·e_j minus independent columns
+    # only, so, reversed and over s, the relations are already the canonical
+    # echelon basis; a relation over s is conj(s)·relation over N(s)
     unknowns = sorted(((i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)),
                       key=_term_order, reverse=True)
     # the columns D·([x, m] − λm) over Z[i], D = D_x·λ.d, keyed so that each
@@ -125,8 +126,9 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
         im_acc[m] = im_acc.get(m, 0) - lam.b * dx
         columns.append({_term_order(k): (re, im) for k, re in re_acc.items()
                         if (im := im_acc.get(k, 0)) or re})
-    return [WeylElement({unknowns[g]: c for g, c in relation.items()})
-            for relation in reversed(integer_kernel(columns))]
+    return [_make({unknowns[g]: (a * sr + b * si, b * sr - a * si) for g, (a, b) in rel.items()},
+                  sr * sr + si * si)
+            for rel in reversed(integer_kernel(columns)) for sr, si in [rel[max(rel)]]]
 
 
 class ExponentiabilityReport(NamedTuple):
@@ -150,8 +152,8 @@ def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PRO
     nilpotently.  Negative evidence is a probe whose ad-orbit span keeps
     growing: such an element lies outside both exponentiable classes.
     """
-    if max_iter < 1:
-        raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, int) or max_iter < 1:
+        raise BadParams(f"the iteration budget must be at least 1, got {max_iter!r}")
     if x.is_zero():
         raise ZeroElement("the zero element has no partition class")
     if x.is_scalar():

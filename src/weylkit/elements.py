@@ -64,6 +64,8 @@ def _triple(c: ScalarLike) -> tuple[int, int, int]:
     """(a, b, d) in lowest terms with c = (a + b·i)/d and d > 0."""
     if isinstance(c, Scalar):
         return c.a, c.b, c.d
+    if isinstance(c, (float, complex)):
+        raise BadParams(f"coefficients are exact, not floating point: got {c!r}")
     c = Fraction(c)
     return c.numerator, 0, c.denominator
 
@@ -368,8 +370,8 @@ def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
 
 def ad_pow(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
     """The n-fold iterated bracket ad(x)^n(y); n = 0 returns y."""
-    if n < 0:
-        raise BadParams(f"ad_pow needs a nonnegative iteration count, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise BadParams(f"ad_pow needs a nonnegative iteration count, got {n!r}")
     for _ in range(n):
         y = bracket(x, y)
     return y
@@ -518,12 +520,17 @@ def linear_span_dim(xs: Sequence[WeylElement]):
     return span.dim, span.reduced_basis()
 
 
+def _independent_span(xs: Sequence[WeylElement], message: str) -> ElementSpan:
+    """The span of xs; raises NotInjective(message) if xs are linearly dependent."""
+    span = ElementSpan(xs)
+    if span.dim != len(xs):
+        raise NotInjective(message)
+    return span
+
+
 def coordinates(x: WeylElement, basis: Sequence[WeylElement]) -> Optional[list[Scalar]]:
     """Coordinates of x in the given (independent) basis; None if outside."""
-    span = ElementSpan(basis)
-    if span.dim != len(basis):
-        raise NotInjective("basis elements are linearly dependent")
-    return span.express(x)
+    return _independent_span(basis, "basis elements are linearly dependent").express(x)
 
 
 # -- text forms -----------------------------------------------------------------

@@ -23,12 +23,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import ElementSpan, WeylElement, ad_pow, bracket, linear_combination, one, p, q
+from .elements import (ElementSpan, WeylElement, _independent_span, _sum, ad_pow, bracket,
+                       linear_combination, one, p, q)
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed)
 from .linalg import Echelon, eigen_decomposition, integer_kernel
-from .scalars import ONE, ZERO, Scalar, _clear, _norm, as_scalar
+from .scalars import ZERO, Scalar, _clear, _norm, as_scalar
 from .sl2orbits import f_I
 
 __all__ = [
@@ -162,9 +163,7 @@ def normalize_tag(tag: CatalogTag) -> CatalogTag:
 
 
 def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) -> CatalogEntry:
-    span = ElementSpan(images)
-    if span.dim != len(images):
-        raise NotInjective("realisation images are linearly dependent")
+    span = _independent_span(images, "realisation images are linearly dependent")
     c: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, j in combinations(range(len(images)), 2):
         coords = span.express(bracket(images[i], images[j]))
@@ -247,8 +246,8 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     final since rows are only appended.  Exceeding max_dim suggests the
     closure is infinite-dimensional.
     """
-    if max_dim < 1:
-        raise BadParams(f"the dimension cap must be at least 1, got {max_dim}")
+    if not isinstance(max_dim, int) or max_dim < 1:
+        raise BadParams(f"the dimension cap must be at least 1, got {max_dim!r}")
     span = ElementSpan(gens)
     rows = span.rows  # grows with each insert that enlarges the span
     if not rows:
@@ -271,11 +270,10 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
     """Certify that the images realise the structure constants exactly."""
     if len(images) != algebra.dim:
         raise BadParams("one image per basis vector required")
-    if ElementSpan(images).dim != len(images):
-        raise NotInjective("realisation images are linearly dependent")
+    _independent_span(images, "realisation images are linearly dependent")
     for i, j in combinations(range(algebra.dim), 2):
-        expected = linear_combination((s, images[k])
-                                      for k, s in algebra.basis_bracket(i, j).items())
+        expected = _sum([(a, b, algebra._den, images[k])
+                         for k, (a, b) in algebra._num.get((i, j), {}).items()])
         if bracket(images[i], images[j]) != expected:
             raise NotHomomorphism(
                 f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
@@ -326,7 +324,7 @@ def _center(algebra: LieAlgebraStruct) -> Echelon:
     n = algebra.dim
     columns = [{(j, k): z for j in range(n) for k, z in algebra._num.get((i, j), {}).items()}
                for i in range(n)]
-    return Echelon(integer_kernel(columns))
+    return _span(integer_kernel(columns))
 
 
 def _invariants(algebra: LieAlgebraStruct):
@@ -364,13 +362,14 @@ def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAl
     n = algebra.dim
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise BadParams(f"basis-change matrix must be {n}x{n}")
-    cols = [{i: x for i in range(n) if (x := as_scalar(matrix[i][j]))} for j in range(n)]
-    span = Echelon(cols)
-    if span.dim != n:
-        raise BadParams("basis-change matrix is singular")
+    cols = [{i: as_scalar(matrix[i][j]) for i in range(n)} for j in range(n)]
     d = math.lcm(*{x.d for col in cols for x in col.values()})
     ints = [_clear(col, d) for col in cols]
-    den = d * d * algebra._den
+    span = _span(ints)
+    if span.dim != n:
+        raise BadParams("basis-change matrix is singular")
+    # _bracket(d·f_a, d·f_b)/(d·_den) = d·[f_a, f_b], over the generators d·f_k
+    den = d * algebra._den
     c = {(a, b): dict(enumerate(span.express(algebra._bracket(ints[a], ints[b]), den)))
          for a, b in combinations(range(n), 2)}
     return _built(n, [f"f{k}" for k in range(n)], c)
@@ -441,9 +440,10 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
             return CatalogTag("Unknown")
         h = next(i for i in range(n) if not ext.contains(full[i], 1))
         if inv.derived_series_dims[2] == 0:
-            # abelian derived algebra (an ideal): diagonalise ad(h) on it
-            ad_cols = [derived.row_coordinates(algebra.sparse_bracket({h: ONE}, d))
-                       for d in derived.rows]
+            # abelian derived algebra (an ideal): diagonalise ad(h) on its integer rows
+            basis = _span(derived.integer_rows)
+            ad_cols = [basis.express(algebra._bracket({h: (1, 0)}, d), algebra._den)
+                       for d in derived.integer_rows]
             mat = [[col[k] for col in ad_cols] for k in range(derived.dim)]
             eigs = [lam for lam, vecs in eigen_decomposition(mat) for _ in vecs]
             if len(eigs) != derived.dim or not all(eigs):
@@ -534,9 +534,7 @@ def filiform_normal_basis(realization: Realization) -> list[WeylElement]:
     if inv.derived_series_dims[1] == 0:
         raise PreconditionFailed("abelian algebras have no filiform chain")
     images = realization.images
-    span = ElementSpan(images)
-    if span.dim != len(images):
-        raise NotInjective("realisation images are linearly dependent")
+    span = _independent_span(images, "realisation images are linearly dependent")
     # lower-central chain of spans, down to the last nonzero term
     terms = [span]
     while True:

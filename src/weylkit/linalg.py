@@ -9,12 +9,12 @@ v ← p·v − c·row, p the pivot value of the stored row.  The multiples
 subtracted and the scale of v follow each step, and the joint integer
 content of all three is divided out.  A row is stored as that reduction
 left it, in ``integer_rows``, so an append costs no division.  Scalars are
-built only at the edge: the rows with pivot one, on first use, and the
-coordinates returned.
+built only at the edge: ``rows`` (pivot one, on each read), the reduced basis
+and the coordinates returned.
 Each row keeps its own reduction, so ``express`` solves a linear system by
-back-substitution, and ``kernel`` (Scalar columns) and ``integer_kernel``
-(Z[i] columns) read each relation off that reduction.  ``rref`` remains, on
-the same engine, for the baseline script ``perfbench/baseline.py``.
+back-substitution, and ``integer_kernel`` reads each relation off that
+reduction over Z[i], which ``kernel`` divides by its scale.  ``rref`` remains,
+on the same engine, for the baseline script ``perfbench/baseline.py``.
 ``charpoly`` runs Faddeev–LeVerrier on L·a over Z[i], L the lcm of the entry
 denominators.  Eigenvalues come from det(tI - D·a), monic over Z[i] for the
 least such D, so its Q(i)-roots are Gaussian integers dividing its lowest
@@ -34,7 +34,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import IrrationalSpectrum
-from .scalars import ONE, ZERO, Scalar, _clear, _norm
+from .scalars import ZERO, Scalar, _clear, _norm
 
 __all__ = [
     "Echelon", "rref", "kernel", "integer_kernel", "charpoly", "eigenvalues",
@@ -49,11 +49,11 @@ class Echelon:
     """Sparse echelon form of a growing span, over hashable columns.
 
     Built from an iterable of rows, inserted in order.  Rows are dicts
-    {column: nonzero Scalar}, or, given ``den``, {column: (re, im)} over Z[i]
-    standing for the row over den; a row's pivot is its least column under
-    ``key`` (the column itself by default).  ``rows`` keeps the stored rows in
-    insertion order, with distinct pivots of coefficient one (``integer_rows``
-    as reduction left them, over Z[i]); reduction
+    {column: Scalar}, zero entries dropped, or, given ``den``, {column: (re, im)}
+    over Z[i] standing for the row over den; a row's pivot is its least column
+    under ``key`` (the column itself by default).  ``integer_rows`` keeps the
+    stored rows in insertion order, over Z[i] as reduction left them, with
+    distinct pivots; ``rows`` reads them as Scalars with pivot one.  Reduction
     eliminates only while the leading column is a pivot, which decides
     membership.  Generators are counted in insertion order, whether or not
     they add a row, for ``express``.
@@ -66,7 +66,6 @@ class Echelon:
         self._row_of: dict = {}  # pivot column -> row index
         self.integer_rows: list[dict] = []  # the stored rows over Z[i]
         self._history: list[tuple] = []  # (generator g, s, used): s·x_g = row + Σ used[r]·row r
-        self._rows: list[dict] = []  # the Scalar rows built so far
         for row in rows:
             self.insert(row)
 
@@ -76,11 +75,9 @@ class Echelon:
 
     @property
     def rows(self) -> list[dict]:
-        """The stored rows as Scalars with pivot one, each built on first use."""
-        for r in range(len(self._rows), len(self.integer_rows)):
-            row, p = self.integer_rows[r], self.integer_rows[r][self.pivots[r]]
-            self._rows.append({col: _quotient(x, p) for col, x in row.items()})
-        return self._rows
+        """``integer_rows`` as Scalars with pivot one, built on each read."""
+        return [{col: _quotient(x, row[pivot]) for col, x in row.items()}
+                for row, pivot in zip(self.integer_rows, self.pivots)]
 
     def _reduce(self, v: dict, den: Optional[int] = None):
         """``_eliminate`` on Scalar v cleared over the lcm of its denominators,
@@ -156,12 +153,12 @@ class Echelon:
         rem, used, s, _ = self._reduce(v, den)
         if rem:
             return None
-        coords = self._over_generators(used, s)
-        return [coords.get(g, ZERO) for g in range(self.ngens)]
+        coords = self._over_generators(used)
+        return [_quotient(coords[g], s) if g in coords else ZERO for g in range(self.ngens)]
 
-    def _over_generators(self, used: dict, s) -> dict:
-        """Coordinates over the generators x_g of s⁻¹·Σ used[r]·row r: from the
-        last row down, each row is replaced by its own reduction."""
+    def _over_generators(self, used: dict) -> dict:
+        """The c_g over Z[i] with Σ used[r]·row r = Σ c_g·x_g over the generators
+        x_g: from the last row down, each row is replaced by its own reduction."""
         used, out = dict(used), {}
         for r in range(self.dim - 1, -1, -1):
             if (u := used.pop(r, (0, 0))) != (0, 0):
@@ -170,7 +167,7 @@ class Echelon:
                 for r2, c in used_r.items():
                     (a, b), (x, y) = used.get(r2, (0, 0)), _gmul(u, c)
                     used[r2] = (a - x, b - y)
-        return {g: _quotient(x, s) for g, x in out.items()}
+        return out
 
     def row_coordinates(self, v: dict, den: Optional[int] = None) -> Optional[list[Scalar]]:
         """Coordinates of v over ``rows``, or None if outside."""
@@ -188,9 +185,15 @@ class Echelon:
         pivots = set(self.pivots)
         done = Echelon(key=lambda col: (col not in pivots, key(col)))
         for pivot in sorted(pivots, key=key, reverse=True):
-            row = self.rows[self._row_of[pivot]]
-            rem, _, s, _ = done._reduce({col: x for col, x in row.items() if col != pivot})
-            done.insert({pivot: ONE, **{col: _quotient(x, s) for col, x in rem.items()}})
+            row = self.integer_rows[self._row_of[pivot]]
+            # s·tail = rem + (rows done), so row ≡ (z·e_pivot + rem)/s with z = s·p; it is
+            # stored as with pivot one and cleared (times conj(z) over its content), since
+            # a row kept at scale z would feed its size into every later row
+            rem, _, s, _ = done._eliminate({c: x for c, x in row.items() if c != pivot}, (1, 0))
+            zr, zi = _gmul(s, row[pivot])
+            w = {pivot: (zr * zr + zi * zi, 0), **{c: _gmul(x, (zr, -zi)) for c, x in rem.items()}}
+            g = gcd(*chain.from_iterable(w.values()))
+            done.insert({c: (a // g, b // g) for c, (a, b) in w.items()}, 1)
         return done.rows[::-1]
 
 
@@ -210,21 +213,25 @@ def rref(a: Matrix):
 
 
 def kernel(columns: list[dict]) -> list[dict]:
-    """The relations among sparse columns inserted in order: for each column j
-    that depends on the earlier ones, e_j − (its coordinates over them)."""
+    """``integer_kernel`` for sparse Scalar columns, each relation over its s:
+    e_j − (the coordinates of column j over the earlier columns)."""
     den = lcm(*{x.d for col in columns for x in col.values()})
-    return integer_kernel([_clear(col, den) for col in columns])
+    return [{g: _quotient(x, s) for g, x in relation.items()}
+            for relation in integer_kernel([_clear(col, den) for col in columns])
+            for s in [relation[max(relation)]]]
 
 
 def integer_kernel(columns: list[dict]) -> list[dict]:
-    """``kernel`` for columns over Z[i], given as dicts {key: (re, im)}; the
-    relations are Scalars."""
+    """The relations over Z[i] among columns {key: (re, im)} inserted in order:
+    for each column j that depends on the earlier ones, s·e_j − Σ x_g·e_g with
+    s ≠ 0 and s·col_j = Σ x_g·col_g, so j is the relation's largest key."""
     span = Echelon()
     out = []
     for j, col in enumerate(columns):
         rem, used, s, pivot = span._eliminate(dict(col), (1, 0))
         if not span._append(rem, used, s, pivot):
-            out.append({j: ONE, **{g: -x for g, x in span._over_generators(used, s).items()}})
+            xs = span._over_generators(used)
+            out.append({j: s, **{g: (-a, -b) for g, (a, b) in xs.items()}})
     return out
 
 

@@ -243,8 +243,8 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
     Division by k! is exact; if no power of ad(z) kills x within max_iter
     steps the element is reported as (locally) non-nilpotent on x.
     """
-    if max_iter < 1:
-        raise BadParams(f"the iteration budget must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, int) or max_iter < 1:
+        raise BadParams(f"the iteration budget must be at least 1, got {max_iter!r}")
     terms = [x]
     for k in range(1, max_iter + 1):
         term = bracket(z, terms[-1]) / k

@@ -7,7 +7,8 @@ Each operation computes the unreduced triple with integer arithmetic and
 divides out a single three-argument gcd, so equality is equality of the
 three integers and all downstream identity checks are decidable with
 literal equality.  The real and imaginary parts are available as
-Fractions.  There is no floating-point mode.
+Fractions.  There is no floating-point mode: a float or complex is refused,
+not read as the binary fraction it stores.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ExprSyntaxError
+from .errors import BadParams, ExprSyntaxError
 
 __all__ = ["Scalar", "ZERO", "ONE", "I", "parse_scalar", "format_scalar", "ScalarSyntaxError"]
 
@@ -59,6 +60,8 @@ class Scalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+            raise BadParams(f"scalars are exact, not floating point: got {re!r}, {im!r}")
         re = Fraction(re)
         im = Fraction(im)
         # re and im are reduced, so their least common denominator leaves
@@ -94,15 +97,9 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         d, e = self.d, other.d
-        if d == e:
-            if d == 1:
-                return _mk(self.a + other.a, self.b + other.b, 1)
-            return _norm(self.a + other.a, self.b + other.b, d)
         return _norm(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
@@ -111,37 +108,25 @@ class Scalar:
         return _mk(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         d, e = self.d, other.d
-        if d == e:
-            if d == 1:
-                return _mk(self.a - other.a, self.b - other.b, 1)
-            return _norm(self.a - other.a, self.b - other.b, d)
         return _norm(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            if type(other) is int:
-                return _norm(self.a * other, self.b * other, self.d)
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         a, b, c, e = self.a, self.b, other.a, other.b
         return _norm(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         a, b, c, e = self.a, self.b, other.a, other.b
         n = c * c + e * e
         if not n:
@@ -178,10 +163,8 @@ class Scalar:
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        if type(other) is not Scalar and (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
@@ -220,8 +203,9 @@ def as_scalar(x) -> Scalar:
 
 
 def _clear(v: dict, den: int) -> dict:
-    """den·v over Z[i], for a dict v of Scalars whose denominators divide den."""
-    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items()}
+    """den·v over Z[i], zero entries dropped, for a dict v of Scalars whose
+    denominators divide den."""
+    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items() if x}
 
 
 # -- text grammar -----------------------------------------------------------

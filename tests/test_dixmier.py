@@ -8,7 +8,8 @@ from weylkit import Scalar, WeylElement, bracket, dixmier
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated,
                              f_test, is_exponentiable, power_relation)
 from weylkit.elements import linear_span_dim, one, p, parse_element, q, zero
-from weylkit.errors import BudgetExceeded, DegreeTooHigh, PreconditionFailed, ZeroElement
+from weylkit.errors import (BadParams, BudgetExceeded, DegreeTooHigh, PreconditionFailed,
+                            ZeroElement)
 from weylkit.morphisms import SL2Element, alpha1_hat, apply
 from weylkit.sl2orbits import f_I, s11_test
 
@@ -176,3 +177,28 @@ def test_power_relation_on_constructed_eigenvectors(k1, k2, c):
     n1, n2, a = power_relation(h, x1, x2)
     assert (n1, n2) == (-k1, -k2)
     assert x1 ** k2 == (x2 ** k1).scale(a)
+
+
+def test_f_test_refuses_a_non_integer_budget():
+    with pytest.raises(BadParams):
+        f_test(p * q, p, 2.5)
+
+
+def test_is_exponentiable_refuses_a_non_integer_budget():
+    with pytest.raises(BadParams):
+        is_exponentiable(p * p * q, max_iter=2.5)
+
+
+def test_eigenvectors_truncated_refuses_a_non_integer_degree():
+    with pytest.raises(BadParams):
+        eigenvectors_truncated(p * q, 0, 2.5)
+
+
+def test_eigenvectors_are_normalised_over_a_complex_relation_scale():
+    # the one relation has the Gaussian scale s = 5 + 12i: over s its pivot
+    # coefficient is one, while s·relation over N(s) would leave s/conj(s)
+    x = parse_element("(3+2i)*p*q - i*p + i")
+    lam = Scalar(6, 4)
+    vs = eigenvectors_truncated(x, lam, 2)
+    assert vs == [parse_element("q^2 + (-4/13-6/13i)*q + (-5/169+12/169i)")]
+    assert bracket(x, vs[0]) == vs[0].scale(lam)

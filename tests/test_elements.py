@@ -18,7 +18,7 @@ from weylkit.elements import (ElementSpan, SymTensor, _signed_row,
                               _swap_row, anticommutator, coordinates, format_element,
                               linear_combination, linear_span_dim, one, parse_element, p, q,
                               weight_decompose, wn_components, zero)
-from weylkit.errors import ExprSyntaxError
+from weylkit.errors import BadParams, ExprSyntaxError
 from weylkit.morphisms import phi
 from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II
 
@@ -523,3 +523,18 @@ def test_powers_images_and_words_never_multiply_by_the_unit(monkeypatch):
     monkeypatch.setattr(WeylElement, "__mul__", checked_mul)
     assert run() == expected
     assert unit_operands == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeylElement({(1, 0): 0.1}), lambda: WeylElement.monomial(1, 0, 1j),
+    lambda: p.scale(0.5), lambda: linear_combination([(0.5, p)]),
+    lambda: SymTensor([(1.0, 0)]),
+])
+def test_elements_refuse_float_and_complex_coefficients(build):
+    with pytest.raises(BadParams):
+        build()
+
+
+def test_ad_pow_refuses_a_non_integer_count():
+    with pytest.raises(BadParams):
+        ad_pow(p, q, 1.5)

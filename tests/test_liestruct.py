@@ -665,3 +665,24 @@ def test_library_tables_skip_the_jacobi_check(monkeypatch):
     assert len(built) > 2 * len(REALISED_TAGS)
     for algebra in built:
         check(algebra)
+
+
+def test_struct_refuses_float_constants():
+    with pytest.raises(BadParams):
+        LieAlgebraStruct(2, ["a", "b"], {(0, 1): {0: 0.5}})
+
+
+def test_lie_closure_refuses_a_non_integer_dimension_cap():
+    with pytest.raises(BadParams):
+        lie_closure([p, q], max_dim=2.5)
+
+
+def test_verify_realization_reads_the_table_over_its_denominator():
+    # on f = (X/2, Y, H), [f0, f1] = f2/2: a table over the denominator 2
+    sl2 = catalog(CatalogTag("Sl2"))
+    half = change_basis(sl2.algebra, [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert half.c[(0, 1)] == {2: S(Fraction(1, 2))}
+    X, Y, H = sl2.realization.images
+    assert verify_realization(half, [X.scale(Fraction(1, 2)), Y, H]).algebra is half
+    with pytest.raises(NotHomomorphism):
+        verify_realization(half, [X, Y, H])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from weylkit import dixmier, liestruct, linalg
 from weylkit.elements import WeylElement, _term_order, bracket, p, q
 from weylkit.errors import IrrationalSpectrum
-from weylkit.linalg import Echelon, charpoly, eigen_decomposition, eigenvalues, kernel, rref
+from weylkit.linalg import (Echelon, charpoly, eigen_decomposition, eigenvalues, integer_kernel,
+                            kernel, rref)
 from weylkit.scalars import ONE, ZERO, Scalar
 
 from .strategies import big_scalar_st, scalar_st
@@ -755,3 +756,90 @@ def test_eigenvalues_below_the_norm_budget_never_use_the_factoriser(monkeypatch)
     with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
         eigenvalues(_companion(-2, 0))
     assert calls == []
+
+
+def test_a_zero_scalar_entry_is_no_pivot():
+    # a zero entry cleared over Z[i] would be stored as a pivot of value (0, 0)
+    span = Echelon([{0: ZERO}, {0: ONE}])
+    assert (span.dim, span.pivots, span.rows) == (1, [0], [{0: ONE}])
+    assert span.express({0: ONE}) == [ZERO, ONE]
+    assert Echelon([{0: ZERO, 1: Scalar(2)}]).rows == [{1: ONE}]
+    assert kernel([{0: ZERO}, {0: Scalar(3), 1: ZERO}]) == [{0: ONE}]
+
+
+def test_echelon_rows_are_built_on_each_read():
+    span = Echelon([{0: Scalar(2), 1: Scalar(4)}])
+    span.rows[0][0] = ZERO
+    assert span.rows == [{0: ONE, 1: Scalar(2)}]
+    span.insert({1: Scalar(0, 3)})
+    assert span.rows == [{0: ONE, 1: Scalar(2)}, {1: ONE}]
+    assert not hasattr(span, "_rows")
+
+
+_gaussian_st = st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(-10 ** 20, 10 ** 20))
+
+
+def _gaussian_combination(pairs):
+    """Σ z·col over pairs (col, z) of a sparse column and a Gaussian integer."""
+    out = {}
+    for col, (a, b) in pairs:
+        for k, (x, y) in col.items():
+            re, im = out.get(k, (0, 0))
+            out[k] = (re + a * x - b * y, im + a * y + b * x)
+    return {k: z for k, z in out.items() if z != (0, 0)}
+
+
+@st.composite
+def integer_columns_st(draw):
+    """Sparse columns over Z[i] on five keys: fresh ones, zero ones and
+    Z[i]-combinations of earlier ones."""
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        if columns and draw(st.booleans()):
+            picks = st.tuples(st.sampled_from(columns), _gaussian_st)
+            columns.append(_gaussian_combination(draw(st.lists(picks, min_size=1, max_size=3))))
+        else:
+            col = draw(st.dictionaries(st.integers(0, 4), _gaussian_st, max_size=5))
+            columns.append({k: z for k, z in col.items() if z != (0, 0)})
+    return columns
+
+
+@given(integer_columns_st())
+def test_integer_kernel_relations_are_exact_over_the_gaussian_integers(columns):
+    relations = integer_kernel(columns)
+    span = Echelon()
+    dependent = [j for j, col in enumerate(columns) if not span.insert(col, 1)]
+    assert [max(relation) for relation in relations] == dependent
+    scalar_columns = [{k: Scalar(a, b) for k, (a, b) in col.items()} for col in columns]
+    scaled = kernel(scalar_columns)
+    assert scaled == _echelon_kernel(scalar_columns)
+    for relation, want in zip(relations, scaled):
+        assert all(type(t) is int for z in relation.values() for t in z)
+        s = relation[max(relation)]
+        # s·col_j − Σ x_g·col_g vanishes exactly, and over s it is kernel's relation
+        assert s != (0, 0) and _gaussian_combination(
+            (columns[g], z) for g, z in relation.items()) == {}
+        assert {g: Scalar(a, b) / Scalar(*s) for g, (a, b) in relation.items()} == want
+
+
+def test_reduced_rows_are_stored_at_their_cleared_size(monkeypatch):
+    # each row done is stored as the row with pivot one, cleared of its
+    # denominators; kept at the scale its reduction left, its size would feed
+    # every later row's and grow geometrically, to tens of thousands of bits here
+    rng = random.Random(0)
+    a = [[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+          for _ in range(11)] for _ in range(8)]
+    span = Echelon(_sparse(row) for row in a)
+    sizes = []
+    insert = Echelon.insert
+
+    def recorded(self, v, den=None):
+        sizes.extend(abs(t).bit_length() for z in v.values() for t in z)
+        return insert(self, v, den)
+
+    monkeypatch.setattr(Echelon, "insert", recorded)
+    rows = span.reduced_rows()
+    assert rows == _ScalarEchelon(_sparse(row) for row in a).reduced_rows()
+    cleared = [abs(t).bit_length() for row in rows for den in [lcm(*(x.d for x in row.values()))]
+               for x in row.values() for t in (x.a * (den // x.d), x.b * (den // x.d))]
+    assert sorted(sizes) == sorted(cleared)

@@ -303,3 +303,13 @@ def test_automorphism_chains_carry_their_inverse(links):
     inv = invert(m)
     assert compose(m, inv).is_identity()
     assert compose(inv, m).is_identity()
+
+
+def test_sl2_element_refuses_float_entries():
+    with pytest.raises(BadParams):
+        SL2Element(1.0, 0, 0, 1)
+
+
+def test_exp_ad_refuses_a_non_integer_budget():
+    with pytest.raises(BadParams):
+        exp_ad(p, q, 2.5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weylkit.errors import BadParams
 from weylkit.scalars import (ONE, ZERO, Scalar, ScalarSyntaxError,
                              _ScalarScanner, format_scalar, parse_scalar)
 
@@ -239,3 +240,10 @@ def test_real_scalars_mix_with_ints_and_fractions_as_keys():
     assert {Fraction(-3, 4): "x"}.get(Scalar(Fraction(-3, 4))) == "x"
     assert len({Scalar(1), 1, Fraction(1)}) == 1
     assert len({Scalar(Fraction(1, 2)), Fraction(1, 2), Scalar(Fraction(1, 2), 1)}) == 2
+
+
+@pytest.mark.parametrize("re, im", [(0.1, 0), (1.0, 0), (0, 0.5), (1j, 0), (0, 2 + 0j)])
+def test_floats_and_complex_numbers_are_refused(re, im):
+    # a float is a binary fraction: Scalar(0.1) would be 3602879701896397/2**55
+    with pytest.raises(BadParams):
+        Scalar(re, im)

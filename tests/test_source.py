@@ -85,17 +85,25 @@ def test_elements_build_scalars_only_at_the_edge():
 
 
 def test_structure_invariants_run_on_the_integer_table():
-    # a span does not depend on the scale of its rows, so the series, the centre
-    # and the filiform test bracket rows over Z[i] and build no Scalar to decide
-    # a dimension
-    scoped = {"_derived_span", "_series", "_center", "_invariants", "_model_filiform"}
+    # a span does not depend on the scale of its rows, so the series, the centre,
+    # the filiform test, recognition and the realisation check bracket rows over
+    # Z[i], the integer kernel returns relations over Z[i] and the reduced basis
+    # is reduced over Z[i]: none builds a Scalar only to clear it again
+    scoped = {"liestruct.py": {"_derived_span", "_series", "_center", "_invariants",
+                               "_model_filiform", "recognize", "verify_realization"},
+              "linalg.py": {"integer_kernel", "Echelon.reduced_rows"}}
     builders = {"Scalar", "ONE", "ZERO", "as_scalar"}
-    tree = ast.parse((SOURCES[0].parent / "liestruct.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert scoped <= set(functions)
-    found = [f"{name}:{node.lineno} {node.id}" for name in sorted(scoped)
-             for node in ast.walk(functions[name])
-             if isinstance(node, ast.Name) and node.id in builders]
+    found = []
+    for module, names in scoped.items():
+        tree = ast.parse((SOURCES[0].parent / module).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        functions.update((f"{cls.name}.{node.name}", node)
+                         for cls in tree.body if isinstance(cls, ast.ClassDef)
+                         for node in cls.body if isinstance(node, ast.FunctionDef))
+        assert names <= set(functions)
+        found += [f"{module} {name}:{node.lineno} {node.id}" for name in sorted(names)
+                  for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Name) and node.id in builders]
     assert not found, found
 
 
