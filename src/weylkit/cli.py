@@ -25,22 +25,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
-from .dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
-                      is_exponentiable, power_relation)
 from .elements import WeylElement, _check_product, bracket, format_element, parse_element
-from .errors import (BudgetExceeded, DimensionExceeded, ExprSyntaxError,
-                     IrrationalSpectrum, NoProportionality, NonScalarCasimir,
-                     NotDiagonalisable, NotInA1Form, NotLocallyNilpotent,
-                     NotNilpotent, RelationFailed, WeylError, ZeroElement)
-from .liestruct import (filiform_normal_basis, invariants, lie_closure,
-                        recognize, weight_spaces)
-from .morphisms import SL2Element, apply, parse_morphism
+from .errors import (BudgetExceeded, DimensionExceeded, ExprSyntaxError, IrrationalSpectrum,
+                     NoProportionality, NonScalarCasimir, NotDiagonalisable, NotInA1Form,
+                     NotLocallyNilpotent, NotNilpotent, RelationFailed, WeylError, ZeroElement)
 from .scalars import Scalar, format_scalar, parse_scalar
-from .sl2orbits import (Sl2Realization, casimir, exotic_g,
-                        exotic_report, f_I, f_II, group_act,
-                        isotropy_check, s11_test, triplet_check)
 
 _NEGATIVE = (RelationFailed, NoProportionality, NotNilpotent, NotInA1Form,
              NotDiagonalisable, IrrationalSpectrum, NonScalarCasimir)
@@ -79,8 +70,9 @@ def _element_json(x: WeylElement) -> dict:
     return {"text": format_element(x), "terms": x.as_records()}
 
 
-def _parse_realization(texts: list[str]) -> Sl2Realization:
+def _parse_realization(texts: list[str]):
     """A literal `fI`, `fII(b)`, `exotic`, or three explicit elements X Y H."""
+    from .sl2orbits import exotic_g, f_I, f_II, triplet_check
     if len(texts) == 3:
         return triplet_check(*(parse_element(t) for t in texts))
     if len(texts) != 1:
@@ -121,6 +113,7 @@ def _cmd_bracket(args) -> tuple[dict, list[str], int]:
 
 @_command("apply", "apply a morphism expression to an element", "morphism", "element")
 def _cmd_apply(args) -> tuple[dict, list[str], int]:
+    from .morphisms import apply, parse_morphism
     m = parse_morphism(args.morphism)
     x = apply(m, parse_element(args.element))
     return {"image": _element_json(x)}, [format_element(x)], 0
@@ -131,6 +124,7 @@ def _cmd_apply(args) -> tuple[dict, list[str], int]:
 
 @_command("classify", "partition class of an element of total degree <= 2", "element")
 def _cmd_classify(args) -> tuple[dict, list[str], int]:
+    from .dixmier import classify_low_degree
     verdict = classify_low_degree(parse_element(args.element))
     cert = None
     lines = [verdict.tag]
@@ -149,8 +143,8 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
 @_command("ftest", "grow span{ad(z)^k a} until it stabilises or the budget ends",
           "z", "a", budget="max_iter")
 def _cmd_ftest(args) -> tuple[dict, list[str], int]:
-    result = f_test(parse_element(args.z), parse_element(args.a),
-                    max_iter=args.max_iter)
+    from .dixmier import f_test
+    result = f_test(parse_element(args.z), parse_element(args.a), max_iter=args.max_iter)
     verdict = "Stabilized" if result.stabilized else "NotStabilized"
     line = (f"{verdict}: span dimension {result.dim} "
             f"after {result.iterations} iterations")
@@ -162,9 +156,9 @@ def _cmd_ftest(args) -> tuple[dict, list[str], int]:
 @_command("eigvecs", "exact ad-eigenvectors up to a truncation degree",
           "element", "eigenvalue", budget="degree")
 def _cmd_eigvecs(args) -> tuple[dict, list[str], int]:
+    from .dixmier import eigenvectors_truncated
     lam = parse_scalar(args.eigenvalue)
-    basis = eigenvectors_truncated(parse_element(args.element), lam,
-                                   args.degree)
+    basis = eigenvectors_truncated(parse_element(args.element), lam, args.degree)
     lines = [f"dimension {len(basis)} at eigenvalue {format_scalar(lam)} "
              f"(degree <= {args.degree})"]
     lines.extend(format_element(v) for v in basis)
@@ -176,6 +170,7 @@ def _cmd_eigvecs(args) -> tuple[dict, list[str], int]:
 @_command("powrel", "forced power relation between commuting ad(h)-eigenvectors",
           "h", "x1", "x2")
 def _cmd_powrel(args) -> tuple[dict, list[str], int]:
+    from .dixmier import power_relation
     n1, n2, a = power_relation(parse_element(args.h), parse_element(args.x1),
                                parse_element(args.x2))
     identity = f"X1^{abs(n2)} = {format_scalar(a)} * X2^{abs(n1)}"
@@ -187,8 +182,8 @@ def _cmd_powrel(args) -> tuple[dict, list[str], int]:
 @_command("expmap", "decide or probe whether ad of the element exponentiates",
           "element", budget="max_iter")
 def _cmd_expmap(args) -> tuple[dict, list[str], int]:
-    report = is_exponentiable(parse_element(args.element),
-                              max_iter=args.max_iter)
+    from .dixmier import is_exponentiable
+    report = is_exponentiable(parse_element(args.element), max_iter=args.max_iter)
     lines = [report.verdict]
     fields = {"verdict": report.verdict, "max_iter": report.max_iter}
     if report.dixmier is not None:
@@ -206,6 +201,7 @@ def _cmd_expmap(args) -> tuple[dict, list[str], int]:
 
 def _closure(args, first=()):
     """The closure of `first` and the parsed generators, under ``--max-dim``."""
+    from .liestruct import lie_closure
     return lie_closure([*first, *(parse_element(t) for t in args.generators)],
                        max_dim=args.max_dim)
 
@@ -228,6 +224,7 @@ def _tag_json(tag) -> dict:
 @_command("recognize", "catalog tag of the subalgebra generated by the arguments",
           "generators+", budget="max_dim")
 def _cmd_recognize(args) -> tuple[dict, list[str], int]:
+    from .liestruct import recognize
     real = _closure(args)
     tag = recognize(real.algebra)
     return {"dim": real.algebra.dim, "tag": _tag_json(tag)}, [str(tag)], 0
@@ -236,6 +233,7 @@ def _cmd_recognize(args) -> tuple[dict, list[str], int]:
 @_command("invariants", "derived/lower-central profiles, centre, solvability flags",
           "generators+", budget="max_dim")
 def _cmd_invariants(args) -> tuple[dict, list[str], int]:
+    from .liestruct import invariants
     real = _closure(args)
     inv = invariants(real.algebra)
     lines = [
@@ -256,6 +254,7 @@ def _cmd_invariants(args) -> tuple[dict, list[str], int]:
 @_command("filiform", "normal chain basis X0..Xn with [X0, Xk] = X(k+1)",
           "generators+", budget="max_dim")
 def _cmd_filiform(args) -> tuple[dict, list[str], int]:
+    from .liestruct import filiform_normal_basis
     chain = filiform_normal_basis(_closure(args))
     lines = [f"X{k} = {format_element(x)}" for k, x in enumerate(chain)]
     return ({"length": len(chain), "basis": [_element_json(x) for x in chain]},
@@ -265,6 +264,7 @@ def _cmd_filiform(args) -> tuple[dict, list[str], int]:
 @_command("weights", "eigenspace decomposition of ad(h) on the generated subalgebra",
           "h", "generators+", budget="max_dim")
 def _cmd_weights(args) -> tuple[dict, list[str], int]:
+    from .liestruct import weight_spaces
     h = parse_element(args.h)
     if h.is_zero():
         raise ZeroElement("the weight element h must be nonzero")
@@ -287,21 +287,21 @@ def _cmd_weights(args) -> tuple[dict, list[str], int]:
 # -- canonical triplets and the group action -----------------------------------------
 
 
-def _realization_json(r: Sl2Realization) -> dict:
+def _realization_json(r) -> dict:
     return {"x": _element_json(r.X), "y": _element_json(r.Y),
             "h": _element_json(r.H)}
 
 
-def _realization_lines(r: Sl2Realization) -> list[str]:
+def _realization_lines(r) -> list[str]:
     return [f"X = {format_element(r.X)}", f"Y = {format_element(r.Y)}",
             f"H = {format_element(r.H)}"]
 
 
 @_command("triplet", "verify the three sl2 bracket relations", "x", "y", "h")
 def _cmd_triplet(args) -> tuple[dict, list[str], int]:
+    from .sl2orbits import triplet_check
     try:
-        triplet_check(parse_element(args.x), parse_element(args.y),
-                      parse_element(args.h))
+        triplet_check(*(parse_element(t) for t in (args.x, args.y, args.h)))
     except RelationFailed as exc:
         return {"valid": False, "reason": str(exc)}, [f"invalid: {exc}"], 1
     return {"valid": True, "reason": None}, ["valid"], 0
@@ -310,6 +310,7 @@ def _cmd_triplet(args) -> tuple[dict, list[str], int]:
 @_command("casimir", "scalar value of the Casimir element of a realisation",
           ("realization+", "fI | fII(b) | exotic | X Y H"))
 def _cmd_casimir(args) -> tuple[dict, list[str], int]:
+    from .sl2orbits import casimir
     value = casimir(_parse_realization(args.realization))
     return {"value": _scalar_json(value)}, [format_scalar(value)], 0
 
@@ -321,6 +322,7 @@ _ACTION = ("morphism", "a1", "a2", "a3", "a4", "realization+")
 
 def _action(args) -> tuple:
     """The morphism, group element and realisation of `act` and `isotropy`."""
+    from .morphisms import SL2Element, parse_morphism
     m = parse_morphism(args.morphism)
     g = SL2Element(*(parse_scalar(t) for t in (args.a1, args.a2, args.a3, args.a4)))
     return m, g, _parse_realization(args.realization)
@@ -328,6 +330,7 @@ def _action(args) -> tuple:
 
 @_command("act", "transport a realisation by (morphism, group element)", *_ACTION)
 def _cmd_act(args) -> tuple[dict, list[str], int]:
+    from .sl2orbits import group_act
     out = group_act(*_action(args))
     return {"realization": _realization_json(out)}, _realization_lines(out), 0
 
@@ -335,6 +338,7 @@ def _cmd_act(args) -> tuple[dict, list[str], int]:
 @_command("isotropy", "does the pair (morphism, group element) fix the realisation?",
           *_ACTION)
 def _cmd_isotropy(args) -> tuple[dict, list[str], int]:
+    from .sl2orbits import isotropy_check
     m, g, r = _action(args)
     fixed = isotropy_check(r, m, g)
     return {"fixed": fixed}, ["fixed" if fixed else "moved"], 0 if fixed else 1
@@ -342,6 +346,7 @@ def _cmd_isotropy(args) -> tuple[dict, list[str], int]:
 
 @_command("exotic", "compute the substituted triplet and compare printed forms")
 def _cmd_exotic(args) -> tuple[dict, list[str], int]:
+    from .sl2orbits import exotic_report
     report = exotic_report()
     lines = _realization_lines(report.realization)
     lines.append(f"X matches printed form: {'yes' if report.x_matches else 'no'}")
@@ -357,6 +362,7 @@ def _cmd_exotic(args) -> tuple[dict, list[str], int]:
 @_command("s11", "compare weight ±2 eigenspaces against the X·C[H] / Y·C[H] pattern",
           "realization+", budget="degree")
 def _cmd_s11(args) -> tuple[dict, list[str], int]:
+    from .sl2orbits import s11_test
     report = s11_test(_parse_realization(args.realization), args.degree)
     lines = []
     sides = {}
@@ -380,7 +386,8 @@ def _cmd_s11(args) -> tuple[dict, list[str], int]:
 # -- parser assembly -----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The `weyl` parser; only the subparser of `argv[0]` if that names a command."""
     parser = argparse.ArgumentParser(
         prog="weyl",
         description="Exact computations with differential operators: "
@@ -390,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "e.g.  weyl eigvecs 'p*q' --degree 4 -- -2")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    for name, help_, positionals, budget, handler in _COMMANDS:
+    for name, help_, positionals, budget, handler in (
+            [c for c in _COMMANDS if c[0] in argv[:1]] or _COMMANDS):
         cmd = sub.add_parser(name, help=help_)
         cmd.add_argument("--json", action="store_true",
                          help="emit a stable JSON object instead of text")
@@ -406,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         fields, lines, code = args.handler(args)
         if args.json:

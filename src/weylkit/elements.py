@@ -562,7 +562,7 @@ def format_element(x: WeylElement) -> str:
         coeff = format_scalar(c)
         neg = False
         if c.re and c.im:
-            coeff = f"({coeff})" if body else coeff
+            coeff = f"({coeff})" if body or pieces else coeff
         elif coeff[0] == "-":
             neg, coeff = True, coeff[1:]
         if body and coeff == "1":

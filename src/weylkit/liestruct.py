@@ -30,7 +30,6 @@ from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotInjective, NotNilpotent, PreconditionFailed)
 from .linalg import Echelon, eigen_decomposition, integer_kernel
 from .scalars import ZERO, Scalar, _clear, _norm, as_scalar
-from .sl2orbits import f_I
 
 __all__ = [
     "LieAlgebraStruct", "CatalogTag", "Realization", "CatalogEntry",
@@ -184,6 +183,7 @@ def _filiform_images(n: int) -> list[WeylElement]:
 def catalog(tag: CatalogTag) -> CatalogEntry:
     """The structure constants of a catalog class, with the standard
     realisation by Weyl elements whenever the class has one."""
+    from .sl2orbits import f_I
     kind, param = tag.kind, tag.param
     if kind == "Abelian":
         if not isinstance(param, int) or param < 1:

@@ -231,7 +231,7 @@ def format_element(x: ScalarElement) -> str:
         body = _format_body(i, j)
         if c.re and c.im:
             neg = False
-            coeff = f"({format_scalar(c)})" if body else format_scalar(c)
+            coeff = f"({format_scalar(c)})" if body or pieces else format_scalar(c)
         else:
             if c.im:
                 neg = c.im < 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import weylkit
-from weylkit import Scalar, WeylElement, cli, elements, errors
+from weylkit import Scalar, WeylElement, elements, errors, sl2orbits
 from weylkit.cli import main
 from weylkit.elements import format_element, parse_element, zero
 
@@ -322,7 +322,9 @@ def test_json_output_matches_the_recorded_golden(capsys, case):
 # stdout, stderr and exit code of `weyl --help`, bare `weyl`, `weyl nosuch` and
 # of every subcommand given `--help` and given no arguments, recorded at 80
 # columns (under Python 3.11's argparse layout) before the subcommands moved
-# onto the `_command` registry.
+# onto the `_command` registry; then an extra argument, an unknown option, and
+# `-h` and `--json` before the command, recorded while the parser still held
+# every subcommand.
 SURFACE = json.loads((Path(__file__).parent / "golden_cli_surface.json").read_text())
 
 
@@ -349,7 +351,7 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
 
     def raiser(*args):
         raise exc
-    monkeypatch.setattr(cli, "casimir", raiser)
+    monkeypatch.setattr(sl2orbits, "casimir", raiser)
     prefix, want = (("no:", 1) if name in _NEGATIVE else
                     ("bound hit:", 3) if name in _RESOURCE else ("error:", 2))
     code, out, err = run(capsys, "casimir", "fI")
@@ -479,6 +481,34 @@ for argv, want in commands:
         raise SystemExit(f"{argv}: exit {code}, expected {want}")
 if eigenvalues([[ZERO, -ONE], [ONE, ZERO]]) != [(Scalar(0, -1), 1), (Scalar(0, 1), 1)]:
     raise SystemExit("wrong eigenvalues of the rotation matrix")
+""")
+
+
+_CORE = {"weylkit", "weylkit.cli", "weylkit.elements", "weylkit.errors", "weylkit.linalg",
+         "weylkit.scalars"}
+_SL2 = {"weylkit.dixmier", "weylkit.morphisms", "weylkit.sl2orbits"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["mul", "q^2", "p^2"], set()), (["bracket", "p", "q"], set()), (["mul", "p^", "q"], set()),
+    (["apply", "phi(2,1); scale(3)", "q"], {"weylkit.morphisms"}),
+    (["closure", "p^3", "q"], {"weylkit.liestruct"}),
+    (["recognize", "p^2", "q^2"], {"weylkit.liestruct"}),
+    (["casimir", "fII(1)"], _SL2), (["s11", "fII(1)", "--degree", "6"], _SL2), (["exotic"], _SL2),
+    (["act", "alpha1(1,1,0,1)", "1", "1", "0", "1", "fI"], _SL2),
+    (["triplet", "p", "q", "1"], _SL2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, extra):
+    # a fresh interpreter compiles every module it imports, so a command
+    # imports the library modules of its own handler and no others
+    _run_without_sympy(f"""
+import contextlib, io, sys
+import weylkit.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    weylkit.cli.main({argv!r})
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "weylkit")
+if loaded != {sorted(_CORE | extra)!r}:
+    raise SystemExit(f"loaded {{loaded}}")
 """)
 
 

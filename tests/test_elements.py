@@ -336,6 +336,21 @@ def test_parse_format_round_trip(x):
     assert parse_element(format_element(x)) == x
 
 
+def test_a_complex_constant_after_another_term_is_parenthesised():
+    x = WeylElement({(0, 2): 1, (0, 0): Scalar(-5, 12)})
+    assert format_element(x) == "q^2 + (-5+12i)"
+    assert format_element(-x) == "-q^2 + (5-12i)"
+    assert format_element(WeylElement({(0, 0): Scalar(-5, 12)})) == "-5+12i"
+
+
+@given(element_st(), scalar_st.filter(lambda c: c.re and c.im))
+def test_parse_format_round_trip_with_a_complex_constant(x, c):
+    x = x - WeylElement({(0, 0): x.constant_term()}) + WeylElement({(0, 0): c})
+    text = format_element(x)
+    assert parse_element(text) == x
+    assert "+ -" not in text and "- -" not in text
+
+
 @given(element_st(max_degree=2, max_terms=3), element_st(max_degree=2, max_terms=3),
        element_st(max_degree=2, max_terms=3))
 def test_product_associative(x, y, z):

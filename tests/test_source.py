@@ -130,6 +130,18 @@ def test_each_subcommand_is_declared_once_on_its_handler():
     assert not found, found
 
 
+def test_the_cli_and_liestruct_import_the_structure_modules_on_call():
+    # `weyl mul` compiles only the package core and `weyl recognize` adds only
+    # liestruct: a module-level import here would load every handler's modules
+    heavy = {"cli.py": {"dixmier", "liestruct", "morphisms", "sl2orbits"},
+             "liestruct.py": {"sl2orbits"}}
+    found = [f"{name}:{node.lineno} {node.module}" for name, modules in heavy.items()
+             for node in ast.parse((SOURCES[0].parent / name).read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ImportFrom) and ({(node.module or "").split(".")[-1]}
+                                                      | {a.name for a in node.names}) & modules]
+    assert not found, found
+
+
 def test_every_private_name_is_read():
     # a private module-level function, class or constant that no module reads
     # is dead code; the subcommand handlers are read through their decorator
