@@ -24,7 +24,7 @@ from .elements import ElementSpan, WeylElement, _accumulate, _make, _term_order,
 from .errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
                      PreconditionFailed, ZeroElement)
 from .linalg import integer_kernel
-from .scalars import ZERO, Scalar, as_scalar
+from .scalars import ZERO, Scalar, _divide, as_scalar
 
 __all__ = [
     "DixmierClass", "classify_low_degree",
@@ -112,7 +112,7 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     lam = as_scalar(lam)
     # in reverse printing order each relation is s·e_j minus independent columns
     # only, so, reversed and over s, the relations are already the canonical
-    # echelon basis; a relation over s is conj(s)·relation over N(s)
+    # echelon basis
     unknowns = sorted(((i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)),
                       key=_term_order, reverse=True)
     # the columns D·([x, m] − λm) over Z[i], D = D_x·λ.d, keyed so that each
@@ -126,9 +126,8 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
         im_acc[m] = im_acc.get(m, 0) - lam.b * dx
         columns.append({_term_order(k): (re, im) for k, re in re_acc.items()
                         if (im := im_acc.get(k, 0)) or re})
-    return [_make({unknowns[g]: (a * sr + b * si, b * sr - a * si) for g, (a, b) in rel.items()},
-                  sr * sr + si * si)
-            for rel in reversed(integer_kernel(columns)) for sr, si in [rel[max(rel)]]]
+    return [_make(*_divide({unknowns[g]: x for g, x in rel.items()}, rel[max(rel)]))
+            for rel in reversed(integer_kernel(columns))]
 
 
 class ExponentiabilityReport(NamedTuple):

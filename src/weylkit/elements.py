@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadParams, BudgetExceeded, ExprSyntaxError, NotInjective
 from .linalg import Echelon
-from .scalars import Scalar, _norm, _ScalarScanner, format_scalar
+from .scalars import Scalar, _divide, _norm, _ScalarScanner, format_scalar
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
@@ -64,8 +64,8 @@ def _triple(c: ScalarLike) -> tuple[int, int, int]:
     """(a, b, d) in lowest terms with c = (a + b·i)/d and d > 0."""
     if isinstance(c, Scalar):
         return c.a, c.b, c.d
-    if isinstance(c, (float, complex)):
-        raise BadParams(f"coefficients are exact, not floating point: got {c!r}")
+    if not isinstance(c, (int, Fraction)):
+        raise BadParams(f"coefficients are ints, Fractions or Scalars: got {c!r}")
     c = Fraction(c)
     return c.numerator, 0, c.denominator
 
@@ -478,12 +478,9 @@ class ElementSpan:
         return len(self.rows)
 
     def _new_row(self) -> WeylElement:
-        """Appends the engine's last row over its pivot value (pr, pi), that is
-        row·(pr − pi·i)/(pr² + pi²), to ``rows``."""
+        """Appends the engine's last row over its pivot value to ``rows``."""
         row = self._echelon.integer_rows[-1]
-        pr, pi = row[self._echelon.pivots[-1]]
-        self.rows.append(_make({m: (pr * a + pi * b, pr * b - pi * a)
-                                for m, (a, b) in row.items()}, pr * pr + pi * pi))
+        self.rows.append(_make(*_divide(row, row[self._echelon.pivots[-1]])))
         return self.rows[-1]
 
     def insert(self, x: WeylElement) -> Optional[WeylElement]:

@@ -40,38 +40,41 @@ __all__ = [
 
 
 class LieAlgebraStruct:
-    """Structure constants c^k_{ij} over a finite basis: ``c`` holds them for
-    i < j as Scalars, ``_num`` for both orders as Z[i] numerators over ``_den``."""
+    """Structure constants c^k_{ij} over a finite basis, stored once: ``_num`` holds
+    them for both orders as Z[i] numerators over ``_den``; ``c`` reads i < j as Scalars."""
 
     def __init__(self, dim: int, labels: Sequence[str],
                  c: dict[tuple[int, int], dict[int, Scalar]]):
+        if not isinstance(dim, int):
+            raise BadParams(f"the dimension must be an int, got {dim!r}")
         if len(labels) != dim:
             raise BadParams(f"{dim} basis vectors need {dim} labels, got {len(labels)}")
-        if any(not 0 <= i < j < dim or any(k not in range(dim) for k in row)
-               for (i, j), row in c.items()):
+        if not isinstance(c, dict) or any(
+                not (isinstance(ij, tuple) and len(ij) == 2 and isinstance(row, dict)
+                     and all(isinstance(i, int) for i in ij) and 0 <= ij[0] < ij[1] < dim)
+                or any(k not in range(dim) for k in row) for ij, row in c.items()):
             raise BadParams(f"structure constants c^k_ij need 0 <= i < j < {dim}, 0 <= k < {dim}")
         self._fill(dim, labels, c)
         self._check_jacobi()
 
     def _fill(self, dim: int, labels: Sequence[str], c: dict):
         self.dim, self.labels = dim, list(labels)
-        self.c = {ij: clean for ij, row in c.items()
-                  if (clean := {k: x for k, v in row.items() if (x := as_scalar(v))})}
-        self._den = den = math.lcm(*{x.d for row in self.c.values() for x in row.values()})
+        c = {ij: clean for ij, row in c.items()
+             if (clean := {k: x for k, v in row.items() if (x := as_scalar(v))})}
+        self._den = den = math.lcm(*{x.d for row in c.values() for x in row.values()})
         self._num = {}
-        for (i, j), row in self.c.items():
+        for (i, j), row in c.items():
             self._num[(i, j)] = num = _clear(row, den)
             self._num[(j, i)] = {k: (-a, -b) for k, (a, b) in num.items()}
+
+    @property
+    def c(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """The nonzero rows {k: c^k_{ij}} for i < j, built from ``_num`` on each read."""
+        return {(i, j): self.basis_bracket(i, j) for i, j in self._num if i < j}
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Scalar]:
         """[e_i, e_j] as a sparse row {k: c^k_{ij}}."""
         return {k: _norm(a, b, self._den) for k, (a, b) in self._num.get((i, j), {}).items()}
-
-    def sparse_bracket(self, u: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
-        """[u, v] for sparse coordinate rows {basis index: Scalar}."""
-        du, dv = (math.lcm(*{x.d for x in w.values()}) for w in (u, v))
-        return {k: _norm(a, b, du * dv * self._den)
-                for k, (a, b) in self._bracket(_clear(u, du), _clear(v, dv)).items()}
 
     def _bracket(self, u: dict, v: dict) -> dict:
         """den·[u, v] for rows u and v over Z[i], den the table's denominator."""
@@ -210,7 +213,7 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         labels = ["h"] + [f"X{k}" for k in range(param + 1)]
         return _struct_from_images(labels, [p * q] + _filiform_images(param))
     if kind == "R":
-        idx = tuple(param)
+        idx = tuple(param) if isinstance(param, (tuple, list)) else ()
         if (not idx or len(set(idx)) != len(idx)
                 or any(not isinstance(i, int) or i < 0 for i in idx)
                 or not any(idx)):

@@ -34,7 +34,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import IrrationalSpectrum
-from .scalars import ZERO, Scalar, _clear, _norm
+from .scalars import ZERO, Scalar, _clear, _divide, _norm
 
 __all__ = [
     "Echelon", "rref", "kernel", "integer_kernel", "charpoly", "eigenvalues",
@@ -76,8 +76,9 @@ class Echelon:
     @property
     def rows(self) -> list[dict]:
         """``integer_rows`` as Scalars with pivot one, built on each read."""
-        return [{col: _quotient(x, row[pivot]) for col, x in row.items()}
-                for row, pivot in zip(self.integer_rows, self.pivots)]
+        return [{col: _norm(a, b, n) for col, (a, b) in num.items()}
+                for row, pivot in zip(self.integer_rows, self.pivots)
+                for num, n in [_divide(row, row[pivot])]]
 
     def _reduce(self, v: dict, den: Optional[int] = None):
         """``_eliminate`` on Scalar v cleared over the lcm of its denominators,
@@ -142,8 +143,9 @@ class Echelon:
         self._append(rem, used, s, pivot)
         if rem:
             used = {**used, self.dim - 1: (1, 0)}
-        return {r: _quotient(_gmul(c, self.integer_rows[r][self.pivots[r]]), s)
-                for r, c in used.items()}
+        num, n = _divide({r: _gmul(c, self.integer_rows[r][self.pivots[r]])
+                          for r, c in used.items()}, s)
+        return {r: _norm(a, b, n) for r, (a, b) in num.items()}
 
     def contains(self, v: dict, den: Optional[int] = None) -> bool:
         return not self._reduce(v, den)[0]
@@ -153,8 +155,8 @@ class Echelon:
         rem, used, s, _ = self._reduce(v, den)
         if rem:
             return None
-        coords = self._over_generators(used)
-        return [_quotient(coords[g], s) if g in coords else ZERO for g in range(self.ngens)]
+        num, n = _divide(self._over_generators(used), s)
+        return [_norm(*num[g], n) if g in num else ZERO for g in range(self.ngens)]
 
     def _over_generators(self, used: dict) -> dict:
         """The c_g over Z[i] with Σ used[r]·row r = Σ c_g·x_g over the generators
@@ -174,8 +176,9 @@ class Echelon:
         rem, used, s, _ = self._reduce(v, den)
         if rem:
             return None
-        return [_quotient(_gmul(used[r], row[pivot]), s) if r in used else ZERO
-                for r, (row, pivot) in enumerate(zip(self.integer_rows, self.pivots))]
+        num, n = _divide({r: _gmul(c, self.integer_rows[r][self.pivots[r]])
+                          for r, c in used.items()}, s)
+        return [_norm(*num[r], n) if r in num else ZERO for r in range(self.dim)]
 
     def reduced_rows(self) -> list[dict]:
         """The unique fully reduced basis of the span, pivots ascending: from the
@@ -190,17 +193,11 @@ class Echelon:
             # stored as with pivot one and cleared (times conj(z) over its content), since
             # a row kept at scale z would feed its size into every later row
             rem, _, s, _ = done._eliminate({c: x for c, x in row.items() if c != pivot}, (1, 0))
-            zr, zi = _gmul(s, row[pivot])
-            w = {pivot: (zr * zr + zi * zi, 0), **{c: _gmul(x, (zr, -zi)) for c, x in rem.items()}}
+            rem, n = _divide(rem, _gmul(s, row[pivot]))
+            w = {pivot: (n, 0), **rem}
             g = gcd(*chain.from_iterable(w.values()))
             done.insert({c: (a // g, b // g) for c, (a, b) in w.items()}, 1)
         return done.rows[::-1]
-
-
-def _quotient(x: tuple[int, int], y: tuple[int, int]) -> Scalar:
-    """x/y as a Scalar, for Gaussian integers x and y ≠ 0."""
-    (a, b), (c, d) = x, y
-    return _norm(a * c + b * d, b * c - a * d, c * c + d * d)
 
 
 def rref(a: Matrix):
@@ -216,9 +213,9 @@ def kernel(columns: list[dict]) -> list[dict]:
     """``integer_kernel`` for sparse Scalar columns, each relation over its s:
     e_j − (the coordinates of column j over the earlier columns)."""
     den = lcm(*{x.d for col in columns for x in col.values()})
-    return [{g: _quotient(x, s) for g, x in relation.items()}
+    return [{g: _norm(a, b, n) for g, (a, b) in num.items()}
             for relation in integer_kernel([_clear(col, den) for col in columns])
-            for s in [relation[max(relation)]]]
+            for num, n in [_divide(relation, relation[max(relation)])]]
 
 
 def integer_kernel(columns: list[dict]) -> list[dict]:

@@ -7,8 +7,9 @@ Each operation computes the unreduced triple with integer arithmetic and
 divides out a single three-argument gcd, so equality is equality of the
 three integers and all downstream identity checks are decidable with
 literal equality.  The real and imaginary parts are available as
-Fractions.  There is no floating-point mode: a float or complex is refused,
-not read as the binary fraction it stores.
+Fractions.  A Scalar is built from int or Fraction parts only: a float or
+complex is refused, not read as the binary fraction it stores, and so is a
+string (text goes through ``parse_scalar``).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class Scalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
-            raise BadParams(f"scalars are exact, not floating point: got {re!r}, {im!r}")
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise BadParams(f"scalar parts are ints or Fractions: got {re!r}, {im!r}")
         re = Fraction(re)
         im = Fraction(im)
         # re and im are reduced, so their least common denominator leaves
@@ -206,6 +207,12 @@ def _clear(v: dict, den: int) -> dict:
     """den·v over Z[i], zero entries dropped, for a dict v of Scalars whose
     denominators divide den."""
     return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items() if x}
+
+
+def _divide(v: dict, s: tuple[int, int]) -> tuple[dict, int]:
+    """v/s as (conj(s)·v, N(s)), for a dict v over Z[i] and a Gaussian integer s ≠ 0."""
+    sr, si = s
+    return {k: (a * sr + b * si, b * sr - a * si) for k, (a, b) in v.items()}, sr * sr + si * si
 
 
 # -- text grammar -----------------------------------------------------------

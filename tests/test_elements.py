@@ -550,6 +550,17 @@ def test_elements_refuse_float_and_complex_coefficients(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WeylElement({(1, 0): "3"}), lambda: WeylElement.monomial(1, 0, "1/2"),
+    lambda: p.scale("1/3"), lambda: linear_combination([("2", p)]),
+    lambda: SymTensor([("1", 0)]), lambda: WeylElement({(1, 0): None}),
+])
+def test_elements_refuse_strings_and_other_non_numbers_as_coefficients(build):
+    # coefficients are ints, Fractions or Scalars; text is read by parse_element, never here
+    with pytest.raises(BadParams):
+        build()
+
+
 def test_ad_pow_refuses_a_non_integer_count():
     with pytest.raises(BadParams):
         ad_pow(p, q, 1.5)

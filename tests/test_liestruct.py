@@ -1,6 +1,7 @@
 """Structure constants, catalog families, closure, recognition, normal chains."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_bas
                                verify_realization, weight_spaces)
 from weylkit.linalg import Echelon
 from weylkit.morphisms import apply, compose, phi, phi_prime
-from weylkit.scalars import ONE, ZERO
+from weylkit.scalars import ONE, ZERO, _clear, _norm
 
 from . import scalar_struct as frozen
 
@@ -38,6 +39,42 @@ def test_struct_checks_jacobi():
 def test_struct_refuses_an_output_index_outside_the_basis(k):
     with pytest.raises(BadParams):
         LieAlgebraStruct(2, ["a", "b"], {(0, 1): {k: S(1)}})
+
+
+@pytest.mark.parametrize("dim, c", [
+    (2.0, {}), (2, {0: {0: 1}}), (2, {(0, 1): 5}), (2, {(0, 1): {0: "x"}}),
+    (2, {("a", "b"): {0: 1}}), (2, {(0, 1, 2): {0: 1}}), (2, [((0, 1), {0: 1})]),
+])
+def test_struct_refuses_a_malformed_table_with_bad_params(dim, c):
+    with pytest.raises(BadParams):
+        LieAlgebraStruct(dim, ["a", "b"], c)
+
+
+def _tables():
+    sl2 = LieAlgebraStruct(3, ["X", "Y", "H"], SL2)
+    # [a, b] = c/2, [a, c] = d/3: nilpotent with centre span{d}
+    chain = LieAlgebraStruct(4, ["a", "b", "c", "d"],
+                             {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(1, 3)}})
+    return {
+        "constructor": chain,
+        "lie_closure": lie_closure([p * p + p, q * q]).algebra,
+        "catalog": catalog(CatalogTag("LTilde", 3)).algebra,
+        "change_basis": change_basis(sl2, [[2, 0, 0], [0, Fraction(1, 3), 0], [0, 0, S(0, 1)]]),
+        "quotient_by_center": quotient_by_center(chain),
+    }
+
+
+@pytest.mark.parametrize("source", ["constructor", "lie_closure", "catalog", "change_basis",
+                                    "quotient_by_center"])
+def test_a_table_is_stored_once_over_its_least_denominator(source):
+    algebra = _tables()[source]
+    n = algebra.dim
+    rows = {(i, j): algebra.basis_bracket(i, j) for i in range(n) for j in range(n)}
+    # c is read off the integer table, not kept beside it
+    assert "c" not in vars(algebra)
+    assert algebra.c == {(i, j): row for (i, j), row in rows.items() if i < j and row}
+    assert algebra._den == math.lcm(*(x.d for row in rows.values() for x in row.values()))
+    assert any(rows.values())
 
 
 def test_struct_and_change_basis_store_int_and_fraction_entries_as_scalars():
@@ -65,6 +102,14 @@ def _dense_bracket(dim, c, u, v):
 
 def _sparse(v):
     return {k: x for k, x in enumerate(v) if x}
+
+
+def _sparse_bracket(algebra, u, v):
+    """[u, v] for sparse Scalar rows {basis index: Scalar}, through the table's
+    integer bracket: u and v cleared over their own lcm, the result over all three."""
+    du, dv = (math.lcm(*{x.d for x in w.values()}) for w in (u, v))
+    return {k: _norm(a, b, du * dv * algebra._den)
+            for k, (a, b) in algebra._bracket(_clear(u, du), _clear(v, dv)).items()}
 
 
 def _dense_jacobiator_vanishes(dim, c):
@@ -107,7 +152,7 @@ def test_jacobi_check_matches_a_dense_jacobiator(table, data):
     u, v = data.draw(vec), data.draw(vec)
 
     def via_sparse(u, v):
-        w = algebra.sparse_bracket(_sparse(u), _sparse(v))
+        w = _sparse_bracket(algebra, _sparse(u), _sparse(v))
         return [w.get(k, ZERO) for k in range(dim)]
 
     assert via_sparse(u, v) == _dense_bracket(dim, c, u, v)
@@ -121,10 +166,10 @@ def test_struct_bracket_and_ad():
     entry = catalog(CatalogTag("Sl2"))
     sl2 = entry.algebra
     x, y, h = ({i: ONE} for i in range(3))
-    assert sl2.sparse_bracket(h, x) == {0: S(2)}
-    assert sl2.sparse_bracket(h, y) == {1: S(-2)}
-    assert sl2.sparse_bracket(x, y) == h
-    assert sl2.sparse_bracket(h, h) == {}
+    assert _sparse_bracket(sl2, h, x) == {0: S(2)}
+    assert _sparse_bracket(sl2, h, y) == {1: S(-2)}
+    assert _sparse_bracket(sl2, x, y) == h
+    assert _sparse_bracket(sl2, h, h) == {}
     # ad(h) is diagonal with weights 2, -2, 0 on X, Y, H
     images = entry.realization.images
     spaces = weight_spaces(entry.realization, 2)
@@ -168,6 +213,12 @@ def test_catalog_rejects_bad_parameters():
                 CatalogTag("R", (0, 0, 1))):
         with pytest.raises(BadParams):
             catalog(tag)
+
+
+@pytest.mark.parametrize("param", [5, None, "12"])
+def test_catalog_refuses_diagonal_indices_that_are_not_a_sequence(param):
+    with pytest.raises(BadParams):
+        catalog(CatalogTag("R", param))
 
 
 NORMALIZE_GOLDEN = [
@@ -454,7 +505,7 @@ def _full_sum_radical(algebra, derived_rows) -> int:
     n, br = algebra.dim, algebra.basis_bracket
     rows = []
     for d in derived_rows:
-        ad_d = [algebra.sparse_bracket(d, {l: ONE}) for l in range(n)]
+        ad_d = [_sparse_bracket(algebra, d, {l: ONE}) for l in range(n)]
         rows.append({i: s for i in range(n)
                      if (s := sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
                                    for k, x in col.items()), ZERO))})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from weylkit.errors import BadParams
 from weylkit.scalars import (ONE, ZERO, Scalar, ScalarSyntaxError,
-                             _ScalarScanner, format_scalar, parse_scalar)
+                             _divide, _ScalarScanner, format_scalar, parse_scalar)
 
 from .strategies import scalar_st, nonzero_scalar_st
 
@@ -247,3 +247,23 @@ def test_floats_and_complex_numbers_are_refused(re, im):
     # a float is a binary fraction: Scalar(0.1) would be 3602879701896397/2**55
     with pytest.raises(BadParams):
         Scalar(re, im)
+
+
+@pytest.mark.parametrize("re, im", [("1/2", 0), ("x", 0), (0, "1"), (None, 0), (0, None),
+                                    ([1], 0)])
+def test_strings_and_other_non_numbers_are_refused(re, im):
+    # parts are ints or Fractions; text is read by parse_scalar, never by the constructor
+    with pytest.raises(BadParams):
+        Scalar(re, im)
+
+
+_gaussian_st = st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(-10 ** 20, 10 ** 20))
+
+
+@given(st.dictionaries(st.integers(0, 5), _gaussian_st, max_size=6),
+       _gaussian_st.filter(lambda z: z != (0, 0)))
+def test_divide_returns_the_quotient_over_a_positive_norm(v, s):
+    num, n = _divide(v, s)
+    assert n > 0 and num.keys() == v.keys()
+    for k, (a, b) in v.items():
+        assert Scalar(Fraction(num[k][0], n), Fraction(num[k][1], n)) == Scalar(a, b) / Scalar(*s)
