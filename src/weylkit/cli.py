@@ -31,7 +31,7 @@ from .elements import WeylElement, _check_product, bracket, format_element, pars
 from .errors import (BudgetExceeded, DimensionExceeded, ExprSyntaxError, IrrationalSpectrum,
                      NoProportionality, NonScalarCasimir, NotDiagonalisable, NotInA1Form,
                      NotLocallyNilpotent, NotNilpotent, RelationFailed, WeylError, ZeroElement)
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, _ScalarScanner, format_scalar, parse_scalar
 
 _NEGATIVE = (RelationFailed, NoProportionality, NotNilpotent, NotInA1Form,
              NotDiagonalisable, IrrationalSpectrum, NonScalarCasimir)
@@ -78,14 +78,11 @@ def _parse_realization(texts: list[str]):
     if len(texts) != 1:
         raise ExprSyntaxError(
             "a realisation is fI, fII(b), exotic, or three elements X Y H")
-    text = texts[0].strip()
-    if text == "fI":
-        return f_I()
-    if text == "exotic":
-        return exotic_g()
-    if text.startswith("fII(") and text.endswith(")"):
-        return f_II(parse_scalar(text[4:-1]))
-    raise ExprSyntaxError(f"unknown realisation literal {text!r}")
+    sc = _ScalarScanner(texts[0])
+    realization = sc.take_call({"fI": (0, f_I), "fII": (1, f_II), "exotic": (0, exotic_g)},
+                               "realisation")
+    sc.end("realisation")
+    return realization
 
 
 # -- element arithmetic --------------------------------------------------------------

@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .elements import ElementSpan, WeylElement, _accumulate, _make, _term_order, bracket, p, q
-from .errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
-                     PreconditionFailed, ZeroElement)
+from .errors import (BudgetExceeded, DegreeTooHigh, NoProportionality, PreconditionFailed,
+                     ZeroElement, _check_count)
 from .linalg import integer_kernel
 from .scalars import ZERO, Scalar, _divide, as_scalar
 
@@ -80,8 +80,7 @@ def f_test(z: WeylElement, a: WeylElement, max_iter: int = 64) -> FTestResult:
     strictly growing steps certify that a is outside the finite-orbit part
     of ad(z) up to that bound.
     """
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise BadParams(f"the iteration budget must be at least 1, got {max_iter!r}")
+    _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
     span = ElementSpan([a])
     cur = a
     for k in range(1, max_iter + 1):
@@ -105,8 +104,7 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     satisfies the eigen-equation in the full algebra, not just modulo high
     degree.  Returns a canonical echelon basis (possibly empty).
     """
-    if not isinstance(max_degree, int) or max_degree < 0:
-        raise BadParams(f"the truncation degree must be natural, got {max_degree!r}")
+    _check_count(max_degree, 0, "the truncation degree must be natural, got {!r}")
     if (max_degree + 1) * (max_degree + 2) // 2 > _WINDOW_BUDGET:
         raise BudgetExceeded(f"degree {max_degree} has over {_WINDOW_BUDGET} unknowns")
     lam = as_scalar(lam)
@@ -151,8 +149,7 @@ def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PRO
     nilpotently.  Negative evidence is a probe whose ad-orbit span keeps
     growing: such an element lies outside both exponentiable classes.
     """
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise BadParams(f"the iteration budget must be at least 1, got {max_iter!r}")
+    _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
     if x.is_zero():
         raise ZeroElement("the zero element has no partition class")
     if x.is_scalar():

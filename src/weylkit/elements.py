@@ -37,9 +37,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import BadParams, BudgetExceeded, ExprSyntaxError, NotInjective
+from .errors import BadParams, BudgetExceeded, ExprSyntaxError, NotInjective, _check_count
 from .linalg import Echelon
-from .scalars import Scalar, _divide, _norm, _ScalarScanner, format_scalar
+from .scalars import _SCALAR, Scalar, _divide, _norm, _ScalarScanner, format_scalar
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
@@ -313,8 +313,7 @@ class WeylElement:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise BadParams(f"element powers need a nonnegative integer exponent, got {n!r}")
+        _check_count(n, 0, "element powers need a nonnegative integer exponent, got {!r}")
         if n == 0:
             return one
         result = self
@@ -358,6 +357,14 @@ one = WeylElement.monomial(0, 0)
 zero = WeylElement({})
 
 
+def _as_element(x, message: str) -> WeylElement:
+    """x as an element, a scalar as its constant; else BadParams(message), {} the type of x."""
+    element = WeylElement._coerce(x)
+    if element is None:
+        raise BadParams(message.format(type(x).__name__))
+    return element
+
+
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     """The commutator xy - yx, one signed swap row per term pair."""
     return _kernel(x, y, -1)
@@ -370,8 +377,7 @@ def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
 
 def ad_pow(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
     """The n-fold iterated bracket ad(x)^n(y); n = 0 returns y."""
-    if not isinstance(n, int) or n < 0:
-        raise BadParams(f"ad_pow needs a nonnegative iteration count, got {n!r}")
+    _check_count(n, 0, "ad_pow needs a nonnegative iteration count, got {!r}")
     for _ in range(n):
         y = bracket(x, y)
     return y
@@ -617,13 +623,10 @@ class _ElementParser(_ScalarScanner):
         if self.pos == len(self.text):
             self.error("empty element expression")
         sign = 1
-        if self.peek() in "+-":
-            # a leading sign belongs to the term unless it starts a scalar
-            if self.peek() == "-" and self.text[self.pos + 1:self.pos + 2] not in ("i",) + tuple("0123456789"):
-                sign = -1
-                self.pos += 1
-            elif self.peek() == "+":
-                self.pos += 1
+        # a leading sign belongs to the term unless it starts a scalar
+        if self.peek() in "+-" and not _SCALAR.match(self.text, self.pos):
+            sign = -1 if self.peek() == "-" else 1
+            self.pos += 1
         terms = [(sign, self.term())]
         while True:
             self.skip_ws()

@@ -48,6 +48,12 @@ class BadParams(WeylError, ValueError):
     """Parameters outside the documented domain (wrong count, range, type)."""
 
 
+def _check_count(n, least: int, message: str) -> None:
+    """Raises BadParams(message.format(n)) unless n is an int, not a bool, and n >= least."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise BadParams(message.format(n))
+
+
 class ZeroScale(BadParams):
     """A scaling unit of zero was supplied where a unit is required."""
 

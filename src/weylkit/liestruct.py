@@ -23,11 +23,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import (ElementSpan, WeylElement, _independent_span, _sum, ad_pow, bracket,
-                       linear_combination, one, p, q)
+from .elements import (ElementSpan, WeylElement, _as_element, _independent_span, _sum, ad_pow,
+                       bracket, linear_combination, one, p, q)
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
-                     NotInjective, NotNilpotent, PreconditionFailed)
+                     NotInjective, NotNilpotent, PreconditionFailed, _check_count)
 from .linalg import Echelon, eigen_decomposition, integer_kernel
 from .scalars import ZERO, Scalar, _clear, _norm, as_scalar
 
@@ -45,10 +45,9 @@ class LieAlgebraStruct:
 
     def __init__(self, dim: int, labels: Sequence[str],
                  c: dict[tuple[int, int], dict[int, Scalar]]):
-        if not isinstance(dim, int):
-            raise BadParams(f"the dimension must be an int, got {dim!r}")
-        if len(labels) != dim:
-            raise BadParams(f"{dim} basis vectors need {dim} labels, got {len(labels)}")
+        _check_count(dim, 0, "the dimension must be a natural number, got {!r}")
+        if not isinstance(labels, Sequence) or len(labels) != dim:
+            raise BadParams(f"{dim} basis vectors need a sequence of {dim} labels")
         if not isinstance(c, dict) or any(
                 not (isinstance(ij, tuple) and len(ij) == 2 and isinstance(row, dict)
                      and all(isinstance(i, int) for i in ij) and 0 <= ij[0] < ij[1] < dim)
@@ -189,8 +188,7 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
     from .sl2orbits import f_I
     kind, param = tag.kind, tag.param
     if kind == "Abelian":
-        if not isinstance(param, int) or param < 1:
-            raise BadParams("abelian algebras need a positive dimension")
+        _check_count(param, 1, "abelian algebras need a positive dimension")
         return _struct_from_images([f"Z{i}" for i in range(1, param + 1)],
                                    [WeylElement.monomial(k, 0) for k in range(1, param + 1)])
     if kind == "Heisenberg3":
@@ -203,13 +201,11 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         return _struct_from_images(["Z", "P", "Q", "X", "Y", "H"],
                                    [one, p, q, *f_I()])
     if kind == "L":
-        if not isinstance(param, int) or param < 2:
-            raise BadParams("the filiform family starts at parameter 2")
+        _check_count(param, 2, "the filiform family starts at parameter 2")
         labels = [f"X{k}" for k in range(param + 1)]
         return _struct_from_images(labels, _filiform_images(param))
     if kind == "LTilde":
-        if not isinstance(param, int) or param < 2:
-            raise BadParams("the extended filiform family starts at parameter 2")
+        _check_count(param, 2, "the extended filiform family starts at parameter 2")
         labels = ["h"] + [f"X{k}" for k in range(param + 1)]
         return _struct_from_images(labels, [p * q] + _filiform_images(param))
     if kind == "R":
@@ -227,8 +223,7 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         return CatalogEntry(LieAlgebraStruct(5, ["X", "Y", "H", "U", "V"], c), None)
     if kind == "LTildeModC":
         n = param
-        if not isinstance(n, int) or n < 2:
-            raise BadParams("the quotient family starts at parameter 2")
+        _check_count(n, 2, "the quotient family starts at parameter 2")
         labels = ["h"] + [f"X{k}" for k in range(n)]
         c = {(0, 1): {1: -1}, **{(0, k + 1): {k + 1: n - k} for k in range(1, n)},
              **{(1, k + 1): {k + 2: 1} for k in range(1, n - 1)}}
@@ -249,9 +244,9 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     final since rows are only appended.  Exceeding max_dim suggests the
     closure is infinite-dimensional.
     """
-    if not isinstance(max_dim, int) or max_dim < 1:
-        raise BadParams(f"the dimension cap must be at least 1, got {max_dim!r}")
-    span = ElementSpan(gens)
+    _check_count(max_dim, 1, "the dimension cap must be at least 1, got {!r}")
+    span = ElementSpan(_as_element(x, "lie_closure takes elements and scalars, not {}")
+                       for x in gens)
     rows = span.rows  # grows with each insert that enlarges the span
     if not rows:
         raise BadParams("at least one nonzero generator required")
@@ -363,7 +358,8 @@ def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
 def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAlgebraStruct:
     """The same algebra on the basis f_j = Σ_i matrix[i][j]·e_i."""
     n = algebra.dim
-    if len(matrix) != n or any(len(r) != n for r in matrix):
+    if not isinstance(matrix, Sequence) or len(matrix) != n or any(
+            not isinstance(r, Sequence) or len(r) != n for r in matrix):
         raise BadParams(f"basis-change matrix must be {n}x{n}")
     cols = [{i: as_scalar(matrix[i][j]) for i in range(n)} for j in range(n)]
     d = math.lcm(*{x.d for col in cols for x in col.values()})
@@ -566,7 +562,8 @@ def filiform_normal_basis(realization: Realization) -> list[WeylElement]:
 def weight_spaces(realization: Realization, h_index: int) -> dict[Scalar, list[WeylElement]]:
     """Eigenspace decomposition of ad(basis[h_index]) on the realised algebra."""
     algebra = realization.algebra
-    if not 0 <= h_index < algebra.dim:
+    _check_count(h_index, 0, "h_index must be a natural number, got {!r}")
+    if h_index >= algebra.dim:
         raise BadParams("h_index out of range")
     mat = [[algebra.basis_bracket(h_index, j).get(k, ZERO) for j in range(algebra.dim)]
            for k in range(algebra.dim)]

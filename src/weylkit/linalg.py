@@ -143,6 +143,10 @@ class Echelon:
         self._append(rem, used, s, pivot)
         if rem:
             used = {**used, self.dim - 1: (1, 0)}
+        return self._over_rows(used, s)
+
+    def _over_rows(self, used: dict, s) -> dict:
+        """{r: Scalar} from a reduction's Σ used[r]·row r = s·v: v's coordinates over ``rows``."""
         num, n = _divide({r: _gmul(c, self.integer_rows[r][self.pivots[r]])
                           for r, c in used.items()}, s)
         return {r: _norm(a, b, n) for r, (a, b) in num.items()}
@@ -176,9 +180,8 @@ class Echelon:
         rem, used, s, _ = self._reduce(v, den)
         if rem:
             return None
-        num, n = _divide({r: _gmul(c, self.integer_rows[r][self.pivots[r]])
-                          for r, c in used.items()}, s)
-        return [_norm(*num[r], n) if r in num else ZERO for r in range(self.dim)]
+        coords = self._over_rows(used, s)
+        return [coords.get(r, ZERO) for r in range(self.dim)]
 
     def reduced_rows(self) -> list[dict]:
         """The unique fully reduced basis of the span, pivots ascending: from the

@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .elements import WeylElement, _sum, bracket, format_element, linear_combination, one, p, q
-from .errors import (BadParams, ExprSyntaxError, IndexMismatch, NotInBorel, NotInvertible,
+from .elements import (WeylElement, _as_element, _sum, bracket, format_element,
+                       linear_combination, one, p, q)
+from .errors import (BadParams, IndexMismatch, NotInBorel, NotInvertible,
                      NotLocallyNilpotent, NotUnimodular, PreconditionFailed,
-                     SizeMismatch, ZeroScale)
-from .scalars import ONE, Scalar, as_scalar, parse_scalar
+                     SizeMismatch, ZeroScale, _check_count)
+from .scalars import ONE, Scalar, _ScalarScanner, as_scalar
 
 __all__ = [
     "WeylMorphism", "identity_morphism", "phi", "phi_prime", "scale",
@@ -85,9 +86,7 @@ class WeylMorphism:
 
     def __call__(self, x) -> WeylElement:
         """The image of x; a scalar maps to itself, since a morphism is unital."""
-        element = WeylElement._coerce(x)
-        if element is None:
-            raise BadParams(f"a morphism applies to elements and scalars, not {type(x).__name__}")
+        element = _as_element(x, "a morphism applies to elements and scalars, not {}")
         return _apply_images(self.image_p, self.image_q, (element,))[0]
 
     def is_identity(self) -> bool:
@@ -144,16 +143,14 @@ def invert(m: WeylMorphism) -> WeylMorphism:
 
 def phi(n: int, lam) -> WeylMorphism:
     """The automorphism fixing p with q ↦ q + λpⁿ; inverse has -λ."""
-    if not isinstance(n, int) or n < 0:
-        raise BadParams("exponent must be a natural number")
+    _check_count(n, 0, "exponent must be a natural number")
     pn = WeylElement.monomial(n, 0).scale(lam)
     return _mk(p, q + pn, (p, q - pn))
 
 
 def phi_prime(n: int, lam) -> WeylMorphism:
     """The automorphism fixing q with p ↦ p + λqⁿ; inverse has -λ."""
-    if not isinstance(n, int) or n < 0:
-        raise BadParams("exponent must be a natural number")
+    _check_count(n, 0, "exponent must be a natural number")
     qn = WeylElement.monomial(0, n).scale(lam)
     return _mk(p + qn, q, (p - qn, q))
 
@@ -243,8 +240,7 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
     Division by k! is exact; if no power of ad(z) kills x within max_iter
     steps the element is reported as (locally) non-nilpotent on x.
     """
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise BadParams(f"the iteration budget must be at least 1, got {max_iter!r}")
+    _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
     terms = [x]
     for k in range(1, max_iter + 1):
         term = bracket(z, terms[-1]) / k
@@ -398,75 +394,35 @@ def ltilde_to_aut(g: LTildeGroupElement) -> WeylMorphism:
 
 # -- morphism literals ---------------------------------------------------------
 #
-#   chain   := literal (';' literal)*          applied left to right
-#   literal := 'id' | name '(' scalar (',' scalar)* ')'
+#   chain := call (';' call)*          applied left to right
 #
-# with names phi, phiP, scale, alpha1, translate, beta.  "phi(2,1); scale(i)"
-# means: apply phi(2,1) first, then scale(i).
+# with the calls of scalars.py named id, phi, phiP, scale, translate, alpha1
+# and beta.  "phi(2,1); scale(i)" means: apply phi(2,1) first, then scale(i).
 
 
-def _arity(args, n, name):
-    if len(args) != n:
-        raise ExprSyntaxError(f"{name} takes {n} argument(s), got {len(args)}")
-    return args
-
-
-def _nat_arg(args, k, name):
-    v = args[k]
-    if not v.is_integer() or v.re < 0:
-        raise ExprSyntaxError(f"{name} needs a natural number in position {k + 1}")
-    return int(v.re)
-
-
-def _literal_phi(args):
-    _arity(args, 2, "phi")
-    return phi(_nat_arg(args, 0, "phi"), args[1])
-
-
-def _literal_phi_prime(args):
-    _arity(args, 2, "phiP")
-    return phi_prime(_nat_arg(args, 0, "phiP"), args[1])
-
-
-def _literal_beta(args):
-    a1, a3 = _arity(args, 2, "beta")
-    if not a1:
-        raise ExprSyntaxError("beta requires a1 != 0")
-    return beta_hat(SL2Element(a1, 0, a3, a1.inverse()))
+def _exponent(n: Scalar):
+    """The int an integer literal spells; any other scalar goes on for phi to refuse."""
+    return n.a if n.is_integer() else n
 
 
 _LITERALS = {
-    "phi": _literal_phi,
-    "phiP": _literal_phi_prime,
-    "scale": lambda args: scale(*_arity(args, 1, "scale")),
-    "translate": lambda args: translation(*_arity(args, 2, "translate")),
-    "alpha1": lambda args: alpha1_hat(SL2Element(*_arity(args, 4, "alpha1"))),
-    "beta": _literal_beta,
+    "id": (0, identity_morphism),
+    "phi": (2, lambda n, lam: phi(_exponent(n), lam)),
+    "phiP": (2, lambda n, lam: phi_prime(_exponent(n), lam)),
+    "scale": (1, scale),
+    "translate": (2, translation),
+    "alpha1": (4, lambda *a: alpha1_hat(SL2Element(*a))),
+    # a1 = 0 leaves a matrix of determinant 0, which SL2Element refuses
+    "beta": (2, lambda a1, a3: beta_hat(SL2Element(a1, 0, a3, a1 and a1.inverse()))),
 }
 
 
 def parse_morphism(text: str) -> WeylMorphism:
     """Parse a ';'-chain of named generators, composed left to right."""
-    total = None
-    offset = 0  # of the piece in text, so that error positions index the chain
-    for piece in text.split(";"):
-        if piece.strip() == "id":
-            m = identity_morphism()
-        else:
-            head, sep, rest = piece.partition("(")
-            name = head.strip()
-            if name not in _LITERALS:
-                raise ExprSyntaxError(f"unknown morphism literal {name!r}")
-            if not sep or not rest.rstrip().endswith(")"):
-                raise ExprSyntaxError(f"expected {name}(...)")
-            body = rest.rstrip()[:-1]
-            args, start = [], offset + len(head) + 1
-            for chunk in body.split(",") if body.strip() else []:
-                args.append(parse_scalar(text, start, start + len(chunk)))
-                start += len(chunk) + 1
-            m = _LITERALS[name](args)
-        total = m if total is None else compose(m, total)
-        offset += len(piece) + 1
-    if total is None:
-        raise ExprSyntaxError("empty morphism expression")
+    sc = _ScalarScanner(text)
+    total = sc.take_call(_LITERALS, "morphism")
+    while sc.peek() == ";":
+        sc.pos += 1
+        total = compose(sc.take_call(_LITERALS, "morphism"), total)
+    sc.end("morphism")
     return total

@@ -14,6 +14,7 @@ string (text goes through ``parse_scalar``).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -217,14 +218,35 @@ def _divide(v: dict, s: tuple[int, int]) -> tuple[dict, int]:
 
 # -- text grammar -----------------------------------------------------------
 #
-#   scalar   := rational 'i'? | rational ('+'|'-') rational 'i' | sign? 'i'
-#   rational := sign? nat ('/' nat)?
+#   scalar := sign? ratio? 'i' | sign? ratio (sign ratio? 'i')?
+#   ratio  := nat ('/' nat)?          a denominator is not 0
+#   nat    := [0-9]+                  ASCII digits only
+#   call   := name | name '(' scalar (',' scalar)* ')'
 #
-# format_scalar produces the shortest of these forms; parse_scalar(format_scalar(s)) = s.
+# A missing ratio before 'i' stands for 1, so "i", "-i", "2-i" and "1/2+3i"
+# are scalars, and a scalar ends where the pattern stops: "1+2*p" reads 1 and
+# leaves "+2*p".  Blanks and tabs may surround a scalar; any whitespace may
+# surround a call's name and its parentheses.  format_scalar produces the
+# shortest scalar form; parse_scalar(format_scalar(s)) = s.
+
+# a '/' always starts a denominator, so "1/p" is refused at the 'p'; not `\d`,
+# which admits every Unicode digit
+_RATIO = "[0-9]+(?:/[0-9]*)?"
+_SCALAR = re.compile(rf"(?P<im>[+-]?(?:{_RATIO})?)i|(?P<re>[+-]?{_RATIO})"
+                     rf"(?:(?P<tail>[+-](?:{_RATIO})?)i)?")
+_BAD_DENOMINATOR = re.compile("/0*(?![0-9])")
+_SPACE = re.compile(r"\s*")
+_NAME = re.compile("[A-Za-z0-9]*")
+
+
+def _coefficient(text: str) -> Fraction:
+    """The rational that sign and digits spell before 'i'; a bare sign or nothing is 1."""
+    return Fraction(text + "1" if text in ("", "+", "-") else text)
 
 
 class ScalarSyntaxError(ExprSyntaxError):
-    """Scalar literal rejected; carries the offending position."""
+    """A literal the shared scanner rejects: a scalar, a call or what trails
+    them; carries the offending position."""
 
 
 def _fmt_rational(r: Fraction) -> str:
@@ -250,9 +272,9 @@ def format_scalar(s: Scalar) -> str:
 class _ScalarScanner:
     """A cursor over text; the element parser extends it with its own rules."""
 
-    def __init__(self, text: str, pos: int = 0):
+    def __init__(self, text: str):
         self.text = text
-        self.pos = pos
+        self.pos = 0
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -260,6 +282,10 @@ class _ScalarScanner:
     def skip_ws(self):
         while self.peek() in (" ", "\t"):
             self.pos += 1
+
+    def skip_space(self):
+        """Skips any whitespace, as str.strip would."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def take_nat(self) -> int:
         start = self.pos
@@ -269,59 +295,56 @@ class _ScalarScanner:
             raise ScalarSyntaxError("expected a digit", start)
         return int(self.text[start:self.pos])
 
-    def take_rational(self) -> Fraction:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-        num = self.take_nat()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.take_nat()
-            if den == 0:
-                raise ScalarSyntaxError("zero denominator", self.pos)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
     def take_scalar(self) -> Scalar:
-        """Greedy scan: reads `re ± im i` when the tail is really there, else
-        backtracks to the bare rational so `1+2*p` leaves `+2*p` unconsumed."""
+        """The longest scalar at the cursor, by one anchored match of ``_SCALAR``."""
         self.skip_ws()
+        m = _SCALAR.match(self.text, self.pos)
+        if not m:
+            raise ScalarSyntaxError("expected a scalar", self.pos)
+        if bad := _BAD_DENOMINATOR.search(self.text, m.start(), m.end()):
+            raise ScalarSyntaxError("zero or missing denominator", bad.end())
+        self.pos = m.end()
+        if m["re"] is None:
+            return Scalar(0, _coefficient(m["im"]))
+        return Scalar(Fraction(m["re"]), _coefficient(m["tail"]) if m["tail"] else 0)
+
+    def take_call(self, calls: dict, kind: str):
+        """`name` or `name(scalar, …)` for calls = {name: (arity, build)}:
+        build(*scalars), once the arity is checked."""
+        self.skip_space()
         start = self.pos
-        # bare (possibly signed) imaginary unit
-        if self.peek() in ("+", "-") and self.text[self.pos + 1:self.pos + 2] == "i":
-            self.pos += 2
-            return Scalar(0, 1 if self.text[start] == "+" else -1)
-        if self.peek() == "i":
+        name = _NAME.match(self.text, start)[0]
+        if name not in calls:
+            raise ScalarSyntaxError(f"unknown {kind} literal {name!r}", start)
+        self.pos += len(name)
+        self.skip_space()
+        args = []
+        if self.peek() == "(":
+            sep = ","
+            while sep == ",":
+                self.pos += 1
+                args.append(self.take_scalar())
+                self.skip_ws()
+                sep = self.peek()
+            if sep != ")":
+                raise ScalarSyntaxError("expected ',' or ')'", self.pos)
             self.pos += 1
-            return Scalar(0, 1)
-        first = self.take_rational()
-        if self.peek() == "i":
-            self.pos += 1
-            return Scalar(0, first)
-        if self.peek() in ("+", "-"):
-            mark = self.pos
-            try:
-                second = self.take_rational()
-            except ScalarSyntaxError:
-                if self.text[mark + 1:mark + 2] == "i":
-                    self.pos = mark + 2
-                    return Scalar(first, 1 if self.text[mark] == "+" else -1)
-                self.pos = mark
-                return Scalar(first)
-            if self.peek() != "i":
-                self.pos = mark
-                return Scalar(first)
-            self.pos += 1
-            return Scalar(first, second)
-        return Scalar(first)
+            self.skip_space()
+        arity, build = calls[name]
+        if len(args) != arity:
+            raise ScalarSyntaxError(f"{name} takes {arity} argument(s), got {len(args)}", start)
+        return build(*args)
+
+    def end(self, what: str):
+        """Refuses any input after `what` but blanks and tabs."""
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise ScalarSyntaxError(f"trailing input after {what}", self.pos)
 
 
-def parse_scalar(text: str, start: int = 0, end: int | None = None) -> Scalar:
-    """The scalar literal text[start:end]; error positions index the whole text."""
-    sc = _ScalarScanner(text, start)
+def parse_scalar(text: str) -> Scalar:
+    """The scalar literal text; error positions index it."""
+    sc = _ScalarScanner(text)
     value = sc.take_scalar()
-    sc.skip_ws()
-    if sc.pos != (len(text) if end is None else end):
-        raise ScalarSyntaxError("trailing input after scalar", sc.pos)
+    sc.end("scalar")
     return value

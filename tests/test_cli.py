@@ -251,6 +251,12 @@ def test_apply_reports_argument_positions_in_the_whole_chain(capsys, chain, posi
     assert err.endswith(f"(at position {position})\n")
 
 
+def test_casimir_reports_a_literal_position_in_the_whole_argument(capsys):
+    code, out, err = run(capsys, "casimir", "fII(1+x)")
+    assert code == 2 and out == ""
+    assert err == "error: expected ',' or ')' (at position 5)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("eigvecs", "--degree", "61", "p*q", "2"),
     ("s11", "--degree", "61", "exotic"),

@@ -1,5 +1,7 @@
 """Partition verdicts, ad-orbit probes, truncated eigenspaces, power relations."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 from weylkit import Scalar, WeylElement, bracket, dixmier
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated,
                              f_test, is_exponentiable, power_relation)
-from weylkit.elements import linear_span_dim, one, p, parse_element, q, zero
+from weylkit.elements import ad_pow, linear_span_dim, one, p, parse_element, q, zero
 from weylkit.errors import (BadParams, BudgetExceeded, DegreeTooHigh, PreconditionFailed,
                             ZeroElement)
-from weylkit.morphisms import SL2Element, alpha1_hat, apply
+from weylkit.liestruct import CatalogTag, LieAlgebraStruct, catalog, lie_closure
+from weylkit.morphisms import SL2Element, alpha1_hat, apply, exp_ad, phi, phi_prime
 from weylkit.sl2orbits import f_I, s11_test
 
 from . import enumerated
@@ -192,6 +195,26 @@ def test_is_exponentiable_refuses_a_non_integer_budget():
 def test_eigenvectors_truncated_refuses_a_non_integer_degree():
     with pytest.raises(BadParams):
         eigenvectors_truncated(p * q, 0, 2.5)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, Fraction(2)])
+@pytest.mark.parametrize("call", [
+    lambda n: f_test(p * q, p, n),
+    lambda n: is_exponentiable(p * p * q, max_iter=n),
+    lambda n: eigenvectors_truncated(p * q, 0, n),
+    lambda n: p ** n,
+    lambda n: ad_pow(p, q, n),
+    lambda n: phi(n, 1),
+    lambda n: phi_prime(n, 1),
+    lambda n: exp_ad(p, q, n),
+    lambda n: catalog(CatalogTag("Abelian", n)),
+    lambda n: lie_closure([p], max_dim=n),
+    lambda n: LieAlgebraStruct(n, ["a"], {}),
+])
+def test_every_count_argument_refuses_bools_and_non_ints(call, n):
+    # a bool is an int to isinstance, so True used to pass as the count 1
+    with pytest.raises(BadParams):
+        call(n)
 
 
 def test_eigenvectors_are_normalised_over_a_complex_relation_scale():

@@ -41,13 +41,21 @@ def test_struct_refuses_an_output_index_outside_the_basis(k):
         LieAlgebraStruct(2, ["a", "b"], {(0, 1): {k: S(1)}})
 
 
-@pytest.mark.parametrize("dim, c", [
-    (2.0, {}), (2, {0: {0: 1}}), (2, {(0, 1): 5}), (2, {(0, 1): {0: "x"}}),
-    (2, {("a", "b"): {0: 1}}), (2, {(0, 1, 2): {0: 1}}), (2, [((0, 1), {0: 1})]),
-])
-def test_struct_refuses_a_malformed_table_with_bad_params(dim, c):
+def _sl2_change_basis(matrix):
+    return change_basis(catalog(CatalogTag("Sl2")).algebra, matrix)
+
+
+@pytest.mark.parametrize("build, args", [
+    *((LieAlgebraStruct, (dim, ["a", "b"], c)) for dim, c in [
+        (2.0, {}), (True, {}), (2, {0: {0: 1}}), (2, {(0, 1): 5}), (2, {(0, 1): {0: "x"}}),
+        (2, {("a", "b"): {0: 1}}), (2, {(0, 1, 2): {0: 1}}), (2, [((0, 1), {0: 1})])]),
+    # labels and basis-change rows must be sequences
+    (LieAlgebraStruct, (2, 5, {})),
+    (_sl2_change_basis, ([1, 2, 3],)), (_sl2_change_basis, (3,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_struct_refuses_a_malformed_table_with_bad_params(build, args):
     with pytest.raises(BadParams):
-        LieAlgebraStruct(dim, ["a", "b"], c)
+        build(*args)
 
 
 def _tables():
@@ -723,9 +731,26 @@ def test_struct_refuses_float_constants():
         LieAlgebraStruct(2, ["a", "b"], {(0, 1): {0: 0.5}})
 
 
-def test_lie_closure_refuses_a_non_integer_dimension_cap():
+@pytest.mark.parametrize("max_dim", [2.5, True])
+def test_lie_closure_refuses_a_non_integer_dimension_cap(max_dim):
     with pytest.raises(BadParams):
-        lie_closure([p, q], max_dim=2.5)
+        lie_closure([p, q], max_dim=max_dim)
+
+
+@pytest.mark.parametrize("h_index", [1.0, True, -1])
+def test_weight_spaces_refuses_an_index_that_is_not_a_natural_int(h_index):
+    # 1.0 and True hash like 1, so unchecked they would read as basis vector 1
+    real = catalog(CatalogTag("Sl2")).realization
+    with pytest.raises(BadParams):
+        weight_spaces(real, h_index)
+
+
+def test_lie_closure_reads_a_scalar_generator_as_its_element():
+    assert lie_closure([1]).images == [one]
+    assert lie_closure([p, Fraction(1, 2)]).images == [p, one]
+    for bad in (["p"], [p, 1.5], [None]):
+        with pytest.raises(BadParams):
+            lie_closure(bad)
 
 
 def test_verify_realization_reads_the_table_over_its_denominator():

@@ -1,15 +1,17 @@
 """Automorphism generators, group families and the morphism expressions."""
 
+import re
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import Scalar, WeylElement, bracket, parse_scalar
+from weylkit.cli import _parse_realization
 from weylkit.elements import one, p, parse_element, q
-from weylkit.errors import (BadParams, ExprSyntaxError, IndexMismatch,
+from weylkit.errors import (BadParams, BudgetExceeded, ExprSyntaxError, IndexMismatch,
                             NotInvertible, NotLocallyNilpotent, NotUnimodular,
                             PreconditionFailed, ZeroScale)
 from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, WeylMorphism,
@@ -19,7 +21,9 @@ from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, We
                                parse_morphism, phi, phi_prime, r_group_identity,
                                r_group_inv, r_group_mul, r_to_aut, scale,
                                sl2_semidirect_aut, translation)
+from weylkit.sl2orbits import f_II
 
+from . import frozen_parsers as frozen
 from .strategies import element_st, nonzero_scalar_st, scalar_st
 
 
@@ -224,7 +228,8 @@ def test_parsed_chain_acts_as_composition(x):
 
 
 _TOKENS = ["p", "q", "i", "0", "1", "2", "/", "+", "-", "*", "^", "(", ")", ",", ";", " ",
-           "\u00b2", "x", "id", "phi", "phiP", "scale", "translate", "alpha1", "beta"]
+           "\u00b2", "x", "id", "phi", "phiP", "scale", "translate", "alpha1", "beta",
+           "fI", "fII", "exotic", "\n", "\u0663"]
 _text_st = st.one_of(st.text(max_size=12),
                      st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join))
 
@@ -239,6 +244,78 @@ def test_parsers_reject_bad_text_with_a_syntax_error_inside_it(parse, text):
     except BadParams:
         # a well-formed literal whose parameters leave the domain, e.g. scale(0)
         assert parse is parse_morphism
+
+
+def _realization(text):
+    return _parse_realization([text])
+
+
+def _frozen_realization(text):
+    # the one widening: like a morphism literal, fII may be padded before its '('
+    return frozen.parse_realization([re.sub(r"fII\s+\(", "fII(", text, count=1)])
+
+
+@pytest.mark.parametrize("new, old", [
+    (parse_scalar, frozen.parse_scalar),
+    (parse_element, frozen.parse_element_frozen),
+    (parse_morphism, frozen.parse_morphism),
+    (_realization, _frozen_realization),
+], ids=["scalar", "element", "morphism", "realization"])
+@settings(max_examples=300)
+@given(_text_st)
+@example("-1+i*p + 1/2-3/4i - -i")
+@example("(+2i)*q - 1+2*p")
+@example("\u0663")
+@example("1+2/0i")
+@example("1+2/0")
+@example("+2*p - -i*q")
+@example("1/2+i+q")
+@example("fII (1)")
+@example("\nid ;\u2003phi\n(1, 2)\n")
+@example(" fII(\t2/0\t)")
+@example("beta(0,1)")
+@example("phi(1/2,1)")
+@example("phi(1,2)x")
+def test_the_shared_scanner_reads_what_the_frozen_parsers_read(new, old, text):
+    try:
+        expected = old(text)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            new(text)
+        return
+    except (ExprSyntaxError, BadParams):
+        # a syntax error anywhere in the whole text, or a literal outside its domain
+        try:
+            new(text)
+        except ExprSyntaxError as exc:
+            assert exc.pos is not None and 0 <= exc.pos <= len(text)
+        except BadParams:
+            pass
+        else:
+            pytest.fail(f"{text!r} is refused by the frozen parser only")
+        return
+    got = new(text)
+    assert got == expected
+    if isinstance(got, WeylMorphism):
+        assert got.inverse == expected.inverse
+
+
+@pytest.mark.parametrize("parse, text, pos", [
+    (parse_morphism, "phi( 1 , x)", 9),
+    (parse_morphism, "id ;\tphi(1, 2) ;  nope(1)", 18),
+    (_realization, " fII( 2/0 )", 9),
+    (_realization, "fII(1+x)", 5),
+    (_realization, "  fII(1, 2)", 2),
+])
+def test_literal_errors_point_into_the_whole_argument(parse, text, pos):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert info.value.pos == pos
+
+
+def test_a_realisation_literal_is_padded_like_a_morphism_literal():
+    assert _realization("fII (2)") == _realization(" fII(2) ") == f_II(2)
+    assert parse_morphism("phi (1, 2)") == phi(1, 2)
 
 
 # -- every automorphism constructor carries a correct inverse -------------------------
