@@ -37,9 +37,10 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import BadParams, BudgetExceeded, ExprSyntaxError, NotInjective, _check_count
+from .errors import (BadParams, BudgetExceeded, ExprSyntaxError, NotInjective, _check_count,
+                     _is_count)
 from .linalg import Echelon
-from .scalars import _SCALAR, Scalar, _divide, _norm, _ScalarScanner, format_scalar
+from .scalars import _SCALAR, Scalar, _dense, _divide, _norm, _ScalarScanner, format_scalar
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
@@ -212,7 +213,7 @@ class WeylElement:
         """The element Σ c·p^i q^j of a dict {(i, j): Scalar, int or Fraction}."""
         cs = {(i, j): _triple(c) for (i, j), c in (terms or {}).items()}
         for i, j in cs:
-            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+            if not (_is_count(i) and _is_count(j)):
                 raise BadParams(f"monomial exponents must be nonnegative, got p^{i} q^{j}")
         # each triple is in lowest terms, so over the lcm of the d the content is one
         self.den = den = lcm(*{d for _, _, d in cs.values()})
@@ -465,7 +466,8 @@ def weight_decompose(x: WeylElement) -> list[WeightComponent]:
 
 
 class ElementSpan:
-    """Incremental echelon form of the span of ``xs`` (a linalg.Echelon).
+    """Incremental echelon form of the span of ``xs`` (a linalg.Echelon over
+    the elements' numerators).
 
     Pivots are leading monomials in printing order, normalised to
     coefficient one; ``rows`` keeps the pivot rows in insertion order, and
@@ -485,7 +487,7 @@ class ElementSpan:
 
     def _new_row(self) -> WeylElement:
         """Appends the engine's last row over its pivot value to ``rows``."""
-        row = self._echelon.integer_rows[-1]
+        row = self._echelon.rows[-1]
         self.rows.append(_make(*_divide(row, row[self._echelon.pivots[-1]])))
         return self.rows[-1]
 
@@ -493,9 +495,9 @@ class ElementSpan:
         """Add a generator; returns the new pivot row if the span grew."""
         return self._new_row() if self._echelon.insert(x.num, x.den) else None
 
-    def insert_coordinates(self, x: WeylElement) -> dict[int, Scalar]:
-        """Add x as ``insert`` does; returns its coordinates {row index: Scalar}
-        over the pivot rows, counting the row it adds, if any."""
+    def insert_coordinates(self, x: WeylElement) -> tuple[dict, int]:
+        """Add x as ``insert`` does; returns its coordinates over the pivot rows,
+        counting the row it adds, if any, as (num, n): num[r]/n over Z[i]."""
         coords = self._echelon.insert_coordinates(x.num, x.den)
         if self._echelon.dim > len(self.rows):
             self._new_row()
@@ -506,15 +508,17 @@ class ElementSpan:
 
     def express(self, x: WeylElement) -> Optional[list[Scalar]]:
         """Coordinates of x over the inserted generators, or None if outside."""
-        return self._echelon.express(x.num, x.den)
+        coords = self._echelon.express(x.num, x.den)
+        return None if coords is None else _dense(*coords, self._echelon.ngens)
 
     def row_coordinates(self, x: WeylElement) -> Optional[list[Scalar]]:
         """Coordinates of x over the pivot rows, or None if outside."""
-        return self._echelon.row_coordinates(x.num, x.den)
+        coords = self._echelon.row_coordinates(x.num, x.den)
+        return None if coords is None else _dense(*coords, self.dim)
 
     def reduced_basis(self) -> list[WeylElement]:
         """Canonical fully-reduced basis, pivots in printing order."""
-        return [WeylElement(row) for row in self._echelon.reduced_rows()]
+        return [_make(num, n) for num, n in self._echelon.reduced_rows()]
 
 
 def linear_span_dim(xs: Sequence[WeylElement]):

@@ -48,9 +48,15 @@ class BadParams(WeylError, ValueError):
     """Parameters outside the documented domain (wrong count, range, type)."""
 
 
+def _is_count(n, least: int = 0) -> bool:
+    """Whether n is an int, not a bool, and n >= least: the one rule for every
+    count, index and exponent argument."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= least
+
+
 def _check_count(n, least: int, message: str) -> None:
-    """Raises BadParams(message.format(n)) unless n is an int, not a bool, and n >= least."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+    """Raises BadParams(message.format(n)) unless ``_is_count(n, least)``."""
+    if not _is_count(n, least):
         raise BadParams(message.format(n))
 
 

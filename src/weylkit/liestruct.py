@@ -27,9 +27,9 @@ from .elements import (ElementSpan, WeylElement, _as_element, _independent_span,
                        bracket, linear_combination, one, p, q)
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
-                     NotInjective, NotNilpotent, PreconditionFailed, _check_count)
+                     NotInjective, NotNilpotent, PreconditionFailed, _check_count, _is_count)
 from .linalg import Echelon, eigen_decomposition, integer_kernel
-from .scalars import ZERO, Scalar, _clear, _norm, as_scalar
+from .scalars import ZERO, Scalar, _clear, _dense, _norm, as_scalar
 
 __all__ = [
     "LieAlgebraStruct", "CatalogTag", "Realization", "CatalogEntry",
@@ -41,7 +41,8 @@ __all__ = [
 
 class LieAlgebraStruct:
     """Structure constants c^k_{ij} over a finite basis, stored once: ``_num`` holds
-    them for both orders as Z[i] numerators over ``_den``; ``c`` reads i < j as Scalars."""
+    them for both orders as Z[i] numerators over ``_den``, the least common
+    denominator; ``c`` reads i < j as Scalars."""
 
     def __init__(self, dim: int, labels: Sequence[str],
                  c: dict[tuple[int, int], dict[int, Scalar]]):
@@ -50,21 +51,27 @@ class LieAlgebraStruct:
             raise BadParams(f"{dim} basis vectors need a sequence of {dim} labels")
         if not isinstance(c, dict) or any(
                 not (isinstance(ij, tuple) and len(ij) == 2 and isinstance(row, dict)
-                     and all(isinstance(i, int) for i in ij) and 0 <= ij[0] < ij[1] < dim)
-                or any(k not in range(dim) for k in row) for ij, row in c.items()):
+                     and all(map(_is_count, ij)) and ij[0] < ij[1] < dim)
+                or any(not _is_count(k) or k >= dim for k in row) for ij, row in c.items()):
             raise BadParams(f"structure constants c^k_ij need 0 <= i < j < {dim}, 0 <= k < {dim}")
-        self._fill(dim, labels, c)
+        c = {ij: {k: x for k, v in row.items() if (x := as_scalar(v))} for ij, row in c.items()}
+        den = math.lcm(*{x.d for row in c.values() for x in row.values()})
+        self._fill(dim, labels, {ij: (_clear(row, den), den) for ij, row in c.items()})
         self._check_jacobi()
 
-    def _fill(self, dim: int, labels: Sequence[str], c: dict):
+    def _fill(self, dim: int, labels: Sequence[str], rows: dict):
+        """Store rows {(i, j): (num, n)}, i < j, [e_i, e_j] = num/n over Z[i] with
+        n > 0, over their least common denominator."""
         self.dim, self.labels = dim, list(labels)
-        c = {ij: clean for ij, row in c.items()
-             if (clean := {k: x for k, v in row.items() if (x := as_scalar(v))})}
-        self._den = den = math.lcm(*{x.d for row in c.values() for x in row.values()})
+        den = math.lcm(*(n for num, n in rows.values() if num))
+        rows = {ij: {k: (a * (den // n), b * (den // n)) for k, (a, b) in num.items()}
+                for ij, (num, n) in rows.items() if num}
+        g = math.gcd(den, *(t for row in rows.values() for z in row.values() for t in z))
+        self._den = den // g
         self._num = {}
-        for (i, j), row in c.items():
-            self._num[(i, j)] = num = _clear(row, den)
-            self._num[(j, i)] = {k: (-a, -b) for k, (a, b) in num.items()}
+        for (i, j), row in rows.items():
+            self._num[(i, j)] = row = {k: (a // g, b // g) for k, (a, b) in row.items()}
+            self._num[(j, i)] = {k: (-a, -b) for k, (a, b) in row.items()}
 
     @property
     def c(self) -> dict[tuple[int, int], dict[int, Scalar]]:
@@ -92,10 +99,11 @@ class LieAlgebraStruct:
         return f"<LieAlgebraStruct dim={self.dim} labels={self.labels}>"
 
 
-def _built(dim: int, labels: Sequence[str], c: dict) -> LieAlgebraStruct:
-    """A table read off brackets in A₁ or off a checked one: skips __init__'s checks."""
+def _built(dim: int, labels: Sequence[str], rows: dict) -> LieAlgebraStruct:
+    """A table read off brackets in A₁ or off a checked one, as ``_fill`` takes
+    it: skips __init__'s checks."""
     algebra = object.__new__(LieAlgebraStruct)
-    algebra._fill(dim, labels, c)
+    algebra._fill(dim, labels, rows)
     return algebra
 
 
@@ -164,13 +172,13 @@ def normalize_tag(tag: CatalogTag) -> CatalogTag:
 
 
 def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) -> CatalogEntry:
-    span = _independent_span(images, "realisation images are linearly dependent")
-    c: dict[tuple[int, int], dict[int, Scalar]] = {}
+    span = _independent_span(images, "realisation images are linearly dependent")._echelon
+    c = {}
     for i, j in combinations(range(len(images)), 2):
-        coords = span.express(bracket(images[i], images[j]))
-        if coords is None:
+        x = bracket(images[i], images[j])
+        if (coords := span.express(x.num, x.den)) is None:
             raise PreconditionFailed("images do not span a Lie subalgebra")
-        c[(i, j)] = dict(enumerate(coords))
+        c[(i, j)] = coords
     algebra = _built(len(images), labels, c)
     return CatalogEntry(algebra, Realization(algebra, list(images)))
 
@@ -210,8 +218,7 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         return _struct_from_images(labels, [p * q] + _filiform_images(param))
     if kind == "R":
         idx = tuple(param) if isinstance(param, (tuple, list)) else ()
-        if (not idx or len(set(idx)) != len(idx)
-                or any(not isinstance(i, int) or i < 0 for i in idx)
+        if (not idx or not all(map(_is_count, idx)) or len(set(idx)) != len(idx)
                 or not any(idx)):
             raise BadParams("indices must be distinct naturals, not all zero")
         labels = ["h"] + [f"X{k}" for k in range(1, len(idx) + 1)]
@@ -252,7 +259,7 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
         raise BadParams("at least one nonzero generator required")
     if len(rows) > max_dim:
         raise DimensionExceeded(max_dim)
-    c: dict[tuple[int, int], dict[int, Scalar]] = {}
+    c = {}
     i = 0
     while i < len(rows):
         for j in range(i):
@@ -282,18 +289,10 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
 # -- coordinate subspace helpers ----------------------------------------------------
 
 
-def _span(rows) -> Echelon:
-    """The span of rows over Z[i]; a span does not depend on the scale of its rows."""
-    span = Echelon()
-    for row in rows:
-        span.insert(row, 1)
-    return span
-
-
 def _derived_span(algebra: LieAlgebraStruct, rows) -> Echelon:
     """[span(rows), span(rows)], one bracket per unordered pair: the reversed
     pairs are negatives and the diagonal is zero."""
-    return _span(algebra._bracket(u, v) for u, v in combinations(rows, 2))
+    return Echelon(algebra._bracket(u, v) for u, v in combinations(rows, 2))
 
 
 def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> list[Echelon]:
@@ -303,9 +302,9 @@ def _series(algebra: LieAlgebraStruct, rows, first: Echelon, derived: bool) -> l
     prev = len(rows)
     while terms[-1].dim not in (0, prev):
         prev = terms[-1].dim
-        cur = terms[-1].integer_rows
+        cur = terms[-1].rows
         terms.append(_derived_span(algebra, cur) if derived
-                     else _span(algebra._bracket(u, v) for u in rows for v in cur))
+                     else Echelon(algebra._bracket(u, v) for u in rows for v in cur))
     return terms
 
 
@@ -322,7 +321,7 @@ def _center(algebra: LieAlgebraStruct) -> Echelon:
     n = algebra.dim
     columns = [{(j, k): z for j in range(n) for k, z in algebra._num.get((i, j), {}).items()}
                for i in range(n)]
-    return _span(integer_kernel(columns))
+    return Echelon(integer_kernel(columns))
 
 
 def _invariants(algebra: LieAlgebraStruct):
@@ -348,10 +347,11 @@ def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
     center = _center(algebra)
     keep = [i for i in range(algebra.dim) if i not in center.pivots]
     # brackets are read in the basis (centre rows, kept basis vectors)
-    basis = _span(center.integer_rows + [{i: (1, 0)} for i in keep])
-    c = {(a, b): dict(enumerate(basis.express(algebra._num.get((i, j), {}),
-                                              algebra._den)[center.dim:]))
-         for (a, i), (b, j) in combinations(enumerate(keep), 2)}
+    basis = Echelon(center.rows + [{i: (1, 0)} for i in keep])
+    c = {}
+    for (a, i), (b, j) in combinations(enumerate(keep), 2):
+        num, n = basis.express(algebra._num.get((i, j), {}), algebra._den)
+        c[(a, b)] = {g - center.dim: z for g, z in num.items() if g >= center.dim}, n
     return _built(len(keep), [algebra.labels[i] for i in keep], c)
 
 
@@ -364,12 +364,12 @@ def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAl
     cols = [{i: as_scalar(matrix[i][j]) for i in range(n)} for j in range(n)]
     d = math.lcm(*{x.d for col in cols for x in col.values()})
     ints = [_clear(col, d) for col in cols]
-    span = _span(ints)
+    span = Echelon(ints)
     if span.dim != n:
         raise BadParams("basis-change matrix is singular")
     # _bracket(d·f_a, d·f_b)/(d·_den) = d·[f_a, f_b], over the generators d·f_k
     den = d * algebra._den
-    c = {(a, b): dict(enumerate(span.express(algebra._bracket(ints[a], ints[b]), den)))
+    c = {(a, b): span.express(algebra._bracket(ints[a], ints[b]), den)
          for a, b in combinations(range(n), 2)}
     return _built(n, [f"f{k}" for k in range(n)], c)
 
@@ -428,21 +428,21 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     full = [{i: (1, 0)} for i in range(n)]
     if inv.nilpotent:
         m = _filiform_parameter(inv.lower_central_dims)
-        if m is None or (m >= 3 and not _model_filiform(algebra, full, series[0].integer_rows)):
+        if m is None or (m >= 3 and not _model_filiform(algebra, full, series[0].rows)):
             return CatalogTag("Unknown")
         return normalize_tag(CatalogTag("L", m))
     derived = series[0]
     if inv.solvable:
         # the catalog solvables are all one generator over derived + centre
-        ext = _span(derived.integer_rows + center.integer_rows)
+        ext = Echelon(derived.rows + center.rows)
         if n - ext.dim != 1:
             return CatalogTag("Unknown")
-        h = next(i for i in range(n) if not ext.contains(full[i], 1))
+        h = next(i for i in range(n) if not ext.contains(full[i]))
         if inv.derived_series_dims[2] == 0:
             # abelian derived algebra (an ideal): diagonalise ad(h) on its integer rows
-            basis = _span(derived.integer_rows)
-            ad_cols = [basis.express(algebra._bracket({h: (1, 0)}, d), algebra._den)
-                       for d in derived.integer_rows]
+            basis = Echelon(derived.rows)
+            ad_cols = [_dense(*basis.express(algebra._bracket({h: (1, 0)}, d), algebra._den),
+                              derived.dim) for d in derived.rows]
             mat = [[col[k] for col in ad_cols] for k in range(derived.dim)]
             eigs = [lam for lam, vecs in eigen_decomposition(mat) for _ in vecs]
             if len(eigs) != derived.dim or not all(eigs):
@@ -460,10 +460,10 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
                 return CatalogTag("LTildeModC", 2)
             return CatalogTag("Unknown")
         # non-abelian derived algebra: the extended filiform families
-        lower = _series(algebra, derived.integer_rows, series[1], derived=False)
+        lower = _series(algebra, derived.rows, series[1], derived=False)
         m = _filiform_parameter([derived.dim] + [t.dim for t in lower])
-        if m is None or (m >= 3 and not _model_filiform(algebra, derived.integer_rows,
-                                                         series[1].integer_rows)):
+        if m is None or (m >= 3 and not _model_filiform(algebra, derived.rows,
+                                                         series[1].rows)):
             return CatalogTag("Unknown")
         if center.dim == 1 and n == m + 2:
             return CatalogTag("LTilde", m)
@@ -492,21 +492,24 @@ def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
                cand_p: WeylElement, cand_q: WeylElement) -> Optional[list[WeylElement]]:
     """Attempt the normal chain for a pair with [P, Q] = 1.  The seed w = Σ sol_j·x_j
     solves ad(P)^(dim-3)(w) = Q and [w, Q] = 0: column j holds ad(P)^(dim-3)(x_j),
-    keyed (0, monomial), beside [x_j, Q], keyed (1, monomial).  The chain
-    stands only if it realises the catalog table of L(dim - 1)."""
+    keyed (0, monomial), beside [x_j, Q], keyed (1, monomial), both over Z[i]
+    over the lcm of their denominators.  The chain stands only if it realises
+    the catalog table of L(dim - 1)."""
     dim = len(images)
     cols = Echelon()
     for x in images:
         x_q = bracket(x, cand_q)
         if not (span.contains(bracket(cand_p, x)) and span.contains(x_q)):
             return None
-        col = {(0, m): c for m, c in ad_pow(cand_p, x, dim - 3).terms.items()}
-        col.update(((1, m), c) for m, c in x_q.terms.items())
-        cols.insert(col)
-    sol = cols.express({(0, m): c for m, c in cand_q.terms.items()})
+        halves = (ad_pow(cand_p, x, dim - 3), x_q)
+        den = math.lcm(*(y.den for y in halves))
+        cols.insert({(half, m): (a * (den // y.den), b * (den // y.den))
+                     for half, y in enumerate(halves) for m, (a, b) in y.num.items()}, den)
+    sol = cols.express({(0, m): z for m, z in cand_q.num.items()}, cand_q.den)
     if sol is None:
         return None
-    chain = [cand_p, linear_combination(zip(sol, images))]
+    num, n = sol
+    chain = [cand_p, _sum([(a, b, n, images[g]) for g, (a, b) in num.items()])]
     for _ in range(dim - 2):
         chain.append(bracket(cand_p, chain[-1]))
     try:

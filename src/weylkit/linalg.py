@@ -1,20 +1,21 @@
 """Exact linear algebra over the Gaussian-rational scalars.
 
-Every elimination runs on one sparse engine, ``Echelon``.  Rows are dicts
-from hashable columns to Scalars, and a row's pivot is its least column
-under a sort key.  Each Scalar row enters once, cleared over the lcm of its
-denominators (an element passes its numerators over Z[i] with ``den``
-instead), and is top-reduced fraction-free over Z[i] (Bareiss) by
+Every elimination runs on one sparse engine, ``Echelon``, over Z[i].  Rows are
+dicts from hashable columns to Gaussian integers (re, im), each standing for
+the row over a positive int ``den``, and a row's pivot is its least column
+under a sort key.  A row is top-reduced fraction-free (Bareiss) by
 v ← p·v − c·row, p the pivot value of the stored row.  The multiples
 subtracted and the scale of v follow each step, and the joint integer
 content of all three is divided out.  A row is stored as that reduction
-left it, in ``integer_rows``, so an append costs no division.  Scalars are
-built only at the edge: ``rows`` (pivot one, on each read), the reduced basis
-and the coordinates returned.
-Each row keeps its own reduction, so ``express`` solves a linear system by
-back-substitution, and ``integer_kernel`` reads each relation off that
-reduction over Z[i], which ``kernel`` divides by its scale.  ``rref`` remains,
-on the same engine, for the baseline script ``perfbench/baseline.py``.
+left it, in ``rows``, so an append costs no division.  Each row keeps its
+own reduction, so ``express`` solves a linear system by back-substitution,
+and ``integer_kernel`` reads each relation off that reduction.  Coordinates,
+relations and the reduced basis are returned over Z[i] too, as numerators
+over one positive int.
+Scalars are built only at the edge: ``rref``, which clears its matrix on
+entry and remains for the baseline script ``perfbench/baseline.py``,
+``charpoly`` and ``eigenvalues``, which read and return Scalars, and the
+vectors of ``eigen_decomposition``.
 ``charpoly`` runs Faddeev–LeVerrier on L·a over Z[i], L the lcm of the entry
 denominators.  Eigenvalues come from det(tI - D·a), monic over Z[i] for the
 least such D, so its Q(i)-roots are Gaussian integers dividing its lowest
@@ -34,29 +35,30 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import IrrationalSpectrum
-from .scalars import ZERO, Scalar, _clear, _divide, _norm
+from .scalars import ZERO, Scalar, _clear, _dense, _divide, _norm
 
 __all__ = [
-    "Echelon", "rref", "kernel", "integer_kernel", "charpoly", "eigenvalues",
-    "eigen_decomposition",
+    "Echelon", "rref", "integer_kernel", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
+# numerators over Z[i] keyed by index or column, and the positive int they stand over
+Coordinates = tuple[dict, int]
 
 
 class Echelon:
     """Sparse echelon form of a growing span, over hashable columns.
 
-    Built from an iterable of rows, inserted in order.  Rows are dicts
-    {column: Scalar}, zero entries dropped, or, given ``den``, {column: (re, im)}
-    over Z[i] standing for the row over den; a row's pivot is its least column
-    under ``key`` (the column itself by default).  ``integer_rows`` keeps the
-    stored rows in insertion order, over Z[i] as reduction left them, with
-    distinct pivots; ``rows`` reads them as Scalars with pivot one.  Reduction
-    eliminates only while the leading column is a pivot, which decides
-    membership.  Generators are counted in insertion order, whether or not
-    they add a row, for ``express``.
+    Built from an iterable of rows, inserted in order.  A row is a dict
+    {column: (re, im)} over Z[i], zero entries dropped, standing for the row
+    over ``den`` (1 by default; a span does not depend on the scale of its
+    rows); its pivot is its least column under ``key`` (the column itself by
+    default).  ``rows`` keeps the stored rows in insertion order, over Z[i]
+    as reduction left them, with distinct pivots.  Reduction eliminates only
+    while the leading column is a pivot, which decides membership.
+    Generators are counted in insertion order, whether or not they add a
+    row, for ``express``.
     """
 
     def __init__(self, rows: Iterable[dict] = (), key=None):
@@ -64,38 +66,23 @@ class Echelon:
         self.pivots: list = []
         self.ngens = 0
         self._row_of: dict = {}  # pivot column -> row index
-        self.integer_rows: list[dict] = []  # the stored rows over Z[i]
+        self.rows: list[dict] = []  # the stored rows over Z[i]
         self._history: list[tuple] = []  # (generator g, s, used): s·x_g = row + Σ used[r]·row r
         for row in rows:
             self.insert(row)
 
     @property
     def dim(self) -> int:
-        return len(self.integer_rows)
+        return len(self.rows)
 
-    @property
-    def rows(self) -> list[dict]:
-        """``integer_rows`` as Scalars with pivot one, built on each read."""
-        return [{col: _norm(a, b, n) for col, (a, b) in num.items()}
-                for row, pivot in zip(self.integer_rows, self.pivots)
-                for num, n in [_divide(row, row[pivot])]]
-
-    def _reduce(self, v: dict, den: Optional[int] = None):
-        """``_eliminate`` on Scalar v cleared over the lcm of its denominators,
-        or, given den > 0, on a copy of v over Z[i] standing for v/den."""
-        if den is None:
-            den = lcm(*{x.d for x in v.values()})
-            return self._eliminate(_clear(v, den), (den, 0))
-        return self._eliminate(dict(v), (den, 0))
-
-    def _eliminate(self, w: dict, s: tuple[int, int]):
+    def _reduce(self, v: dict, den: int = 1):
         """(rem, used, s, pivot) over Z[i] with s·v = rem + Σ used[r]·row r for
-        v = w/s, rem top-reduced with leading column pivot; the joint content of
-        rem, used and s is one."""
-        used: dict = {}
-        sr, si = s
+        v over den, rem top-reduced with leading column pivot; the joint
+        content of rem, used and s is one.  v is not changed."""
+        w, used = dict(v), {}
+        sr, si = den, 0
         while w and (r := self._row_of.get(lead := min(w, key=self.key))) is not None:
-            row = self.integer_rows[r]
+            row = self.rows[r]
             (pr, pi), (cr, ci) = row[lead], w[lead]
             if pi or pr != 1:
                 for t in (w, used):
@@ -126,41 +113,36 @@ class Echelon:
         self.ngens += 1
         if not rem:
             return False
-        self._row_of[pivot] = len(self.integer_rows)
-        self.integer_rows.append(rem)
+        self._row_of[pivot] = len(self.rows)
+        self.rows.append(rem)
         self._history.append((self.ngens - 1, s, used))
         self.pivots.append(pivot)
         return True
 
-    def insert(self, v: dict, den: Optional[int] = None) -> bool:
+    def insert(self, v: dict, den: int = 1) -> bool:
         """Add a generator; returns whether it added a row (v is outside the span)."""
         return self._append(*self._reduce(v, den))
 
-    def insert_coordinates(self, v: dict, den: Optional[int] = None) -> dict:
-        """Add v as ``insert`` does; returns its coordinates {row index: Scalar}
-        over ``rows``, counting the row it adds, if any."""
+    def insert_coordinates(self, v: dict, den: int = 1) -> Coordinates:
+        """Add v as ``insert`` does; returns its coordinates over the rows with
+        pivot one, counting the row it adds, if any."""
         rem, used, s, pivot = self._reduce(v, den)
-        self._append(rem, used, s, pivot)
-        if rem:
+        if self._append(rem, used, s, pivot):
             used = {**used, self.dim - 1: (1, 0)}
         return self._over_rows(used, s)
 
-    def _over_rows(self, used: dict, s) -> dict:
-        """{r: Scalar} from a reduction's Σ used[r]·row r = s·v: v's coordinates over ``rows``."""
-        num, n = _divide({r: _gmul(c, self.integer_rows[r][self.pivots[r]])
-                          for r, c in used.items()}, s)
-        return {r: _norm(a, b, n) for r, (a, b) in num.items()}
+    def _over_rows(self, used: dict, s) -> Coordinates:
+        """v's coordinates over the rows with pivot one, from a reduction's
+        Σ used[r]·row r = s·v."""
+        return _divide({r: _gmul(c, self.rows[r][self.pivots[r]]) for r, c in used.items()}, s)
 
-    def contains(self, v: dict, den: Optional[int] = None) -> bool:
+    def contains(self, v: dict, den: int = 1) -> bool:
         return not self._reduce(v, den)[0]
 
-    def express(self, v: dict, den: Optional[int] = None) -> Optional[list[Scalar]]:
+    def express(self, v: dict, den: int = 1) -> Optional[Coordinates]:
         """Coordinates of v over the inserted generators, or None if outside."""
         rem, used, s, _ = self._reduce(v, den)
-        if rem:
-            return None
-        num, n = _divide(self._over_generators(used), s)
-        return [_norm(*num[g], n) if g in num else ZERO for g in range(self.ngens)]
+        return None if rem else _divide(self._over_generators(used), s)
 
     def _over_generators(self, used: dict) -> dict:
         """The c_g over Z[i] with Σ used[r]·row r = Σ c_g·x_g over the generators
@@ -175,50 +157,41 @@ class Echelon:
                     used[r2] = (a - x, b - y)
         return out
 
-    def row_coordinates(self, v: dict, den: Optional[int] = None) -> Optional[list[Scalar]]:
-        """Coordinates of v over ``rows``, or None if outside."""
+    def row_coordinates(self, v: dict, den: int = 1) -> Optional[Coordinates]:
+        """Coordinates of v over the rows with pivot one, or None if outside."""
         rem, used, s, _ = self._reduce(v, den)
-        if rem:
-            return None
-        coords = self._over_rows(used, s)
-        return [coords.get(r, ZERO) for r in range(self.dim)]
+        return None if rem else self._over_rows(used, s)
 
-    def reduced_rows(self) -> list[dict]:
-        """The unique fully reduced basis of the span, pivots ascending: from the
-        last pivot down, each row's tail is top-reduced by the rows already
-        done, under a key that puts every pivot before every other column."""
+    def reduced_rows(self) -> list[Coordinates]:
+        """The unique fully reduced basis of the span, pivots ascending, each row
+        with pivot one as (num, n), n > 0 the pivot entry of num and the
+        content of num one: from the last pivot down, each row's tail is
+        top-reduced by the rows already done, under a key that puts every
+        pivot before every other column."""
         key = self.key or (lambda col: col)
         pivots = set(self.pivots)
         done = Echelon(key=lambda col: (col not in pivots, key(col)))
         for pivot in sorted(pivots, key=key, reverse=True):
-            row = self.integer_rows[self._row_of[pivot]]
+            row = self.rows[self._row_of[pivot]]
             # s·tail = rem + (rows done), so row ≡ (z·e_pivot + rem)/s with z = s·p; it is
             # stored as with pivot one and cleared (times conj(z) over its content), since
             # a row kept at scale z would feed its size into every later row
-            rem, _, s, _ = done._eliminate({c: x for c, x in row.items() if c != pivot}, (1, 0))
+            rem, _, s, _ = done._reduce({c: x for c, x in row.items() if c != pivot})
             rem, n = _divide(rem, _gmul(s, row[pivot]))
             w = {pivot: (n, 0), **rem}
             g = gcd(*chain.from_iterable(w.values()))
-            done.insert({c: (a // g, b // g) for c, (a, b) in w.items()}, 1)
-        return done.rows[::-1]
+            done.insert({c: (a // g, b // g) for c, (a, b) in w.items()})
+        return [(row, row[pivot][0]) for row, pivot in zip(done.rows[::-1], done.pivots[::-1])]
 
 
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     ncols = len(a[0]) if a else 0
-    span = Echelon({c: x for c, x in enumerate(row) if x} for row in a)
-    rows = [[r.get(c, ZERO) for c in range(ncols)] for r in span.reduced_rows()]
+    den = lcm(*{x.d for row in a for x in row})
+    span = Echelon(_clear(dict(enumerate(row)), den) for row in a)
+    rows = [_dense(num, n, ncols) for num, n in span.reduced_rows()]
     rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
     return rows, sorted(span.pivots)
-
-
-def kernel(columns: list[dict]) -> list[dict]:
-    """``integer_kernel`` for sparse Scalar columns, each relation over its s:
-    e_j − (the coordinates of column j over the earlier columns)."""
-    den = lcm(*{x.d for col in columns for x in col.values()})
-    return [{g: _norm(a, b, n) for g, (a, b) in num.items()}
-            for relation in integer_kernel([_clear(col, den) for col in columns])
-            for num, n in [_divide(relation, relation[max(relation)])]]
 
 
 def integer_kernel(columns: list[dict]) -> list[dict]:
@@ -228,7 +201,7 @@ def integer_kernel(columns: list[dict]) -> list[dict]:
     span = Echelon()
     out = []
     for j, col in enumerate(columns):
-        rem, used, s, pivot = span._eliminate(dict(col), (1, 0))
+        rem, used, s, pivot = span._reduce(col)
         if not span._append(rem, used, s, pivot):
             xs = span._over_generators(used)
             out.append({j: s, **{g: (-a, -b) for g, (a, b) in xs.items()}})
@@ -440,13 +413,14 @@ def eigen_decomposition(a: Matrix) -> list[tuple[Scalar, list[Vector]]]:
     """All Q(i)-eigenvalues with exact eigenspace bases.
 
     The caller decides what a defective operator means for it; this just
-    reports each eigenspace (geometric) basis.
+    reports each eigenspace (geometric) basis: the relations among the
+    columns of a - λI, cleared over their lcm, each over its s.
     """
     n = len(a)
     out = []
     for lam, _ in eigenvalues(a):
-        # the sparse columns of a - λI, for kernel
-        shifted = [{r: x for r in range(n) if (x := a[r][c] - lam if r == c else a[r][c])}
-                   for c in range(n)]
-        out.append((lam, [[v.get(c, ZERO) for c in range(n)] for v in kernel(shifted)]))
+        shifted = [{r: a[r][c] - lam if r == c else a[r][c] for r in range(n)} for c in range(n)]
+        den = lcm(*{x.d for col in shifted for x in col.values()})
+        out.append((lam, [_dense(*_divide(rel, rel[max(rel)]), n)
+                          for rel in integer_kernel([_clear(col, den) for col in shifted])]))
     return out

@@ -264,8 +264,8 @@ class RGroupElement:
 
     def __init__(self, indices: Sequence[int], a: Sequence, s):
         idx = tuple(indices)
-        if not all(isinstance(i, int) and i >= 1 for i in idx):
-            raise BadParams("indices must be positive integers")
+        for i in idx:
+            _check_count(i, 1, "indices must be positive integers")
         if any(x >= y for x, y in zip(idx, idx[1:])):
             raise BadParams("indices must be strictly increasing")
         if len(a) != len(idx):

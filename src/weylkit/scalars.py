@@ -216,6 +216,12 @@ def _divide(v: dict, s: tuple[int, int]) -> tuple[dict, int]:
     return {k: (a * sr + b * si, b * sr - a * si) for k, (a, b) in v.items()}, sr * sr + si * si
 
 
+def _dense(num: dict, n: int, size: int) -> list[Scalar]:
+    """The Scalars num[k]/n for k in range(size), ZERO where num has no entry,
+    for numerators over Z[i] and n > 0."""
+    return [_norm(*num[k], n) if k in num else ZERO for k in range(size)]
+
+
 # -- text grammar -----------------------------------------------------------
 #
 #   scalar := sign? ratio? 'i' | sign? ratio (sign ratio? 'i')?

@@ -4,18 +4,19 @@ numerators over one denominator, frozen (reference for the differential tests).
 An element here is a sparse map {(i, j): nonzero Scalar}.  Products clear both
 operands to Gaussian integers over a shared denominator, accumulate plain ints
 and reduce each output coefficient by its own gcd; sums and scaling run
-Scalar by Scalar.  ``ScalarSpan`` is the adapter over ``linalg.Echelon``'s
-Scalar rows, and ``apply_images`` the morphism application, both as they
-were.  The row caches are this module's own, so the library's bounded caches
-play no part in the reference.
+Scalar by Scalar.  ``ScalarSpan`` is the adapter over the Scalar rows of the
+frozen engine ``frozen_echelon.ScalarEchelon``, and ``apply_images`` the
+morphism application, both as they were.  The row caches are this module's
+own, so the library's bounded caches play no part in the reference.
 """
 
 import math
 from functools import lru_cache
 from typing import Optional
 
-from weylkit.linalg import Echelon
 from weylkit.scalars import ZERO, Scalar, _norm, as_scalar, format_scalar
+
+from .frozen_echelon import ScalarEchelon
 
 
 def _term_order(m):
@@ -182,10 +183,10 @@ def apply_images(image_p: ScalarElement, image_q: ScalarElement,
 
 
 class ScalarSpan:
-    """The ElementSpan adapter over the Scalar rows of linalg.Echelon."""
+    """The ElementSpan adapter over the Scalar rows of the frozen engine."""
 
     def __init__(self):
-        self._echelon = Echelon(key=_term_order)
+        self._echelon = ScalarEchelon(key=_term_order)
         self.rows: list[ScalarElement] = []
 
     def insert(self, x: ScalarElement) -> Optional[ScalarElement]:

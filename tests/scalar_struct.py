@@ -4,8 +4,9 @@ differential tests).
 
 ``ScalarStruct`` keeps c^k_{ij} as Scalars in both orientations and checks
 Jacobi on every table it builds.  ``invariants``, ``recognize``,
-``change_basis`` and ``quotient_by_center`` bracket Scalar rows and feed
-``linalg.Echelon`` and ``linalg.kernel`` Scalars, as they did.
+``change_basis`` and ``quotient_by_center`` bracket Scalar rows and feed them
+to the frozen Scalar engine of ``frozen_echelon``, as they fed the library's
+engine then.
 """
 
 import math
@@ -14,8 +15,9 @@ from typing import NamedTuple, Optional
 
 from weylkit.errors import BadParams, IrrationalSpectrum, PreconditionFailed
 from weylkit.liestruct import CatalogTag, normalize_tag
-from weylkit.linalg import Echelon, eigen_decomposition, kernel
 from weylkit.scalars import ONE, ZERO
+
+from .frozen_echelon import ScalarEchelon, echelon_kernel, eigen_decomposition
 
 
 class ScalarStruct:
@@ -66,11 +68,11 @@ class ScalarStruct:
 
 
 def _bracket_span(algebra, rows_a, rows_b):
-    return Echelon(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
+    return ScalarEchelon(algebra.sparse_bracket(u, v) for u in rows_a for v in rows_b)
 
 
 def _derived_span(algebra, rows):
-    return Echelon(algebra.sparse_bracket(u, v) for u, v in combinations(rows, 2))
+    return ScalarEchelon(algebra.sparse_bracket(u, v) for u, v in combinations(rows, 2))
 
 
 def _series(algebra, rows, first, derived):
@@ -96,7 +98,7 @@ def _center(algebra):
     n = algebra.dim
     columns = [{(j, k): s for j in range(n) for k, s in algebra.basis_bracket(i, j).items()}
                for i in range(n)]
-    return Echelon(kernel(columns))
+    return ScalarEchelon(echelon_kernel(columns))
 
 
 def _invariants(algebra):
@@ -118,7 +120,7 @@ def invariants(algebra):
 def quotient_by_center(algebra):
     center = _center(algebra)
     keep = [i for i in range(algebra.dim) if i not in center.pivots]
-    basis = Echelon(center.rows + [{i: ONE} for i in keep])
+    basis = ScalarEchelon(center.rows + [{i: ONE} for i in keep])
     c = {(a, b): dict(enumerate(basis.express(algebra.basis_bracket(i, j))[center.dim:]))
          for (a, i), (b, j) in combinations(enumerate(keep), 2)}
     return ScalarStruct(len(keep), [algebra.labels[i] for i in keep], c)
@@ -129,7 +131,7 @@ def change_basis(algebra, matrix):
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise BadParams(f"basis-change matrix must be {n}x{n}")
     cols = [{i: matrix[i][j] for i in range(n) if matrix[i][j]} for j in range(n)]
-    span = Echelon(cols)
+    span = ScalarEchelon(cols)
     if span.dim != n:
         raise BadParams("basis-change matrix is singular")
     c = {(a, b): dict(enumerate(span.express(algebra.sparse_bracket(cols[a], cols[b]))))
@@ -166,7 +168,7 @@ def _model_filiform(algebra, rows, derived_rows) -> bool:
                 for k, s in algebra.sparse_bracket(u, d).items()} for u in rows]
     centraliser = [{k: x for k in {k for i in rel for k in rows[i]}
                     if (x := sum((c * rows[i].get(k, ZERO) for i, c in rel.items()), ZERO))}
-                   for rel in kernel(columns)]
+                   for rel in echelon_kernel(columns)]
     return len(centraliser) == len(rows) - 1 and not any(
         algebra.sparse_bracket(u, v) for u, v in combinations(centraliser, 2))
 
@@ -184,7 +186,7 @@ def recognize(algebra) -> CatalogTag:
         return normalize_tag(CatalogTag("L", m))
     derived = series[0]
     if inv.solvable:
-        ext = Echelon(derived.rows + center.rows)
+        ext = ScalarEchelon(derived.rows + center.rows)
         if n - ext.dim != 1:
             return CatalogTag("Unknown")
         h = next(e for e in full if not ext.contains(e))

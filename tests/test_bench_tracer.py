@@ -49,15 +49,16 @@ def test_tracer_records_spans_and_restores_the_library():
     tracer.install()
     try:
         elements.bracket(p, q)
-        linalg.kernel([{0: Scalar(1), 1: Scalar(2)}, {0: Scalar(2), 1: Scalar(4)}])
-        # bracket and kernel run on integers, so time one Scalar operation too
+        linalg.integer_kernel([{0: (1, 0), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}])
+        # bracket and the kernel run on integers, so time one Scalar operation too
         Scalar(1) / Scalar(3)
         totals, counters = tracer.take()
     finally:
         tracer.uninstall()
     assert totals["elements.bracket"][0] == 1
-    assert totals["linalg.kernel"][0] == 1
-    assert {name for _, _, name, *_ in tracer.spans} >= {"elements.bracket", "linalg.kernel"}
+    assert totals["linalg.integer_kernel"][0] == 1
+    assert {name for _, _, name, *_ in tracer.spans} >= {"elements.bracket",
+                                                          "linalg.integer_kernel"}
     metrics = tracing.layer_metrics(totals, counters)
     assert metrics["elements.bracket_calls"] == 1
     assert metrics["scalars.calls"] > 0

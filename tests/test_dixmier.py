@@ -13,7 +13,8 @@ from weylkit.elements import ad_pow, linear_span_dim, one, p, parse_element, q, 
 from weylkit.errors import (BadParams, BudgetExceeded, DegreeTooHigh, PreconditionFailed,
                             ZeroElement)
 from weylkit.liestruct import CatalogTag, LieAlgebraStruct, catalog, lie_closure
-from weylkit.morphisms import SL2Element, alpha1_hat, apply, exp_ad, phi, phi_prime
+from weylkit.morphisms import (RGroupElement, SL2Element, alpha1_hat, apply, exp_ad, phi,
+                               phi_prime)
 from weylkit.sl2orbits import f_I, s11_test
 
 from . import enumerated
@@ -210,9 +211,17 @@ def test_eigenvectors_truncated_refuses_a_non_integer_degree():
     lambda n: catalog(CatalogTag("Abelian", n)),
     lambda n: lie_closure([p], max_dim=n),
     lambda n: LieAlgebraStruct(n, ["a"], {}),
+    # index and exponent positions
+    lambda n: WeylElement.monomial(n, 0),
+    lambda n: WeylElement({(0, n): 1}),
+    lambda n: RGroupElement([n], [1], 1),
+    lambda n: catalog(CatalogTag("R", (n,))),
+    lambda n: LieAlgebraStruct(2, ["a", "b"], {(0, 1): {n: 1}}),
+    lambda n: LieAlgebraStruct(2, ["a", "b"], {(0, n): {0: 1}}),
 ])
 def test_every_count_argument_refuses_bools_and_non_ints(call, n):
-    # a bool is an int to isinstance, so True used to pass as the count 1
+    # a bool is an int to isinstance, so True used to pass as the count 1, and
+    # as the index or exponent 1, stored as given: an element's record gave "i": true
     with pytest.raises(BadParams):
         call(n)
 

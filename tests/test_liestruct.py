@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 import weylkit.liestruct as liestruct
 from weylkit import Scalar, bracket
-from weylkit.elements import (ElementSpan, WeylElement, one, p, parse_element,
-                              q, zero)
+from weylkit.elements import (ElementSpan, WeylElement, linear_combination, one, p,
+                              parse_element, q, zero)
 from weylkit.errors import (BadParams, DimensionExceeded, IrrationalSpectrum, NotHomomorphism,
                             NotInjective, NotNilpotent, PreconditionFailed)
 from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_basis,
                                filiform_normal_basis, invariants, lie_closure,
                                normalize_tag, quotient_by_center, recognize,
                                verify_realization, weight_spaces)
-from weylkit.linalg import Echelon
 from weylkit.morphisms import apply, compose, phi, phi_prime
 from weylkit.scalars import ONE, ZERO, _clear, _norm
 
 from . import scalar_struct as frozen
+from .frozen_echelon import ScalarEchelon
 
 S = Scalar
 
@@ -517,14 +517,14 @@ def _full_sum_radical(algebra, derived_rows) -> int:
         rows.append({i: s for i in range(n)
                      if (s := sum((x * br(i, k).get(l, ZERO) for l, col in enumerate(ad_d)
                                    for k, x in col.items()), ZERO))})
-    return n - Echelon(rows).dim
+    return n - ScalarEchelon(rows).dim
 
 
 def _radical_rule(algebra) -> CatalogTag:
     """The non-solvable branch of recognize as it was, by dimension, Killing
     radical, centre and perfectness, frozen."""
     n = algebra.dim
-    derived = Echelon(algebra.basis_bracket(i, j) for i in range(n) for j in range(n)).rows
+    derived = ScalarEchelon(algebra.basis_bracket(i, j) for i in range(n) for j in range(n)).rows
     rad = _full_sum_radical(algebra, derived)
     zc = invariants(algebra).center_dim
     perfect = len(derived) == n
@@ -588,6 +588,23 @@ def test_filiform_normal_basis_survives_conjugation():
         assert bracket(chain[0], chain[n]).is_zero()
         for a, b in itertools.combinations(chain[1:], 2):
             assert bracket(a, b).is_zero()
+
+
+def test_filiform_normal_basis_of_a_basis_mixing_denominators():
+    # the seed of the chain combines two images whose columns stand over
+    # different denominators, so each column must enter over its own
+    for n in range(3, 6):
+        entry = catalog(CatalogTag("L", n))
+        m = [[Fraction(1, i + 2) if i == j else Fraction(1, 3 + i + j) if j == i + 1 else 0
+              for j in range(n + 1)] for i in range(n + 1)]
+        m[2][1] = Fraction(2, 7)
+        images = [linear_combination((m[i][j], x) for i, x in enumerate(entry.realization.images))
+                  for j in range(n + 1)]
+        chain = filiform_normal_basis(verify_realization(change_basis(entry.algebra, m), images))
+        assert len(chain) == n + 1
+        for k in range(1, n):
+            assert bracket(chain[0], chain[k]) == chain[k + 1]
+        assert bracket(chain[0], chain[n]).is_zero()
 
 
 def test_filiform_normal_basis_preconditions():

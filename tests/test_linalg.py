@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from weylkit import dixmier, liestruct, linalg
 from weylkit.elements import WeylElement, _term_order, bracket, p, q
 from weylkit.errors import IrrationalSpectrum
-from weylkit.linalg import (Echelon, charpoly, eigen_decomposition, eigenvalues, integer_kernel,
-                            kernel, rref)
-from weylkit.scalars import ONE, ZERO, Scalar
+from weylkit.linalg import Echelon, charpoly, eigen_decomposition, eigenvalues, integer_kernel, rref
+from weylkit.scalars import ONE, ZERO, Scalar, _clear
 
+from .frozen_echelon import ScalarEchelon, echelon_kernel
 from .strategies import big_scalar_st, scalar_st
 
 
@@ -42,17 +42,47 @@ def _columns(a):
     return [_sparse(col) for col in zip(*a)]
 
 
+def _cleared(v):
+    """A sparse Scalar vector as the engine takes it: (numerators over Z[i], den)."""
+    den = lcm(*(x.d for x in v.values()))
+    return _clear(v, den), den
+
+
+def _over(coords):
+    """Numerators over one int (num, n) from the engine as Scalars {k: num[k]/n}."""
+    num, n = coords
+    return {k: Scalar(a, b) / n for k, (a, b) in num.items()}
+
+
+def _scalars(coords, keys):
+    """Coordinates from the engine as a list of Scalars, one per key; None for None."""
+    return None if coords is None else [_over(coords).get(k, ZERO) for k in keys]
+
+
+def _unit(row, pivot):
+    """A row over Z[i] divided by its pivot value, as Scalars."""
+    p = Scalar(*row[pivot])
+    return {c: Scalar(a, b) / p for c, (a, b) in row.items()}
+
+
+def _kernel(columns):
+    """``integer_kernel`` on Scalar columns cleared over one denominator, each
+    relation divided by its s, the entry at its largest key."""
+    den = lcm(*(x.d for col in columns for x in col.values()))
+    return [_unit(rel, max(rel)) for rel in integer_kernel([_clear(col, den) for col in columns])]
+
+
 def _rank(a):
     """The rank of a, as the dimension of an Echelon over its rows."""
     span = Echelon()
     for row in a:
-        span.insert(_sparse(row))
+        span.insert(*_cleared(_sparse(row)))
     return span.dim
 
 
 def _nullspace(a):
-    """``kernel`` on the columns of a, one dense vector per free column."""
-    return [[v.get(c, ZERO) for c in range(len(a[0]))] for v in kernel(_columns(a))]
+    """``_kernel`` on the columns of a, one dense vector per free column."""
+    return [[v.get(c, ZERO) for c in range(len(a[0]))] for v in _kernel(_columns(a))]
 
 
 def _solve(a, b):
@@ -60,8 +90,8 @@ def _solve(a, b):
     over the inserted columns of a; None if there is none."""
     columns = Echelon()
     for col in _columns(a):
-        columns.insert(col)
-    return columns.express(_sparse(b))
+        columns.insert(*_cleared(col))
+    return _scalars(columns.express(*_cleared(_sparse(b))), range(columns.ngens))
 
 
 def test_rref_idempotent_and_pivots():
@@ -285,7 +315,7 @@ def test_kernel_nullspace_and_solve_match_the_rref_versions(system):
     # kernel alone, on sparse columns keyed by non-integer rows
     ncols = len(a[0])
     columns = [{("row", r): row[c] for r, row in enumerate(a) if row[c]} for c in range(ncols)]
-    relations = kernel(columns)
+    relations = _kernel(columns)
     assert all(all(rel.values()) for rel in relations)
     assert [[rel.get(c, ZERO) for c in range(ncols)] for rel in relations] == _rref_nullspace(a)
 
@@ -316,111 +346,6 @@ def test_kernels_use_no_dense_routine(monkeypatch):
 
 
 # -- the Gaussian-integer engines against the Scalar code they replaced -------------
-
-
-def _subtract(v, row, c):
-    """v -= c·row in place, dropping entries that cancel."""
-    for col, x in row.items():
-        y = v.get(col, ZERO) - c * x
-        if y:
-            v[col] = y
-        else:
-            del v[col]
-
-
-class _ScalarEchelon:
-    """``Echelon`` as it was, on Scalars with unit pivots, frozen (reference)."""
-
-    def __init__(self, rows=(), key=None):
-        self.key = key
-        self.rows = []
-        self.pivots = []
-        self._row_of = {}
-        self._coords = []
-        self.ngens = 0
-        for row in rows:
-            self.insert(row)
-
-    def reduce(self, v):
-        v = dict(v)
-        used = {}
-        while v:
-            lead = min(v, key=self.key)
-            r = self._row_of.get(lead)
-            if r is None:
-                break
-            c = v[lead]
-            _subtract(v, self.rows[r], c)
-            used[r] = c
-        return v, used
-
-    def insert(self, v):
-        return self._append(*self.reduce(v))
-
-    def insert_coordinates(self, v):
-        rem, used = self.reduce(v)
-        if self._append(rem, used) is None:
-            return used
-        return {**used, len(self.rows) - 1: rem[self.pivots[-1]]}
-
-    def _append(self, rem, used):
-        gen = self.ngens
-        self.ngens += 1
-        if not rem:
-            return None
-        pivot = min(rem, key=self.key)
-        inv = rem[pivot].inverse()
-        row = {col: x * inv for col, x in rem.items()}
-        coords = {gen: inv}
-        for r, c in used.items():
-            _subtract(coords, self._coords[r], c * inv)
-        self._coords.append(coords)
-        self._row_of[pivot] = len(self.rows)
-        self.rows.append(row)
-        self.pivots.append(pivot)
-        return row
-
-    def contains(self, v):
-        return not self.reduce(v)[0]
-
-    def express(self, v):
-        rem, used = self.reduce(v)
-        if rem:
-            return None
-        out = [ZERO] * self.ngens
-        for r, c in used.items():
-            for g, x in self._coords[r].items():
-                out[g] = out[g] + c * x
-        return out
-
-    def row_coordinates(self, v):
-        rem, used = self.reduce(v)
-        if rem:
-            return None
-        return [used.get(r, ZERO) for r in range(len(self.rows))]
-
-    def reduced_rows(self):
-        done = {}
-        for pivot in sorted(self.pivots, key=self.key, reverse=True):
-            row = dict(self.rows[self._row_of[pivot]])
-            for col, c in [(col, c) for col, c in row.items() if col in done]:
-                _subtract(row, done[col], c)
-            done[pivot] = row
-        return list(done.values())[::-1]
-
-
-def _echelon_kernel(columns):
-    """``kernel`` as it was built on ``Echelon`` insertion, frozen (reference)."""
-    span = _ScalarEchelon()
-    basis = []
-    for j, col in enumerate(columns):
-        rem, used = span.reduce(col)
-        if span._append(rem, used) is None:
-            relation = {j: ONE}
-            for r, c in used.items():
-                _subtract(relation, span._coords[r], c)
-            basis.append(relation)
-    return basis
 
 
 def _scalar_charpoly(a):
@@ -470,12 +395,12 @@ def _content(pairs):
 @given(dense_columns_st())
 def test_kernel_matches_the_echelon_kernel(columns):
     sparse = [_sparse(col) for col in columns]
-    assert kernel(sparse) == _echelon_kernel(sparse)
+    assert _kernel(sparse) == echelon_kernel(sparse)
     # the engine divides out integer content: each reduction (remainder,
     # multiples subtracted and scale) is primitive
     span = Echelon()
     for col in sparse:
-        rem, used, s, pivot = span._reduce(col)
+        rem, used, s, pivot = span._reduce(*_cleared(col))
         assert _content([s, *rem.values(), *used.values()]) == 1
         span._append(rem, used, s, pivot)
 
@@ -496,20 +421,27 @@ def echelon_problem_st(draw):
     return key, sparse[:draw(st.integers(0, len(sparse)))], sparse
 
 
+def _unit_rows(span):
+    return [_unit(row, pivot) for row, pivot in zip(span.rows, span.pivots)]
+
+
 @given(echelon_problem_st())
 def test_echelon_matches_the_scalar_engine(problem):
     key, rows, queries = problem
-    new, old = Echelon(rows, key=key), _ScalarEchelon(rows, key=key)
-    assert (new.rows, new.pivots, new.ngens) == (old.rows, old.pivots, old.ngens)
-    assert new.reduced_rows() == old.reduced_rows()
+    new, old = Echelon(key=key), ScalarEchelon(rows, key=key)
+    for row in rows:
+        new.insert(*_cleared(row))
+    assert (_unit_rows(new), new.pivots, new.ngens) == (old.rows, old.pivots, old.ngens)
+    assert [_over(row) for row in new.reduced_rows()] == old.reduced_rows()
     for v in queries:
-        assert new.contains(v) == old.contains(v)
-        assert new.express(v) == old.express(v)
-        assert new.row_coordinates(v) == old.row_coordinates(v)
-    new, old = Echelon(key=key), _ScalarEchelon(key=key)
+        assert new.contains(*_cleared(v)) == old.contains(v)
+        assert _scalars(new.express(*_cleared(v)), range(new.ngens)) == old.express(v)
+        assert _scalars(new.row_coordinates(*_cleared(v)), range(new.dim)) == \
+            old.row_coordinates(v)
+    new, old = Echelon(key=key), ScalarEchelon(key=key)
     for v in queries:
-        assert new.insert_coordinates(v) == old.insert_coordinates(v)
-    assert (new.rows, new.pivots) == (old.rows, old.pivots)
+        assert _over(new.insert_coordinates(*_cleared(v))) == old.insert_coordinates(v)
+    assert (_unit_rows(new), new.pivots) == (old.rows, old.pivots)
 
 
 def _domain_charpoly(a):
@@ -543,8 +475,8 @@ def _bracket_eigenvectors(x, lam, max_degree):
     unknowns = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
     columns = [(bracket(x, WeylElement.monomial(*m)) - WeylElement.monomial(*m).scale(lam)).terms
                for m in unknowns]
-    span = _ScalarEchelon(({unknowns[j]: c for j, c in rel.items()} for rel in _echelon_kernel(columns)),
-                          key=_term_order)
+    span = ScalarEchelon(({unknowns[j]: c for j, c in rel.items()}
+                          for rel in echelon_kernel(columns)), key=_term_order)
     return [WeylElement(row) for row in span.reduced_rows()]
 
 
@@ -759,21 +691,23 @@ def test_eigenvalues_below_the_norm_budget_never_use_the_factoriser(monkeypatch)
 
 
 def test_a_zero_scalar_entry_is_no_pivot():
-    # a zero entry cleared over Z[i] would be stored as a pivot of value (0, 0)
-    span = Echelon([{0: ZERO}, {0: ONE}])
-    assert (span.dim, span.pivots, span.rows) == (1, [0], [{0: ONE}])
-    assert span.express({0: ONE}) == [ZERO, ONE]
-    assert Echelon([{0: ZERO, 1: Scalar(2)}]).rows == [{1: ONE}]
-    assert kernel([{0: ZERO}, {0: Scalar(3), 1: ZERO}]) == [{0: ONE}]
+    # the Scalar edges clear their entries on entry; a zero entry cleared over
+    # Z[i] would be stored as a pivot of value (0, 0)
+    assert rref([[ZERO], [ONE]]) == ([[ONE], [ZERO]], [0])
+    assert rref([[ZERO, Scalar(2)]]) == ([[ZERO, ONE]], [1])
+    assert eigen_decomposition([[ZERO, ZERO], [Scalar(3), ZERO]]) == [(ZERO, [[ZERO, ONE]])]
+    # an empty generator adds no row but still counts for express
+    span = Echelon([{}, {0: (1, 0)}])
+    assert (span.dim, span.pivots, span.ngens) == (1, [0], 2)
+    assert _scalars(span.express({0: (2, 0)}, 3), range(2)) == [ZERO, Scalar(Fraction(2, 3))]
 
 
-def test_echelon_rows_are_built_on_each_read():
-    span = Echelon([{0: Scalar(2), 1: Scalar(4)}])
-    span.rows[0][0] = ZERO
-    assert span.rows == [{0: ONE, 1: Scalar(2)}]
-    span.insert({1: Scalar(0, 3)})
-    assert span.rows == [{0: ONE, 1: Scalar(2)}, {1: ONE}]
-    assert not hasattr(span, "_rows")
+def test_echelon_rows_are_stored_as_reduction_left_them():
+    # an append divides nothing: a row keeps its scale, its pivot value included
+    span = Echelon([{0: (2, 0), 1: (4, 0)}])
+    span.insert({0: (1, 0), 1: (2, 0), 2: (0, 3)}, 5)
+    assert span.rows == [{0: (2, 0), 1: (4, 0)}, {2: (0, 6)}]
+    assert span.pivots == [0, 2]
 
 
 _gaussian_st = st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(-10 ** 20, 10 ** 20))
@@ -811,15 +745,16 @@ def test_integer_kernel_relations_are_exact_over_the_gaussian_integers(columns):
     dependent = [j for j, col in enumerate(columns) if not span.insert(col, 1)]
     assert [max(relation) for relation in relations] == dependent
     scalar_columns = [{k: Scalar(a, b) for k, (a, b) in col.items()} for col in columns]
-    scaled = kernel(scalar_columns)
-    assert scaled == _echelon_kernel(scalar_columns)
+    scaled = echelon_kernel(scalar_columns)
+    assert len(relations) == len(scaled)
     for relation, want in zip(relations, scaled):
         assert all(type(t) is int for z in relation.values() for t in z)
         s = relation[max(relation)]
-        # s·col_j − Σ x_g·col_g vanishes exactly, and over s it is kernel's relation
+        # s·col_j − Σ x_g·col_g vanishes exactly, and over s it is the frozen
+        # kernel's relation
         assert s != (0, 0) and _gaussian_combination(
             (columns[g], z) for g, z in relation.items()) == {}
-        assert {g: Scalar(a, b) / Scalar(*s) for g, (a, b) in relation.items()} == want
+        assert _unit(relation, max(relation)) == want
 
 
 def test_reduced_rows_are_stored_at_their_cleared_size(monkeypatch):
@@ -829,17 +764,19 @@ def test_reduced_rows_are_stored_at_their_cleared_size(monkeypatch):
     rng = random.Random(0)
     a = [[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
           for _ in range(11)] for _ in range(8)]
-    span = Echelon(_sparse(row) for row in a)
+    span = Echelon()
+    for row in a:
+        span.insert(*_cleared(_sparse(row)))
     sizes = []
     insert = Echelon.insert
 
-    def recorded(self, v, den=None):
+    def recorded(self, v, den=1):
         sizes.extend(abs(t).bit_length() for z in v.values() for t in z)
         return insert(self, v, den)
 
     monkeypatch.setattr(Echelon, "insert", recorded)
-    rows = span.reduced_rows()
-    assert rows == _ScalarEchelon(_sparse(row) for row in a).reduced_rows()
+    rows = ScalarEchelon(_sparse(row) for row in a).reduced_rows()
+    assert [_over(row) for row in span.reduced_rows()] == rows
     cleared = [abs(t).bit_length() for row in rows for den in [lcm(*(x.d for x in row.values()))]
                for x in row.values() for t in (x.a * (den // x.d), x.b * (den // x.d))]
     assert sorted(sizes) == sorted(cleared)

@@ -66,9 +66,11 @@ def test_the_elimination_engine_stays_behind_linalg():
 
 def test_elements_build_scalars_only_at_the_edge():
     # an element is Gaussian-integer numerators over one denominator; only the
-    # views that hand coefficients out call Scalar, as_scalar or _norm
-    edges = {"terms", "coeff", "constant_term", "as_records", "format_element"}
-    builders = {"Scalar", "as_scalar", "_norm"}
+    # views that hand coefficients out, a span's coordinates included, call
+    # Scalar, as_scalar, _norm or _dense
+    edges = {"terms", "coeff", "constant_term", "as_records", "format_element", "express",
+             "row_coordinates"}
+    builders = {"Scalar", "as_scalar", "_norm", "_dense"}
     found = []
 
     def visit(node, inside):
@@ -87,12 +89,20 @@ def test_elements_build_scalars_only_at_the_edge():
 def test_structure_invariants_run_on_the_integer_table():
     # a span does not depend on the scale of its rows, so the series, the centre,
     # the filiform test, recognition and the realisation check bracket rows over
-    # Z[i], the integer kernel returns relations over Z[i] and the reduced basis
-    # is reduced over Z[i]: none builds a Scalar only to clear it again
+    # Z[i], the integer kernel returns relations over Z[i], the engine returns
+    # coordinates and the reduced basis over Z[i], and the library's own tables
+    # pass those straight to the table: none builds a Scalar only to clear it
+    # again.  recognize alone builds one Scalar matrix, ad(h) on the derived
+    # algebra, since ``eigenvalues`` reads Scalars
     scoped = {"liestruct.py": {"_derived_span", "_series", "_center", "_invariants",
-                               "_model_filiform", "recognize", "verify_realization"},
-              "linalg.py": {"integer_kernel", "Echelon.reduced_rows"}}
-    builders = {"Scalar", "ONE", "ZERO", "as_scalar"}
+                               "_model_filiform", "recognize", "verify_realization",
+                               "lie_closure", "_struct_from_images", "quotient_by_center",
+                               "_built"},
+              "linalg.py": {"integer_kernel", "Echelon.reduced_rows", "Echelon._reduce",
+                            "Echelon.insert_coordinates", "Echelon.express"},
+              "elements.py": {"ElementSpan.reduced_basis"}}
+    builders = {"Scalar", "ONE", "ZERO", "as_scalar", "_norm", "_dense"}
+    allowed = {("recognize", "_dense")}
     found = []
     for module, names in scoped.items():
         tree = ast.parse((SOURCES[0].parent / module).read_text(encoding="utf-8"))
@@ -103,7 +113,27 @@ def test_structure_invariants_run_on_the_integer_table():
         assert names <= set(functions)
         found += [f"{module} {name}:{node.lineno} {node.id}" for name in sorted(names)
                   for node in ast.walk(functions[name])
-                  if isinstance(node, ast.Name) and node.id in builders]
+                  if isinstance(node, ast.Name) and node.id in builders
+                  and (name, node.id) not in allowed]
+    assert not found, found
+
+
+def test_the_frozen_references_run_on_the_frozen_engine():
+    # a reference that called the live engine would check the engine against
+    # itself; of linalg only ``eigenvalues``, tested against sympy, stays live
+    live = {"Echelon", "kernel", "integer_kernel", "eigen_decomposition"}
+    frozen = ["frozen_echelon.py", "scalar_struct.py", "scalar_element.py", "frozen_parsers.py"]
+    found = []
+    for name in frozen:
+        tree = ast.parse((Path(__file__).parent / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylkit")
+                  for alias in node.names if alias.name in live | {"linalg"}]
+        found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in live]
+        found += [f"{name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) for alias in node.names
+                  if alias.name.startswith("weylkit")]
     assert not found, found
 
 
