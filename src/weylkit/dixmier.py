@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import ElementSpan, WeylElement, _accumulate, _make, _term_order, bracket, p, q
+from .elements import (ElementSpan, WeylElement, _accumulate, _coded, _make, _term_order, bracket,
+                       p, q)
 from .errors import (BudgetExceeded, DegreeTooHigh, NoProportionality, PreconditionFailed,
                      ZeroElement, _check_count)
 from .linalg import integer_kernel
@@ -113,17 +114,18 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     # echelon basis
     unknowns = sorted(((i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)),
                       key=_term_order, reverse=True)
-    # the columns D·([x, m] − λm) over Z[i], D = D_x·λ.d, keyed so that each
-    # pivot is a column's top-degree term
-    dx = x.den
-    xs = [(m, (re * lam.d, im * lam.d)) for m, (re, im) in x.num.items()]
+    # the columns D·([x, m] − λm) over Z[i], D = D_x·λ.d, with p^i q^j coded in
+    # printing order as −(w·(i + j) + i), w past its p-exponent, so that each
+    # column's pivot, its least code, is its top-degree term
+    w = 1 + max((i for i, _ in x.num), default=0) + max_degree
+    u, v = -(w + 1), -w
+    xs = [(i, j, code, re * lam.d, im * lam.d) for i, j, code, re, im in _coded(x.num, u, v)]
     columns = []
-    for m in unknowns:
-        re_acc, im_acc = _accumulate(xs, ((m, (1, 0)),), -1)
-        re_acc[m] = re_acc.get(m, 0) - lam.a * dx
-        im_acc[m] = im_acc.get(m, 0) - lam.b * dx
-        columns.append({_term_order(k): (re, im) for k, re in re_acc.items()
-                        if (im := im_acc.get(k, 0)) or re})
+    for i, j in unknowns:
+        code = u * i + v * j
+        acc = {code: [-lam.a * x.den, -lam.b * x.den]}
+        _accumulate(acc, xs, ((i, j, code, 1, 0),), -1, u + v)
+        columns.append({k: cell for k, cell in acc.items() if cell[0] or cell[1]})
     return [_make(*_divide({unknowns[g]: x for g, x in rel.items()}, rel[max(rel)]))
             for rel in reversed(integer_kernel(columns))]
 

@@ -11,11 +11,16 @@ built only at the edge: ``terms``, ``coeff``, ``constant_term``,
 
     q^j p^k = sum_m (-1)^m C(j,m) C(k,m) m! p^{k-m} q^{j-m},
 
-accumulating plain ints over D_x·D_y, one swap row per term pair.  Since
-p^a q^b · p^c q^d and p^c q^d · p^a q^b put swap term m on the same monomial,
-x·y + sign·y·x has one signed row per pair: sign 0 is the product x·y, sign
--1 the bracket [x, y] (whose m = 0 terms cancel) and sign +1 the
-anticommutator xy + yx.  Sums add numerators over the lcm of the denominators.
+one swap row per term pair.  Since p^a q^b · p^c q^d and p^c q^d · p^a q^b put
+swap term m on the same monomial, x·y + sign·y·x has one signed row per pair:
+sign 0 is the product x·y, sign -1 the bracket [x, y] (whose m = 0 terms
+cancel) and sign +1 the anticommutator xy + yx.  Each operand's terms are coded
+once as (i, j, u·i + v·j, re, im): swap term m of a pair lands on the int
+code − m·(u + v), in one [re, im] cell of plain ints over D_x·D_y.  A product
+codes p^i q^j as w·i + j, w past every q-exponent of the result, and decodes
+each term once (``dixmier``'s eigenvector columns keep a printing-order code).
+Sums add numerators into such cells, one per monomial, over the lcm of the
+denominators.
 
 Also here: the symmetrisation map onto the grading subspaces W_n (the image
 of the n-th symmetric power of span{p, q}), as the Weyl ordering
@@ -123,12 +128,6 @@ def _long_term_signed_row(b: int, c: int, d: int, a: int, sign: int) -> tuple:
     return _signed_row(b, c, d, a, sign)
 
 
-def _collect(re_acc: dict, im_acc: dict, den: int) -> "WeylElement":
-    """The element from integer sums (keys of im_acc within re_acc's) over den."""
-    return _make({k: (re, im) for k, re in re_acc.items() if (im := im_acc.get(k, 0)) or re},
-                 den)
-
-
 # swap-row entries times (output degree + 1); the largest accepted product,
 # q^2400·p^2400, takes 0.05 s on a 2-vCPU x86 host with Python 3.11
 _PRODUCT_BUDGET = 2401 * 4801
@@ -144,50 +143,63 @@ def _check_product(x: "WeylElement", y: "WeylElement", commutator: bool):
                              f"pass the product budget of {_PRODUCT_BUDGET}")
 
 
+def _coded(num: dict, u: int, v: int) -> list:
+    """The terms of num as (i, j, u·i + v·j, re, im)."""
+    return [(i, j, u * i + v * j, re, im) for (i, j), (re, im) in num.items()]
+
+
 def _kernel(x: "WeylElement", y: "WeylElement", sign: int) -> "WeylElement":
-    """x·y + sign·y·x (sign 0: x·y alone) over D_x·D_y."""
-    return _collect(*_accumulate(x.num.items(), y.num.items(), sign), x.den * y.den)
+    """x·y + sign·y·x (sign 0: x·y alone) over D_x·D_y.  A result monomial p^i q^j
+    is coded w·i + j, w past its q-exponent, so one divmod decodes it."""
+    w = 1 + max((j for _, j in x.num), default=0) + max((j for _, j in y.num), default=0)
+    acc: dict = {}
+    _accumulate(acc, _coded(x.num, w, 1), _coded(y.num, w, 1), sign, w + 1)
+    return _make({divmod(code, w): (re, im) for code, (re, im) in acc.items() if re or im},
+                 x.den * y.den)
 
 
-def _accumulate(xs: Iterable, ys: Iterable, sign: int) -> tuple[dict, dict]:
-    """The integer sums (real, imaginary; keys of the second within the first) of
-    x·y + sign·y·x (sign 0: x·y) over re-iterable pairs (monomial, (re, im))."""
-    re_acc: dict = {}
-    im_acc: dict = {}
-    for (a, b), (xr, xi) in xs:
+def _accumulate(acc: dict, xs: Iterable, ys: Sequence, sign: int, step: int) -> None:
+    """Add the integer sums of x·y + sign·y·x (sign 0: x·y) into the cells
+    {code: [re, im]} of acc, over coded terms (i, j, u·i + v·j, re, im) with
+    u + v = step: swap term m of a pair lands on the pair's code − m·step."""
+    for a, b, xc, xr, xi in xs:
         # only a term with an exponent past _SHORT_ROW can pair into a long row
         signed_row = _signed_row if a <= _SHORT_ROW and b <= _SHORT_ROW else _long_term_signed_row
-        for (c, d), (yr, yi) in ys:
+        for c, d, yc, yr, yi in ys:
             re = xr * yr - xi * yi
             im = xr * yi + xi * yr
-            i, j = a + c, b + d
+            code = xc + yc
             row = signed_row(b, c, d, a, sign) if sign else _swap_row(b, c)
             if im:
                 for m, k in row:
-                    key = (i - m, j - m)
-                    re_acc[key] = re_acc.get(key, 0) + re * k
-                    im_acc[key] = im_acc.get(key, 0) + im * k
+                    if (cell := acc.get(key := code - m * step)) is None:
+                        acc[key] = [re * k, im * k]
+                    else:
+                        cell[0] += re * k
+                        cell[1] += im * k
             else:
                 for m, k in row:
-                    key = (i - m, j - m)
-                    re_acc[key] = re_acc.get(key, 0) + re * k
-    return re_acc, im_acc
+                    if (cell := acc.get(key := code - m * step)) is None:
+                        acc[key] = [re * k, 0]
+                    else:
+                        cell[0] += re * k
 
 
 def _sum(parts: Sequence[tuple]) -> "WeylElement":
     """Σ (cr + ci·i)/cd · x over parts (cr, ci, cd, x) with cd > 0, as Gaussian
-    integers over the lcm of the cd·D_x."""
+    integers over the lcm of the cd·D_x, added into one [re, im] cell per monomial."""
     den = lcm(*(cd * x.den for _, _, cd, x in parts))
-    re_acc: dict = {}
-    im_acc: dict = {}
+    acc: dict = {}
     for cr, ci, cd, x in parts:
         f = den // (cd * x.den)
         cr, ci = cr * f, ci * f
         for key, (a, b) in x.num.items():
-            re_acc[key] = re_acc.get(key, 0) + cr * a - ci * b
-            if im := cr * b + ci * a:
-                im_acc[key] = im_acc.get(key, 0) + im
-    return _collect(re_acc, im_acc, den)
+            if (cell := acc.get(key)) is None:
+                acc[key] = [cr * a - ci * b, cr * b + ci * a]
+            else:
+                cell[0] += cr * a - ci * b
+                cell[1] += cr * b + ci * a
+    return _make({key: (re, im) for key, (re, im) in acc.items() if re or im}, den)
 
 
 def _scaled(x: "WeylElement", a: int, b: int, d: int) -> "WeylElement":

@@ -77,6 +77,50 @@ def test_linear_combination_matches_the_scalar_element(pairs):
                 frozen.linear_combination((c, _old(x)) for c, x in pairs))
 
 
+# up to 12 terms of exponents up to 12, built without the sums under test: rows
+# of up to 13 entries, many landing on one accumulator cell
+wide_element_st = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)), coeff_st,
+                                  max_size=12).map(WeylElement)
+
+
+def assert_kernels_match(x: WeylElement, y: WeylElement, both_orders: bool = True):
+    ox, oy = _old(x), _old(y)
+    assert_same(x * y, ox * oy)
+    if both_orders:
+        assert_same(bracket(x, y), frozen.bracket(ox, oy))
+        assert_same(anticommutator(x, y), frozen.anticommutator(ox, oy))
+
+
+@given(wide_element_st, wide_element_st,
+       st.lists(st.tuples(st.one_of(st.just(0), any_scalar_st), wide_element_st), max_size=4))
+def test_wide_products_and_sums_match_the_scalar_element(x, y, pairs):
+    assert_kernels_match(x, y)
+    assert_same(linear_combination(pairs),
+                frozen.linear_combination((c, _old(z)) for c, z in pairs))
+
+
+def test_codes_past_2_40_decode_back_to_their_monomials():
+    # one exponent past 2^40 on either side, in short rows only: the codes
+    # w·i + j pass 2^40, and in the second case so does the width w itself
+    big = 2 ** 40 + 3
+    cases = [
+        (WeylElement({(big, 2): 3, (1, 1): Scalar(0, 1)}),
+         WeylElement({(3, 5): Fraction(1, 2), (0, 2): Scalar(1, -2)})),
+        (WeylElement({(2, big): Scalar(Fraction(2, 3), 1), (0, 1): 1}),
+         WeylElement({(5, 3): -1, (1, 0): Fraction(5, 7)})),
+    ]
+    for x, y in cases:
+        assert_kernels_match(x, y)
+        assert_kernels_match(y, x)
+        assert_same(linear_combination([(Scalar(0, 1), x), (Fraction(-1, 2), y), (1, x)]),
+                    frozen.linear_combination([(Scalar(0, 1), _old(x)), (Fraction(-1, 2), _old(y)),
+                                               (1, _old(x))]))
+    # q^big·p^big would walk 2^40 swap terms, so only x·y = 2i·p^big (pq − 1) q^big
+    x, y = WeylElement.monomial(big, 1, 2), WeylElement.monomial(1, big, Scalar(0, 1))
+    assert_kernels_match(x, y, both_orders=False)
+    assert (x * y).num == {(big + 1, big + 1): (0, 2), (big, big): (0, -2)}
+
+
 @given(st.lists(element_st(max_degree=2, max_terms=4), max_size=7), st.data())
 def test_span_matches_the_scalar_element(gens, data):
     new, old = ElementSpan(), frozen.ScalarSpan()

@@ -7,7 +7,7 @@ from collections import Counter
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weylkit import dixmier, liestruct, linalg
@@ -499,6 +499,19 @@ def eigen_problem_st(draw):
 @given(eigen_problem_st())
 def test_eigenvectors_truncated_match_the_bracket_columns(problem):
     x, lam, degree = problem
+    assert dixmier.eigenvectors_truncated(x, lam, degree) == _bracket_eigenvectors(x, lam, degree)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.sampled_from([1, -1, Scalar(0, 1), Fraction(1, 2)]),
+                       min_size=1, max_size=3).map(WeylElement),
+       st.integers(-2, 2), st.integers(0, 3))
+@example(q ** 4 + p ** 3, 0, 1)
+@example(q ** 5 + p ** 4, 0, 2)
+def test_eigenvectors_of_exponents_past_the_window_match_the_bracket_columns(x, lam, degree):
+    # the columns reach p-exponents past the window, which their codes must
+    # keep apart: coded over the window alone, p^3 + q^4 at degree 1 merges
+    # p^2 with q^3 and finds an eigenvector that is none
     assert dixmier.eigenvectors_truncated(x, lam, degree) == _bracket_eigenvectors(x, lam, degree)
 
 

@@ -86,6 +86,31 @@ def test_elements_build_scalars_only_at_the_edge():
     assert not found, found
 
 
+def test_one_row_walk_reads_the_swap_rows():
+    # products, brackets, anticommutators and the eigenvector columns of
+    # dixmier all walk their rows in elements._accumulate; besides it only the
+    # row builders read one another, and _delta_monomial reads a swap row as
+    # the Weyl-ordering coefficients, so no second walk can grow elsewhere
+    rows = {"_swap_row", "_signed_row", "_long_term_signed_row"}
+    allowed = {("elements.py", name) for name in
+               ("_accumulate", "_signed_row", "_long_term_signed_row", "_delta_monomial")}
+    found, walked = [], set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, ast.ImportFrom):
+                    found += [f"{path.name}:{node.lineno} import {alias.name}"
+                              for alias in node.names if alias.name in rows]
+                elif name in rows and (path.name, owner) not in allowed:
+                    found.append(f"{path.name}:{node.lineno} {owner} {name}")
+                elif name in rows and owner == "_accumulate":
+                    walked.add(name)
+    assert walked == rows
+    assert not found, found
+
+
 def test_structure_invariants_run_on_the_integer_table():
     # a span does not depend on the scale of its rows, so the series, the centre,
     # the filiform test, recognition and the realisation check bracket rows over
