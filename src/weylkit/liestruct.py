@@ -24,12 +24,12 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .elements import (ElementSpan, WeylElement, _as_element, _independent_span, _sum, ad_pow,
-                       bracket, linear_combination, one, p, q)
+                       bracket, one, p, q)
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed, _check_count, _is_count)
 from .linalg import Echelon, eigen_decomposition, integer_kernel
-from .scalars import ZERO, Scalar, _clear, _dense, _norm, as_scalar
+from .scalars import Scalar, _clear, _divide, _norm, as_scalar
 
 __all__ = [
     "LieAlgebraStruct", "CatalogTag", "Realization", "CatalogEntry",
@@ -54,9 +54,8 @@ class LieAlgebraStruct:
                      and all(map(_is_count, ij)) and ij[0] < ij[1] < dim)
                 or any(not _is_count(k) or k >= dim for k in row) for ij, row in c.items()):
             raise BadParams(f"structure constants c^k_ij need 0 <= i < j < {dim}, 0 <= k < {dim}")
-        c = {ij: {k: x for k, v in row.items() if (x := as_scalar(v))} for ij, row in c.items()}
-        den = math.lcm(*{x.d for row in c.values() for x in row.values()})
-        self._fill(dim, labels, {ij: (_clear(row, den), den) for ij, row in c.items()})
+        rows, den = _clear(*({k: as_scalar(v) for k, v in row.items()} for row in c.values()))
+        self._fill(dim, labels, {ij: (row, den) for ij, row in zip(c, rows)})
         self._check_jacobi()
 
     def _fill(self, dim: int, labels: Sequence[str], rows: dict):
@@ -361,9 +360,7 @@ def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAl
     if not isinstance(matrix, Sequence) or len(matrix) != n or any(
             not isinstance(r, Sequence) or len(r) != n for r in matrix):
         raise BadParams(f"basis-change matrix must be {n}x{n}")
-    cols = [{i: as_scalar(matrix[i][j]) for i in range(n)} for j in range(n)]
-    d = math.lcm(*{x.d for col in cols for x in col.values()})
-    ints = [_clear(col, d) for col in cols]
+    ints, d = _clear(*({i: as_scalar(matrix[i][j]) for i in range(n)} for j in range(n)))
     span = Echelon(ints)
     if span.dim != n:
         raise BadParams("basis-change matrix is singular")
@@ -441,10 +438,12 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         if inv.derived_series_dims[2] == 0:
             # abelian derived algebra (an ideal): diagonalise ad(h) on its integer rows
             basis = Echelon(derived.rows)
-            ad_cols = [_dense(*basis.express(algebra._bracket({h: (1, 0)}, d), algebra._den),
-                              derived.dim) for d in derived.rows]
-            mat = [[col[k] for col in ad_cols] for k in range(derived.dim)]
-            eigs = [lam for lam, vecs in eigen_decomposition(mat) for _ in vecs]
+            ad = [basis.express(algebra._bracket({h: (1, 0)}, d), algebra._den)
+                  for d in derived.rows]
+            den = math.lcm(*(m for _, m in ad))
+            columns = [{k: (a * (den // m), b * (den // m)) for k, (a, b) in num.items()}
+                       for num, m in ad]
+            eigs = [lam for lam, rels in eigen_decomposition(columns, den) for _ in rels]
             if len(eigs) != derived.dim or not all(eigs):
                 return CatalogTag("Unknown")
             profile = _integer_profile(eigs)
@@ -568,12 +567,12 @@ def weight_spaces(realization: Realization, h_index: int) -> dict[Scalar, list[W
     _check_count(h_index, 0, "h_index must be a natural number, got {!r}")
     if h_index >= algebra.dim:
         raise BadParams("h_index out of range")
-    mat = [[algebra.basis_bracket(h_index, j).get(k, ZERO) for j in range(algebra.dim)]
-           for k in range(algebra.dim)]
-    decomp = eigen_decomposition(mat)
-    total = sum(len(vecs) for _, vecs in decomp)
+    decomp = eigen_decomposition([algebra._num.get((h_index, j), {}) for j in range(algebra.dim)],
+                                 algebra._den)
+    total = sum(len(rels) for _, rels in decomp)
     if total != algebra.dim:
-        raise NotDiagonalisable(
-            f"eigenspaces span {total} of {algebra.dim} dimensions")
-    return {lam: [linear_combination(zip(v, realization.images)) for v in vecs]
-            for lam, vecs in decomp}
+        raise NotDiagonalisable(f"eigenspaces span {total} of {algebra.dim} dimensions")
+    # each relation over its entry at its largest index: the weight vector with one there
+    return {lam: [_sum([(a, b, s, realization.images[k]) for k, (a, b) in num.items()])
+                  for num, s in (_divide(rel, rel[max(rel)]) for rel in rels)]
+            for lam, rels in decomp}

@@ -12,37 +12,36 @@ own reduction, so ``express`` solves a linear system by back-substitution,
 and ``integer_kernel`` reads each relation off that reduction.  Coordinates,
 relations and the reduced basis are returned over Z[i] too, as numerators
 over one positive int.
-Scalars are built only at the edge: ``rref``, which clears its matrix on
-entry and remains for the baseline script ``perfbench/baseline.py``,
-``charpoly`` and ``eigenvalues``, which read and return Scalars, and the
-vectors of ``eigen_decomposition``.
-``charpoly`` runs Faddeev–LeVerrier on L·a over Z[i], L the lcm of the entry
-denominators.  Eigenvalues come from det(tI - D·a), monic over Z[i] for the
-least such D, so its Q(i)-roots are Gaussian integers dividing its lowest
-nonzero coefficient a₀.  While N(a₀) is within ``_NORM_BUDGET`` the divisors
-are enumerated by trial division and tested by exact Horner deflation, which
-makes the search complete without sympy; only above the budget is the
-polynomial factorised over Q(i) by sympy, imported then.  A factor of
-degree two or more with no root means the spectrum leaves Q(i), and is
-reported as such rather than approximated.
+``rref`` and ``charpoly`` alone take a Scalar matrix; each clears it on
+entry, and both remain for the baseline script ``perfbench/baseline.py``.
+``eigenvalues`` and ``eigen_decomposition`` take a square matrix in the form
+``integer_kernel`` takes, its columns {row: (re, im)} over one positive int,
+build Scalars only for the eigenvalues they return and return each
+eigenspace as ``integer_kernel`` relations.  Faddeev–LeVerrier runs on the
+Gaussian-integer matrix, and eigenvalues come from det(tI - D·a), monic
+over Z[i] for the least such D, so its Q(i)-roots are Gaussian integers
+dividing its lowest nonzero coefficient a₀.  While N(a₀) is within
+``_NORM_BUDGET`` the divisors are enumerated by trial division and tested by
+exact Horner deflation, which makes the search complete without sympy; only
+above the budget is the same polynomial factorised by sympy, imported then.
+A factor of degree two or more with no root means the spectrum leaves Q(i),
+and is reported as such rather than approximated.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
-from typing import Iterable, Optional
+from math import gcd, isqrt
+from typing import Iterable, Optional, Sequence
 
-from .errors import IrrationalSpectrum
-from .scalars import ZERO, Scalar, _clear, _dense, _divide, _norm
+from .errors import BadParams, IrrationalSpectrum, _check_count, _is_count
+from .scalars import ZERO, Scalar, _clear, _dense, _divide, _mk, _norm, as_scalar
 
 __all__ = [
     "Echelon", "rref", "integer_kernel", "charpoly", "eigenvalues", "eigen_decomposition",
 ]
 
 Matrix = list[list[Scalar]]
-Vector = list[Scalar]
 # numerators over Z[i] keyed by index or column, and the positive int they stand over
 Coordinates = tuple[dict, int]
 
@@ -184,11 +183,19 @@ class Echelon:
         return [(row, row[pivot][0]) for row, pivot in zip(done.rows[::-1], done.pivots[::-1])]
 
 
+def _scalar_rows(a: Matrix, square: bool = False) -> list[dict]:
+    """The rows {column: as_scalar(entry)} of a matrix; BadParams unless its rows
+    have one width, n for n rows if square."""
+    if not (isinstance(a, Sequence) and all(isinstance(row, Sequence) for row in a)
+            and len({*map(len, a), *([len(a)] if square else [])}) <= 1):
+        raise BadParams(f"a{' square' if square else ''} matrix is a sequence of rows of one width")
+    return [{c: as_scalar(x) for c, x in enumerate(row)} for row in a]
+
+
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
+    span = Echelon(_clear(*_scalar_rows(a))[0])
     ncols = len(a[0]) if a else 0
-    den = lcm(*{x.d for row in a for x in row})
-    span = Echelon(_clear(dict(enumerate(row)), den) for row in a)
     rows = [_dense(num, n, ncols) for num, n in span.reduced_rows()]
     rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
     return rows, sorted(span.pivots)
@@ -208,16 +215,13 @@ def integer_kernel(columns: list[dict]) -> list[dict]:
     return out
 
 
-def charpoly(a: Matrix) -> list[Scalar]:
-    """Coefficients c with det(tI - a) = Σ c[k] t^k, c[n] = 1, as b_k / L^(n-k)
-    from Faddeev–LeVerrier on L·a over Z[i], where division by k is exact."""
-    n = len(a)
-    den = lcm(*{x.d for row in a for x in row})
-    # the nonzero entries (column, re, im) of each row of L·a
-    rows = [[(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(row) if x]
-            for row in a]
+def _charpoly(columns: list[dict]) -> list[tuple[int, int]]:
+    """The b_k over Z[i] with det(tI - a) = Σ b_k t^k for a over Z[i] with columns
+    {row: (re, im)}: Faddeev–LeVerrier on the transpose, whose rows those are,
+    where division by k is exact."""
+    n = len(columns)
     coeffs = [(0, 0)] * n + [(1, 0)]
-    # L·a · M_{k-1} as real and imaginary int matrices: lists of int pairs kept
+    # aᵀ · M_{k-1} as real and imaginary int matrices: lists of int pairs kept
     # alive between steps fragment the allocator's pools
     mr, mi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
@@ -225,16 +229,24 @@ def charpoly(a: Matrix) -> list[Scalar]:
         for d in range(n):
             mr[d][d], mi[d][d] = mr[d][d] + cr, mi[d][d] + ci
         out = []
-        for row in rows:
+        for row in columns:
             re, im = [0] * n, [0] * n
-            for j, xr, xi in row:
+            for j, (xr, xi) in row.items():
                 for c, (yr, yi) in enumerate(zip(mr[j], mi[j])):
                     re[c] += xr * yr - xi * yi
                     im[c] += xr * yi + xi * yr
             out.append((re, im))
         mr, mi = map(list, zip(*out))
         coeffs[n - k] = (-sum(mr[d][d] for d in range(n)) // k, -sum(mi[d][d] for d in range(n)) // k)
-    return [_norm(re, im, den ** (n - k)) for k, (re, im) in enumerate(coeffs)]
+    return coeffs
+
+
+def charpoly(a: Matrix) -> list[Scalar]:
+    """Coefficients c with det(tI - a) = Σ c[k] t^k, c[n] = 1, as b_k / L^(n-k) from
+    ``_charpoly`` on the rows of L·a, the columns of L·aᵀ, L the lcm of the entry
+    denominators."""
+    rows, den = _clear(*_scalar_rows(a, square=True))
+    return [_norm(re, im, den ** (len(a) - k)) for k, (re, im) in enumerate(_charpoly(rows))]
 
 
 # Trial division of N(a₀) runs to its square root, so the root search in
@@ -327,70 +339,67 @@ def _to_sympy(c: Scalar):
             + sympy.Rational(c.im.numerator, c.im.denominator) * sympy.I)
 
 
-def _from_sympy(expr) -> Scalar:
-    re, im = expr.as_real_imag()
-    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
-
-
-def _factor_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
-    """The Q(i)-roots of a charpoly by sympy's factorisation over QQ_I."""
+def _factor_roots(poly: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The roots, with multiplicities, of a monic polynomial over Z[i] (highest
+    coefficient first) by sympy's factorisation over QQ_I: Gaussian integers."""
     import sympy
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(_to_sympy(c) * x ** k for k, c in enumerate(coeffs)),
-                      x, domain="QQ_I")
-    roots = []
-    rest = 0
+    poly = sympy.Poly([_to_sympy(_mk(*z, 1)) for z in poly], sympy.Symbol("x"), domain="QQ_I")
+    roots, rest = {}, 0
     for f, mult in poly.factor_list()[1]:
         if f.degree() > 1:
             rest += f.degree() * mult
         else:
-            top, const = (_from_sympy(c) for c in f.all_coeffs())
-            roots.append(((-const) / top, mult))
+            re, im = (-f.TC() / f.LC()).as_real_imag()
+            roots[(int(re), int(im))] = mult
     if rest:
         raise _root_free(rest)
     return roots
 
 
-def _root_scale(a: Matrix, coeffs: list[Scalar]) -> int:
-    """The least D > 0 with D^(n-k)·c_k in Z[i] for every charpoly coefficient c_k.
-
-    It divides the lcm L of the entry denominators, which is one such D (and
-    is used as it is above the norm budget): p^e for each prime p of L.
-    """
+def _root_scale(den: int, coeffs: list[tuple[int, int]]) -> int:
+    """The least D > 0 with D^(n-k)·b_k / den^(n-k) in Z[i] for every b_k =
+    coeffs[k], k < n: den over, for each prime p of den, the largest p^f with
+    p^(f(n-k)) dividing every b_k.  den itself is used above the norm budget."""
     n = len(coeffs) - 1
-    bound = lcm(*(x.d for row in a for x in row))
-    if bound > _NORM_BUDGET:
-        return bound
-    d = 1
-    for p in _prime_factors(bound):
-        e = 0
-        while any(c.d % p ** (e * (n - k) + 1) == 0 for k, c in enumerate(coeffs[:n])):
-            e += 1
-        d *= p ** e
+    if den > _NORM_BUDGET:
+        return den
+    contents = [gcd(*b) for b in coeffs[:n]]
+    d = den
+    for p in _prime_factors(den):
+        f = 0
+        while den % p ** (f + 1) == 0 and all(g % p ** ((f + 1) * (n - k)) == 0
+                                            for k, g in enumerate(contents)):
+            f += 1
+        d //= p ** f
     return d
 
 
-def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
-    """Eigenvalues in Q(i) with algebraic multiplicities, deterministic order.
+def eigenvalues(columns: list[dict], den: int = 1) -> list[tuple[Scalar, int]]:
+    """Eigenvalues in Q(i) with algebraic multiplicities, deterministic order, of
+    the matrix a with columns {row: (re, im)} over Z[i] over den > 0.
 
-    With D from ``_root_scale``, det(tI - D·a) is monic over Z[i], and Z[i]
-    is integrally closed, so its Q(i)-roots are Gaussian integers.  Past the
-    zero roots, each divides the lowest nonzero coefficient a₀.  Every
-    divisor of a₀ is tried, and each root found is counted and deflated by
-    exact Horner division, then divided by D.  While N(a₀) ≤ _NORM_BUDGET
-    this search is complete and sympy is never loaded; above it the
-    polynomial is factorised over Q(i) by sympy instead.
+    den is first cut to the least common denominator of the entries.  With D
+    from ``_root_scale``, det(tI - D·a) is monic over Z[i], and Z[i] is
+    integrally closed, so its Q(i)-roots are Gaussian integers.  Past the zero
+    roots, each divides the lowest nonzero coefficient a₀.  While N(a₀) ≤
+    _NORM_BUDGET every divisor of a₀ is tried, and each root found is counted
+    and deflated by exact Horner division; above it sympy factorises the same
+    polynomial.  Each root is divided by D.
 
     Raises IrrationalSpectrum if a factor of degree at least two (not
     necessarily irreducible) has no root in Q(i).
     """
-    n = len(a)
-    if n == 0:
-        return []
-    coeffs = charpoly(a)
-    d = _root_scale(a, coeffs)
-    # det(tI - D·a), highest coefficient first; D^(n-k)·c_k lies in Z[i]
-    poly = [((c := coeffs[k] * d ** (n - k)).a, c.b) for k in range(n, -1, -1)]
+    n = len(columns)
+    _check_count(den, 1, "a denominator is a positive int, got {!r}")
+    if any(not isinstance(col, dict) or not all(_is_count(r) and r < n for r in col)
+           for col in columns):
+        raise BadParams(f"the {n} columns of a square matrix are dicts keyed by rows below {n}")
+    g = gcd(den, *(t for col in columns for z in col.values() for t in z))
+    columns, den = [{r: (x // g, y // g) for r, (x, y) in col.items()} for col in columns], den // g
+    coeffs = _charpoly(columns)
+    # det(tI - D·a) = Σ b_k / (den/D)^(n-k) t^k over Z[i], highest coefficient first
+    s = den // (d := _root_scale(den, coeffs))
+    poly = [(x // s ** (n - k), y // s ** (n - k)) for k, (x, y) in enumerate(coeffs)][::-1]
     roots: dict[tuple[int, int], int] = {}
     while poly[-1] == (0, 0):
         poly.pop()
@@ -398,29 +407,30 @@ def eigenvalues(a: Matrix) -> list[tuple[Scalar, int]]:
     if len(poly) > 1:
         candidates = _gaussian_divisors(poly[-1])
         if candidates is None:
-            return sorted(_factor_roots(coeffs), key=lambda pair: pair[0].sort_key())
-        for z in candidates:
-            while len(poly) > 1 and (rest := _deflate(poly, z)) is not None:
-                poly = rest
-                roots[z] = roots.get(z, 0) + 1
-        if len(poly) > 1:
-            raise _root_free(len(poly) - 1)
-    out = [(Scalar(Fraction(x, d), Fraction(y, d)), m) for (x, y), m in roots.items()]
-    return sorted(out, key=lambda pair: pair[0].sort_key())
+            roots.update(_factor_roots(poly))
+        else:
+            for z in candidates:
+                while len(poly) > 1 and (rest := _deflate(poly, z)) is not None:
+                    poly = rest
+                    roots[z] = roots.get(z, 0) + 1
+            if len(poly) > 1:
+                raise _root_free(len(poly) - 1)
+    return [(_norm(x, y, d), m) for (x, y), m in sorted(roots.items())]
 
 
-def eigen_decomposition(a: Matrix) -> list[tuple[Scalar, list[Vector]]]:
-    """All Q(i)-eigenvalues with exact eigenspace bases.
-
-    The caller decides what a defective operator means for it; this just
-    reports each eigenspace (geometric) basis: the relations among the
-    columns of a - λI, cleared over their lcm, each over its s.
-    """
-    n = len(a)
+def eigen_decomposition(columns: list[dict], den: int = 1) -> list[tuple[Scalar, list[dict]]]:
+    """All Q(i)-eigenvalues λ of the matrix with columns {row: (re, im)} over den,
+    each with its eigenspace (geometric) basis: the ``integer_kernel`` relations
+    among the columns of den·(a - λI), the diagonal shifted by the Gaussian
+    integer den·λ (λ's denominator divides D, which divides den).  The caller
+    decides what a defective operator means for it."""
     out = []
-    for lam, _ in eigenvalues(a):
-        shifted = [{r: a[r][c] - lam if r == c else a[r][c] for r in range(n)} for c in range(n)]
-        den = lcm(*{x.d for col in shifted for x in col.values()})
-        out.append((lam, [_dense(*_divide(rel, rel[max(rel)]), n)
-                          for rel in integer_kernel([_clear(col, den) for col in shifted])]))
+    for lam, _ in eigenvalues(columns, den):
+        x, y = lam.a * (den // lam.d), lam.b * (den // lam.d)
+        shifted = [dict(col) for col in columns]
+        for c, col in enumerate(shifted):
+            re, im = col.pop(c, (0, 0))
+            if (re, im) != (x, y):
+                col[c] = (re - x, im - y)
+        out.append((lam, integer_kernel(shifted)))
     return out

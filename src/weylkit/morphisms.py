@@ -27,7 +27,7 @@ kernels).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .elements import (WeylElement, _as_element, _sum, bracket, format_element,
                        linear_combination, one, p, q)
@@ -253,6 +253,14 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
 # -- the solvable automorphism group families, in exponential coordinates -----
 
 
+def _coordinates(a: Iterable) -> tuple[Scalar, ...]:
+    """A group element's a-coordinates as Scalars, read once, before any check
+    on them, so that an iterator is checked as it is stored."""
+    if not isinstance(a, Iterable):
+        raise BadParams(f"the a-coordinates are an iterable of scalars, got {a!r}")
+    return tuple(map(as_scalar, a))
+
+
 class RGroupElement:
     """A point (a₁,…,a_n, s) of the diagonal-times-unipotent family.
 
@@ -262,7 +270,8 @@ class RGroupElement:
 
     __slots__ = ("indices", "a", "s")
 
-    def __init__(self, indices: Sequence[int], a: Sequence, s):
+    def __init__(self, indices: Sequence[int], a: Iterable, s):
+        a = _coordinates(a)
         idx = tuple(indices)
         for i in idx:
             _check_count(i, 1, "indices must be positive integers")
@@ -271,7 +280,7 @@ class RGroupElement:
         if len(a) != len(idx):
             raise IndexMismatch("one coordinate per index required")
         self.indices = idx
-        self.a = tuple(as_scalar(x) for x in a)
+        self.a = a
         self.s = as_scalar(s)
         if not self.s:
             raise ZeroScale("exponential coordinate must be a unit")
@@ -323,10 +332,10 @@ class LTildeGroupElement:
 
     __slots__ = ("a", "t", "s")
 
-    def __init__(self, a: Sequence, t, s):
-        if not a:
+    def __init__(self, a: Iterable, t, s):
+        self.a = _coordinates(a)
+        if not self.a:
             raise BadParams("at least one a-coordinate required")
-        self.a = tuple(as_scalar(x) for x in a)
         self.t = as_scalar(t)
         self.s = as_scalar(s)
         if not self.s:

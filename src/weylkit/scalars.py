@@ -204,10 +204,11 @@ def as_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
-def _clear(v: dict, den: int) -> dict:
-    """den·v over Z[i], zero entries dropped, for a dict v of Scalars whose
-    denominators divide den."""
-    return {k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items() if x}
+def _clear(*vs: dict) -> tuple[list[dict], int]:
+    """([L·v for v in vs], L) over Z[i], zeros dropped, L the lcm of the Scalars' denominators."""
+    den = lcm(*(x.d for v in vs for x in v.values()))
+    return [{k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items() if x}
+            for v in vs], den
 
 
 def _divide(v: dict, s: tuple[int, int]) -> tuple[dict, int]:

@@ -11,7 +11,7 @@ frozen references ``scalar_struct`` and ``scalar_element`` run on this engine.
 """
 
 from weylkit.linalg import eigenvalues
-from weylkit.scalars import ONE, ZERO
+from weylkit.scalars import ONE, ZERO, _clear
 
 
 def _subtract(v, row, c):
@@ -123,11 +123,17 @@ def echelon_kernel(columns):
     return basis
 
 
+def _integer_columns(a):
+    """The columns of a square Scalar matrix as the library's ``eigenvalues``
+    takes them: {row: (re, im)} over Z[i], cleared over one lcm."""
+    return _clear(*({r: row[c] for r, row in enumerate(a)} for c in range(len(a))))
+
+
 def eigen_decomposition(a):
     """``eigen_decomposition`` as it was, on ``echelon_kernel``, frozen (reference)."""
     n = len(a)
     out = []
-    for lam, _ in eigenvalues(a):
+    for lam, _ in eigenvalues(*_integer_columns(a)):
         shifted = [{r: x for r in range(n) if (x := a[r][c] - lam if r == c else a[r][c])}
                    for c in range(n)]
         out.append((lam, [[v.get(c, ZERO) for c in range(n)] for v in echelon_kernel(shifted)]))

@@ -469,7 +469,7 @@ def test_commands_run_without_loading_sympy():
 import contextlib, io, sys
 import weylkit, weylkit.cli
 from weylkit.linalg import eigenvalues
-from weylkit.scalars import ONE, ZERO, Scalar
+from weylkit.scalars import ONE, Scalar, _clear
 commands = [
     (["mul", "q^2", "p^2"], 0), (["bracket", "p", "q"], 0),
     (["apply", "phi(2,1); scale(3)", "q"], 0), (["closure", "p^3", "q"], 0),
@@ -485,7 +485,8 @@ for argv, want in commands:
         code = weylkit.cli.main(argv)
     if code != want:
         raise SystemExit(f"{argv}: exit {code}, expected {want}")
-if eigenvalues([[ZERO, -ONE], [ONE, ZERO]]) != [(Scalar(0, -1), 1), (Scalar(0, 1), 1)]:
+# the columns of [[0, -1], [1, 0]], cleared over one lcm
+if eigenvalues(*_clear({1: ONE}, {0: -ONE})) != [(Scalar(0, -1), 1), (Scalar(0, 1), 1)]:
     raise SystemExit("wrong eigenvalues of the rotation matrix")
 """)
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylkit.liestruct as liestruct
-from weylkit import Scalar, bracket
+from weylkit import Scalar, bracket, linalg
 from weylkit.elements import (ElementSpan, WeylElement, linear_combination, one, p,
                               parse_element, q, zero)
-from weylkit.errors import (BadParams, DimensionExceeded, IrrationalSpectrum, NotHomomorphism,
-                            NotInjective, NotNilpotent, PreconditionFailed)
+from weylkit.errors import (BadParams, DimensionExceeded, IrrationalSpectrum, NotDiagonalisable,
+                            NotHomomorphism, NotInjective, NotNilpotent, PreconditionFailed)
 from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_basis,
                                filiform_normal_basis, invariants, lie_closure,
                                normalize_tag, quotient_by_center, recognize,
@@ -24,6 +24,7 @@ from weylkit.scalars import ONE, ZERO, _clear, _norm
 
 from . import scalar_struct as frozen
 from .frozen_echelon import ScalarEchelon
+from .frozen_echelon import eigen_decomposition as frozen_eigen_decomposition
 
 S = Scalar
 
@@ -115,9 +116,9 @@ def _sparse(v):
 def _sparse_bracket(algebra, u, v):
     """[u, v] for sparse Scalar rows {basis index: Scalar}, through the table's
     integer bracket: u and v cleared over their own lcm, the result over all three."""
-    du, dv = (math.lcm(*{x.d for x in w.values()}) for w in (u, v))
+    ((cu,), du), ((cv,), dv) = _clear(u), _clear(v)
     return {k: _norm(a, b, du * dv * algebra._den)
-            for k, (a, b) in algebra._bracket(_clear(u, du), _clear(v, dv)).items()}
+            for k, (a, b) in algebra._bracket(cu, cv).items()}
 
 
 def _dense_jacobiator_vanishes(dim, c):
@@ -458,6 +459,52 @@ def test_recognize_after_conjugated_closure():
     gens = [apply(m, x) for x in entry.realization.images]
     real = lie_closure(gens)
     assert recognize(real.algebra) == CatalogTag("LTilde", 3)
+
+
+# phi(1, 7/3), phi'(2, 5/2 - 2i), phi(1, -3/5 + 11i/7): on the closures of the
+# R families the ad(h) charpoly's lowest coefficient passes the norm budget, so
+# this is the one library path that reaches the factoriser
+_NON_UNIT_CHAIN = [(phi, 1, S(Fraction(7, 3))), (phi_prime, 2, S(Fraction(5, 2), -2)),
+                   (phi, 1, S(Fraction(-3, 5), Fraction(11, 7)))]
+
+
+def _frozen_weight_spaces(real, h):
+    """``weight_spaces`` as it was: the dense Scalar ad(e_h) through the frozen
+    eigenspaces, each vector with one at its last nonzero entry (reference)."""
+    algebra = real.algebra
+    n = algebra.dim
+    mat = [[algebra.basis_bracket(h, j).get(k, ZERO) for j in range(n)] for k in range(n)]
+    decomp = frozen_eigen_decomposition(mat)
+    if sum(len(vecs) for _, vecs in decomp) != n:
+        return NotDiagonalisable
+    return {lam: [linear_combination(zip(v, real.images)) for v in vecs] for lam, vecs in decomp}
+
+
+def _weights(real, h):
+    """``weight_spaces``, or NotDiagonalisable if it raised that."""
+    try:
+        return weight_spaces(real, h)
+    except NotDiagonalisable:
+        return NotDiagonalisable
+
+
+@pytest.mark.parametrize("index", [(0, 1, 3), (1, 3), (2, 4)])
+def test_recognize_after_a_non_unit_chain_matches_the_scalar_table(index, monkeypatch):
+    tag = CatalogTag("R", index)
+    m = None
+    for make, n, lam in _NON_UNIT_CHAIN:
+        m = make(n, lam) if m is None else compose(make(n, lam), m)
+    real = lie_closure([m(x) for x in catalog(tag).realization.images])
+    algebra = real.algebra
+    calls = []
+    factor = linalg._factor_roots
+    monkeypatch.setattr(linalg, "_factor_roots", lambda poly: calls.append(1) or factor(poly))
+    assert recognize(algebra) == normalize_tag(tag)
+    assert calls
+    reference = frozen.ScalarStruct(algebra.dim, algebra.labels, algebra.c)
+    assert frozen.recognize(reference) == normalize_tag(tag)
+    for h in range(algebra.dim):
+        assert _weights(real, h) == _frozen_weight_spaces(real, h)
 
 
 def test_recognize_unknown_for_mixed_spectrum():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from weylkit import dixmier, liestruct, linalg
 from weylkit.elements import WeylElement, _term_order, bracket, p, q
-from weylkit.errors import IrrationalSpectrum
+from weylkit.errors import BadParams, IrrationalSpectrum
 from weylkit.linalg import Echelon, charpoly, eigen_decomposition, eigenvalues, integer_kernel, rref
 from weylkit.scalars import ONE, ZERO, Scalar, _clear
 
 from .frozen_echelon import ScalarEchelon, echelon_kernel
+from .frozen_echelon import eigen_decomposition as frozen_eigen_decomposition
 from .strategies import big_scalar_st, scalar_st
 
 
@@ -44,8 +45,8 @@ def _columns(a):
 
 def _cleared(v):
     """A sparse Scalar vector as the engine takes it: (numerators over Z[i], den)."""
-    den = lcm(*(x.d for x in v.values()))
-    return _clear(v, den), den
+    (num,), den = _clear(v)
+    return num, den
 
 
 def _over(coords):
@@ -68,8 +69,19 @@ def _unit(row, pivot):
 def _kernel(columns):
     """``integer_kernel`` on Scalar columns cleared over one denominator, each
     relation divided by its s, the entry at its largest key."""
-    den = lcm(*(x.d for col in columns for x in col.values()))
-    return [_unit(rel, max(rel)) for rel in integer_kernel([_clear(col, den) for col in columns])]
+    return [_unit(rel, max(rel)) for rel in integer_kernel(_clear(*columns)[0])]
+
+
+def _eigenvalues(a):
+    """``eigenvalues`` of a dense Scalar matrix, on its columns cleared over one lcm."""
+    return eigenvalues(*_clear(*_columns(a)))
+
+
+def _eigen_decomposition(a):
+    """``eigen_decomposition`` of a dense Scalar matrix, on its columns cleared over
+    one lcm, each relation as the dense Scalar vector with one at its largest key."""
+    return [(lam, [[_unit(rel, max(rel)).get(c, ZERO) for c in range(len(a))] for rel in rels])
+            for lam, rels in eigen_decomposition(*_clear(*_columns(a)))]
 
 
 def _rank(a):
@@ -131,12 +143,12 @@ def test_charpoly_companion():
 
 def test_eigenvalues_with_multiplicity():
     a = _mat([[2, 1], [0, 2]])
-    assert eigenvalues(a) == [(Scalar(2), 2)]
+    assert _eigenvalues(a) == [(Scalar(2), 2)]
 
 
 def test_eigen_decomposition_diagonalisable():
     a = _mat([[0, 1], [1, 0]])
-    decomp = dict((lam, vecs) for lam, vecs in eigen_decomposition(a))
+    decomp = dict((lam, vecs) for lam, vecs in _eigen_decomposition(a))
     assert set(decomp) == {Scalar(1), Scalar(-1)}
     for lam, vecs in decomp.items():
         assert len(vecs) == 1
@@ -146,13 +158,40 @@ def test_eigen_decomposition_diagonalisable():
 
 def test_eigen_decomposition_gaussian_rational_spectrum():
     a = _mat([[0, 1], [-1, 0]])
-    lams = {lam for lam, _ in eigen_decomposition(a)}
+    lams = {lam for lam, _ in _eigen_decomposition(a)}
     assert lams == {Scalar(0, 1), Scalar(0, -1)}
 
 
 def test_irrational_spectrum_is_reported():
     with pytest.raises(IrrationalSpectrum):
-        eigenvalues(_mat([[0, 2], [1, 0]]))  # x² - 2
+        _eigenvalues(_mat([[0, 2], [1, 0]]))  # x² - 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rref([[ONE, ONE], [ONE]]),
+    lambda: charpoly([[ONE], [ONE]]),
+    lambda: eigenvalues([[ONE, ZERO]]),
+    lambda: rref([[ONE, 0.5]]),
+], ids=["ragged rref", "non-square charpoly", "Scalar rows to eigenvalues", "float entry"])
+def test_a_malformed_matrix_raises_bad_params(call):
+    # each of these returned an answer without an error: rref read the ragged
+    # rows as a 2x2 identity, charpoly gave t² - t and eigenvalues [(1, 1)]
+    with pytest.raises(BadParams):
+        call()
+
+
+def test_eigenvalues_refuse_columns_off_the_square():
+    for columns, den in [([{0: (1, 0), 1: (0, 1)}], 1), ([{-1: (1, 0)}, {}], 1),
+                         ([{0: (1, 0)}], 0), ([{0: (1, 0)}], Fraction(1, 2))]:
+        with pytest.raises(BadParams):
+            eigenvalues(columns, den)
+
+
+def test_the_scalar_matrix_edge_takes_ints_and_fractions():
+    # entries go through as_scalar, as change_basis takes them; an int raised
+    # AttributeError
+    assert charpoly([[1, 2], [3, 4]]) == [Scalar(-2), Scalar(-5), ONE]
+    assert rref([[Fraction(1, 2), 1], [1, 2]]) == ([[ONE, Scalar(2)], [ZERO, ZERO]], [0])
 
 
 @given(st.lists(st.lists(scalar_st, min_size=3, max_size=3),
@@ -338,7 +377,7 @@ def test_kernels_use_no_dense_routine(monkeypatch):
     # charpoly runs on Gaussian integers; each eigenspace is read off the
     # sparse columns of a - λI
     b = _mat([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
-    assert [(lam, len(vecs)) for lam, vecs in eigen_decomposition(b)] == [(Scalar(-1), 1),
+    assert [(lam, len(vecs)) for lam, vecs in _eigen_decomposition(b)] == [(Scalar(-1), 1),
                                                                           (Scalar(2), 1)]
     real = liestruct.catalog(liestruct.CatalogTag("Sl2")).realization
     spaces = liestruct.weight_spaces(real, real.algebra.labels.index("H"))
@@ -602,7 +641,7 @@ def split_matrix_st(draw):
 @given(split_matrix_st())
 def test_eigenvalues_match_the_factoriser_on_split_spectra(case):
     spectrum, a = case
-    got = eigenvalues(a)
+    got = _eigenvalues(a)
     assert got == _factor_list_eigenvalues(a)
     assert dict(got) == Counter(spectrum)
 
@@ -624,9 +663,54 @@ def test_eigenvalues_of_prescribed_spectra(spectrum):
     moves = [(r, c, Scalar(rng.randint(-2, 2), rng.randint(-2, 2)))
              for r, c in ((rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)) if r != c]
     a = _conjugate(_triangular(spectrum, above), moves)
-    got = eigenvalues(a)
+    got = _eigenvalues(a)
     assert got == _factor_list_eigenvalues(a)
     assert dict(got) == Counter(spectrum)
+
+
+# Gaussian rationals for the conjugating moves, so the entries mix denominators
+_move_st = st.one_of(gaussian_int_st, st.sampled_from(
+    [Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5), Fraction(1, 7)), Scalar(0, Fraction(3, 4))]))
+
+
+@st.composite
+def eigenspace_matrix_st(draw):
+    """A conjugated triangular or block-diagonal matrix with a prescribed spectrum
+    from a small pool, so values repeat; the entries above the diagonal are
+    often zero (a larger eigenspace) and often not (a defective eigenvalue)."""
+    pool = draw(st.lists(eigen_st, min_size=1, max_size=3))
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), eigen_st)
+    if draw(st.booleans()):
+        spectrum = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 5)))]
+        a = _triangular(spectrum, [[draw(entry) for _ in spectrum] for _ in spectrum])
+    else:
+        blocks = []
+        for _ in range(draw(st.integers(1, 3))):
+            values = [draw(st.sampled_from(pool))] * draw(st.integers(1, 2))
+            blocks.append(_triangular(values, [[draw(entry) for _ in values] for _ in values]))
+        spectrum = [x for b in blocks for x in (row[r] for r, row in enumerate(b))]
+        a = _block_diagonal(*blocks)
+    n = len(a)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda rc: rc[0] != rc[1])
+    moves = [(*draw(pair), draw(_move_st)) for _ in range(draw(st.integers(0, 2 * n)))] if n > 1 else []
+    return spectrum, _conjugate(a, moves)
+
+
+@given(eigenspace_matrix_st())
+def test_integer_eigenspaces_match_the_frozen_decomposition(case):
+    spectrum, a = case
+    n = len(a)
+    columns, den = _clear(*_columns(a))
+    got, want = eigen_decomposition(columns, den), frozen_eigen_decomposition(a)
+    assert dict(eigenvalues(columns, den)) == Counter(spectrum)
+    assert [lam for lam, _ in got] == [lam for lam, _ in want]
+    for (lam, relations), (_, vectors) in zip(got, want):
+        assert all(type(t) is int for rel in relations for z in rel.values() for t in z)
+        dense = [[Scalar(*rel.get(c, (0, 0))) for c in range(n)] for rel in relations]
+        for v in dense:
+            assert _mat_vec(a, v) == [lam * x for x in v]
+        # the same number of independent vectors, spanning the same space
+        assert len(dense) == len(vectors) == _rank(dense) == _rank(dense + vectors)
 
 
 def test_mixed_denominators_stay_on_the_root_search(monkeypatch):
@@ -647,7 +731,7 @@ def test_mixed_denominators_stay_on_the_root_search(monkeypatch):
         raise AssertionError("eigenvalues fell back to the factoriser")
 
     monkeypatch.setattr(linalg, "_factor_roots", no_fallback)
-    got = eigenvalues(a)
+    got = _eigenvalues(a)
     assert got == _factor_list_eigenvalues(a)
     assert dict(got) == Counter(spectrum)
 
@@ -669,7 +753,7 @@ def test_root_free_factors_raise(block, extra, split, data):
     a = _block_diagonal(block, *extra, _triangular(split, [[ONE] * len(split)] * len(split)))
     a = _conjugate(a, data.draw(moves_st(len(a))))
     with pytest.raises(IrrationalSpectrum, match=f"factor of degree {2 + 2 * len(extra)} "):
-        eigenvalues(a)
+        _eigenvalues(a)
 
 
 def _count_fallbacks(monkeypatch):
@@ -684,11 +768,11 @@ def test_eigenvalues_above_the_norm_budget_use_the_factoriser(monkeypatch):
     big = Scalar(999999999989)  # prime
     for spectrum in ([big], [big, Scalar(0, 1), ZERO], [Scalar(999983, 1000), Scalar(-2)]):
         a = _conjugate(_triangular(spectrum, [[ONE] * 3] * 3), [(1, 0, Scalar(1, 1))][:len(spectrum) - 1])
-        got = eigenvalues(a)
+        got = _eigenvalues(a)
         assert got == _factor_list_eigenvalues(a)
         assert dict(got) == Counter(spectrum)
     with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
-        eigenvalues(_companion(-999999999989, 0))
+        _eigenvalues(_companion(-999999999989, 0))
     assert len(calls) == 4
     # the norm of the lowest nonzero coefficient is what puts these over the budget
     assert 999983 ** 2 + 1000 ** 2 > linalg._NORM_BUDGET
@@ -697,9 +781,12 @@ def test_eigenvalues_above_the_norm_budget_use_the_factoriser(monkeypatch):
 def test_eigenvalues_below_the_norm_budget_never_use_the_factoriser(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     spectrum = [Scalar(99991), Scalar(0, 1)]  # 99991² is just under the budget
-    assert dict(eigenvalues(_triangular(spectrum, [[ONE] * 2] * 2))) == Counter(spectrum)
+    assert dict(_eigenvalues(_triangular(spectrum, [[ONE] * 2] * 2))) == Counter(spectrum)
     with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
-        eigenvalues(_companion(-2, 0))
+        _eigenvalues(_companion(-2, 0))
+    # a factor common to den and every entry is cut first: over 10¹¹ the monic
+    # charpoly t - 10¹¹ would be past the budget
+    assert eigenvalues([{0: (10 ** 11, 0)}], 10 ** 11) == [(ONE, 1)]
     assert calls == []
 
 
@@ -708,7 +795,7 @@ def test_a_zero_scalar_entry_is_no_pivot():
     # Z[i] would be stored as a pivot of value (0, 0)
     assert rref([[ZERO], [ONE]]) == ([[ONE], [ZERO]], [0])
     assert rref([[ZERO, Scalar(2)]]) == ([[ZERO, ONE]], [1])
-    assert eigen_decomposition([[ZERO, ZERO], [Scalar(3), ZERO]]) == [(ZERO, [[ZERO, ONE]])]
+    assert _eigen_decomposition([[ZERO, ZERO], [Scalar(3), ZERO]]) == [(ZERO, [[ZERO, ONE]])]
     # an empty generator adds no row but still counts for express
     span = Echelon([{}, {0: (1, 0)}])
     assert (span.dim, span.pivots, span.ngens) == (1, [0], 2)

@@ -176,6 +176,27 @@ def test_ltilde_last_coordinate_acts_trivially():
     assert m.image_p == p and m.image_q == q
 
 
+def test_group_elements_read_their_coordinates_once():
+    # an iterator is read once, before the checks: an empty one was accepted as
+    # having coordinates and built an element with none
+    with pytest.raises(BadParams, match="at least one"):
+        LTildeGroupElement(iter([]), 0, 1)
+    assert LTildeGroupElement(iter([1, 2]), 0, 1) == LTildeGroupElement([1, 2], 0, 1)
+    assert RGroupElement((1, 3), iter([1, -2]), 2) == _r_elem([1, -2], Scalar(2))
+    with pytest.raises(IndexMismatch):
+        RGroupElement((1, 3), iter([1]), 2)
+
+
+@pytest.mark.parametrize("make", [lambda: RGroupElement([1], 5, 1),
+                                  lambda: LTildeGroupElement(5, 0, 1),
+                                  lambda: RGroupElement([1], [0.5], 1)],
+                         ids=["R int", "LTilde int", "R float"])
+def test_group_coordinates_that_are_no_scalars_raise_bad_params(make):
+    # an int where the coordinate list goes raised TypeError
+    with pytest.raises(BadParams):
+        make()
+
+
 def test_sl2_semidirect_aut_composes_the_two_parts():
     m = sl2_semidirect_aut(SL2Element(0, 1, -1, 0), (1, 1))
     expected = compose(alpha1_hat(SL2Element(0, 1, -1, 0)), translation(1, 1))

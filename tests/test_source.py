@@ -117,17 +117,18 @@ def test_structure_invariants_run_on_the_integer_table():
     # Z[i], the integer kernel returns relations over Z[i], the engine returns
     # coordinates and the reduced basis over Z[i], and the library's own tables
     # pass those straight to the table: none builds a Scalar only to clear it
-    # again.  recognize alone builds one Scalar matrix, ad(h) on the derived
-    # algebra, since ``eigenvalues`` reads Scalars
+    # again.  The spectra of recognize and weight_spaces run on the integer
+    # ad-matrix too: the one Scalar built is each eigenvalue ``eigenvalues``
+    # returns.  An annotation builds nothing, so it is not read
     scoped = {"liestruct.py": {"_derived_span", "_series", "_center", "_invariants",
                                "_model_filiform", "recognize", "verify_realization",
                                "lie_closure", "_struct_from_images", "quotient_by_center",
-                               "_built"},
+                               "_built", "weight_spaces"},
               "linalg.py": {"integer_kernel", "Echelon.reduced_rows", "Echelon._reduce",
-                            "Echelon.insert_coordinates", "Echelon.express"},
+                            "Echelon.insert_coordinates", "Echelon.express", "eigenvalues",
+                            "eigen_decomposition"},
               "elements.py": {"ElementSpan.reduced_basis"}}
     builders = {"Scalar", "ONE", "ZERO", "as_scalar", "_norm", "_dense"}
-    allowed = {("recognize", "_dense")}
     found = []
     for module, names in scoped.items():
         tree = ast.parse((SOURCES[0].parent / module).read_text(encoding="utf-8"))
@@ -136,11 +137,15 @@ def test_structure_invariants_run_on_the_integer_table():
                          for cls in tree.body if isinstance(cls, ast.ClassDef)
                          for node in cls.body if isinstance(node, ast.FunctionDef))
         assert names <= set(functions)
-        found += [f"{module} {name}:{node.lineno} {node.id}" for name in sorted(names)
-                  for node in ast.walk(functions[name])
-                  if isinstance(node, ast.Name) and node.id in builders
-                  and (name, node.id) not in allowed]
-    assert not found, found
+        for name in sorted(names):
+            fn = functions[name]
+            tops = [fn.returns, *(arg.annotation for arg in ast.walk(fn.args)
+                                  if isinstance(arg, ast.arg))]
+            annotations = {id(node) for top in tops if top for node in ast.walk(top)}
+            found += [f"{module} {name} {node.id}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Name) and node.id in builders
+                      and id(node) not in annotations]
+    assert found == ["linalg.py eigenvalues _norm"], found
 
 
 def test_the_frozen_references_run_on_the_frozen_engine():
