@@ -23,7 +23,6 @@ schema ``weyl/<command>/v1`` on the fields the handler returns.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -415,6 +414,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         fields, lines, code = args.handler(args)
         if args.json:
+            import json
             lines = [json.dumps({"schema": f"weyl/{args.command}/v1", **fields})]
     except _NEGATIVE as exc:
         print(f"no: {exc}", file=sys.stderr)

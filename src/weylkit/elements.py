@@ -44,7 +44,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (BadParams, BudgetExceeded, ExprSyntaxError, NotInjective, _check_count,
                      _is_count)
-from .linalg import Echelon
 from .scalars import _SCALAR, Scalar, _dense, _divide, _norm, _ScalarScanner, format_scalar
 
 __all__ = [
@@ -488,7 +487,10 @@ class ElementSpan:
     """
 
     def __init__(self, xs: Iterable[WeylElement] = ()):
-        self._echelon = Echelon(key=_term_order)
+        # linalg loads with the first span, which `weyl mul` and `bracket` never
+        # build; on later calls a module import costs a fifth of a `from` import
+        import weylkit.linalg as linalg
+        self._echelon = linalg.Echelon(key=_term_order)
         self.rows: list[WeylElement] = []
         for x in xs:
             self.insert(x)

@@ -384,13 +384,17 @@ def _filiform_parameter(lower_dims: list[int]) -> Optional[int]:
 
 
 def _integer_profile(eigs: list[Scalar]) -> list[int]:
-    """The nonzero eigenvalues over the first, times the lcm of the ratios'
-    denominators: a primitive integer vector, since its first entry is that lcm."""
-    ratios = [e / eigs[0] for e in eigs]
-    if any(r.im for r in ratios):
+    """The nonzero eigenvalues over the first, as a primitive integer vector
+    with a positive first entry, on the parts of e = (a + b·i)/d: e/e₀ is
+    (a + b·i)(a₀ - b₀·i)·d₀/(d·(a₀² + b₀²)), real iff b·a₀ = a·b₀, and then
+    L·(a₀² + b₀²)/d₀ times it is (a·a₀ + b·b₀)·L/d, for L the lcm of the d."""
+    a0, b0 = eigs[0].a, eigs[0].b
+    if any(e.b * a0 != e.a * b0 for e in eigs):
         raise IrrationalSpectrum("eigenvalue ratios leave the rationals")
-    scale = math.lcm(*(r.re.denominator for r in ratios))
-    return [int(r.re * scale) for r in ratios]
+    den = math.lcm(*(e.d for e in eigs))
+    profile = [(e.a * a0 + e.b * b0) * (den // e.d) for e in eigs]
+    g = math.gcd(*profile)
+    return [n // g for n in profile]
 
 
 def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:

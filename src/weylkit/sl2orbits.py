@@ -10,7 +10,10 @@ On top of them:
 * the two-sided group action (α, g)·f = α ∘ f ∘ Ad(g)⁻¹ with the adjoint
   matrices written out over the basis (e₊, e₋, e₀);
 * a pointwise isotropy check, for the isotropy morphisms α̂₁ and β̂ of both
-  families, which live in morphisms with SL2Element and are re-exported here;
+  families, which live in morphisms with SL2Element and are re-exported here:
+  the module ``__getattr__`` reads the three names from morphisms on each
+  access, so ``from weylkit.sl2orbits import SL2Element`` works while a
+  command that never touches a morphism does not load that module;
 * the exotic triplet, the images of x, y+hx+xh-4x³, h-4x² under f_II(1),
   with a report adjudicating between the two transposed expansions of its H
   that circulate in print;
@@ -21,14 +24,15 @@ On top of them:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .dixmier import eigenvectors_truncated
 from .elements import (ElementSpan, WeylElement, anticommutator, bracket, linear_combination,
                        one, p, parse_element, q)
 from .errors import NonScalarCasimir, NotInvertible, RelationFailed
-from .morphisms import SL2Element, WeylMorphism, _apply_images, alpha1_hat, beta_hat
 from .scalars import Scalar
+
+if TYPE_CHECKING:
+    from .morphisms import SL2Element, WeylMorphism
 
 __all__ = [
     "Sl2Realization", "SL2Element", "ExoticReport", "S11Side", "S11Report",
@@ -36,6 +40,14 @@ __all__ = [
     "alpha1_hat", "beta_hat", "isotropy_check", "exotic_g", "exotic_report",
     "s11_test",
 ]
+
+
+def __getattr__(name: str):
+    """The re-exports of morphisms, read from it on each access."""
+    if name not in ("SL2Element", "alpha1_hat", "beta_hat"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import weylkit.morphisms as morphisms
+    return getattr(morphisms, name)
 
 
 class Sl2Realization(NamedTuple):
@@ -114,7 +126,8 @@ def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Reali
     the Ad(g)⁻¹ combinations are taken of their images."""
     if alpha.inverse is None:
         raise NotInvertible("the action needs an invertible substitution")
-    X, Y, H = _apply_images(alpha.image_p, alpha.image_q, r)
+    import weylkit.morphisms as morphisms  # loaded on call, as in ElementSpan
+    X, Y, H = morphisms._apply_images(alpha.image_p, alpha.image_q, r)
     return Sl2Realization(*(linear_combination(((cx, X), (cy, Y), (ch, H)))
                             for cx, cy, ch in _ad_rows(g.inverse())))
 
@@ -192,7 +205,8 @@ def _pattern_span(factor: WeylElement, h: WeylElement, max_degree: int) -> list[
 
 def _compare_side(h: WeylElement, lam: int, factor: WeylElement,
                   max_degree: int) -> S11Side:
-    eig = eigenvectors_truncated(h, lam, max_degree)
+    import weylkit.dixmier as dixmier  # loaded on call, as in ElementSpan
+    eig = dixmier.eigenvectors_truncated(h, lam, max_degree)
     pattern = _pattern_span(factor, h, max_degree)
     eig_span = ElementSpan(eig)
     pat_span = ElementSpan(pattern)

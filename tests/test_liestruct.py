@@ -514,6 +514,37 @@ def test_recognize_unknown_for_mixed_spectrum():
     assert recognize(algebra) == CatalogTag("Unknown")
 
 
+def _scalar_profile(eigs):
+    """The profile as Scalar ratios to the first eigenvalue, the earlier form."""
+    ratios = [e / eigs[0] for e in eigs]
+    if any(r.im for r in ratios):
+        raise IrrationalSpectrum("eigenvalue ratios leave the rationals")
+    scale = math.lcm(*(r.re.denominator for r in ratios))
+    return [int(r.re * scale) for r in ratios]
+
+
+_profile_fraction_st = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+_profile_scalar_st = st.builds(S, _profile_fraction_st, st.one_of(st.just(0),
+                                                                  _profile_fraction_st))
+
+
+@settings(deadline=None)
+@given(_profile_scalar_st,
+       st.lists(st.tuples(_profile_fraction_st, st.one_of(st.none(), _profile_scalar_st)),
+                max_size=5))
+def test_integer_profile_matches_the_scalar_ratios(first, rest):
+    # each later eigenvalue is a rational multiple of the first, or, where the
+    # draw says so, an independent one whose ratio is mostly non-real
+    eigs = [first] + [other if other is not None else first * r for r, other in rest]
+    try:
+        expected = _scalar_profile(eigs)
+    except IrrationalSpectrum:
+        with pytest.raises(IrrationalSpectrum):
+            liestruct._integer_profile(eigs)
+    else:
+        assert liestruct._integer_profile(eigs) == expected
+
+
 SL2 = {(0, 1): {2: ONE}, (0, 2): {0: S(-2)}, (1, 2): {1: S(2)}}
 
 

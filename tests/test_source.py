@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weylkit
@@ -51,6 +54,38 @@ def test_every_export_is_bound():
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ())
                     if not hasattr(module, n)]
     assert not missing, missing
+
+
+def test_the_public_surface_resolves_in_a_fresh_interpreter():
+    # names a module re-exports on first use (sl2orbits' morphisms names) must
+    # resolve by getattr and by a star import from a cold start, as the
+    # objects of the module that defines them
+    modules = ["weylkit" if path.stem == "__init__" else f"weylkit.{path.stem}"
+               for path in SOURCES]
+    script = f"""
+import importlib, sys
+import weylkit.sl2orbits as sl2
+if "weylkit.morphisms" in sys.modules:
+    raise SystemExit("importing sl2orbits loaded morphisms")
+import weylkit.morphisms as morphisms
+for name in ("SL2Element", "alpha1_hat", "beta_hat"):
+    if getattr(sl2, name) is not getattr(morphisms, name):
+        raise SystemExit(f"sl2orbits.{{name}} is not morphisms.{{name}}")
+for name in {modules!r}:
+    module = importlib.import_module(name)
+    exports = getattr(module, "__all__", ())
+    for export in exports:
+        getattr(module, export)
+    namespace = {{}}
+    exec(f"from {{name}} import *", namespace)
+    missing = set(exports) - set(namespace)
+    if missing:
+        raise SystemExit(f"{{name}}: star import misses {{sorted(missing)}}")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr + done.stdout
 
 
 def test_the_elimination_engine_stays_behind_linalg():
@@ -190,15 +225,47 @@ def test_each_subcommand_is_declared_once_on_its_handler():
     assert not found, found
 
 
+def _import_time_imports(tree):
+    """The imports a module runs when it is loaded: those outside its functions,
+    and outside an ``if TYPE_CHECKING:`` block, which names only annotations."""
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            yield from (n for child in node.orelse for n in visit(child))
+        else:
+            yield from (n for child in ast.iter_child_nodes(node) for n in visit(child))
+    return list(visit(tree))
+
+
 def test_the_cli_and_liestruct_import_the_structure_modules_on_call():
-    # `weyl mul` compiles only the package core and `weyl recognize` adds only
-    # liestruct: a module-level import here would load every handler's modules
-    heavy = {"cli.py": {"dixmier", "liestruct", "morphisms", "sl2orbits"},
-             "liestruct.py": {"sl2orbits"}}
-    found = [f"{name}:{node.lineno} {node.module}" for name, modules in heavy.items()
-             for node in ast.parse((SOURCES[0].parent / name).read_text(encoding="utf-8")).body
-             if isinstance(node, ast.ImportFrom) and ({(node.module or "").split(".")[-1]}
-                                                      | {a.name for a in node.names}) & modules]
+    # `weyl mul` compiles only the package core, `weyl recognize` adds only
+    # liestruct and linalg, `weyl casimir` only sl2orbits: a load-time import
+    # here would load modules the common path never runs (a span's linalg,
+    # the s11 side's dixmier, the action's morphisms, --json's json)
+    heavy = {"cli.py": {"dixmier", "liestruct", "morphisms", "sl2orbits", "json"},
+             "liestruct.py": {"sl2orbits"}, "elements.py": {"linalg"},
+             "sl2orbits.py": {"dixmier", "linalg", "morphisms"}}
+    found = []
+    for name, modules in heavy.items():
+        tree = ast.parse((SOURCES[0].parent / name).read_text(encoding="utf-8"))
+        for node in _import_time_imports(tree):
+            names = {a.name.split(".")[-1] for a in node.names}
+            if isinstance(node, ast.ImportFrom):
+                names.add((node.module or "").split(".")[-1])
+            found += [f"{name}:{node.lineno} {m}" for m in sorted(names & modules)]
+    assert not found, found
+
+
+def test_no_import_runs_in_a_loop():
+    # an import statement costs about a microsecond each time it runs; once per
+    # handler, span or s11 side is nothing, once per term or row a hot path
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(loop, (ast.For, ast.AsyncFor, ast.While))
+             for node in ast.walk(loop) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, found
 
 
