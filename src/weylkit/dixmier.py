@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import (ElementSpan, WeylElement, _accumulate, _coded, _make, _term_order, bracket,
-                       p, q)
+from .elements import (ElementSpan, WeylElement, _accumulate, _as_element, _coded, _make,
+                       _term_order, bracket, p, q)
 from .errors import (BudgetExceeded, DegreeTooHigh, NoProportionality, PreconditionFailed,
                      ZeroElement, _check_count)
 from .linalg import integer_kernel
-from .scalars import ZERO, Scalar, _divide, as_scalar
+from .scalars import Scalar, _divide, as_scalar
 
 __all__ = [
     "DixmierClass", "classify_low_degree",
@@ -52,6 +52,7 @@ def classify_low_degree(x: WeylElement) -> DixmierClass:
     invertible-semisimple otherwise (third).
     Scalars sit outside the partition and are tagged as such.
     """
+    x = _as_element(x, "classify_low_degree")
     if x.degree() > 2:
         raise DegreeTooHigh("no decision procedure above total degree 2")
     if x.is_scalar():
@@ -82,6 +83,7 @@ def f_test(z: WeylElement, a: WeylElement, max_iter: int = 64) -> FTestResult:
     of ad(z) up to that bound.
     """
     _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
+    z, a = (_as_element(x, "f_test") for x in (z, a))
     span = ElementSpan([a])
     cur = a
     for k in range(1, max_iter + 1):
@@ -106,6 +108,7 @@ def eigenvectors_truncated(x: WeylElement, lam, max_degree: int) -> list[WeylEle
     degree.  Returns a canonical echelon basis (possibly empty).
     """
     _check_count(max_degree, 0, "the truncation degree must be natural, got {!r}")
+    x = _as_element(x, "eigenvectors_truncated")
     if (max_degree + 1) * (max_degree + 2) // 2 > _WINDOW_BUDGET:
         raise BudgetExceeded(f"degree {max_degree} has over {_WINDOW_BUDGET} unknowns")
     lam = as_scalar(lam)
@@ -152,6 +155,7 @@ def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PRO
     growing: such an element lies outside both exponentiable classes.
     """
     _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
+    x = _as_element(x, "is_exponentiable")
     if x.is_zero():
         raise ZeroElement("the zero element has no partition class")
     if x.is_scalar():
@@ -168,16 +172,11 @@ def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PRO
     return ExponentiabilityReport("undetermined", max_iter=max_iter)
 
 
-def _eigenvalue_of(h: WeylElement, x: WeylElement) -> Scalar:
-    """The λ with [h, x] = λ·x; errors if x is not an exact eigenvector."""
-    b = bracket(h, x)
-    if b.is_zero():
-        return ZERO
-    lead = x.leading_monomial()
-    lam = b.coeff(*lead) / x.coeff(*lead)
-    if b != x.scale(lam):
-        raise PreconditionFailed("input is not an ad-eigenvector of h")
-    return lam
+def _ratio(u: WeylElement, v: WeylElement) -> Optional[Scalar]:
+    """The a with u = a·v, read at v's leading monomial for v ≠ 0; None if there is none."""
+    lead = v.leading_monomial()
+    a = u.coeff(*lead) / v.coeff(*lead)
+    return a if u == v.scale(a) else None
 
 
 def power_relation(h: WeylElement, x1: WeylElement, x2: WeylElement):
@@ -188,25 +187,20 @@ def power_relation(h: WeylElement, x1: WeylElement, x2: WeylElement):
     A failure of proportionality cannot happen for genuine inputs and is
     reported as its own error.
     """
+    h, x1, x2 = (_as_element(x, "power_relation") for x in (h, x1, x2))
     if x1.is_zero() or x2.is_zero():
         raise ZeroElement("eigenvectors must be nonzero")
-    lam1 = _eigenvalue_of(h, x1)
-    lam2 = _eigenvalue_of(h, x2)
-    for lam in (lam1, lam2):
+    lams = [_ratio(bracket(h, x), x) for x in (x1, x2)]
+    if any(lam is None for lam in lams):
+        raise PreconditionFailed("input is not an ad-eigenvector of h")
+    for lam in lams:
         if not lam.is_integer():
             raise PreconditionFailed(f"eigenvalue {lam} is not a rational integer")
     if not bracket(x1, x2).is_zero():
         raise PreconditionFailed("the two eigenvectors do not commute")
-    n1 = int(lam1.re)
-    n2 = int(lam2.re)
+    n1, n2 = (int(lam.re) for lam in lams)
     if n1 * n2 <= 0:
         raise PreconditionFailed("eigenvalues must be nonzero and of equal sign")
-    p1 = x1 ** abs(n2)
-    p2 = x2 ** abs(n1)
-    lead = p2.leading_monomial()
-    if p1.leading_monomial() != lead:
-        raise NoProportionality("the two powers have different leading monomials")
-    a = p1.coeff(*lead) / p2.coeff(*lead)
-    if p1 != p2.scale(a):
+    if (a := _ratio(x1 ** abs(n2), x2 ** abs(n1))) is None:
         raise NoProportionality("the two powers are not proportional")
     return n1, n2, a

@@ -20,7 +20,9 @@ code − m·(u + v), in one [re, im] cell of plain ints over D_x·D_y.  A produc
 codes p^i q^j as w·i + j, w past every q-exponent of the result, and decodes
 each term once (``dixmier``'s eigenvector columns keep a printing-order code).
 Sums add numerators into such cells, one per monomial, over the lcm of the
-denominators.
+denominators, in ``_combination``: the one Σ z·row over Z[i], which also
+brackets the rows of ``liestruct``'s structure tables and checks their Jacobi
+identity.  Coefficients are read by ``scalars._triple``.
 
 Also here: the symmetrisation map onto the grading subspaces W_n (the image
 of the n-th symmetric power of span{p, q}), as the Weyl ordering
@@ -44,7 +46,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (BadParams, BudgetExceeded, ExprSyntaxError, NotInjective, _check_count,
                      _is_count)
-from .scalars import _SCALAR, Scalar, _dense, _divide, _norm, _ScalarScanner, format_scalar
+from .scalars import (_SCALAR, Scalar, _clear, _dense, _divide, _norm, _ScalarScanner, _triple,
+                      format_scalar)
 
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
@@ -63,16 +66,6 @@ _new = object.__new__
 def _term_order(m: Monomial):
     """Sort key for printing order: descending total degree, then descending i."""
     return (-(m[0] + m[1]), -m[0])
-
-
-def _triple(c: ScalarLike) -> tuple[int, int, int]:
-    """(a, b, d) in lowest terms with c = (a + b·i)/d and d > 0."""
-    if isinstance(c, Scalar):
-        return c.a, c.b, c.d
-    if not isinstance(c, (int, Fraction)):
-        raise BadParams(f"coefficients are ints, Fractions or Scalars: got {c!r}")
-    c = Fraction(c)
-    return c.numerator, 0, c.denominator
 
 
 def _make(num: dict, den: int) -> "WeylElement":
@@ -184,21 +177,30 @@ def _accumulate(acc: dict, xs: Iterable, ys: Sequence, sign: int, step: int) -> 
                         cell[0] += re * k
 
 
-def _sum(parts: Sequence[tuple]) -> "WeylElement":
-    """Σ (cr + ci·i)/cd · x over parts (cr, ci, cd, x) with cd > 0, as Gaussian
-    integers over the lcm of the cd·D_x, added into one [re, im] cell per monomial."""
-    den = lcm(*(cd * x.den for _, _, cd, x in parts))
+def _combination(parts: Iterable[tuple]) -> dict:
+    """Σ (cr + ci·i)·row over parts (cr, ci, row) of a Gaussian integer and a
+    row {key: (re, im)} over Z[i], added into one [re, im] cell per key; zeros dropped."""
     acc: dict = {}
-    for cr, ci, cd, x in parts:
-        f = den // (cd * x.den)
-        cr, ci = cr * f, ci * f
-        for key, (a, b) in x.num.items():
+    for cr, ci, row in parts:
+        for key, (a, b) in row.items():
             if (cell := acc.get(key)) is None:
                 acc[key] = [cr * a - ci * b, cr * b + ci * a]
             else:
                 cell[0] += cr * a - ci * b
                 cell[1] += cr * b + ci * a
-    return _make({key: (re, im) for key, (re, im) in acc.items() if re or im}, den)
+    return {key: (re, im) for key, (re, im) in acc.items() if re or im}
+
+
+def _sum(parts: Sequence[tuple]) -> "WeylElement":
+    """Σ (cr + ci·i)/cd · x over parts (cr, ci, cd, x) with cd > 0, as Gaussian
+    integers over the lcm L of the cd·D_x: ``_combination`` of the L/(cd·D_x)-scaled parts."""
+    den = lcm(*[cd * x.den for _, _, cd, x in parts])
+    # a loop, not a comprehension closing over den: most sums have two parts
+    scaled = []
+    for cr, ci, cd, x in parts:
+        f = den // (cd * x.den)
+        scaled.append((cr * f, ci * f, x.num))
+    return _make(_combination(scaled), den)
 
 
 def _scaled(x: "WeylElement", a: int, b: int, d: int) -> "WeylElement":
@@ -222,13 +224,11 @@ class WeylElement:
 
     def __init__(self, terms: Optional[dict] = None):
         """The element Σ c·p^i q^j of a dict {(i, j): Scalar, int or Fraction}."""
-        cs = {(i, j): _triple(c) for (i, j), c in (terms or {}).items()}
-        for i, j in cs:
+        # each coefficient is in lowest terms, so over the lcm of the d the content is one
+        (self.num,), self.den = _clear(terms or {})
+        for i, j in terms or {}:
             if not (_is_count(i) and _is_count(j)):
                 raise BadParams(f"monomial exponents must be nonnegative, got p^{i} q^{j}")
-        # each triple is in lowest terms, so over the lcm of the d the content is one
-        self.den = den = lcm(*{d for _, _, d in cs.values()})
-        self.num = {m: (a * (den // d), b * (den // d)) for m, (a, b, d) in cs.items() if a or b}
 
     @staticmethod
     def monomial(i: int, j: int, coeff: ScalarLike = 1) -> "WeylElement":
@@ -319,10 +319,8 @@ class WeylElement:
             return NotImplemented
         return _kernel(self, other, 0)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    # scalars are central, and a WeylElement on the left is taken by its own __mul__
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         _check_count(n, 0, "element powers need a nonnegative integer exponent, got {!r}")
@@ -369,26 +367,31 @@ one = WeylElement.monomial(0, 0)
 zero = WeylElement({})
 
 
-def _as_element(x, message: str) -> WeylElement:
-    """x as an element, a scalar as its constant; else BadParams(message), {} the type of x."""
+def _as_element(x, name: str) -> WeylElement:
+    """x as an element, a scalar as its constant; else BadParams naming the function."""
     element = WeylElement._coerce(x)
     if element is None:
-        raise BadParams(message.format(type(x).__name__))
+        raise BadParams(f"{name} takes elements and scalars, not {type(x).__name__}")
     return element
 
 
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     """The commutator xy - yx, one signed swap row per term pair."""
+    if type(x) is not WeylElement or type(y) is not WeylElement:
+        x, y = (_as_element(z, "bracket") for z in (x, y))
     return _kernel(x, y, -1)
 
 
 def anticommutator(x: WeylElement, y: WeylElement) -> WeylElement:
     """xy + yx, one signed swap row per term pair."""
+    if type(x) is not WeylElement or type(y) is not WeylElement:
+        x, y = (_as_element(z, "anticommutator") for z in (x, y))
     return _kernel(x, y, 1)
 
 
 def ad_pow(x: WeylElement, y: WeylElement, n: int) -> WeylElement:
     """The n-fold iterated bracket ad(x)^n(y); n = 0 returns y."""
+    x, y = (_as_element(z, "ad_pow") for z in (x, y))
     _check_count(n, 0, "ad_pow needs a nonnegative iteration count, got {!r}")
     for _ in range(n):
         y = bracket(x, y)
@@ -437,7 +440,6 @@ def symmetrize(t) -> WeylElement:
     return _weyl_ordered(poly.num.items(), poly.den)
 
 
-@lru_cache(maxsize=None)
 def _delta_monomial(i: int, j: int) -> WeylElement:
     """δ(p^⊙i ⊙ q^⊙j): the swap row of (i, j), its k-th entry over 2^k."""
     top = min(i, j)
@@ -451,7 +453,7 @@ def wn_components(x: WeylElement) -> dict[int, WeylElement]:
     fixes the W_d component via δ images of the matching monomial tensors.
     """
     out: dict[int, WeylElement] = {}
-    rem = x
+    rem = _as_element(x, "wn_components")
     while not rem.is_zero():
         d = rem.degree()
         comp = _weyl_ordered(((m, c) for m, c in rem.num.items() if sum(m) == d), rem.den)
@@ -467,6 +469,7 @@ class WeightComponent(NamedTuple):
 
 def weight_decompose(x: WeylElement) -> list[WeightComponent]:
     """Partition the terms of x by weight j - i (the ad(pq) eigenvalue)."""
+    x = _as_element(x, "weight_decompose")
     buckets: dict[int, dict] = {}
     for (i, j), c in x.num.items():
         buckets.setdefault(j - i, {})[(i, j)] = c

@@ -23,13 +23,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import (ElementSpan, WeylElement, _as_element, _independent_span, _sum, ad_pow,
-                       bracket, one, p, q)
+from .elements import (ElementSpan, WeylElement, _as_element, _combination, _independent_span,
+                       _sum, ad_pow, bracket, one, p, q)
 from .errors import (BadParams, DimensionExceeded, IrrationalSpectrum,
                      NotDiagonalisable, NotHomomorphism, NotInA1Form,
                      NotInjective, NotNilpotent, PreconditionFailed, _check_count, _is_count)
 from .linalg import Echelon, eigen_decomposition, integer_kernel
-from .scalars import Scalar, _clear, _divide, _norm, as_scalar
+from .scalars import Scalar, _clear, _divide, _norm, _scalar_rows
 
 __all__ = [
     "LieAlgebraStruct", "CatalogTag", "Realization", "CatalogEntry",
@@ -54,7 +54,7 @@ class LieAlgebraStruct:
                      and all(map(_is_count, ij)) and ij[0] < ij[1] < dim)
                 or any(not _is_count(k) or k >= dim for k in row) for ij, row in c.items()):
             raise BadParams(f"structure constants c^k_ij need 0 <= i < j < {dim}, 0 <= k < {dim}")
-        rows, den = _clear(*({k: as_scalar(v) for k, v in row.items()} for row in c.values()))
+        rows, den = _clear(*c.values())
         self._fill(dim, labels, {ij: (row, den) for ij, row in zip(c, rows)})
         self._check_jacobi()
 
@@ -83,13 +83,13 @@ class LieAlgebraStruct:
 
     def _bracket(self, u: dict, v: dict) -> dict:
         """den·[u, v] for rows u and v over Z[i], den the table's denominator."""
-        return _combination(((a * c - b * d, a * d + b * c), row)
+        return _combination((a * c - b * d, a * d + b * c, row)
                             for i, (a, b) in u.items() for j, (c, d) in v.items()
                             if (row := self._num.get((i, j))))
 
     def _check_jacobi(self):
         for i, j, k in combinations(range(self.dim), 3):
-            if _combination((x, self._num.get((m, c), {}))
+            if _combination((*x, self._num.get((m, c), {}))
                             for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
                             for m, x in self._num.get((a, b), {}).items()):
                 raise PreconditionFailed(f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
@@ -104,16 +104,6 @@ def _built(dim: int, labels: Sequence[str], rows: dict) -> LieAlgebraStruct:
     algebra = object.__new__(LieAlgebraStruct)
     algebra._fill(dim, labels, rows)
     return algebra
-
-
-def _combination(pairs) -> dict:
-    """Σ z·row over pairs (z, row) of a Gaussian integer and a row over Z[i]."""
-    out: dict = {}
-    for (a, b), row in pairs:
-        for k, (x, y) in row.items():
-            re, im = out.get(k, (0, 0))
-            out[k] = (re + a * x - b * y, im + a * y + b * x)
-    return {k: z for k, z in out.items() if z != (0, 0)}
 
 
 class CatalogTag(NamedTuple):
@@ -251,8 +241,7 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
     closure is infinite-dimensional.
     """
     _check_count(max_dim, 1, "the dimension cap must be at least 1, got {!r}")
-    span = ElementSpan(_as_element(x, "lie_closure takes elements and scalars, not {}")
-                       for x in gens)
+    span = ElementSpan(_as_element(x, "lie_closure") for x in gens)
     rows = span.rows  # grows with each insert that enlarges the span
     if not rows:
         raise BadParams("at least one nonzero generator required")
@@ -357,10 +346,10 @@ def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
 def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAlgebraStruct:
     """The same algebra on the basis f_j = Σ_i matrix[i][j]·e_i."""
     n = algebra.dim
-    if not isinstance(matrix, Sequence) or len(matrix) != n or any(
-            not isinstance(r, Sequence) or len(r) != n for r in matrix):
+    rows, d = _scalar_rows(matrix, square=True)
+    if len(rows) != n:
         raise BadParams(f"basis-change matrix must be {n}x{n}")
-    ints, d = _clear(*({i: as_scalar(matrix[i][j]) for i in range(n)} for j in range(n)))
+    ints = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
     span = Echelon(ints)
     if span.dim != n:
         raise BadParams("basis-change matrix is singular")

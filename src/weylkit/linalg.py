@@ -12,8 +12,8 @@ own reduction, so ``express`` solves a linear system by back-substitution,
 and ``integer_kernel`` reads each relation off that reduction.  Coordinates,
 relations and the reduced basis are returned over Z[i] too, as numerators
 over one positive int.
-``rref`` and ``charpoly`` alone take a Scalar matrix; each clears it on
-entry, and both remain for the baseline script ``perfbench/baseline.py``.
+``rref`` and ``charpoly`` alone take a Scalar matrix, cleared on entry by
+``scalars._scalar_rows``; both remain for the baseline script ``perfbench/baseline.py``.
 ``eigenvalues`` and ``eigen_decomposition`` take a square matrix in the form
 ``integer_kernel`` takes, its columns {row: (re, im)} over one positive int,
 build Scalars only for the eigenvalues they return and return each
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import BadParams, IrrationalSpectrum, _check_count, _is_count
-from .scalars import ZERO, Scalar, _clear, _dense, _divide, _mk, _norm, as_scalar
+from .scalars import ZERO, Scalar, _dense, _divide, _mk, _norm, _scalar_rows
 
 __all__ = [
     "Echelon", "rref", "integer_kernel", "charpoly", "eigenvalues", "eigen_decomposition",
@@ -183,18 +183,9 @@ class Echelon:
         return [(row, row[pivot][0]) for row, pivot in zip(done.rows[::-1], done.pivots[::-1])]
 
 
-def _scalar_rows(a: Matrix, square: bool = False) -> list[dict]:
-    """The rows {column: as_scalar(entry)} of a matrix; BadParams unless its rows
-    have one width, n for n rows if square."""
-    if not (isinstance(a, Sequence) and all(isinstance(row, Sequence) for row in a)
-            and len({*map(len, a), *([len(a)] if square else [])}) <= 1):
-        raise BadParams(f"a{' square' if square else ''} matrix is a sequence of rows of one width")
-    return [{c: as_scalar(x) for c, x in enumerate(row)} for row in a]
-
-
 def rref(a: Matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    span = Echelon(_clear(*_scalar_rows(a))[0])
+    span = Echelon(_scalar_rows(a)[0])
     ncols = len(a[0]) if a else 0
     rows = [_dense(num, n, ncols) for num, n in span.reduced_rows()]
     rows += [[ZERO] * ncols for _ in range(len(a) - len(rows))]
@@ -245,7 +236,7 @@ def charpoly(a: Matrix) -> list[Scalar]:
     """Coefficients c with det(tI - a) = Σ c[k] t^k, c[n] = 1, as b_k / L^(n-k) from
     ``_charpoly`` on the rows of L·a, the columns of L·aᵀ, L the lcm of the entry
     denominators."""
-    rows, den = _clear(*_scalar_rows(a, square=True))
+    rows, den = _scalar_rows(a, square=True)
     return [_norm(re, im, den ** (len(a) - k)) for k, (re, im) in enumerate(_charpoly(rows))]
 
 

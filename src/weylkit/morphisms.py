@@ -77,6 +77,7 @@ class WeylMorphism:
     __slots__ = ("image_p", "image_q", "inverse")
 
     def __init__(self, image_p: WeylElement, image_q: WeylElement):
+        image_p, image_q = (_as_element(x, "WeylMorphism") for x in (image_p, image_q))
         if bracket(image_p, image_q) != one:
             raise PreconditionFailed(
                 "images do not satisfy the canonical commutation relation [P, Q] = 1")
@@ -86,8 +87,7 @@ class WeylMorphism:
 
     def __call__(self, x) -> WeylElement:
         """The image of x; a scalar maps to itself, since a morphism is unital."""
-        element = _as_element(x, "a morphism applies to elements and scalars, not {}")
-        return _apply_images(self.image_p, self.image_q, (element,))[0]
+        return _apply_images(self.image_p, self.image_q, (_as_element(x, "a morphism"),))[0]
 
     def is_identity(self) -> bool:
         return self.image_p == p and self.image_q == q
@@ -241,6 +241,7 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
     steps the element is reported as (locally) non-nilpotent on x.
     """
     _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
+    z, x = (_as_element(y, "exp_ad") for y in (z, x))
     terms = [x]
     for k in range(1, max_iter + 1):
         term = bracket(z, terms[-1]) / k

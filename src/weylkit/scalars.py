@@ -10,6 +10,10 @@ literal equality.  The real and imaginary parts are available as
 Fractions.  A Scalar is built from int or Fraction parts only: a float or
 complex is refused, not read as the binary fraction it stores, and so is a
 string (text goes through ``parse_scalar``).
+Every coefficient the library takes is read by ``_triple``, behind
+``as_scalar``, the operators and ``_clear`` (and a matrix's ``_scalar_rows``):
+anything but an int, Fraction or Scalar raises BadParams("coefficients are
+ints, Fractions or Scalars: got …").
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 from .errors import BadParams, ExprSyntaxError
 
@@ -48,12 +53,17 @@ def _norm(a: int, b: int, d: int) -> "Scalar":
     return _mk(a, b, d)
 
 
+def _triple(c) -> tuple[int, int, int]:
+    """(a, b, d) in lowest terms, d > 0, with c = (a + b·i)/d: the one coefficient reader."""
+    if isinstance(c, Scalar):
+        return c.a, c.b, c.d
+    if not isinstance(c, (int, Fraction)):
+        raise BadParams(f"coefficients are ints, Fractions or Scalars: got {c!r}")
+    return c.numerator, 0, c.denominator
+
+
 def _coerce(x):
-    if isinstance(x, int):
-        return _mk(x, 0, 1)
-    if isinstance(x, Fraction):
-        return _mk(x.numerator, 0, x.denominator)
-    return NotImplemented
+    return _mk(*_triple(x)) if isinstance(x, (int, Fraction)) else NotImplemented
 
 
 class Scalar:
@@ -200,15 +210,26 @@ I = Scalar(0, 1)
 
 
 def as_scalar(x) -> Scalar:
-    """x as a Scalar: x itself if it is one, else Scalar(x)."""
-    return x if isinstance(x, Scalar) else Scalar(x)
+    """x as a Scalar: x itself if it is one, else the int or Fraction x."""
+    return x if isinstance(x, Scalar) else _mk(*_triple(x))
 
 
 def _clear(*vs: dict) -> tuple[list[dict], int]:
-    """([L·v for v in vs], L) over Z[i], zeros dropped, L the lcm of the Scalars' denominators."""
-    den = lcm(*(x.d for v in vs for x in v.values()))
-    return [{k: (x.a * (den // x.d), x.b * (den // x.d)) for k, x in v.items() if x}
-            for v in vs], den
+    """([L·v for v in vs], L) over Z[i], zeros dropped, for dicts of ints,
+    Fractions or Scalars, L the lcm of their denominators."""
+    ts = [{k: _triple(x) for k, x in v.items()} for v in vs]
+    den = lcm(*(d for t in ts for _, _, d in t.values()))
+    return [{k: (a * (den // d), b * (den // d)) for k, (a, b, d) in t.items() if a or b}
+            for t in ts], den
+
+
+def _scalar_rows(a, square: bool = False) -> tuple[list[dict], int]:
+    """The rows {column: entry} of a matrix, cleared by ``_clear``; BadParams unless
+    its rows have one width, n for n rows if square."""
+    if not (isinstance(a, Sequence) and all(isinstance(row, Sequence) for row in a)
+            and len({*map(len, a), *([len(a)] if square else [])}) <= 1):
+        raise BadParams(f"a{' square' if square else ''} matrix is a sequence of rows of one width")
+    return _clear(*(dict(enumerate(row)) for row in a))
 
 
 def _divide(v: dict, s: tuple[int, int]) -> tuple[dict, int]:

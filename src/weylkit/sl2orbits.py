@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .elements import (ElementSpan, WeylElement, anticommutator, bracket, linear_combination,
-                       one, p, parse_element, q)
+from .elements import (ElementSpan, WeylElement, _as_element, anticommutator, bracket,
+                       linear_combination, one, p, parse_element, q)
 from .errors import NonScalarCasimir, NotInvertible, RelationFailed
 from .scalars import Scalar
 
@@ -61,6 +61,7 @@ class Sl2Realization(NamedTuple):
 
 def triplet_check(X: WeylElement, Y: WeylElement, H: WeylElement) -> Sl2Realization:
     """Verify [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H exactly."""
+    X, Y, H = (_as_element(x, "triplet_check") for x in (X, Y, H))
     if X.is_zero() or Y.is_zero() or H.is_zero():
         raise RelationFailed("triplet members must be nonzero")
     if bracket(H, X) != X.scale(2):

@@ -10,8 +10,8 @@ from weylkit import Scalar, WeylElement, bracket, dixmier
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated,
                              f_test, is_exponentiable, power_relation)
 from weylkit.elements import ad_pow, linear_span_dim, one, p, parse_element, q, zero
-from weylkit.errors import (BadParams, BudgetExceeded, DegreeTooHigh, PreconditionFailed,
-                            ZeroElement)
+from weylkit.errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProportionality,
+                            PreconditionFailed, ZeroElement)
 from weylkit.liestruct import CatalogTag, LieAlgebraStruct, catalog, lie_closure
 from weylkit.morphisms import (RGroupElement, SL2Element, alpha1_hat, apply, exp_ad, phi,
                                phi_prime)
@@ -151,6 +151,17 @@ def test_power_relation_preconditions():
         power_relation(h, p ** 2, q ** 3)     # opposite signs
     with pytest.raises(PreconditionFailed):
         power_relation(h, p + one, p ** 2)    # not an eigenvector
+
+
+def test_power_relation_reports_powers_that_are_not_proportional(monkeypatch):
+    # genuine commuting eigenvectors always give proportional powers, so ad(h)
+    # is forced to fix both: q^1 against q + q^2 (another leading monomial)
+    # and against q + 1 (the same one) are both "not proportional"
+    h = parse_element("p*q")
+    monkeypatch.setattr(dixmier, "bracket", lambda u, v: v if u is h else bracket(u, v))
+    for x2 in (q + q * q, q + one):
+        with pytest.raises(NoProportionality, match="not proportional"):
+            power_relation(h, q, x2)
 
 
 def test_is_exponentiable_low_degree_cases():

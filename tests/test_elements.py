@@ -18,9 +18,11 @@ from weylkit.elements import (ElementSpan, SymTensor, _signed_row,
                               _swap_row, anticommutator, coordinates, format_element,
                               linear_combination, linear_span_dim, one, parse_element, p, q,
                               weight_decompose, wn_components, zero)
-from weylkit.errors import BadParams, ExprSyntaxError
-from weylkit.morphisms import phi
-from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II
+from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
+                             is_exponentiable, power_relation)
+from weylkit.errors import BadParams, ExprSyntaxError, WeylError
+from weylkit.morphisms import WeylMorphism, exp_ad, phi
+from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II, triplet_check
 
 from . import enumerated
 from .oracles import oracle_product, swap_product
@@ -559,6 +561,46 @@ def test_elements_refuse_strings_and_other_non_numbers_as_coefficients(build):
     # coefficients are ints, Fractions or Scalars; text is read by parse_element, never here
     with pytest.raises(BadParams):
         build()
+
+
+def _outcome(call):
+    """A call's result, or the class of the library error it raised."""
+    try:
+        return call()
+    except WeylError as exc:
+        return type(exc)
+
+
+_ELEMENT_CALLS = [
+    (bracket, (p, q)), (anticommutator, (p, q)), (ad_pow, (p, q, 2)), (wn_components, (p,)),
+    (weight_decompose, (p,)), (classify_low_degree, (p,)), (f_test, (p * q, q)),
+    (eigenvectors_truncated, (p * q, 1, 2)), (is_exponentiable, (p * q,)),
+    (power_relation, (p * q, q, q * q)), (WeylMorphism, (p, q)), (exp_ad, (p, q * q)),
+    (triplet_check, tuple(f_I())),
+]
+
+
+@pytest.mark.parametrize("fn, args", _ELEMENT_CALLS, ids=[fn.__name__ for fn, _ in _ELEMENT_CALLS])
+def test_element_arguments_take_scalars_and_refuse_anything_else(fn, args):
+    # each element argument is read as lie_closure's are: a scalar as its
+    # constant element, anything else refused with BadParams, not AttributeError
+    for k, arg in enumerate(args):
+        if not isinstance(arg, WeylElement):
+            continue
+
+        def call(x):
+            return fn(*args[:k], x, *args[k + 1:])
+        assert _outcome(lambda: call(3)) == _outcome(lambda: call(one.scale(3)))
+        for bad in ("p", None, [p]):
+            with pytest.raises(BadParams, match=f"^{fn.__name__} takes elements and scalars"):
+                call(bad)
+
+
+def test_right_multiplication_is_the_product():
+    # scalars are central, and an element on the left is taken by its own __mul__
+    assert WeylElement.__rmul__ is WeylElement.__mul__
+    assert 3 * p == p * 3 == p.scale(3)
+    assert Fraction(1, 2) * (p * q) == (p * q).scale(Fraction(1, 2))
 
 
 def test_ad_pow_refuses_a_non_integer_count():

@@ -188,10 +188,12 @@ def test_eigenvalues_refuse_columns_off_the_square():
 
 
 def test_the_scalar_matrix_edge_takes_ints_and_fractions():
-    # entries go through as_scalar, as change_basis takes them; an int raised
-    # AttributeError
+    # entries go through the one coefficient reader, as change_basis's do; an
+    # int raised AttributeError
     assert charpoly([[1, 2], [3, 4]]) == [Scalar(-2), Scalar(-5), ONE]
     assert rref([[Fraction(1, 2), 1], [1, 2]]) == ([[ONE, Scalar(2)], [ZERO, ZERO]], [0])
+    assert charpoly([[Fraction(1, 2), Scalar(0, 1)], [2, 0]]) == [Scalar(0, -2),
+                                                                  Scalar(Fraction(-1, 2)), ONE]
 
 
 @given(st.lists(st.lists(scalar_st, min_size=3, max_size=3),

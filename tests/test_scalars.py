@@ -1,5 +1,6 @@
 """Arithmetic, formatting and parsing of the Gaussian-rational coefficients."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weylkit.elements import WeylElement, linear_combination, p
 from weylkit.errors import BadParams
+from weylkit.liestruct import CatalogTag, LieAlgebraStruct, catalog, change_basis
+from weylkit.linalg import charpoly, rref
+from weylkit.morphisms import SL2Element, phi
 from weylkit.scalars import (ONE, ZERO, Scalar, ScalarSyntaxError,
-                             _divide, _ScalarScanner, format_scalar, parse_scalar)
+                             _divide, _ScalarScanner, as_scalar, format_scalar, parse_scalar)
 
 from .strategies import scalar_st, nonzero_scalar_st
 
@@ -255,6 +260,24 @@ def test_strings_and_other_non_numbers_are_refused(re, im):
     # parts are ints or Fractions; text is read by parse_scalar, never by the constructor
     with pytest.raises(BadParams):
         Scalar(re, im)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1j, "1/2"], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda c: WeylElement({(1, 0): c}), lambda c: linear_combination([(c, p)]),
+    lambda c: p.scale(c), as_scalar,
+    lambda c: LieAlgebraStruct(3, ["X", "Y", "H"], {(0, 1): {2: c}}),
+    lambda c: change_basis(catalog(CatalogTag("Sl2")).algebra, [[c, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    lambda c: rref([[c, 1]]), lambda c: charpoly([[c]]), lambda c: phi(1, c),
+    lambda c: SL2Element(c, 0, 0, 1),
+], ids=["WeylElement", "linear_combination", "scale", "as_scalar", "LieAlgebraStruct",
+        "change_basis", "rref", "charpoly", "phi", "SL2Element"])
+def test_every_coefficient_goes_through_the_one_reader(build, bad):
+    # elements, tables, matrices and group coordinates read a coefficient in one
+    # place, so a float, a complex or a string is refused with one message
+    with pytest.raises(BadParams, match=re.escape(f"coefficients are ints, Fractions or Scalars: "
+                                                  f"got {bad!r}")):
+        build(bad)
 
 
 _gaussian_st = st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(-10 ** 20, 10 ** 20))

@@ -121,6 +121,50 @@ def test_elements_build_scalars_only_at_the_edge():
     assert not found, found
 
 
+def test_every_cache_is_bounded():
+    # an unbounded cache keeps every distinct argument for the life of the
+    # process: each functools.lru_cache names a finite maxsize (an int, or a
+    # module constant bound to one), and functools.cache is not used
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        ints = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+                for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} cache" for a in node.names
+                          if a.name == "cache"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                    and getattr(node.value, "id", None) == "functools":
+                found.append(f"{path.name}:{node.lineno} cache")
+            elif isinstance(node, ast.Call) and "lru_cache" in (getattr(node.func, "id", None),
+                                                                  getattr(node.func, "attr", None)):
+                size = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+                bounded = size and (getattr(size[0], "id", None) in ints or isinstance(
+                    size[0], ast.Constant) and type(size[0].value) is int)
+                found += [] if bounded else [f"{path.name}:{node.lineno} lru_cache"]
+    assert not found, found
+
+
+def test_each_reader_and_accumulator_is_defined_once():
+    # one coefficient reader, one matrix reader, one Gaussian accumulator of
+    # Σ z·row and one ratio test u = a·v, each in its own module; liestruct and
+    # linalg read entries through _clear or _scalar_rows, never as_scalar
+    owners = {"_triple": "scalars.py", "_clear": "scalars.py", "_scalar_rows": "scalars.py",
+              "_combination": "elements.py", "_ratio": "dixmier.py"}
+    defined, found = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in owners:
+                defined.append((node.name, path.name))
+            if path.name in ("liestruct.py", "linalg.py") and isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "as_scalar":
+                found.append(f"{path.name}:{node.lineno} as_scalar")
+    assert sorted(defined) == sorted(owners.items())
+    assert not found, found
+
+
 def test_one_row_walk_reads_the_swap_rows():
     # products, brackets, anticommutators and the eigenvector columns of
     # dixmier all walk their rows in elements._accumulate; besides it only the
