@@ -11,7 +11,7 @@ from .scalars import Scalar, parse_scalar, format_scalar
 from .elements import (
     WeylElement, SymTensor, WeightComponent,
     bracket, anticommutator, ad_pow, symmetrize, weight_decompose, wn_components,
-    linear_span_dim, parse_element, format_element,
+    parse_element, format_element,
 )
 
 __version__ = "0.1.0"
@@ -20,6 +20,6 @@ __all__ = [
     "Scalar", "parse_scalar", "format_scalar",
     "WeylElement", "SymTensor", "WeightComponent",
     "bracket", "anticommutator", "ad_pow", "symmetrize", "weight_decompose", "wn_components",
-    "linear_span_dim", "parse_element", "format_element",
+    "parse_element", "format_element",
     "__version__",
 ]

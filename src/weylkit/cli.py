@@ -109,9 +109,9 @@ def _cmd_bracket(args) -> tuple[dict, list[str], int]:
 
 @_command("apply", "apply a morphism expression to an element", "morphism", "element")
 def _cmd_apply(args) -> tuple[dict, list[str], int]:
-    from .morphisms import apply, parse_morphism
+    from .morphisms import parse_morphism
     m = parse_morphism(args.morphism)
-    x = apply(m, parse_element(args.element))
+    x = m(parse_element(args.element))
     return {"image": _element_json(x)}, [format_element(x)], 0
 
 

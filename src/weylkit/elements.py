@@ -52,7 +52,7 @@ from .scalars import (_SCALAR, Scalar, _clear, _dense, _divide, _norm, _ScalarSc
 __all__ = [
     "WeylElement", "SymTensor", "WeightComponent", "ElementSpan",
     "bracket", "anticommutator", "ad_pow", "linear_combination", "symmetrize",
-    "weight_decompose", "wn_components", "linear_span_dim", "coordinates", "parse_element",
+    "weight_decompose", "wn_components", "coordinates", "parse_element",
     "format_element",
     "p", "q", "one", "zero",
 ]
@@ -83,41 +83,31 @@ def _make(num: dict, den: int) -> "WeylElement":
 
 
 # The perfbench workloads use at most 65 swap rows and 828 signed rows, but one
-# lie_closure([q^30, p^30]) asks for 10,120 and 61,053: kept whole, past 300 MB.
-# It walks them cyclically, where an LRU almost never hits, so a signed row past
-# _SHORT_ROW + 1 terms is built afresh (the workloads' rows have at most 5).
-_SWAP_CACHE = 8192
-_SIGNED_CACHE = 2048
+# lie_closure([q^30, p^30]) asks for 10,120 and 61,053, walked cyclically, where
+# an LRU almost never hits.  So only an x-term p^a q^b with a, b <= _SHORT_ROW
+# reads its rows from the cache, each of at most _SHORT_ROW + 1 entries, as
+# min(b, c) <= b and min(d, a) <= a; every other term builds its rows afresh.
+_ROW_CACHE = 8192
 _SHORT_ROW = 8
 
 
-@lru_cache(maxsize=_SWAP_CACHE)
-def _swap_row(j: int, k: int) -> tuple:
-    """The pairs (m, (-1)^m C(j,m) C(k,m) m!) for m = 0..min(j, k), each entry
-    from the last by k_{m+1} = −k_m·(j − m)(k − m)/(m + 1), an exact division."""
-    row = [(0, 1)]
-    for m in range(min(j, k)):
-        row.append((m + 1, -row[-1][1] * (j - m) * (k - m) // (m + 1)))
-    return tuple(row)
-
-
-@lru_cache(maxsize=_SIGNED_CACHE)
+@lru_cache(maxsize=_ROW_CACHE)
 def _signed_row(b: int, c: int, d: int, a: int, sign: int) -> tuple:
-    """The nonzero pairs (m, k) of the (b, c) swap row plus sign × the (d, a) row.
+    """The nonzero pairs (m, k) of the (b, c) swap row plus sign × the (d, a) row,
+    the (j, k) swap row holding (-1)^m C(j,m) C(k,m) m! for m = 0..min(j, k);
+    sign 0 gives the (b, c) swap row alone, called as (b, c, 0, 0, 0).
 
-    Both rows open with 1 at m = 0, so a commutator row (sign -1) starts at m = 1.
+    Both rows come in one pass, each entry from the last by
+    k_{m+1} = −k_m·(j − m)(k − m)/(m + 1), an exact division.  Both open with 1
+    at m = 0, so a commutator row (sign -1) starts at m = 1.
     """
-    ks = dict(_swap_row(b, c))
-    for m, k in _swap_row(d, a):
-        ks[m] = ks.get(m, 0) + sign * k
-    return tuple((m, k) for m, k in ks.items() if k)
-
-
-def _long_term_signed_row(b: int, c: int, d: int, a: int, sign: int) -> tuple:
-    """``_signed_row``, built afresh when min(b, c) or min(d, a) passes _SHORT_ROW."""
-    if min(b, c) > _SHORT_ROW or min(d, a) > _SHORT_ROW:
-        return _signed_row.__wrapped__(b, c, d, a, sign)
-    return _signed_row(b, c, d, a, sign)
+    row, s, t = [], 1, sign
+    for m in range(max(min(b, c), min(d, a)) + 1):
+        if s + t:
+            row.append((m, s + t))
+        s = -s * (b - m) * (c - m) // (m + 1)
+        t = -t * (d - m) * (a - m) // (m + 1)
+    return tuple(row)
 
 
 # swap-row entries times (output degree + 1); the largest accepted product,
@@ -155,13 +145,12 @@ def _accumulate(acc: dict, xs: Iterable, ys: Sequence, sign: int, step: int) -> 
     {code: [re, im]} of acc, over coded terms (i, j, u·i + v·j, re, im) with
     u + v = step: swap term m of a pair lands on the pair's code − m·step."""
     for a, b, xc, xr, xi in xs:
-        # only a term with an exponent past _SHORT_ROW can pair into a long row
-        signed_row = _signed_row if a <= _SHORT_ROW and b <= _SHORT_ROW else _long_term_signed_row
+        row_of = _signed_row if a <= _SHORT_ROW and b <= _SHORT_ROW else _signed_row.__wrapped__
         for c, d, yc, yr, yi in ys:
             re = xr * yr - xi * yi
             im = xr * yi + xi * yr
             code = xc + yc
-            row = signed_row(b, c, d, a, sign) if sign else _swap_row(b, c)
+            row = row_of(b, c, d, a, sign) if sign else row_of(b, c, 0, 0, 0)
             if im:
                 for m, k in row:
                     if (cell := acc.get(key := code - m * step)) is None:
@@ -213,7 +202,7 @@ def _scaled(x: "WeylElement", a: int, b: int, d: int) -> "WeylElement":
 
 def linear_combination(pairs: Iterable[tuple[ScalarLike, "WeylElement"]]) -> "WeylElement":
     """Σ c·x over (c, x) pairs, as Gaussian integers over the lcm of the c.d·D_x."""
-    return _sum([(*_triple(c), x) for c, x in pairs])
+    return _sum([(*_triple(c), _as_element(x, "linear_combination")) for c, x in pairs])
 
 
 class WeylElement:
@@ -441,9 +430,9 @@ def symmetrize(t) -> WeylElement:
 
 
 def _delta_monomial(i: int, j: int) -> WeylElement:
-    """δ(p^⊙i ⊙ q^⊙j): the swap row of (i, j), its k-th entry over 2^k."""
-    top = min(i, j)
-    return _make({(i - k, j - k): (c << (top - k), 0) for k, c in _swap_row(i, j)}, 1 << top)
+    """δ(p^⊙i ⊙ q^⊙j): the swap row of (i, j), built afresh, its k-th entry over 2^k."""
+    top, row = min(i, j), _signed_row.__wrapped__(i, j, 0, 0, 0)
+    return _make({(i - k, j - k): (c << (top - k), 0) for k, c in row}, 1 << top)
 
 
 def wn_components(x: WeylElement) -> dict[int, WeylElement]:
@@ -510,6 +499,7 @@ class ElementSpan:
 
     def insert(self, x: WeylElement) -> Optional[WeylElement]:
         """Add a generator; returns the new pivot row if the span grew."""
+        x = _as_element(x, "ElementSpan")
         return self._new_row() if self._echelon.insert(x.num, x.den) else None
 
     def insert_coordinates(self, x: WeylElement) -> tuple[dict, int]:
@@ -538,12 +528,6 @@ class ElementSpan:
         return [_make(num, n) for num, n in self._echelon.reduced_rows()]
 
 
-def linear_span_dim(xs: Sequence[WeylElement]):
-    """Dimension of the span of xs, plus a canonical echelonised basis."""
-    span = ElementSpan(xs)
-    return span.dim, span.reduced_basis()
-
-
 def _independent_span(xs: Sequence[WeylElement], message: str) -> ElementSpan:
     """The span of xs; raises NotInjective(message) if xs are linearly dependent."""
     span = ElementSpan(xs)
@@ -554,7 +538,8 @@ def _independent_span(xs: Sequence[WeylElement], message: str) -> ElementSpan:
 
 def coordinates(x: WeylElement, basis: Sequence[WeylElement]) -> Optional[list[Scalar]]:
     """Coordinates of x in the given (independent) basis; None if outside."""
-    return _independent_span(basis, "basis elements are linearly dependent").express(x)
+    span = _independent_span(basis, "basis elements are linearly dependent")
+    return span.express(_as_element(x, "coordinates"))
 
 
 # -- text forms -----------------------------------------------------------------

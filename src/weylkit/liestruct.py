@@ -263,6 +263,7 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
     """Certify that the images realise the structure constants exactly."""
     if len(images) != algebra.dim:
         raise BadParams("one image per basis vector required")
+    images = [_as_element(x, "verify_realization") for x in images]
     _independent_span(images, "realisation images are linearly dependent")
     for i, j in combinations(range(algebra.dim), 2):
         expected = _sum([(a, b, algebra._den, images[k])
@@ -271,7 +272,7 @@ def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement])
             raise NotHomomorphism(
                 f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
                 f"does not match the structure constants")
-    return Realization(algebra, list(images))
+    return Realization(algebra, images)
 
 
 # -- coordinate subspace helpers ----------------------------------------------------

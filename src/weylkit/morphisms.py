@@ -39,7 +39,7 @@ from .scalars import ONE, Scalar, _ScalarScanner, as_scalar
 __all__ = [
     "WeylMorphism", "identity_morphism", "phi", "phi_prime", "scale",
     "translation", "SL2Element", "alpha1_hat", "beta_hat", "sl2_semidirect_aut",
-    "apply", "compose", "invert", "exp_ad",
+    "compose", "invert", "exp_ad",
     "RGroupElement", "r_group_identity", "r_group_mul", "r_group_inv", "r_to_aut",
     "LTildeGroupElement", "ltilde_group_identity", "ltilde_group_mul",
     "ltilde_group_inv", "ltilde_to_aut",
@@ -117,11 +117,6 @@ def _mk(image_p: WeylElement, image_q: WeylElement,
 
 def identity_morphism() -> WeylMorphism:
     return _mk(p, q, (p, q))
-
-
-def apply(m: WeylMorphism, x: WeylElement) -> WeylElement:
-    """The image of x; multiplicative and bracket-preserving."""
-    return m(x)
 
 
 def compose(m1: WeylMorphism, m2: WeylMorphism) -> WeylMorphism:

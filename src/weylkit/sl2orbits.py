@@ -11,9 +11,10 @@ On top of them:
   matrices written out over the basis (e₊, e₋, e₀);
 * a pointwise isotropy check, for the isotropy morphisms α̂₁ and β̂ of both
   families, which live in morphisms with SL2Element and are re-exported here:
-  the module ``__getattr__`` reads the three names from morphisms on each
-  access, so ``from weylkit.sl2orbits import SL2Element`` works while a
-  command that never touches a morphism does not load that module;
+  the module ``__getattr__`` reads each of the three names from morphisms on
+  its first access and binds it here, so ``from weylkit.sl2orbits import
+  SL2Element`` works while a command that never touches a morphism does not
+  load that module;
 * the exotic triplet, the images of x, y+hx+xh-4x³, h-4x² under f_II(1),
   with a report adjudicating between the two transposed expansions of its H
   that circulate in print;
@@ -43,11 +44,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """The re-exports of morphisms, read from it on each access."""
+    """The re-exports of morphisms, read from it and bound here on first access."""
     if name not in ("SL2Element", "alpha1_hat", "beta_hat"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import weylkit.morphisms as morphisms
-    return getattr(morphisms, name)
+    value = globals()[name] = getattr(morphisms, name)
+    return value
 
 
 class Sl2Realization(NamedTuple):

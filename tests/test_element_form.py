@@ -1,18 +1,19 @@
 """Elements as Gaussian-integer numerators over one denominator: the canonical
-form, the bounded row caches, and a differential check against the frozen
+form, the bounded row cache, and a differential check against the frozen
 Scalar-term element (``tests/scalar_element.py``), batched morphism application
 and the group action included."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weylkit import Scalar, WeylElement, elements
-from weylkit.elements import (_SHORT_ROW, _SIGNED_CACHE, _SWAP_CACHE, ElementSpan, _signed_row,
-                              _swap_row, anticommutator, bracket, format_element,
+from weylkit.elements import (_ROW_CACHE, _SHORT_ROW, ElementSpan, _signed_row,
+                              anticommutator, bracket, format_element,
                               linear_combination, one, p, q, weight_decompose, wn_components,
                               zero)
 from weylkit.morphisms import (_apply_images, compose, invert, phi, phi_prime, scale,
@@ -284,21 +285,39 @@ def test_equal_values_by_different_routes_are_equal_and_hash_equal():
     assert (p.scale(third) * 3).den == 1
 
 
-# -- the bounded row caches -------------------------------------------------------------
+# -- the bounded row cache --------------------------------------------------------------
 
 
-def test_the_row_caches_stay_under_their_bounds():
-    # more distinct rows than either cache holds, through the kernel and directly
-    _swap_row.cache_clear()
+def test_the_row_cache_stays_under_its_bound():
+    # more distinct short keys than the cache holds, all through the kernel:
+    # one bracket, anticommutator and product per pair of short monomials
     _signed_row.cache_clear()
-    for a, b, c, d in itertools.product(range(7), repeat=4):
-        bracket(WeylElement.monomial(a, b), WeylElement.monomial(c, d))
-    for j, k in itertools.product(range(92), repeat=2):
-        _swap_row(j, k)
-    swap, signed = _swap_row.cache_info(), _signed_row.cache_info()
-    assert swap.maxsize == _SWAP_CACHE and signed.maxsize == _SIGNED_CACHE
-    assert swap.currsize <= _SWAP_CACHE < swap.misses
-    assert signed.currsize <= _SIGNED_CACHE < signed.misses
+    for a, b, c, d in itertools.product(range(_SHORT_ROW + 1), repeat=4):
+        x, y = WeylElement.monomial(a, b), WeylElement.monomial(c, d)
+        bracket(x, y)
+        anticommutator(x, y)
+        x * y
+    info = _signed_row.cache_info()
+    assert info.maxsize == _ROW_CACHE
+    assert info.currsize <= _ROW_CACHE < info.misses
+
+
+def test_long_terms_leave_the_row_cache_alone():
+    # products and brackets of q^k with p^(k+1) walk rows of k + 1 terms: none
+    # is cached, so no memory is retained past the call
+    xs = [(WeylElement.monomial(0, k), WeylElement.monomial(k + 1, 0)) for k in range(300, 340)]
+    before = _signed_row.cache_info().currsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for x, y in xs:
+            x * y
+            bracket(x, y)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert _signed_row.cache_info().currsize == before
+    assert retained < 500_000
 
 
 def test_long_signed_rows_are_built_afresh():
@@ -310,4 +329,5 @@ def test_long_signed_rows_are_built_afresh():
     _signed_row.cache_clear()
     assert_same(bracket(x, y), frozen.bracket(_old(x), _old(y)))
     assert_same(anticommutator(x, y), frozen.anticommutator(_old(x), _old(y)))
-    assert _signed_row.cache_info().currsize == 8  # the four short pairs, once per sign
+    # only the short x-term (2, 1) reads the cache: its three pairs, once per sign
+    assert _signed_row.cache_info().currsize == 6

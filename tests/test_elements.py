@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 import weylkit
 from weylkit import Scalar, WeylElement, bracket, ad_pow, symmetrize
 from weylkit.elements import (ElementSpan, SymTensor, _signed_row,
-                              _swap_row, anticommutator, coordinates, format_element,
-                              linear_combination, linear_span_dim, one, parse_element, p, q,
+                              anticommutator, coordinates, format_element,
+                              linear_combination, one, parse_element, p, q,
                               weight_decompose, wn_components, zero)
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
                              is_exponentiable, power_relation)
 from weylkit.errors import BadParams, ExprSyntaxError, WeylError
+from weylkit.liestruct import LieAlgebraStruct, verify_realization
 from weylkit.morphisms import WeylMorphism, exp_ad, phi
 from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II, triplet_check
 
@@ -296,9 +297,9 @@ def test_span_matches_the_reference_elimination(gens, data):
     assert new.reduced_basis() == ref.reduced_basis()
 
 
-def test_linear_span_dim_and_coordinates():
-    dim, basis = linear_span_dim([p, q, parse_element("p + q"), zero])
-    assert dim == 2 and len(basis) == 2
+def test_span_dim_and_coordinates():
+    span = ElementSpan([p, q, parse_element("p + q"), zero])
+    assert span.dim == 2 and len(span.reduced_basis()) == 2
     assert coordinates(parse_element("p - 2*q"), [p, q]) == [Scalar(1), Scalar(-2)]
     assert coordinates(one, [p, q]) is None
 
@@ -447,16 +448,20 @@ def test_kernel_matches_the_scalar_loop(pair):
         _assert_canonical(value)
 
 
+def _binomial_row(j: int, k: int) -> tuple:
+    return tuple((m, (-1) ** m * math.comb(j, m) * math.comb(k, m) * math.factorial(m))
+                 for m in range(min(j, k) + 1))
+
+
 def test_swap_rows_by_the_ratio_match_the_binomial_form():
+    # the swap row is the signed row of sign 0
     for j, k in itertools.product(range(41), repeat=2):
-        assert _swap_row(j, k) == tuple(
-            (m, (-1) ** m * math.comb(j, m) * math.comb(k, m) * math.factorial(m))
-            for m in range(min(j, k) + 1))
+        assert _signed_row.__wrapped__(j, k, 0, 0, 0) == _binomial_row(j, k)
 
 
 def test_signed_rows_are_the_termwise_sum_and_difference_of_swap_rows():
     for b, c, d, a in itertools.product(range(7), repeat=4):
-        first, second = dict(_swap_row(b, c)), dict(_swap_row(d, a))
+        first, second = dict(_binomial_row(b, c)), dict(_binomial_row(d, a))
         for sign in (1, -1):
             want = [(m, k) for m in range(max(min(b, c), min(d, a)) + 1)
                     if (k := first.get(m, 0) + sign * second.get(m, 0))]
@@ -496,19 +501,19 @@ from fractions import Fraction
 from weylkit.elements import WeylElement, ad_pow, p, q, zero
 from weylkit.errors import BadParams
 from weylkit.liestruct import LieAlgebraStruct
-from weylkit.morphisms import apply, phi
+from weylkit.morphisms import phi
 for call in (lambda: p ** -1, lambda: WeylElement.monomial(-1, 0),
              lambda: WeylElement.monomial(0, -2), lambda: ad_pow(p, q, -1),
              lambda: WeylElement({(-1, 0): 1}), lambda: WeylElement({(1.5, 0): 1}),
              lambda: zero.leading_monomial(),
              lambda: LieAlgebraStruct(2, ["a"], {}),
-             lambda: phi(1, 2)("p"), lambda: apply(phi(1, 2), None)):
+             lambda: phi(1, 2)("p"), lambda: phi(1, 2)(None)):
     try:
         call()
     except BadParams:
         continue
     raise SystemExit("no BadParams")
-if phi(1, 2)(3) != 3 or apply(phi(1, 2), Fraction(1, 2)) != Fraction(1, 2):
+if phi(1, 2)(3) != 3 or phi(1, 2)(Fraction(1, 2)) != Fraction(1, 2):
     raise SystemExit("a scalar did not map to itself")
 """
     src = str(Path(weylkit.__file__).resolve().parent.parent)
@@ -594,6 +599,26 @@ def test_element_arguments_take_scalars_and_refuse_anything_else(fn, args):
         for bad in ("p", None, [p]):
             with pytest.raises(BadParams, match=f"^{fn.__name__} takes elements and scalars"):
                 call(bad)
+
+
+_ABELIAN = LieAlgebraStruct(2, ["a", "b"], {})
+_NESTED_CALLS = {
+    "linear_combination": lambda x: linear_combination([(1, p), (2, x)]),
+    "coordinates": lambda x: coordinates(x, [one, p]),
+    "ElementSpan": lambda x: ElementSpan([p, x]).reduced_basis(),
+    "ElementSpan.insert": lambda x: ElementSpan([p]).insert(x),
+    "verify_realization": lambda x: verify_realization(_ABELIAN, [p, x]).images,
+}
+
+
+@pytest.mark.parametrize("name", _NESTED_CALLS)
+def test_elements_in_sequences_take_scalars_and_refuse_anything_else(name):
+    # an element handed inside a pair or a list is read as a direct argument is
+    call = _NESTED_CALLS[name]
+    assert _outcome(lambda: call(3)) == _outcome(lambda: call(one.scale(3)))
+    for bad in ("p", None, [p]):
+        with pytest.raises(BadParams, match=f"^{name.split('.')[0]} takes elements and scalars"):
+            call(bad)
 
 
 def test_right_multiplication_is_the_product():

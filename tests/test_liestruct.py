@@ -19,7 +19,7 @@ from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_bas
                                filiform_normal_basis, invariants, lie_closure,
                                normalize_tag, quotient_by_center, recognize,
                                verify_realization, weight_spaces)
-from weylkit.morphisms import apply, compose, phi, phi_prime
+from weylkit.morphisms import compose, phi, phi_prime
 from weylkit.scalars import ONE, ZERO, _clear, _norm
 
 from . import scalar_struct as frozen
@@ -456,7 +456,7 @@ def test_recognize_is_basis_independent():
 def test_recognize_after_conjugated_closure():
     m = compose(phi_prime(2, S(1, 1)), phi(1, -2))
     entry = catalog(CatalogTag("LTilde", 3))
-    gens = [apply(m, x) for x in entry.realization.images]
+    gens = [m(x) for x in entry.realization.images]
     real = lie_closure(gens)
     assert recognize(real.algebra) == CatalogTag("LTilde", 3)
 
@@ -659,7 +659,7 @@ def test_filiform_normal_basis_survives_conjugation():
                     compose(phi_prime(3, S(0, 1)), phi(1, S(2, -1))))
     for n, m in itertools.product(range(2, 7), conjugations):
         images = catalog(CatalogTag("L", n)).realization.images
-        chain = filiform_normal_basis(lie_closure([apply(m, x) for x in images]))
+        chain = filiform_normal_basis(lie_closure([m(x) for x in images]))
         assert len(chain) == n + 1
         for k in range(1, n):
             assert bracket(chain[0], chain[k]) == chain[k + 1]
@@ -805,7 +805,7 @@ def test_library_tables_skip_the_jacobi_check(monkeypatch):
     built = [catalog(tag).algebra for tag in REALISED_TAGS]
     built += [lie_closure([parse_element(g) for g in gens]).algebra
               for gens in (["p^2", "q^2"], ["p*q", "p^3", "p"], ["p", "q", "p*q"])]
-    built.append(lie_closure([apply(m, x) for x in
+    built.append(lie_closure([m(x) for x in
                               catalog(CatalogTag("LTilde", 3)).realization.images]).algebra)
     rng = random.Random(5)
     for algebra in built[:] + outside:

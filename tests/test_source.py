@@ -71,6 +71,8 @@ import weylkit.morphisms as morphisms
 for name in ("SL2Element", "alpha1_hat", "beta_hat"):
     if getattr(sl2, name) is not getattr(morphisms, name):
         raise SystemExit(f"sl2orbits.{{name}} is not morphisms.{{name}}")
+    if name not in vars(sl2):
+        raise SystemExit(f"sl2orbits.{{name}} is not bound after its first access")
 for name in {modules!r}:
     module = importlib.import_module(name)
     exports = getattr(module, "__all__", ())
@@ -167,16 +169,18 @@ def test_each_reader_and_accumulator_is_defined_once():
 
 def test_one_row_walk_reads_the_swap_rows():
     # products, brackets, anticommutators and the eigenvector columns of
-    # dixmier all walk their rows in elements._accumulate; besides it only the
-    # row builders read one another, and _delta_monomial reads a swap row as
-    # the Weyl-ordering coefficients, so no second walk can grow elsewhere
-    rows = {"_swap_row", "_signed_row", "_long_term_signed_row"}
-    allowed = {("elements.py", name) for name in
-               ("_accumulate", "_signed_row", "_long_term_signed_row", "_delta_monomial")}
-    found, walked = [], set()
+    # dixmier all walk their rows in elements._accumulate, from the one row
+    # builder _signed_row; besides it only _delta_monomial reads a swap row, as
+    # the Weyl-ordering coefficients, so no second walk, builder or cache can
+    # grow elsewhere
+    rows = {"_signed_row"}
+    allowed = {("elements.py", name) for name in ("_accumulate", "_delta_monomial")}
+    found, walked, cached = [], set(), []
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(top, "name", None)
+            cached += [(path.name, owner) for d in getattr(top, "decorator_list", ())
+                       if "cache" in ast.unparse(d)]
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if isinstance(node, ast.ImportFrom):
@@ -187,6 +191,7 @@ def test_one_row_walk_reads_the_swap_rows():
                 elif name in rows and owner == "_accumulate":
                     walked.add(name)
     assert walked == rows
+    assert cached == [("elements.py", "_signed_row")]
     assert not found, found
 
 
