@@ -733,9 +733,23 @@ CATALOG_CLASSES = ([CatalogTag("Abelian", n) for n in (1, 3)]
                    + [CatalogTag("LTildeModC", n) for n in range(2, 7)]
                    + [CatalogTag("R", idx) for idx in ((1,), (1, 3), (2, 4), (0, 1, 3),
                                                        (2, 3, 7), (0, 2, 5))])
+# one hand table per exit of recognize that no catalog class or near miss
+# reaches, with its outcome: two one-generator pieces (codimension 2 over
+# derived + centre), a Jordan block on the abelian derived algebra, a repeated
+# weight, LTilde(3) with a second central vector, weights ±i (the real form of
+# LTildeModC(2)) and weights ±√2, outside Q(i)
+HAND_TABLES = {
+    "R(1) + R(1)": (4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, CatalogTag("Unknown")),
+    "Jordan block on D": (3, {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}}, CatalogTag("Unknown")),
+    "repeated weight": (3, {(0, 1): {1: 1}, (0, 2): {2: 1}}, CatalogTag("Unknown")),
+    "LTilde(3) + C": (6, {(0, 1): {1: 1}, (0, 2): {2: -2}, (0, 3): {3: -1}, (1, 2): {3: 1},
+                          (1, 3): {4: 1}}, CatalogTag("Unknown")),
+    "weights +-i": (3, {(0, 1): {2: 1}, (0, 2): {1: -1}}, CatalogTag("LTildeModC", 2)),
+    "weights +-sqrt2": (3, {(0, 1): {2: 1}, (0, 2): {1: 2}}, IrrationalSpectrum),
+}
 TABLES = {**{str(tag): (lambda tag=tag: catalog(tag).algebra) for tag in CATALOG_CLASSES},
           **{name: (lambda dim=dim, c=c: LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c))
-             for name, (dim, c) in NEAR_MISSES.items()}}
+             for name, (dim, c, *_) in {**NEAR_MISSES, **HAND_TABLES}.items()}}
 _QI = st.sampled_from([S(0), S(1), S(-1), S(2), S(0, 1), S(1, -1), S(Fraction(1, 2)),
                        S(Fraction(-1, 3), 1)])
 
@@ -776,6 +790,20 @@ def test_integer_table_matches_the_scalar_table_on_the_catalog_and_near_misses(n
     reference = frozen.ScalarStruct(algebra.dim, algebra.labels, algebra.c)
     _assert_agrees(algebra, reference)
     _assert_basis_change_agrees(algebra, reference, data)
+
+
+@pytest.mark.parametrize("name", HAND_TABLES)
+def test_recognize_reaches_each_exit_of_the_hand_tables(name, monkeypatch):
+    # a Jordan block leaves before the weights are read; counting algebraic
+    # multiplicities instead of eigenvectors would read them as a repeated weight
+    algebra = TABLES[name]()
+    profiles = []
+    read = liestruct._integer_profile
+    monkeypatch.setattr(liestruct, "_integer_profile",
+                        lambda eigs: profiles.append(read(eigs)) or profiles[-1])
+    assert _outcome(recognize, algebra) == HAND_TABLES[name][2]
+    expected = {"repeated weight": [[1, 1]], "weights +-i": [[1, -1]]}
+    assert profiles == expected.get(name, [])
 
 
 @given(struct_table_st(), st.data())
