@@ -18,7 +18,7 @@ reach, so this module provides exactly what is decidable:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .elements import (ElementSpan, WeylElement, _accumulate, _as_element, _coded, _make,
                        _term_order, bracket, p, q)
@@ -145,14 +145,13 @@ class ExponentiabilityReport(NamedTuple):
 DEFAULT_PROBES = (p, q, p * q, p * p, q * q)
 
 
-def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PROBES,
-                     max_iter: int = 64) -> ExponentiabilityReport:
+def is_exponentiable(x: WeylElement, max_iter: int = 64) -> ExponentiabilityReport:
     """Decide or gather evidence on whether ad(x) exponentiates.
 
     Positive answers come from the low-degree decision procedure or from
     recognising a polynomial in p alone (or q alone), which acts locally
-    nilpotently.  Negative evidence is a probe whose ad-orbit span keeps
-    growing: such an element lies outside both exponentiable classes.
+    nilpotently.  Negative evidence is a default probe whose ad-orbit span
+    keeps growing: such an element lies outside both exponentiable classes.
     """
     _check_count(max_iter, 1, "the iteration budget must be at least 1, got {!r}")
     x = _as_element(x, "is_exponentiable")
@@ -166,7 +165,7 @@ def is_exponentiable(x: WeylElement, probes: Sequence[WeylElement] = DEFAULT_PRO
             max_iter=max_iter)
     if x.degree() <= 2:
         return ExponentiabilityReport("yes", classify_low_degree(x), max_iter=max_iter)
-    for probe in probes:
+    for probe in DEFAULT_PROBES:
         if not f_test(x, probe, max_iter).stabilized:
             return ExponentiabilityReport("no_evidence", witness=probe, max_iter=max_iter)
     return ExponentiabilityReport("undetermined", max_iter=max_iter)

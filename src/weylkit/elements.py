@@ -213,11 +213,12 @@ class WeylElement:
 
     def __init__(self, terms: Optional[dict] = None):
         """The element Σ c·p^i q^j of a dict {(i, j): Scalar, int or Fraction}."""
+        terms = {} if terms is None else terms
+        if not isinstance(terms, dict) or not all(
+                isinstance(m, tuple) and len(m) == 2 and all(map(_is_count, m)) for m in terms):
+            raise BadParams("an element is a dict {(i, j): coefficient} over exponents i, j >= 0")
         # each coefficient is in lowest terms, so over the lcm of the d the content is one
-        (self.num,), self.den = _clear(terms or {})
-        for i, j in terms or {}:
-            if not (_is_count(i) and _is_count(j)):
-                raise BadParams(f"monomial exponents must be nonnegative, got p^{i} q^{j}")
+        (self.num,), self.den = _clear(terms)
 
     @staticmethod
     def monomial(i: int, j: int, coeff: ScalarLike = 1) -> "WeylElement":
@@ -401,9 +402,11 @@ class SymTensor:
     __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable):
+        factors = list(factors) if isinstance(factors, Iterable) else None
+        if not factors or not all(isinstance(f, Sequence) and len(f) == 2 for f in factors):
+            raise BadParams("a symmetric tensor is a nonempty sequence of pairs (a, b), "
+                            "each standing for a*p + b*q")
         self.factors = tuple((_triple(a), _triple(b)) for a, b in factors)
-        if not self.factors:
-            raise BadParams("symmetric tensor needs at least one factor")
 
     def __len__(self):
         return len(self.factors)
@@ -499,7 +502,8 @@ class ElementSpan:
 
     def insert(self, x: WeylElement) -> Optional[WeylElement]:
         """Add a generator; returns the new pivot row if the span grew."""
-        x = _as_element(x, "ElementSpan")
+        if type(x) is not WeylElement:  # lie_closure has read its generators already
+            x = _as_element(x, "ElementSpan")
         return self._new_row() if self._echelon.insert(x.num, x.den) else None
 
     def insert_coordinates(self, x: WeylElement) -> tuple[dict, int]:

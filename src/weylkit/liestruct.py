@@ -364,15 +364,6 @@ def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAl
 # -- recognition --------------------------------------------------------------------
 
 
-def _filiform_parameter(lower_dims: list[int]) -> Optional[int]:
-    """n if the profile is the filiform one (n+1, n-1, n-2, …, 1, 0)."""
-    if len(lower_dims) < 2 or lower_dims[-1] != 0:
-        return None
-    n = lower_dims[0] - 1
-    expected = [n + 1] + list(range(n - 1, -1, -1))
-    return n if lower_dims == expected and n >= 2 else None
-
-
 def _integer_profile(eigs: list[Scalar]) -> list[int]:
     """The nonzero eigenvalues over the first, as a primitive integer vector
     with a positive first entry, on the parts of e = (a + b·i)/d: e/e₀ is
@@ -387,29 +378,35 @@ def _integer_profile(eigs: list[Scalar]) -> list[int]:
     return [n // g for n in profile]
 
 
-def _model_filiform(algebra: LieAlgebraStruct, rows, derived_rows) -> bool:
-    """Whether the centraliser C in V = span(rows) of D = span(derived_rows) is
-    abelian of codimension 1, for independent rows with D = [V, V] of
-    codimension 2: C is the relations among the columns ad(u)|D, u in rows.
-    Codimension 1 makes C abelian: C ∩ D is the centre of D, of codimension at
-    most 1 in D, so D is abelian, lies in C and C = D + one vector centralising D."""
+def _filiform(algebra: LieAlgebraStruct, lower_dims: list[int], rows,
+              derived_rows) -> Optional[int]:
+    """n if V = span(rows), independent, is L(n): its lower-central profile is
+    (n+1, n-1, n-2, …, 1, 0) with n ≥ 2 and, for n ≥ 3, the centraliser C in V
+    of D = span(derived_rows) = [V, V] has codimension 1 (in Vergne's Q_n it
+    does not).  C is the relations among the columns ad(u)|D, u in rows; at
+    codimension 1, C ∩ D is the centre of D, of codimension at most 1 in D, so
+    D is abelian, lies in C and C = D + one vector centralising D."""
+    n = lower_dims[0] - 1
+    if n < 2 or lower_dims != [n + 1] + list(range(n - 1, -1, -1)):
+        return None
+    if n == 2:  # the Heisenberg algebra, whose derived algebra is its centre
+        return n
     columns = [{(r, k): z for r, d in enumerate(derived_rows)
                 for k, z in algebra._bracket(u, d).items()} for u in rows]
-    return len(integer_kernel(columns)) == len(rows) - 1
+    return n if len(integer_kernel(columns)) == len(rows) - 1 else None
 
 
 def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
     """Map a structure back to its normalised catalog tag.
 
     The decision tree follows the classification: abelian and nilpotent
-    cases by the lower-central profile, a filiform one L(m) with m ≥ 3 only
-    when the centraliser of [g, g] is abelian of codimension 1 (in Vergne's
-    Q_n it is not); solvable non-nilpotent ones by diagonalising a complement
-    generator on the derived algebra (abelian derived: the diagonal
-    families; filiform derived D, under the same centraliser test on D and
-    [D, D]: the extended families, separated by their centres); non-solvable
-    ones by Levi's theorem from dimension, perfectness and centre: 3 is sl2,
-    4 is sl2 × C, 5 and perfect is sl2 ⋉ C², 6, perfect with a 1-dimensional
+    cases by ``_filiform`` on g; solvable non-nilpotent ones by a generator h
+    over derived + centre: on an abelian derived algebra D, the diagonal
+    families by the weights of ad(h), read off the table's columns as
+    ``weight_spaces`` reads them; on a filiform D, by ``_filiform`` on D, the
+    extended families, separated by their centres; non-solvable ones by
+    Levi's theorem from dimension, perfectness and centre: 3 is sl2, 4 is
+    sl2 × C, 5 and perfect is sl2 ⋉ C², 6, perfect with a 1-dimensional
     centre is sl2 ⋉ H3.  Anything else is Unknown.
     """
     inv, series, center = _invariants(algebra)
@@ -418,10 +415,8 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
         return CatalogTag("Abelian", n)
     full = [{i: (1, 0)} for i in range(n)]
     if inv.nilpotent:
-        m = _filiform_parameter(inv.lower_central_dims)
-        if m is None or (m >= 3 and not _model_filiform(algebra, full, series[0].rows)):
-            return CatalogTag("Unknown")
-        return normalize_tag(CatalogTag("L", m))
+        m = _filiform(algebra, inv.lower_central_dims, full, series[0].rows)
+        return CatalogTag("Unknown") if m is None else normalize_tag(CatalogTag("L", m))
     derived = series[0]
     if inv.solvable:
         # the catalog solvables are all one generator over derived + centre
@@ -430,15 +425,12 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
             return CatalogTag("Unknown")
         h = next(i for i in range(n) if not ext.contains(full[i]))
         if inv.derived_series_dims[2] == 0:
-            # abelian derived algebra (an ideal): diagonalise ad(h) on its integer rows
-            basis = Echelon(derived.rows)
-            ad = [basis.express(algebra._bracket({h: (1, 0)}, d), algebra._den)
-                  for d in derived.rows]
-            den = math.lcm(*(m for _, m in ad))
-            columns = [{k: (a * (den // m), b * (den // m)) for k, (a, b) in num.items()}
-                       for num, m in ad]
-            eigs = [lam for lam, rels in eigen_decomposition(columns, den) for _ in rels]
-            if len(eigs) != derived.dim or not all(eigs):
+            # abelian derived D = [h, D]: ad(h) maps g onto D, so its eigenvectors
+            # of nonzero weight lie in D and span it iff ad(h)|D diagonalises
+            decomp = eigen_decomposition([algebra._num.get((h, j), {}) for j in range(n)],
+                                         algebra._den)
+            eigs = [lam for lam, rels in decomp if lam for _ in rels]
+            if len(eigs) != derived.dim:
                 return CatalogTag("Unknown")
             profile = _integer_profile(eigs)
             if center.dim > 1:
@@ -454,9 +446,9 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
             return CatalogTag("Unknown")
         # non-abelian derived algebra: the extended filiform families
         lower = _series(algebra, derived.rows, series[1], derived=False)
-        m = _filiform_parameter([derived.dim] + [t.dim for t in lower])
-        if m is None or (m >= 3 and not _model_filiform(algebra, derived.rows,
-                                                         series[1].rows)):
+        m = _filiform(algebra, [derived.dim] + [t.dim for t in lower], derived.rows,
+                      series[1].rows)
+        if m is None:
             return CatalogTag("Unknown")
         if center.dim == 1 and n == m + 2:
             return CatalogTag("LTilde", m)

@@ -154,7 +154,7 @@ class Scalar:
         return other / self
 
     def __pow__(self, n: int) -> "Scalar":
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         if n < 0:
             return (ONE / self) ** (-n)

@@ -568,6 +568,17 @@ def test_elements_refuse_strings_and_other_non_numbers_as_coefficients(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WeylElement({(0,): 1}), lambda: WeylElement({1: 1}), lambda: WeylElement([1]),
+    lambda: WeylElement({(True, 0): 1}), lambda: SymTensor([1]), lambda: SymTensor([(1, 2, 3)]),
+    lambda: SymTensor(1), lambda: SymTensor([]), lambda: p ** True,
+])
+def test_elements_refuse_malformed_containers_and_bool_exponents(build):
+    # an element is a dict keyed by exponent pairs, a word a sequence of pairs
+    with pytest.raises(BadParams):
+        build()
+
+
 def _outcome(call):
     """A call's result, or the class of the library error it raised."""
     try:

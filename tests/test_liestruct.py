@@ -872,7 +872,7 @@ def test_lie_closure_reads_a_scalar_generator_as_its_element():
     assert lie_closure([1]).images == [one]
     assert lie_closure([p, Fraction(1, 2)]).images == [p, one]
     for bad in (["p"], [p, 1.5], [None]):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^lie_closure takes"):
             lie_closure(bad)
 
 

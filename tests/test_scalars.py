@@ -35,6 +35,10 @@ def test_inverse_and_powers():
     assert s ** 0 == ONE
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+    # True is no exponent, as for elements, though it multiplies like 1
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            s ** bad
 
 
 def test_is_integer():

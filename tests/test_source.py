@@ -205,7 +205,7 @@ def test_structure_invariants_run_on_the_integer_table():
     # ad-matrix too: the one Scalar built is each eigenvalue ``eigenvalues``
     # returns.  An annotation builds nothing, so it is not read
     scoped = {"liestruct.py": {"_derived_span", "_series", "_center", "_invariants",
-                               "_model_filiform", "recognize", "verify_realization",
+                               "_filiform", "recognize", "verify_realization",
                                "lie_closure", "_struct_from_images", "quotient_by_center",
                                "_built", "weight_spaces"},
               "linalg.py": {"integer_kernel", "Echelon.reduced_rows", "Echelon._reduce",
