@@ -478,7 +478,8 @@ class ElementSpan:
     Pivots are leading monomials in printing order, normalised to
     coefficient one; ``rows`` keeps the pivot rows in insertion order, and
     each carries its expression over the inserted generators, so membership
-    queries can report exact coordinates.
+    queries can report exact coordinates.  Each method reads a scalar as its
+    constant element and refuses anything else, behind one ``type`` test.
     """
 
     def __init__(self, xs: Iterable[WeylElement] = ()):
@@ -502,28 +503,31 @@ class ElementSpan:
 
     def insert(self, x: WeylElement) -> Optional[WeylElement]:
         """Add a generator; returns the new pivot row if the span grew."""
-        if type(x) is not WeylElement:  # lie_closure has read its generators already
-            x = _as_element(x, "ElementSpan")
+        x = x if type(x) is WeylElement else _as_element(x, "ElementSpan")
         return self._new_row() if self._echelon.insert(x.num, x.den) else None
 
     def insert_coordinates(self, x: WeylElement) -> tuple[dict, int]:
         """Add x as ``insert`` does; returns its coordinates over the pivot rows,
         counting the row it adds, if any, as (num, n): num[r]/n over Z[i]."""
+        x = x if type(x) is WeylElement else _as_element(x, "ElementSpan")
         coords = self._echelon.insert_coordinates(x.num, x.den)
         if self._echelon.dim > len(self.rows):
             self._new_row()
         return coords
 
     def contains(self, x: WeylElement) -> bool:
+        x = x if type(x) is WeylElement else _as_element(x, "ElementSpan")
         return self._echelon.contains(x.num, x.den)
 
     def express(self, x: WeylElement) -> Optional[list[Scalar]]:
         """Coordinates of x over the inserted generators, or None if outside."""
+        x = x if type(x) is WeylElement else _as_element(x, "ElementSpan")
         coords = self._echelon.express(x.num, x.den)
         return None if coords is None else _dense(*coords, self._echelon.ngens)
 
     def row_coordinates(self, x: WeylElement) -> Optional[list[Scalar]]:
         """Coordinates of x over the pivot rows, or None if outside."""
+        x = x if type(x) is WeylElement else _as_element(x, "ElementSpan")
         coords = self._echelon.row_coordinates(x.num, x.den)
         return None if coords is None else _dense(*coords, self.dim)
 

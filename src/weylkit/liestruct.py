@@ -473,78 +473,52 @@ def recognize(algebra: LieAlgebraStruct) -> CatalogTag:
 # -- filiform normal bases ------------------------------------------------------------
 
 
-def _try_chain(span: ElementSpan, images: Sequence[WeylElement],
-               cand_p: WeylElement, cand_q: WeylElement) -> Optional[list[WeylElement]]:
-    """Attempt the normal chain for a pair with [P, Q] = 1.  The seed w = Σ sol_j·x_j
-    solves ad(P)^(dim-3)(w) = Q and [w, Q] = 0: column j holds ad(P)^(dim-3)(x_j),
-    keyed (0, monomial), beside [x_j, Q], keyed (1, monomial), both over Z[i]
-    over the lcm of their denominators.  The chain stands only if it realises
-    the catalog table of L(dim - 1)."""
-    dim = len(images)
-    cols = Echelon()
-    for x in images:
-        x_q = bracket(x, cand_q)
-        if not (span.contains(bracket(cand_p, x)) and span.contains(x_q)):
-            return None
-        halves = (ad_pow(cand_p, x, dim - 3), x_q)
-        den = math.lcm(*(y.den for y in halves))
-        cols.insert({(half, m): (a * (den // y.den), b * (den // y.den))
-                     for half, y in enumerate(halves) for m, (a, b) in y.num.items()}, den)
-    sol = cols.express({(0, m): z for m, z in cand_q.num.items()}, cand_q.den)
-    if sol is None:
-        return None
-    num, n = sol
-    chain = [cand_p, _sum([(a, b, n, images[g]) for g, (a, b) in num.items()])]
-    for _ in range(dim - 2):
-        chain.append(bracket(cand_p, chain[-1]))
-    try:
-        verify_realization(catalog(CatalogTag("L", dim - 1)).algebra, chain)
-    except (NotInjective, NotHomomorphism):
-        return None
-    return chain
-
-
 def filiform_normal_basis(realization: Realization) -> list[WeylElement]:
     """An ordered basis X₀, …, X_n with [X₀, X_k] = X_{k+1} the only relations.
 
-    The tail of the chain is pinned down first: the last nonzero
-    lower-central term must be the scalars, and X_{n-1} is read off the
-    term before it.  A commutation partner — a basis row whose bracket
-    against X_{n-1} is a nonzero scalar — is normalised to [P, X_{n-1}] = 1,
-    the chain seed w is solved from the iterated ad-power of P inside the
-    centraliser of X_{n-1}, and the full bracket table of the resulting
-    chain is verified.
+    One pass over the images.  Their lower-central series γ₀ ⊃ γ₁ ⊃ … is
+    refused when γ₁ = 0 (abelian), when a term does not shrink (not nilpotent)
+    and when its profile is not L(n)'s, (n+1, n-1, …, 1), ending in the
+    scalars; X_{n-1} is the first row of the term before the scalars outside
+    them.  The partner P is the first image with [P, X_{n-1}] ≠ 0, over that
+    scalar; one exists, as the centraliser of a non-scalar in A₁ is abelian.
+    On L(n), P lies outside the abelian ideal I = span(X₁, …, X_n), so
+    ad(P)^(n-2) maps I onto span(X_{n-1}, X_n) and one solve finds the seed
+    X₁ = w in I: ad(P)^(n-2)(w) = X_{n-1} and [w, X_{n-1}] = 0 (w = X_{n-1}
+    for n = 2).  The chain P, w, [P, w], … is checked against L(n)'s table.
     """
-    inv = invariants(realization.algebra)
-    if not inv.nilpotent:
-        raise NotNilpotent("the realised algebra is not nilpotent")
-    if inv.derived_series_dims[1] == 0:
-        raise PreconditionFailed("abelian algebras have no filiform chain")
     images = realization.images
-    span = _independent_span(images, "realisation images are linearly dependent")
-    # lower-central chain of spans, down to the last nonzero term
-    terms = [span]
-    while True:
-        nxt = ElementSpan(bracket(x, row) for x in images for row in terms[-1].rows)
-        if nxt.dim == 0:
-            break
+    n = len(images) - 1
+    terms = [_independent_span(images, "realisation images are linearly dependent")]
+    while (nxt := ElementSpan(bracket(x, row) for x in images for row in terms[-1].rows)).dim:
+        if nxt.dim >= terms[-1].dim:
+            raise NotNilpotent("the realised algebra is not nilpotent")
         terms.append(nxt)
-    last = terms[-1]
-    if last.dim != 1 or not last.rows[0].is_scalar():
-        raise NotInA1Form("the chain does not terminate in the scalars")
-    penultimate = terms[-2]
-    target = next((row for row in penultimate.rows if not last.contains(row)),
-                  None)
-    if target is None:
-        raise NotInA1Form("no direction for the next-to-last chain element")
+    if len(terms) == 1:
+        raise PreconditionFailed("abelian algebras have no filiform chain")
+    if [t.dim for t in terms] != [n + 1, *range(n - 1, 0, -1)] or not terms[-1].rows[0].is_scalar():
+        raise NotInA1Form(f"the lower-central series is not that of L({n}) in A1")
+    x_n1 = next(row for row in terms[-2].rows if not terms[-1].contains(row))
+    # [x, X_{n-1}] lies in the last term, the scalars
+    x0 = next(x / c for x in images if (c := bracket(x, x_n1).constant_term()))
+    # column j holds ad(P)^(n-2)(x_j), keyed (0, monomial), beside [x_j, X_{n-1}],
+    # keyed (1, monomial), both over Z[i] over the lcm of their denominators
+    cols = Echelon()
     for x in images:
-        br = bracket(x, target)
-        if br.is_zero() or not br.is_scalar():
-            continue
-        chain = _try_chain(span, images, x / br.constant_term(), target)
-        if chain is not None:
-            return chain
-    raise NotInA1Form("no commutation pair leads to a working chain")
+        halves = (ad_pow(x0, x, n - 2), bracket(x, x_n1))
+        den = math.lcm(*(y.den for y in halves))
+        cols.insert({(half, m): (a * (den // y.den), b * (den // y.den))
+                     for half, y in enumerate(halves) for m, (a, b) in y.num.items()}, den)
+    if (sol := cols.express({(0, m): z for m, z in x_n1.num.items()}, x_n1.den)) is None:
+        raise NotInA1Form("no chain seed lies in the span of the images")
+    chain = [x0, _sum([(a, b, sol[1], images[g]) for g, (a, b) in sol[0].items()])]
+    for _ in range(n - 1):
+        chain.append(bracket(x0, chain[-1]))
+    try:
+        verify_realization(catalog(CatalogTag("L", n)).algebra, chain)
+    except (NotInjective, NotHomomorphism):
+        raise NotInA1Form(f"the chain does not realise L({n})") from None
+    return chain
 
 
 def weight_spaces(realization: Realization, h_index: int) -> dict[Scalar, list[WeylElement]]:

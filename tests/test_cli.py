@@ -161,6 +161,11 @@ def test_weights_decomposition(capsys):
     assert out.splitlines() == ["-3: q", "0: p*q; 1", "3: p"]
 
 
+def test_weights_of_the_zero_element_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "weights", "0", "p")
+    assert code == 2 and out == "" and "nonzero" in err
+
+
 def test_weights_not_diagonalisable_exits_one(capsys):
     code, _, err = run(capsys, "weights", "q", "p")
     assert code == 1 and "eigenspaces" in err

@@ -151,6 +151,8 @@ def test_power_relation_preconditions():
         power_relation(h, p ** 2, q ** 3)     # opposite signs
     with pytest.raises(PreconditionFailed):
         power_relation(h, p + one, p ** 2)    # not an eigenvector
+    with pytest.raises(PreconditionFailed, match="eigenvalue -1/2 is not a rational integer"):
+        power_relation(h / 2, p, p ** 2)
 
 
 def test_power_relation_reports_powers_that_are_not_proportional(monkeypatch):
@@ -174,6 +176,12 @@ def test_is_exponentiable_polynomial_in_one_generator():
     assert report.verdict == "yes"
     assert report.dixmier is not None and report.dixmier.tag == "Delta1"
     assert is_exponentiable(q ** 4 + q).verdict == "yes"
+
+
+def test_is_exponentiable_leaves_a_cubic_undetermined():
+    # every default probe's ad-orbit span stabilises, so there is no evidence either way
+    report = is_exponentiable(q ** 3 + p)
+    assert report.verdict == "undetermined" and report.dixmier is None and report.witness is None
 
 
 def test_is_exponentiable_negative_evidence():

@@ -297,6 +297,18 @@ def test_span_matches_the_reference_elimination(gens, data):
     assert new.reduced_basis() == ref.reduced_basis()
 
 
+@pytest.mark.parametrize("method", ["insert_coordinates", "contains", "express",
+                                    "row_coordinates"])
+def test_span_queries_take_scalars_and_refuse_anything_else(method):
+    # each reads its argument as insert does: a scalar as its constant element
+    def call(x):
+        return getattr(ElementSpan([p, one]), method)(x)
+    assert call(3) == call(one.scale(3))
+    for bad in ("x", None):
+        with pytest.raises(BadParams, match="^ElementSpan takes elements and scalars"):
+            call(bad)
+
+
 def test_span_dim_and_coordinates():
     span = ElementSpan([p, q, parse_element("p + q"), zero])
     assert span.dim == 2 and len(span.reduced_basis()) == 2

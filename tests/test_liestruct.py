@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,9 @@ from weylkit import Scalar, bracket, linalg
 from weylkit.elements import (ElementSpan, WeylElement, linear_combination, one, p,
                               parse_element, q, zero)
 from weylkit.errors import (BadParams, DimensionExceeded, IrrationalSpectrum, NotDiagonalisable,
-                            NotHomomorphism, NotInjective, NotNilpotent, PreconditionFailed)
-from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, catalog, change_basis,
+                            NotHomomorphism, NotInA1Form, NotInjective, NotNilpotent,
+                            PreconditionFailed)
+from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, Realization, catalog, change_basis,
                                filiform_normal_basis, invariants, lie_closure,
                                normalize_tag, quotient_by_center, recognize,
                                verify_realization, weight_spaces)
@@ -277,6 +282,11 @@ def test_lie_closure_respects_max_dim():
         lie_closure([p ** 3, q ** 2], max_dim=8)
 
 
+def test_lie_closure_refuses_more_generators_than_the_cap():
+    with pytest.raises(DimensionExceeded):
+        lie_closure([p, q, p * q], max_dim=2)
+
+
 def test_lie_closure_rejects_empty_input():
     # all-zero generators would close to the zero algebra, which has no tag
     for gens in ([], [zero], [zero, zero]):
@@ -346,6 +356,8 @@ def test_verify_realization_rejects_wrong_constants():
         verify_realization(sl2, [p, q, one + p ** 2])
     with pytest.raises(NotInjective):
         verify_realization(sl2, [p, p.scale(S(2)), q])
+    with pytest.raises(BadParams, match="one image per basis vector"):
+        verify_realization(sl2, [p, q])
 
 
 # -- invariants and derived constructions ---------------------------------------------
@@ -407,6 +419,11 @@ def test_change_basis_rejects_singular_matrix():
     with pytest.raises(BadParams):
         change_basis(algebra, [[S(1), S(1), S(0)], [S(1), S(1), S(0)],
                                [S(0), S(0), S(1)]])
+
+
+def test_change_basis_rejects_a_matrix_of_the_wrong_size():
+    with pytest.raises(BadParams, match="must be 3x3"):
+        change_basis(catalog(CatalogTag("Sl2")).algebra, [[S(1), S(0)], [S(0), S(1)]])
 
 
 # -- recognition ----------------------------------------------------------------------
@@ -692,6 +709,34 @@ def test_filiform_normal_basis_preconditions():
         filiform_normal_basis(lie_closure([p, p ** 2]))
 
 
+_NOT_NILPOTENT_IMAGES = """
+from weylkit.elements import one, p, q
+from weylkit.errors import NotNilpotent
+from weylkit.liestruct import CatalogTag, Realization, catalog, filiform_normal_basis
+try:
+    filiform_normal_basis(Realization(catalog(CatalogTag("Heisenberg3")).algebra, [p * q, p, one]))
+except NotNilpotent:
+    raise SystemExit(0)
+raise SystemExit("no NotNilpotent")
+"""
+
+
+def test_filiform_normal_basis_reads_the_images_not_the_table():
+    # images that do not realise the Heisenberg table: the chain is decided on
+    # the images alone, and images that are not nilpotent end the series at once
+    table = catalog(CatalogTag("Heisenberg3")).algebra
+    with pytest.raises(PreconditionFailed, match="^abelian") as info:
+        filiform_normal_basis(Realization(table, [p, p ** 2, p ** 3]))
+    assert type(info.value) is PreconditionFailed
+    with pytest.raises(NotInA1Form, match="lower-central series"):
+        filiform_normal_basis(Realization(table, [q, p, p ** 2]))
+    src = str(Path(liestruct.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _NOT_NILPOTENT_IMAGES],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=10)
+    assert done.returncode == 0, done.stderr + done.stdout
+
+
 # -- weight spaces --------------------------------------------------------------------
 
 
@@ -746,6 +791,7 @@ HAND_TABLES = {
                           (1, 3): {4: 1}}, CatalogTag("Unknown")),
     "weights +-i": (3, {(0, 1): {2: 1}, (0, 2): {1: -1}}, CatalogTag("LTildeModC", 2)),
     "weights +-sqrt2": (3, {(0, 1): {2: 1}, (0, 2): {1: 2}}, IrrationalSpectrum),
+    "R(1) + C^2": (4, {(0, 1): {1: 1}}, CatalogTag("Unknown")),
 }
 TABLES = {**{str(tag): (lambda tag=tag: catalog(tag).algebra) for tag in CATALOG_CLASSES},
           **{name: (lambda dim=dim, c=c: LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c))
@@ -802,7 +848,7 @@ def test_recognize_reaches_each_exit_of_the_hand_tables(name, monkeypatch):
     monkeypatch.setattr(liestruct, "_integer_profile",
                         lambda eigs: profiles.append(read(eigs)) or profiles[-1])
     assert _outcome(recognize, algebra) == HAND_TABLES[name][2]
-    expected = {"repeated weight": [[1, 1]], "weights +-i": [[1, -1]]}
+    expected = {"repeated weight": [[1, 1]], "weights +-i": [[1, -1]], "R(1) + C^2": [[1]]}
     assert profiles == expected.get(name, [])
 
 

@@ -13,7 +13,7 @@ from weylkit.cli import _parse_realization
 from weylkit.elements import one, p, parse_element, q
 from weylkit.errors import (BadParams, BudgetExceeded, ExprSyntaxError, IndexMismatch,
                             NotInvertible, NotLocallyNilpotent, NotUnimodular,
-                            PreconditionFailed, ZeroScale)
+                            PreconditionFailed, SizeMismatch, ZeroScale)
 from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, WeylMorphism,
                                alpha1_hat, beta_hat, compose, exp_ad,
                                identity_morphism, invert, ltilde_group_identity,
@@ -193,6 +193,42 @@ def test_group_coordinates_that_are_no_scalars_raise_bad_params(make):
     # an int where the coordinate list goes raised TypeError
     with pytest.raises(BadParams):
         make()
+
+
+def test_group_elements_multiply_compare_and_hash_by_their_coordinates():
+    g, h = _r_elem([1, -2], Scalar(2)), _r_elem([Scalar(0, 1), 3], Scalar(1, 1))
+    u = LTildeGroupElement([1, 2, -1], Scalar(1), Scalar(2))
+    v = LTildeGroupElement([Scalar(0, 1), 0, 3], Scalar(-2), Scalar(0, 1))
+    assert g * h == r_group_mul(g, h) and h * g == r_group_mul(h, g)
+    assert u * v == ltilde_group_mul(u, v) and v * u == ltilde_group_mul(v, u)
+    for x, same, other in ((g, _r_elem([Fraction(2, 2), -2], 2), h),
+                           (u, LTildeGroupElement([1, 2, -1], 1, 2), v)):
+        assert x == same and hash(x) == hash(same) and len({x, same}) == 1
+        assert x != other and x != "g" and x.__eq__(1) is NotImplemented
+    assert g != _r_elem([1, -2], Scalar(-2)) and g != RGroupElement((1, 4), [1, -2], 2)
+    assert u != LTildeGroupElement([1, 2, -1], 0, 2)
+
+
+def test_group_elements_print_their_coordinates():
+    assert repr(_r_elem([1, Scalar(0, 1)], 2)) == (
+        "RGroupElement((1, 3), (Scalar(Fraction(1, 1)), "
+        "Scalar(Fraction(0, 1), Fraction(1, 1))), s=2)")
+    assert repr(LTildeGroupElement([1, 2], Scalar(1, -1), 3)) == (
+        "LTildeGroupElement((Scalar(Fraction(1, 1)), Scalar(Fraction(2, 1))), t=1-i, s=3)")
+
+
+def test_group_elements_refuse_bad_indices_zero_scales_and_mixed_sizes():
+    for indices in ((3, 1), (1, 1)):
+        with pytest.raises(BadParams, match="strictly increasing"):
+            RGroupElement(indices, [1, 2], 2)
+    with pytest.raises(ZeroScale):
+        _r_elem([1, 2], 0)
+    with pytest.raises(ZeroScale):
+        LTildeGroupElement([1, 2], 1, Scalar(0))
+    with pytest.raises(SizeMismatch):
+        ltilde_group_mul(ltilde_group_identity(2), ltilde_group_identity(3))
+    with pytest.raises(SizeMismatch):
+        LTildeGroupElement([1], 0, 1) * LTildeGroupElement([1, 2], 0, 1)
 
 
 def test_sl2_semidirect_aut_composes_the_two_parts():

@@ -36,6 +36,8 @@ def test_triplet_check_passes_the_canonical_families():
 def test_triplet_check_reports_the_failing_relation():
     with pytest.raises(RelationFailed, match=r"\[H,X\]"):
         triplet_check(q, p, one)
+    with pytest.raises(RelationFailed, match="nonzero"):
+        triplet_check(0, p, q)
     with pytest.raises(RelationFailed, match=r"\[X,Y\]"):
         triplet_check(parse_element("-1/2*q^2"), parse_element("1/2*p^2"),
                       parse_element("p*q + 1/2"))
