@@ -151,19 +151,12 @@ def _accumulate(acc: dict, xs: Iterable, ys: Sequence, sign: int, step: int) -> 
             im = xr * yi + xi * yr
             code = xc + yc
             row = row_of(b, c, d, a, sign) if sign else row_of(b, c, 0, 0, 0)
-            if im:
-                for m, k in row:
-                    if (cell := acc.get(key := code - m * step)) is None:
-                        acc[key] = [re * k, im * k]
-                    else:
-                        cell[0] += re * k
-                        cell[1] += im * k
-            else:
-                for m, k in row:
-                    if (cell := acc.get(key := code - m * step)) is None:
-                        acc[key] = [re * k, 0]
-                    else:
-                        cell[0] += re * k
+            for m, k in row:
+                if (cell := acc.get(key := code - m * step)) is None:
+                    acc[key] = [re * k, im * k]
+                else:
+                    cell[0] += re * k
+                    cell[1] += im * k
 
 
 def _combination(parts: Iterable[tuple]) -> dict:

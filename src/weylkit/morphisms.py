@@ -66,7 +66,28 @@ def _apply_images(image_p: WeylElement, image_q: WeylElement,
     return [_sum([(a, b, x.den, images[m]) for m, (a, b) in x.num.items()]) for x in xs]
 
 
-class WeylMorphism:
+class _Value:
+    """Equality, hashing and the text `Name(field!r, …)`, read off the fields
+    (by default the `__slots__`); values of different types never compare equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
+
+class WeylMorphism(_Value):
     """An algebra endomorphism given by the images of p and q.
 
     `WeylMorphism(P, Q)` checks [P, Q] = 1 and carries no inverse.
@@ -92,13 +113,8 @@ class WeylMorphism:
     def is_identity(self) -> bool:
         return self.image_p == p and self.image_q == q
 
-    def __eq__(self, other):
-        if not isinstance(other, WeylMorphism):
-            return NotImplemented
-        return self.image_p == other.image_p and self.image_q == other.image_q
-
-    def __hash__(self):
-        return hash((self.image_p, self.image_q))
+    def _fields(self) -> tuple:
+        return self.image_p, self.image_q
 
     def __repr__(self):
         return f"<WeylMorphism p -> {format_element(self.image_p)}, q -> {format_element(self.image_q)}>"
@@ -165,8 +181,7 @@ def translation(b1, b2) -> WeylMorphism:
     return _mk(p - c1, q + c2, (p + c1, q - c2))
 
 
-
-class SL2Element:
+class SL2Element(_Value):
     """A unimodular 2×2 matrix of scalars, rows (a₁, a₂) and (a₃, a₄)."""
 
     __slots__ = ("a1", "a2", "a3", "a4")
@@ -191,14 +206,6 @@ class SL2Element:
                     self.a1 * other.a2 + self.a2 * other.a4,
                     self.a3 * other.a1 + self.a4 * other.a3,
                     self.a3 * other.a2 + self.a4 * other.a4)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SL2Element)
-                and (self.a1, self.a2, self.a3, self.a4)
-                == (other.a1, other.a2, other.a3, other.a4))
-
-    def __repr__(self):
-        return f"SL2Element({self.a1!r}, {self.a2!r}, {self.a3!r}, {self.a4!r})"
 
 
 def _sl2(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> SL2Element:
@@ -249,15 +256,23 @@ def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
 # -- the solvable automorphism group families, in exponential coordinates -----
 
 
-def _coordinates(a: Iterable) -> tuple[Scalar, ...]:
-    """A group element's a-coordinates as Scalars, read once, before any check
-    on them, so that an iterator is checked as it is stored."""
-    if not isinstance(a, Iterable):
-        raise BadParams(f"the a-coordinates are an iterable of scalars, got {a!r}")
-    return tuple(map(as_scalar, a))
+class _GroupPoint(_Value):
+    """A point of a solvable family, read in one order: its a-coordinates, once,
+    before any check (so an iterator is checked as stored), its own parameter, then s."""
+
+    __slots__ = ()
+
+    def __init__(self, a: Iterable, s, param):
+        if not isinstance(a, Iterable):
+            raise BadParams(f"the a-coordinates are an iterable of scalars, got {a!r}")
+        self.a = tuple(map(as_scalar, a))
+        self._read(param)
+        self.s = as_scalar(s)
+        if not self.s:
+            raise ZeroScale("exponential coordinate must be a unit")
 
 
-class RGroupElement:
+class RGroupElement(_GroupPoint):
     """A point (a₁,…,a_n, s) of the diagonal-times-unipotent family.
 
     The indices i₁<…<i_n are fixed positive integers attached to the group;
@@ -267,33 +282,20 @@ class RGroupElement:
     __slots__ = ("indices", "a", "s")
 
     def __init__(self, indices: Sequence[int], a: Iterable, s):
-        a = _coordinates(a)
+        super().__init__(a, s, indices)
+
+    def _read(self, indices: Sequence[int]) -> None:
         idx = tuple(indices)
         for i in idx:
             _check_count(i, 1, "indices must be positive integers")
         if any(x >= y for x, y in zip(idx, idx[1:])):
             raise BadParams("indices must be strictly increasing")
-        if len(a) != len(idx):
+        if len(self.a) != len(idx):
             raise IndexMismatch("one coordinate per index required")
         self.indices = idx
-        self.a = a
-        self.s = as_scalar(s)
-        if not self.s:
-            raise ZeroScale("exponential coordinate must be a unit")
 
     def __mul__(self, other):
         return r_group_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, RGroupElement):
-            return NotImplemented
-        return (self.indices, self.a, self.s) == (other.indices, other.a, other.s)
-
-    def __hash__(self):
-        return hash((self.indices, self.a, self.s))
-
-    def __repr__(self):
-        return f"RGroupElement({self.indices}, {self.a}, s={self.s})"
 
 
 def r_group_identity(indices: Sequence[int]) -> RGroupElement:
@@ -323,33 +325,21 @@ def r_to_aut(g: RGroupElement) -> WeylMorphism:
     return _mk(*_r_images(g), _r_images(r_group_inv(g)))
 
 
-class LTildeGroupElement:
+class LTildeGroupElement(_GroupPoint):
     """A point (a₁,…,a_n, t, s) of the extended family, s the unit for e^v."""
 
     __slots__ = ("a", "t", "s")
 
     def __init__(self, a: Iterable, t, s):
-        self.a = _coordinates(a)
+        super().__init__(a, s, t)
+
+    def _read(self, t) -> None:
         if not self.a:
             raise BadParams("at least one a-coordinate required")
         self.t = as_scalar(t)
-        self.s = as_scalar(s)
-        if not self.s:
-            raise ZeroScale("exponential coordinate must be a unit")
 
     def __mul__(self, other):
         return ltilde_group_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, LTildeGroupElement):
-            return NotImplemented
-        return (self.a, self.t, self.s) == (other.a, other.t, other.s)
-
-    def __hash__(self):
-        return hash((self.a, self.t, self.s))
-
-    def __repr__(self):
-        return f"LTildeGroupElement({self.a}, t={self.t}, s={self.s})"
 
 
 def ltilde_group_identity(n: int) -> LTildeGroupElement:

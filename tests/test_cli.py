@@ -193,6 +193,12 @@ def test_casimir_rejects_unknown_literal(capsys):
     assert code == 2 and "realisation" in err
 
 
+def test_casimir_rejects_two_elements(capsys):
+    # one literal or three elements X Y H; two elements are neither
+    code, out, err = run(capsys, "casimir", "p", "q")
+    assert code == 2 and out == "" and "a realisation is fI, fII(b), exotic" in err
+
+
 def test_act_transports_a_realisation(capsys):
     code, out, _ = run(capsys, "act", "alpha1(1,1,0,1)", "1", "1", "0", "1", "fI")
     assert code == 0

@@ -143,6 +143,11 @@ def test_power_relation_with_coefficients():
     assert x1 ** abs(n2) == (x2 ** abs(n1)).scale(a)
 
 
+def test_the_zero_element_has_no_partition_class():
+    with pytest.raises(ZeroElement, match="no partition class"):
+        is_exponentiable(zero)
+
+
 def test_power_relation_preconditions():
     h = parse_element("p*q")
     with pytest.raises(ZeroElement):

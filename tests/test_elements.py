@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -340,7 +341,7 @@ def test_format_orders_terms_canonically():
     assert format_element(-p) == "-p"
 
 
-@pytest.mark.parametrize("bad", ["", "p q", "p^", "p**q", "(p+q)", "2.5*p", "x"])
+@pytest.mark.parametrize("bad", ["", "p q", "p^", "p**q", "(p+q)", "2.5*p", "x", "(1"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ExprSyntaxError):
         parse_element(bad)
@@ -649,6 +650,27 @@ def test_right_multiplication_is_the_product():
     assert WeylElement.__rmul__ is WeylElement.__mul__
     assert 3 * p == p * 3 == p.scale(3)
     assert Fraction(1, 2) * (p * q) == (p * q).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=lambda op: op.__name__)
+def test_elements_leave_other_operands_to_python(op):
+    # a string is neither an element nor a scalar: the operator defers, and
+    # Python raises TypeError
+    assert getattr(p, f"__{op.__name__}__")("x") is NotImplemented
+    for args in ((p, "x"), ("x", p)):
+        with pytest.raises(TypeError):
+            op(*args)
+
+
+def test_element_edge_cases():
+    assert (p == "x") is False and p != "x"
+    assert 1 - p == one - p == parse_element("1 - p")
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    with pytest.raises(BadParams, match="zero element"):
+        zero.leading_monomial()
+    assert len(SymTensor([(1, 0)])) == 1 and len(SymTensor([(1, 0), (0, 1)])) == 2
 
 
 def test_ad_pow_refuses_a_non_integer_count():

@@ -176,6 +176,11 @@ def test_jacobi_check_matches_a_dense_jacobiator(table, data):
         assert via_sparse(u, e_j) == _dense_bracket(dim, c, u, e_j)
 
 
+def test_struct_prints_its_dimension_and_labels():
+    assert repr(catalog(CatalogTag("Sl2")).algebra) == (
+        "<LieAlgebraStruct dim=3 labels=['X', 'Y', 'H']>")
+
+
 def test_struct_bracket_and_ad():
     entry = catalog(CatalogTag("Sl2"))
     sl2 = entry.algebra
@@ -782,7 +787,8 @@ CATALOG_CLASSES = ([CatalogTag("Abelian", n) for n in (1, 3)]
 # reaches, with its outcome: two one-generator pieces (codimension 2 over
 # derived + centre), a Jordan block on the abelian derived algebra, a repeated
 # weight, LTilde(3) with a second central vector, weights ±i (the real form of
-# LTildeModC(2)) and weights ±√2, outside Q(i)
+# LTildeModC(2)), weights ±√2, outside Q(i), and Vergne's Q5, which has L(5)'s
+# lower-central profile, but the centraliser of its derived algebra has codimension 4
 HAND_TABLES = {
     "R(1) + R(1)": (4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, CatalogTag("Unknown")),
     "Jordan block on D": (3, {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}}, CatalogTag("Unknown")),
@@ -792,6 +798,8 @@ HAND_TABLES = {
     "weights +-i": (3, {(0, 1): {2: 1}, (0, 2): {1: -1}}, CatalogTag("LTildeModC", 2)),
     "weights +-sqrt2": (3, {(0, 1): {2: 1}, (0, 2): {1: 2}}, IrrationalSpectrum),
     "R(1) + C^2": (4, {(0, 1): {1: 1}}, CatalogTag("Unknown")),
+    "Q5": (6, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (0, 4): {5: 1}, (1, 4): {5: -1},
+               (2, 3): {5: 1}}, CatalogTag("Unknown")),
 }
 TABLES = {**{str(tag): (lambda tag=tag: catalog(tag).algebra) for tag in CATALOG_CLASSES},
           **{name: (lambda dim=dim, c=c: LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c))

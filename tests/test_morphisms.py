@@ -212,9 +212,33 @@ def test_group_elements_multiply_compare_and_hash_by_their_coordinates():
 def test_group_elements_print_their_coordinates():
     assert repr(_r_elem([1, Scalar(0, 1)], 2)) == (
         "RGroupElement((1, 3), (Scalar(Fraction(1, 1)), "
-        "Scalar(Fraction(0, 1), Fraction(1, 1))), s=2)")
+        "Scalar(Fraction(0, 1), Fraction(1, 1))), Scalar(Fraction(2, 1)))")
     assert repr(LTildeGroupElement([1, 2], Scalar(1, -1), 3)) == (
-        "LTildeGroupElement((Scalar(Fraction(1, 1)), Scalar(Fraction(2, 1))), t=1-i, s=3)")
+        "LTildeGroupElement((Scalar(Fraction(1, 1)), Scalar(Fraction(2, 1))), "
+        "Scalar(Fraction(1, 1), Fraction(-1, 1)), Scalar(Fraction(3, 1)))")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SL2Element(Scalar(1, 1), 2, Scalar(Fraction(1, 2)), Scalar(1, -1)),
+    lambda: _r_elem([1, Scalar(0, 1)], Fraction(2, 3)),
+    lambda: LTildeGroupElement([1, 2], Scalar(1, -1), 3),
+], ids=["SL2Element", "RGroupElement", "LTildeGroupElement"])
+def test_values_read_back_from_their_text_and_hash_by_value(make):
+    # the families printed t and s as text, which no constructor call reads back,
+    # and SL2Element defined __eq__ without __hash__
+    g = make()
+    cls = type(g)
+    assert eval(repr(g), {"Scalar": Scalar, "Fraction": Fraction, cls.__name__: cls}) == g
+    assert make() == g and hash(make()) == hash(g) and len({g, make()}) == 1
+    assert g != 3 and g.__eq__(3) is NotImplemented
+
+
+def test_morphisms_compare_and_hash_by_their_images():
+    m = WeylMorphism(p, q)
+    assert m == identity_morphism() and hash(m) == hash(identity_morphism())
+    assert m.inverse is None and identity_morphism().inverse == (p, q)
+    assert identity_morphism() != 3 and (identity_morphism() == 3) is False
+    assert phi(1, 2) != identity_morphism() and len({m, identity_morphism(), phi(1, 2)}) == 2
 
 
 def test_group_elements_refuse_bad_indices_zero_scales_and_mixed_sizes():

@@ -1,5 +1,6 @@
 """Arithmetic, formatting and parsing of the Gaussian-rational coefficients."""
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd
@@ -39,6 +40,16 @@ def test_inverse_and_powers():
     for bad in (True, 0.5):
         with pytest.raises(TypeError):
             s ** bad
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=lambda op: op.__name__)
+def test_scalars_leave_other_operands_to_python(op):
+    assert getattr(Scalar(1), f"__{op.__name__}__")("x") is NotImplemented
+    for args in ((Scalar(1), "x"), ("x", Scalar(1))):
+        with pytest.raises(TypeError):
+            op(*args)
+    assert (Scalar(1) == "x") is False and Scalar(1) != "x"
 
 
 def test_is_integer():
