@@ -3,7 +3,7 @@
 A LieAlgebraStruct is a bare structure-constant table, kept over Z[i]
 (antisymmetry by storage; Jacobi checked on a table given to the constructor,
 holding by construction on the tables the library builds); a Realization
-pairs one with an exact embedding into the algebra.  On top of those sit:
+pairs one with an exact embedding, checked alike.  On top of those sit:
 
 * the catalog of isomorphism classes that admit (or are quoted alongside)
   realisations: abelian, the 3-dimensional Heisenberg algebra, sl(2) and its
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .elements import (ElementSpan, WeylElement, _as_element, _combination, _independent_span,
@@ -34,7 +35,7 @@ from .scalars import Scalar, _clear, _divide, _norm, _scalar_rows
 __all__ = [
     "LieAlgebraStruct", "CatalogTag", "Realization", "CatalogEntry",
     "AlgebraInvariants", "catalog", "normalize_tag", "lie_closure",
-    "invariants", "recognize", "verify_realization", "filiform_normal_basis",
+    "invariants", "recognize", "filiform_normal_basis",
     "weight_spaces", "quotient_by_center", "change_basis",
 ]
 
@@ -121,11 +122,30 @@ class CatalogTag(NamedTuple):
         return f"{self.kind}({self.param})"
 
 
-class Realization(NamedTuple):
-    """A structure together with its embedding as Weyl elements."""
+class Realization(tuple):
+    """A structure with its embedding as Weyl elements, the pair (algebra, images);
+    the constructor checks that the images are independent and realise the table."""
 
-    algebra: LieAlgebraStruct
-    images: list[WeylElement]
+    __slots__ = ()
+    algebra, images = property(itemgetter(0)), property(itemgetter(1))
+
+    def __new__(cls, algebra: LieAlgebraStruct, images: Sequence[WeylElement]):
+        if len(images) != algebra.dim:
+            raise BadParams("one image per basis vector required")
+        images = [_as_element(x, "Realization") for x in images]
+        _independent_span(images, "realisation images are linearly dependent")
+        for i, j in combinations(range(algebra.dim), 2):
+            expected = _sum([(a, b, algebra._den, images[k])
+                             for k, (a, b) in algebra._num.get((i, j), {}).items()])
+            if bracket(images[i], images[j]) != expected:
+                raise NotHomomorphism(f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
+                                      "does not match the structure constants")
+        return _realization(algebra, images)
+
+
+def _realization(algebra: LieAlgebraStruct, images: list[WeylElement]) -> Realization:
+    """A realisation the library built, true by construction: skips __new__."""
+    return tuple.__new__(Realization, (algebra, images))
 
 
 class CatalogEntry(NamedTuple):
@@ -161,22 +181,17 @@ def normalize_tag(tag: CatalogTag) -> CatalogTag:
 
 
 def _struct_from_images(labels: Sequence[str], images: Sequence[WeylElement]) -> CatalogEntry:
+    """The table and realisation of catalog images, which close under brackets."""
     span = _independent_span(images, "realisation images are linearly dependent")._echelon
-    c = {}
-    for i, j in combinations(range(len(images)), 2):
-        x = bracket(images[i], images[j])
-        if (coords := span.express(x.num, x.den)) is None:
-            raise PreconditionFailed("images do not span a Lie subalgebra")
-        c[(i, j)] = coords
+    c = {(i, j): span.express((x := bracket(images[i], images[j])).num, x.den)
+         for i, j in combinations(range(len(images)), 2)}
     algebra = _built(len(images), labels, c)
-    return CatalogEntry(algebra, Realization(algebra, list(images)))
+    return CatalogEntry(algebra, _realization(algebra, list(images)))
 
 
 def _filiform_images(n: int) -> list[WeylElement]:
-    out = [-q]
-    for k in range(1, n + 1):
-        out.append(WeylElement.monomial(n - k, 0).scale(Fraction(1, math.factorial(n - k))))
-    return out
+    return [-q] + [WeylElement.monomial(k, 0).scale(Fraction(1, math.factorial(k)))
+                   for k in range(n - 1, -1, -1)]
 
 
 def catalog(tag: CatalogTag) -> CatalogEntry:
@@ -227,7 +242,7 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
     raise BadParams(f"no catalog entry for kind {kind!r}")
 
 
-# -- closure and verification -----------------------------------------------------
+# -- closure ----------------------------------------------------------------------
 
 
 def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
@@ -256,23 +271,7 @@ def lie_closure(gens: Sequence[WeylElement], max_dim: int = 64) -> Realization:
                 raise DimensionExceeded(max_dim)
         i += 1
     algebra = _built(len(rows), [f"b{k}" for k in range(len(rows))], c)
-    return Realization(algebra, rows)
-
-
-def verify_realization(algebra: LieAlgebraStruct, images: Sequence[WeylElement]) -> Realization:
-    """Certify that the images realise the structure constants exactly."""
-    if len(images) != algebra.dim:
-        raise BadParams("one image per basis vector required")
-    images = [_as_element(x, "verify_realization") for x in images]
-    _independent_span(images, "realisation images are linearly dependent")
-    for i, j in combinations(range(algebra.dim), 2):
-        expected = _sum([(a, b, algebra._den, images[k])
-                         for k, (a, b) in algebra._num.get((i, j), {}).items()])
-        if bracket(images[i], images[j]) != expected:
-            raise NotHomomorphism(
-                f"bracket of {algebra.labels[i]} and {algebra.labels[j]} "
-                f"does not match the structure constants")
-    return Realization(algebra, images)
+    return _realization(algebra, rows)
 
 
 # -- coordinate subspace helpers ----------------------------------------------------
@@ -331,17 +330,23 @@ def invariants(algebra: LieAlgebraStruct) -> AlgebraInvariants:
     return _invariants(algebra)[0]
 
 
+def _rebased(algebra: LieAlgebraStruct, span: Echelon, gens, d: int, skip: int, labels):
+    """The table on f_k = gens[k]/d, k ≥ skip, modulo the ideal the first ``skip`` span:
+    _bracket(d·f_a, d·f_b)/(d·_den) = d·[f_a, f_b] read over span = Echelon(gens)."""
+    c = {}
+    for a, b in combinations(range(skip, len(gens)), 2):
+        num, n = span.express(algebra._bracket(gens[a], gens[b]), d * algebra._den)
+        c[(a - skip, b - skip)] = {g - skip: z for g, z in num.items() if g >= skip}, n
+    return _built(len(gens) - skip, labels, c)
+
+
 def quotient_by_center(algebra: LieAlgebraStruct) -> LieAlgebraStruct:
-    """The quotient algebra on a complement of the centre."""
+    """The quotient algebra on a complement of the centre: the basis (centre rows,
+    kept basis vectors), restricted past the centre."""
     center = _center(algebra)
     keep = [i for i in range(algebra.dim) if i not in center.pivots]
-    # brackets are read in the basis (centre rows, kept basis vectors)
-    basis = Echelon(center.rows + [{i: (1, 0)} for i in keep])
-    c = {}
-    for (a, i), (b, j) in combinations(enumerate(keep), 2):
-        num, n = basis.express(algebra._num.get((i, j), {}), algebra._den)
-        c[(a, b)] = {g - center.dim: z for g, z in num.items() if g >= center.dim}, n
-    return _built(len(keep), [algebra.labels[i] for i in keep], c)
+    gens = center.rows + [{i: (1, 0)} for i in keep]
+    return _rebased(algebra, Echelon(gens), gens, 1, center.dim, [algebra.labels[i] for i in keep])
 
 
 def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAlgebraStruct:
@@ -351,14 +356,9 @@ def change_basis(algebra: LieAlgebraStruct, matrix: list[list[Scalar]]) -> LieAl
     if len(rows) != n:
         raise BadParams(f"basis-change matrix must be {n}x{n}")
     ints = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
-    span = Echelon(ints)
-    if span.dim != n:
+    if (span := Echelon(ints)).dim != n:
         raise BadParams("basis-change matrix is singular")
-    # _bracket(d·f_a, d·f_b)/(d·_den) = d·[f_a, f_b], over the generators d·f_k
-    den = d * algebra._den
-    c = {(a, b): span.express(algebra._bracket(ints[a], ints[b]), den)
-         for a, b in combinations(range(n), 2)}
-    return _built(n, [f"f{k}" for k in range(n)], c)
+    return _rebased(algebra, span, ints, d, 0, [f"f{k}" for k in range(n)])
 
 
 # -- recognition --------------------------------------------------------------------
@@ -515,7 +515,7 @@ def filiform_normal_basis(realization: Realization) -> list[WeylElement]:
     for _ in range(n - 1):
         chain.append(bracket(x0, chain[-1]))
     try:
-        verify_realization(catalog(CatalogTag("L", n)).algebra, chain)
+        Realization(catalog(CatalogTag("L", n)).algebra, chain)
     except (NotInjective, NotHomomorphism):
         raise NotInA1Form(f"the chain does not realise L({n})") from None
     return chain

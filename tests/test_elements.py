@@ -22,7 +22,7 @@ from weylkit.elements import (ElementSpan, SymTensor, _signed_row,
 from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated, f_test,
                              is_exponentiable, power_relation)
 from weylkit.errors import BadParams, ExprSyntaxError, WeylError
-from weylkit.liestruct import LieAlgebraStruct, verify_realization
+from weylkit.liestruct import LieAlgebraStruct, Realization
 from weylkit.morphisms import WeylMorphism, exp_ad, phi
 from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II, triplet_check
 
@@ -631,7 +631,7 @@ _NESTED_CALLS = {
     "coordinates": lambda x: coordinates(x, [one, p]),
     "ElementSpan": lambda x: ElementSpan([p, x]).reduced_basis(),
     "ElementSpan.insert": lambda x: ElementSpan([p]).insert(x),
-    "verify_realization": lambda x: verify_realization(_ABELIAN, [p, x]).images,
+    "Realization": lambda x: Realization(_ABELIAN, [p, x]).images,
 }
 
 

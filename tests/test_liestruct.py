@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weylkit.liestruct as liestruct
@@ -22,8 +22,7 @@ from weylkit.errors import (BadParams, DimensionExceeded, IrrationalSpectrum, No
                             PreconditionFailed)
 from weylkit.liestruct import (CatalogTag, LieAlgebraStruct, Realization, catalog, change_basis,
                                filiform_normal_basis, invariants, lie_closure,
-                               normalize_tag, quotient_by_center, recognize,
-                               verify_realization, weight_spaces)
+                               normalize_tag, quotient_by_center, recognize, weight_spaces)
 from weylkit.morphisms import compose, phi, phi_prime
 from weylkit.scalars import ONE, ZERO, _clear, _norm
 
@@ -215,7 +214,7 @@ REALISED_TAGS = [
 def test_catalog_realisations_verify(tag):
     entry = catalog(tag)
     assert entry.realization is not None
-    verify_realization(entry.algebra, entry.realization.images)
+    Realization(entry.algebra, entry.realization.images)
 
 
 def test_catalog_structure_only_families():
@@ -270,7 +269,7 @@ def test_lie_closure_keeps_generators_first():
     real = lie_closure([parse_element("p*q"), p ** 2])
     assert real.images[0] == parse_element("p*q")
     assert real.algebra.dim == 2
-    verify_realization(real.algebra, real.images)
+    Realization(real.algebra, real.images)
 
 
 def test_lie_closure_generates_sl2():
@@ -279,7 +278,7 @@ def test_lie_closure_generates_sl2():
     assert real.algebra.dim == 3
     assert real.images[2] == parse_element("p*q - 1/2")
     assert recognize(real.algebra) == CatalogTag("Sl2")
-    verify_realization(real.algebra, real.images)
+    Realization(real.algebra, real.images)
 
 
 def test_lie_closure_respects_max_dim():
@@ -355,14 +354,31 @@ def test_lie_closure_brackets_each_pair_once(monkeypatch, gens):
     assert len(calls) == n * (n - 1) // 2
 
 
-def test_verify_realization_rejects_wrong_constants():
+def test_realization_refuses_wrong_constants():
     sl2 = catalog(CatalogTag("Sl2")).algebra
     with pytest.raises(NotHomomorphism):
-        verify_realization(sl2, [p, q, one + p ** 2])
+        Realization(sl2, [p, q, one + p ** 2])
     with pytest.raises(NotInjective):
-        verify_realization(sl2, [p, p.scale(S(2)), q])
+        Realization(sl2, [p, p.scale(S(2)), q])
     with pytest.raises(BadParams, match="one image per basis vector"):
-        verify_realization(sl2, [p, q])
+        Realization(sl2, [p, q])
+
+
+def test_realization_refuses_images_that_do_not_realise_the_table():
+    # h = 1 has ad zero, so weight_spaces would read weights ±2 off the table
+    # for images that have none: the constructor refuses them
+    with pytest.raises(NotHomomorphism, match="^bracket of X and H does not match"):
+        Realization(catalog(CatalogTag("Sl2")).algebra, [p, q, one])
+
+
+def test_realization_is_a_pair_with_no_unchecked_public_path():
+    # it unpacks and reads by name as a tuple, and has no namedtuple _make or
+    # _replace that would build one past the check
+    real = catalog(CatalogTag("Sl2")).realization
+    algebra, images = real
+    assert isinstance(real, tuple) and (algebra, images) == (real.algebra, real.images)
+    assert not hasattr(real, "_make") and not hasattr(real, "_replace")
+    assert Realization(algebra, images) == real
 
 
 # -- invariants and derived constructions ---------------------------------------------
@@ -700,7 +716,7 @@ def test_filiform_normal_basis_of_a_basis_mixing_denominators():
         m[2][1] = Fraction(2, 7)
         images = [linear_combination((m[i][j], x) for i, x in enumerate(entry.realization.images))
                   for j in range(n + 1)]
-        chain = filiform_normal_basis(verify_realization(change_basis(entry.algebra, m), images))
+        chain = filiform_normal_basis(Realization(change_basis(entry.algebra, m), images))
         assert len(chain) == n + 1
         for k in range(1, n):
             assert bracket(chain[0], chain[k]) == chain[k + 1]
@@ -717,9 +733,10 @@ def test_filiform_normal_basis_preconditions():
 _NOT_NILPOTENT_IMAGES = """
 from weylkit.elements import one, p, q
 from weylkit.errors import NotNilpotent
-from weylkit.liestruct import CatalogTag, Realization, catalog, filiform_normal_basis
+from weylkit.liestruct import CatalogTag, _realization, catalog, filiform_normal_basis
+real = _realization(catalog(CatalogTag("Heisenberg3")).algebra, [p * q, p, one])
 try:
-    filiform_normal_basis(Realization(catalog(CatalogTag("Heisenberg3")).algebra, [p * q, p, one]))
+    filiform_normal_basis(real)
 except NotNilpotent:
     raise SystemExit(0)
 raise SystemExit("no NotNilpotent")
@@ -727,14 +744,19 @@ raise SystemExit("no NotNilpotent")
 
 
 def test_filiform_normal_basis_reads_the_images_not_the_table():
-    # images that do not realise the Heisenberg table: the chain is decided on
-    # the images alone, and images that are not nilpotent end the series at once
+    # images that do not realise the Heisenberg table: the constructor refuses
+    # each, and past it (through the library's unchecked builder) the chain is
+    # decided on the images alone, and images that are not nilpotent end the
+    # series at once
     table = catalog(CatalogTag("Heisenberg3")).algebra
+    for images in ([p, p ** 2, p ** 3], [q, p, p ** 2], [p * q, p, one]):
+        with pytest.raises(NotHomomorphism):
+            Realization(table, images)
     with pytest.raises(PreconditionFailed, match="^abelian") as info:
-        filiform_normal_basis(Realization(table, [p, p ** 2, p ** 3]))
+        filiform_normal_basis(liestruct._realization(table, [p, p ** 2, p ** 3]))
     assert type(info.value) is PreconditionFailed
     with pytest.raises(NotInA1Form, match="lower-central series"):
-        filiform_normal_basis(Realization(table, [q, p, p ** 2]))
+        filiform_normal_basis(liestruct._realization(table, [q, p, p ** 2]))
     src = str(Path(liestruct.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", _NOT_NILPOTENT_IMAGES],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
@@ -930,12 +952,44 @@ def test_lie_closure_reads_a_scalar_generator_as_its_element():
             lie_closure(bad)
 
 
-def test_verify_realization_reads_the_table_over_its_denominator():
+def test_realization_reads_the_table_over_its_denominator():
     # on f = (X/2, Y, H), [f0, f1] = f2/2: a table over the denominator 2
     sl2 = catalog(CatalogTag("Sl2"))
     half = change_basis(sl2.algebra, [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
     assert half.c[(0, 1)] == {2: S(Fraction(1, 2))}
     X, Y, H = sl2.realization.images
-    assert verify_realization(half, [X.scale(Fraction(1, 2)), Y, H]).algebra is half
+    assert Realization(half, [X.scale(Fraction(1, 2)), Y, H]).algebra is half
     with pytest.raises(NotHomomorphism):
-        verify_realization(half, [X, Y, H])
+        Realization(half, [X, Y, H])
+
+
+def _with_one_constant_changed(algebra, i, j, k, delta):
+    """The table with c^k_ij moved by delta ≠ 0, built past the Jacobi check,
+    which the changed table need not pass."""
+    pairs = list(itertools.combinations(range(algebra.dim), 2))
+    rows = [algebra.basis_bracket(*ij) for ij in pairs]
+    row = rows[pairs.index((i, j))]
+    row[k] = row.get(k, ZERO) + delta
+    nums, den = _clear(*rows)
+    return liestruct._built(algebra.dim, algebra.labels,
+                            {ij: (num, den) for ij, num in zip(pairs, nums)})
+
+
+@pytest.mark.parametrize("tag", REALISED_TAGS, ids=str)
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_realization_follows_a_basis_change_and_refuses_a_changed_constant(tag, data):
+    # the catalog images under a Q(i) basis change realise the changed table;
+    # with any one of its constants changed, the same images are refused
+    entry = catalog(tag)
+    n = entry.algebra.dim
+    matrix = data.draw(st.lists(st.lists(_QI, min_size=n, max_size=n), min_size=n, max_size=n))
+    moved = _outcome(change_basis, entry.algebra, matrix)
+    assume(moved is not BadParams)
+    images = [linear_combination((matrix[i][j], x) for i, x in enumerate(entry.realization.images))
+              for j in range(n)]
+    assert Realization(moved, images).images == images
+    i, j = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+    k, delta = data.draw(st.integers(0, n - 1)), data.draw(_QI.filter(bool))
+    with pytest.raises(NotHomomorphism):
+        Realization(_with_one_constant_changed(moved, i, j, k, delta), images)

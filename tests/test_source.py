@@ -205,9 +205,9 @@ def test_structure_invariants_run_on_the_integer_table():
     # ad-matrix too: the one Scalar built is each eigenvalue ``eigenvalues``
     # returns.  An annotation builds nothing, so it is not read
     scoped = {"liestruct.py": {"_derived_span", "_series", "_center", "_invariants",
-                               "_filiform", "recognize", "verify_realization",
+                               "_filiform", "recognize", "Realization.__new__",
                                "lie_closure", "_struct_from_images", "quotient_by_center",
-                               "_built", "weight_spaces"},
+                               "_built", "_rebased", "weight_spaces"},
               "linalg.py": {"integer_kernel", "Echelon.reduced_rows", "Echelon._reduce",
                             "Echelon.insert_coordinates", "Echelon.express", "eigenvalues",
                             "eigen_decomposition"},
