@@ -130,14 +130,18 @@ def _coded(num: dict, u: int, v: int) -> list:
     return [(i, j, u * i + v * j, re, im) for (i, j), (re, im) in num.items()]
 
 
+def _decoded(acc: dict, w: int, den: int) -> "WeylElement":
+    """The element of the cells {w·i + j: [re, im]} of acc over den, one divmod a cell."""
+    return _make({divmod(code, w): (re, im) for code, (re, im) in acc.items() if re or im}, den)
+
+
 def _kernel(x: "WeylElement", y: "WeylElement", sign: int) -> "WeylElement":
     """x·y + sign·y·x (sign 0: x·y alone) over D_x·D_y.  A result monomial p^i q^j
     is coded w·i + j, w past its q-exponent, so one divmod decodes it."""
     w = 1 + max((j for _, j in x.num), default=0) + max((j for _, j in y.num), default=0)
     acc: dict = {}
     _accumulate(acc, _coded(x.num, w, 1), _coded(y.num, w, 1), sign, w + 1)
-    return _make({divmod(code, w): (re, im) for code, (re, im) in acc.items() if re or im},
-                 x.den * y.den)
+    return _decoded(acc, w, x.den * y.den)
 
 
 def _accumulate(acc: dict, xs: Iterable, ys: Sequence, sign: int, step: int) -> None:

@@ -9,11 +9,13 @@ open Dixmier problem): an automorphism, carrying the images of p and q under
 its inverse, comes only from a generator below, whose inverse is known in
 closed form, from the two group families, or from `compose` and `invert` of
 such.  None of these re-checks the relation or the inverse; the tests pin
-each closed form once.
+each closed form once.  A composite maps its inverse images on the first read
+of `inverse`, from its factors' pairs: the orbit action only asks if it has one.
 
-One pass maps a batch of elements (`compose`'s two images, its two inverse
-images, a triplet in `sl2orbits.group_act`), forming each power of P and Q and
-each P^i·Q^j once for all of them.  A scalar maps to itself: morphisms are unital.
+One pass maps a batch of elements (`compose`'s two images, a composite's two
+inverse images, a triplet in `sl2orbits.group_act`), forming each power of P
+and Q and each P^i·Q^j once for all of them.  A scalar maps to itself: morphisms
+are unital.
 
 Implemented generators: the triangular automorphisms fixing p (resp. q),
 weight scaling, ad-exponentials of locally nilpotent elements, the
@@ -92,10 +94,12 @@ class WeylMorphism(_Value):
 
     `WeylMorphism(P, Q)` checks [P, Q] = 1 and carries no inverse.
     `inverse`, on an automorphism from the generators, `compose` or
-    `invert`, is the pair (image of p, image of q) under the inverse.
+    `invert`, is the pair (image of p, image of q) under the inverse.  The slot
+    ``_inverse`` holds it, None, or, for a composite m1 ∘ m2 not yet read, the
+    list [*m2⁻¹, m1⁻¹] of the arguments of ``_apply_images`` that map it.
     """
 
-    __slots__ = ("image_p", "image_q", "inverse")
+    __slots__ = ("image_p", "image_q", "_inverse")
 
     def __init__(self, image_p: WeylElement, image_q: WeylElement):
         image_p, image_q = (_as_element(x, "WeylMorphism") for x in (image_p, image_q))
@@ -104,7 +108,14 @@ class WeylMorphism(_Value):
                 "images do not satisfy the canonical commutation relation [P, Q] = 1")
         self.image_p = image_p
         self.image_q = image_q
-        self.inverse = None
+        self._inverse = None
+
+    @property
+    def inverse(self) -> Optional[tuple[WeylElement, WeylElement]]:
+        """The inverse pair or None; a composite maps it on the first read and keeps it."""
+        if type(self._inverse) is list:
+            self._inverse = tuple(_apply_images(*self._inverse))
+        return self._inverse
 
     def __call__(self, x) -> WeylElement:
         """The image of x; a scalar maps to itself, since a morphism is unital."""
@@ -120,14 +131,13 @@ class WeylMorphism(_Value):
         return f"<WeylMorphism p -> {format_element(self.image_p)}, q -> {format_element(self.image_q)}>"
 
 
-def _mk(image_p: WeylElement, image_q: WeylElement,
-        inverse: Optional[tuple[WeylElement, WeylElement]]) -> WeylMorphism:
+def _mk(image_p: WeylElement, image_q: WeylElement, inverse: Optional[Sequence]) -> WeylMorphism:
     """A morphism whose images are known to keep [P, Q] = 1 and whose
-    inverse images, if given, are known to be right; skips __init__."""
+    inverse, if given (as ``_inverse`` holds it), is known to be right; skips __init__."""
     m = object.__new__(WeylMorphism)
     m.image_p = image_p
     m.image_q = image_q
-    m.inverse = inverse
+    m._inverse = inverse
     return m
 
 
@@ -138,12 +148,11 @@ def identity_morphism() -> WeylMorphism:
 def compose(m1: WeylMorphism, m2: WeylMorphism) -> WeylMorphism:
     """The morphism applying m2 first, then m1; invertible if both are.
 
-    m1 maps m2's two images in one batch, and m2⁻¹ maps m1⁻¹'s in another."""
-    inverse = None
-    if m1.inverse is not None and m2.inverse is not None:
-        # (m1 ∘ m2)⁻¹ = m2⁻¹ ∘ m1⁻¹
-        inverse = tuple(_apply_images(*m2.inverse, m1.inverse))
-    return _mk(*_apply_images(m1.image_p, m1.image_q, (m2.image_p, m2.image_q)), inverse)
+    m1 maps m2's two images in one batch, and m2⁻¹ maps m1⁻¹'s on the first read of
+    the inverse; the factors' inverses are read here, so no deferral nests."""
+    both = m1._inverse is not None and m2._inverse is not None
+    return _mk(*_apply_images(m1.image_p, m1.image_q, (m2.image_p, m2.image_q)),
+               [*m2.inverse, m1.inverse] if both else None)
 
 
 def invert(m: WeylMorphism) -> WeylMorphism:

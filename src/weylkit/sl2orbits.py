@@ -5,8 +5,8 @@ H = pq - 1/2) and the one-parameter family X = (b+pq)q, Y = -p, H = 2pq+b,
 together with a variant obtained by swapping the roles of the generators.
 On top of them:
 
-* the Casimir scalar of a triplet, h²/2 + xy + yx evaluated on its images
-  (H·H and the anticommutator XY + YX), an orbit invariant;
+* the Casimir scalar of a triplet, h²/2 + xy + yx evaluated on its images as
+  one sum of H·H and the anticommutator XY + YX, an orbit invariant;
 * the two-sided group action (α, g)·f = α ∘ f ∘ Ad(g)⁻¹ with the adjoint
   matrices written out over the basis (e₊, e₋, e₀);
 * a pointwise isotropy check, for the isotropy morphisms α̂₁ and β̂ of both
@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .elements import (ElementSpan, WeylElement, _as_element, anticommutator, bracket,
-                       linear_combination, one, p, parse_element, q)
+from .elements import (ElementSpan, WeylElement, _accumulate, _as_element, _coded, _decoded,
+                       anticommutator, bracket, linear_combination, one, p, parse_element, q)
 from .errors import NonScalarCasimir, NotInvertible, RelationFailed
 from .scalars import Scalar
 
@@ -97,10 +97,19 @@ def f_II_variant(b) -> Sl2Realization:
 def casimir(r: Sl2Realization) -> Scalar:
     """The scalar the Casimir h²/2 + xy + yx maps to, an orbit invariant.
 
-    XY + YX is formed as one anticommutator, which equals X·Y + Y·X for any
-    X, Y; the shortcut H²/2 + H + 2YX equals the Casimir only where the
-    relations hold, and the check below is for inputs where they do not."""
-    v = linear_combination(((Fraction(1, 2), r.H * r.H), (1, anticommutator(r.X, r.Y))))
+    H·H/2 and XY + YX (an anticommutator, = X·Y + Y·X for any X, Y) go into one
+    cell map over 2·D_H²·D_X·D_Y; the shortcut H²/2 + H + 2YX equals the Casimir
+    only where the relations hold, and the check below is for inputs where they
+    do not."""
+    X, Y, H = (_as_element(v, "casimir") for v in r)
+    den = 2 * H.den * H.den * X.den * Y.den
+    # cells coded as in the product kernel, w past every q-exponent of H·H and X·Y
+    w = 1 + 2 * max((j for v in (X, Y, H) for _, j in v.num), default=0)
+    acc: dict = {}
+    for x, y, sign, f in ((H, H, 0, X.den * Y.den), (X, Y, 1, 2 * H.den * H.den)):
+        xs = [(i, j, c, f * re, f * im) for i, j, c, re, im in _coded(x.num, w, 1)]
+        _accumulate(acc, xs, _coded(y.num, w, 1), sign, w + 1)
+    v = _decoded(acc, w, den)
     if not v.is_scalar():
         raise NonScalarCasimir(
             "the Casimir image is not scalar; the input is not a triplet")
@@ -126,11 +135,12 @@ def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Reali
     is injective and preserves brackets.
 
     α is linear, α(Σ c·r) = Σ c·α(r), so it maps X, Y and H in one batch and
-    the Ad(g)⁻¹ combinations are taken of their images."""
-    if alpha.inverse is None:
+    the Ad(g)⁻¹ combinations are taken of their images, a scalar member as its constant."""
+    if alpha._inverse is None:  # the slot, so that a composite's inverse is not built
         raise NotInvertible("the action needs an invertible substitution")
     import weylkit.morphisms as morphisms  # loaded on call, as in ElementSpan
-    X, Y, H = morphisms._apply_images(alpha.image_p, alpha.image_q, r)
+    X, Y, H = morphisms._apply_images(alpha.image_p, alpha.image_q,
+                                      [_as_element(v, "group_act") for v in r])
     return Sl2Realization(*(linear_combination(((cx, X), (cy, Y), (ch, H)))
                             for cx, cy, ch in _ad_rows(g.inverse())))
 
@@ -198,11 +208,13 @@ class S11Report(NamedTuple):
 
 
 def _pattern_span(factor: WeylElement, h: WeylElement, max_degree: int) -> list[WeylElement]:
-    out = []
-    t = factor
-    while t.degree() <= max_degree:
+    """factor·h^k up to max_degree; a scalar h raises no degree, so it gives [factor]."""
+    out, t = [], factor
+    while 0 <= t.degree() <= max_degree:
         out.append(t)
         t = t * h
+        if t.degree() <= out[-1].degree():
+            break
     return out
 
 

@@ -1,5 +1,7 @@
 """Automorphism generators, group families and the morphism expressions."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from functools import reduce
@@ -8,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import Scalar, WeylElement, bracket, parse_scalar
+from weylkit import Scalar, WeylElement, bracket, morphisms, parse_scalar
 from weylkit.cli import _parse_realization
 from weylkit.elements import one, p, parse_element, q
 from weylkit.errors import (BadParams, BudgetExceeded, ExprSyntaxError, IndexMismatch,
                             NotInvertible, NotLocallyNilpotent, NotUnimodular,
                             PreconditionFailed, SizeMismatch, ZeroScale)
 from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, WeylMorphism,
-                               alpha1_hat, beta_hat, compose, exp_ad,
+                               _apply_images, alpha1_hat, beta_hat, compose, exp_ad,
                                identity_morphism, invert, ltilde_group_identity,
                                ltilde_group_inv, ltilde_group_mul, ltilde_to_aut,
                                parse_morphism, phi, phi_prime, r_group_identity,
@@ -63,6 +65,42 @@ def test_invert_round_trips():
     forgetful = WeylMorphism(p, q + p ** 2)
     with pytest.raises(NotInvertible):
         invert(forgetful)
+
+
+def test_a_composite_inverse_is_mapped_on_its_first_read_only(monkeypatch):
+    calls = []
+
+    def counted(image_p, image_q, xs):
+        calls.append(len(xs))
+        return _apply_images(image_p, image_q, xs)
+
+    monkeypatch.setattr(morphisms, "_apply_images", counted)
+    m = compose(phi(2, Scalar(0, 1)), phi_prime(1, 3))
+    assert calls == [2]
+    first = m.inverse
+    assert calls == [2, 2] and m.inverse is first and calls == [2, 2]
+    assert invert(m).inverse == (m.image_p, m.image_q) and calls == [2, 2]
+
+
+def test_a_composite_copies_and_pickles_with_its_inverse():
+    def make():
+        return compose(translation(1, Scalar(0, 2)), compose(phi(2, 3), scale(Scalar(1, 1))))
+
+    want = make().inverse
+    for read in (False, True):
+        m = make()
+        if read:
+            assert m.inverse == want
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert twin == m and twin.inverse == want
+
+
+def test_a_long_chain_reads_its_inverse_without_recursion():
+    # 2000 factors, past the default recursion limit; i has order 4, so the chain is
+    # the identity
+    links = [scale(Scalar(0, 1)), scale(-1)] * 1000
+    for m in (reduce(compose, links), reduce(lambda a, b: compose(b, a), links)):
+        assert m.is_identity() and m.inverse == (p, q) and invert(m).is_identity()
 
 
 def test_morphisms_preserve_the_relation_on_random_inputs():
@@ -452,9 +490,15 @@ _chain_st = st.lists(_link_st, min_size=1, max_size=4).filter(
     lambda links: reduce(lambda d, m: d * _degree(m), links, 1) <= 4)
 
 
-@given(_chain_st)
-def test_automorphism_chains_carry_their_inverse(links):
-    m = reduce(compose, links)
+@given(_chain_st, st.booleans())
+def test_automorphism_chains_carry_their_inverse(links, outer):
+    # the last link composed outside or inside the rest; the inverse, mapped on its
+    # first read, is the one compose formed at once: (m1 ∘ m2)⁻¹ = m2⁻¹ ∘ m1⁻¹
+    *rest, last = links
+    chain = reduce(compose, rest, identity_morphism())
+    m1, m2 = (last, chain) if outer else (chain, last)
+    m = compose(m1, m2)
+    assert m.inverse == tuple(_apply_images(*m2.inverse, m1.inverse))
     assert bracket(m.image_p, m.image_q) == one
     inv = invert(m)
     assert compose(m, inv).is_identity()

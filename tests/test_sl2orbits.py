@@ -1,15 +1,19 @@
 """Canonical triplets, the Casimir, the group action, and the weight pattern."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylkit import Scalar, bracket
+from weylkit import Scalar, bracket, sl2orbits
 from weylkit.elements import linear_combination, one, p, parse_element, q
-from weylkit.errors import (NonScalarCasimir, NotInBorel, NotInvertible,
+from weylkit.errors import (BadParams, NonScalarCasimir, NotInBorel, NotInvertible,
                             NotUnimodular, RelationFailed)
 from weylkit.morphisms import compose, phi, phi_prime, scale, translation
 from weylkit.sl2orbits import (SL2Element, Sl2Realization, alpha1_hat, beta_hat,
@@ -107,10 +111,19 @@ casimir_input_st = st.one_of(
     st.builds(Sl2Realization, element_st(), element_st(), element_st()),
     st.builds(Sl2Realization, element_st(0), element_st(0), element_st(0)),
     st.builds(lambda r, c: Sl2Realization(r.X, r.Y, r.H + c), st.builds(f_II, scalar_st),
-              scalar_st))
+              scalar_st),
+    # the orbits traffic: triplets moved by a tame chain and an SL2Element over Q(i)
+    st.deferred(lambda: _action_st.map(lambda action: group_act(*action))),
+    # scalar members, read as their constants
+    st.builds(Sl2Realization, scalar_st, scalar_st, scalar_st),
+    st.builds(Sl2Realization, st.one_of(scalar_st, element_st(1)), scalar_st,
+              st.one_of(scalar_st, element_st(1))))
 
 
+@settings(max_examples=100)
 @given(casimir_input_st)
+# H²/2 = -2p² and XY + YX = 2q²: cells coded too narrow for X·Y would cancel them
+@example(Sl2Realization(q, q, p.scale(S(0, 2))))
 def test_casimir_matches_the_three_product_form(r):
     try:
         want = _three_product_casimir(r)
@@ -203,8 +216,23 @@ def test_group_act_requires_invertible_morphism():
     forgetful_images = (p, q + p ** 2)
     from weylkit.morphisms import WeylMorphism
     m = WeylMorphism(*forgetful_images)
-    with pytest.raises(NotInvertible):
-        group_act(m, SL2Element.identity(), f_I())
+    for alpha in (m, compose(m, phi(1, 2)), compose(phi(1, 2), m)):
+        with pytest.raises(NotInvertible):
+            group_act(alpha, SL2Element.identity(), f_I())
+
+
+def test_scalar_members_are_read_as_their_constants():
+    # a Scalar or int member stands for its constant element; anything else is BadParams
+    assert casimir(Sl2Realization(S(0), S(0), S(2))) == 2
+    alpha, g = alpha1_hat(SL2Element.identity()), SL2Element(1, 1, 0, 1)
+    r, elements = Sl2Realization(S(2), p, 3), Sl2Realization(one.scale(2), p, one.scale(3))
+    assert group_act(alpha, g, r) == group_act(alpha, g, elements)
+    assert isotropy_check(r, alpha, SL2Element.identity())
+    assert not isotropy_check(r, alpha, g)
+    for refused in (casimir, lambda r: group_act(alpha, g, r),
+                    lambda r: isotropy_check(r, alpha, g)):
+        with pytest.raises(BadParams, match="takes elements and scalars"):
+            refused(Sl2Realization("p", p, q))
 
 
 def test_alpha1_hat_intertwines_on_f_I():
@@ -303,3 +331,26 @@ def test_s11_exotic_is_in_pattern():
 @given(scalar_st)
 def test_casimir_formula_for_all_parameters(b):
     assert casimir(f_II(b)) == b * (b * S(Fraction(1, 2)) + S(1))
+
+
+# a scalar H raises no degree, and a zero X or Y stays zero times every power of H, so
+# the pattern X·ℂ[H] must end at the first step that raises no degree, or it never
+# passes the truncation degree.  H = 1 keeps the integers small should that loop
+# return, and the address space is capped, as its list of powers would still grow
+_S11_DEGREE_FREE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from weylkit.elements import one, q, zero
+from weylkit.sl2orbits import Sl2Realization, s11_test
+report = s11_test(Sl2Realization(q, zero, one), 2)
+want = ((False, 0, 1, q), (True, 0, 0, None))
+raise SystemExit(0 if report == want else repr(report))
+"""
+
+
+def test_s11_ends_when_h_raises_no_degree():
+    src = str(Path(sl2orbits.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _S11_DEGREE_FREE],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=10)
+    assert done.returncode == 0, done.stderr + done.stdout
