@@ -71,9 +71,9 @@ def _element_json(x: WeylElement) -> dict:
 
 def _parse_realization(texts: list[str]):
     """A literal `fI`, `fII(b)`, `exotic`, or three explicit elements X Y H."""
-    from .sl2orbits import exotic_g, f_I, f_II, triplet_check
+    from .sl2orbits import Sl2Realization, exotic_g, f_I, f_II
     if len(texts) == 3:
-        return triplet_check(*(parse_element(t) for t in texts))
+        return Sl2Realization(*(parse_element(t) for t in texts))
     if len(texts) != 1:
         raise ExprSyntaxError(
             "a realisation is fI, fII(b), exotic, or three elements X Y H")
@@ -295,9 +295,9 @@ def _realization_lines(r) -> list[str]:
 
 @_command("triplet", "verify the three sl2 bracket relations", "x", "y", "h")
 def _cmd_triplet(args) -> tuple[dict, list[str], int]:
-    from .sl2orbits import triplet_check
+    from .sl2orbits import Sl2Realization
     try:
-        triplet_check(*(parse_element(t) for t in (args.x, args.y, args.h)))
+        Sl2Realization(*(parse_element(t) for t in (args.x, args.y, args.h)))
     except RelationFailed as exc:
         return {"valid": False, "reason": str(exc)}, [f"invalid: {exc}"], 1
     return {"valid": True, "reason": None}, ["valid"], 0

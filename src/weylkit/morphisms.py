@@ -211,6 +211,8 @@ class SL2Element(_Value):
         return _sl2(-self.a1, -self.a2, -self.a3, -self.a4)
 
     def __mul__(self, other: "SL2Element") -> "SL2Element":
+        if not isinstance(other, SL2Element):
+            return NotImplemented
         return _sl2(self.a1 * other.a1 + self.a2 * other.a3,
                     self.a1 * other.a2 + self.a2 * other.a4,
                     self.a3 * other.a1 + self.a4 * other.a3,
@@ -281,6 +283,14 @@ class _GroupPoint(_Value):
             raise ZeroScale("exponential coordinate must be a unit")
 
 
+def _check_family(cls: type, *points) -> None:
+    """BadParams unless each point is a cls: a product stays within one family."""
+    for x in points:
+        if not isinstance(x, cls):
+            raise BadParams(f"{cls.__name__} products take {cls.__name__}s, "
+                            f"not {type(x).__name__}")
+
+
 class RGroupElement(_GroupPoint):
     """A point (a₁,…,a_n, s) of the diagonal-times-unipotent family.
 
@@ -304,6 +314,8 @@ class RGroupElement(_GroupPoint):
         self.indices = idx
 
     def __mul__(self, other):
+        if not isinstance(other, RGroupElement):
+            return NotImplemented
         return r_group_mul(self, other)
 
 
@@ -312,6 +324,7 @@ def r_group_identity(indices: Sequence[int]) -> RGroupElement:
 
 
 def r_group_mul(g: RGroupElement, h: RGroupElement) -> RGroupElement:
+    _check_family(RGroupElement, g, h)
     if g.indices != h.indices:
         raise IndexMismatch("group elements carry different index lists")
     a = [ga + ha * g.s ** (-ik) for ga, ha, ik in zip(g.a, h.a, g.indices)]
@@ -348,6 +361,8 @@ class LTildeGroupElement(_GroupPoint):
         self.t = as_scalar(t)
 
     def __mul__(self, other):
+        if not isinstance(other, LTildeGroupElement):
+            return NotImplemented
         return ltilde_group_mul(self, other)
 
 
@@ -356,6 +371,7 @@ def ltilde_group_identity(n: int) -> LTildeGroupElement:
 
 
 def ltilde_group_mul(g: LTildeGroupElement, h: LTildeGroupElement) -> LTildeGroupElement:
+    _check_family(LTildeGroupElement, g, h)
     if len(g.a) != len(h.a):
         raise SizeMismatch("group elements have different sizes")
     n = len(g.a)

@@ -1,9 +1,10 @@
 """sl(2) triplets in the Weyl algebra and the group actions moving them.
 
-The two basic families are the quadratic triplet (X = -q²/2, Y = p²/2,
-H = pq - 1/2) and the one-parameter family X = (b+pq)q, Y = -p, H = 2pq+b,
-together with a variant obtained by swapping the roles of the generators.
-On top of them:
+A triplet is an Sl2Realization, which checks the relations where outside input
+builds it, so every function here trusts its members.  The two basic families are
+the quadratic triplet (X = -q²/2, Y = p²/2, H = pq - 1/2) and the one-parameter
+family X = (b+pq)q, Y = -p, H = 2pq+b, together with a variant obtained by
+swapping the roles of the generators.  On top of them:
 
 * the Casimir scalar of a triplet, h²/2 + xy + yx evaluated on its images as
   one sum of H·H and the anticommutator XY + YX, an orbit invariant;
@@ -36,10 +37,9 @@ if TYPE_CHECKING:
     from .morphisms import SL2Element, WeylMorphism
 
 __all__ = [
-    "Sl2Realization", "SL2Element", "ExoticReport", "S11Side", "S11Report",
-    "triplet_check", "f_I", "f_II", "f_II_variant", "casimir", "group_act",
-    "alpha1_hat", "beta_hat", "isotropy_check", "exotic_g", "exotic_report",
-    "s11_test",
+    "Sl2Realization", "SL2Element", "ExoticReport", "S11Side", "S11Report", "f_I",
+    "f_II", "f_II_variant", "casimir", "group_act", "alpha1_hat", "beta_hat",
+    "isotropy_check", "exotic_g", "exotic_report", "s11_test",
 ]
 
 
@@ -52,46 +52,48 @@ def __getattr__(name: str):
     return value
 
 
-class Sl2Realization(NamedTuple):
-    """Images of e₊, e₋, e₀ forming a triplet: checked by triplet_check for outside
-    input, true by construction in f_I, f_II, f_II_variant, exotic_g, group_act."""
+class Sl2Realization(NamedTuple("_Triplet", [("X", WeylElement), ("Y", WeylElement),
+                                               ("H", WeylElement)])):
+    """Images of e₊, e₋, e₀ forming a triplet, checked by the constructor: each member
+    read as an element (a scalar as its constant), nonzero, the three relations exact.
+    _sl2, _make and _replace skip the check, the last since the benchmark selftest builds
+    a wrong triplet by _replace; copy and pickle re-run it."""
 
-    X: WeylElement
-    Y: WeylElement
-    H: WeylElement
+    __slots__ = ()
+
+    def __new__(cls, X: WeylElement, Y: WeylElement, H: WeylElement):
+        X, Y, H = (_as_element(v, "Sl2Realization") for v in (X, Y, H))
+        if X.is_zero() or Y.is_zero() or H.is_zero():
+            raise RelationFailed("triplet members must be nonzero")
+        for a, b, rhs, message in ((H, X, X.scale(2), "[H,X] = 2X"),
+                                   (H, Y, Y.scale(-2), "[H,Y] = -2Y"), (X, Y, H, "[X,Y] = H")):
+            if bracket(a, b) != rhs:
+                raise RelationFailed(message)
+        return _sl2(X, Y, H)
 
 
-def triplet_check(X: WeylElement, Y: WeylElement, H: WeylElement) -> Sl2Realization:
-    """Verify [H,X] = 2X, [H,Y] = -2Y, [X,Y] = H exactly."""
-    X, Y, H = (_as_element(x, "triplet_check") for x in (X, Y, H))
-    if X.is_zero() or Y.is_zero() or H.is_zero():
-        raise RelationFailed("triplet members must be nonzero")
-    if bracket(H, X) != X.scale(2):
-        raise RelationFailed("[H,X] = 2X")
-    if bracket(H, Y) != Y.scale(-2):
-        raise RelationFailed("[H,Y] = -2Y")
-    if bracket(X, Y) != H:
-        raise RelationFailed("[X,Y] = H")
-    return Sl2Realization(X, Y, H)
+def _sl2(X: WeylElement, Y: WeylElement, H: WeylElement) -> Sl2Realization:
+    """A triplet the library built, true by construction: skips __new__."""
+    return tuple.__new__(Sl2Realization, (X, Y, H))
 
 
 def f_I() -> Sl2Realization:
     """The quadratic triplet: X = -q²/2, Y = p²/2, H = pq - 1/2."""
-    return Sl2Realization((q * q).scale(Fraction(-1, 2)),
-                          (p * p).scale(Fraction(1, 2)),
-                          p * q - one.scale(Fraction(1, 2)))
+    return _sl2((q * q).scale(Fraction(-1, 2)),
+                (p * p).scale(Fraction(1, 2)),
+                p * q - one.scale(Fraction(1, 2)))
 
 
 def f_II(b) -> Sl2Realization:
     """The one-parameter family: X = (b+pq)q, Y = -p, H = 2pq + b."""
-    return Sl2Realization((one.scale(b) + p * q) * q, -p,
-                          (p * q).scale(2) + one.scale(b))
+    return _sl2((one.scale(b) + p * q) * q, -p,
+                (p * q).scale(2) + one.scale(b))
 
 
 def f_II_variant(b) -> Sl2Realization:
     """The swapped variant: X = -q, Y = p(b+pq), H = 2pq + b."""
-    return Sl2Realization(-q, p * (one.scale(b) + p * q),
-                          (p * q).scale(2) + one.scale(b))
+    return _sl2(-q, p * (one.scale(b) + p * q),
+                (p * q).scale(2) + one.scale(b))
 
 
 def casimir(r: Sl2Realization) -> Scalar:
@@ -99,9 +101,9 @@ def casimir(r: Sl2Realization) -> Scalar:
 
     H·H/2 and XY + YX (an anticommutator, = X·Y + Y·X for any X, Y) go into one
     cell map over 2·D_H²·D_X·D_Y; the shortcut H²/2 + H + 2YX equals the Casimir
-    only where the relations hold, and the check below is for inputs where they
-    do not."""
-    X, Y, H = (_as_element(v, "casimir") for v in r)
+    only where the relations hold, and the check below is for triplets built past the
+    constructor by _make or _replace, where they may not."""
+    X, Y, H = r
     den = 2 * H.den * H.den * X.den * Y.den
     # cells coded as in the product kernel, w past every q-exponent of H·H and X·Y
     w = 1 + 2 * max((j for v in (X, Y, H) for _, j in v.num), default=0)
@@ -135,20 +137,18 @@ def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Reali
     is injective and preserves brackets.
 
     α is linear, α(Σ c·r) = Σ c·α(r), so it maps X, Y and H in one batch and
-    the Ad(g)⁻¹ combinations are taken of their images, a scalar member as its constant."""
+    the Ad(g)⁻¹ combinations are taken of their images."""
     if alpha._inverse is None:  # the slot, so that a composite's inverse is not built
         raise NotInvertible("the action needs an invertible substitution")
     import weylkit.morphisms as morphisms  # loaded on call, as in ElementSpan
-    X, Y, H = morphisms._apply_images(alpha.image_p, alpha.image_q,
-                                      [_as_element(v, "group_act") for v in r])
-    return Sl2Realization(*(linear_combination(((cx, X), (cy, Y), (ch, H)))
-                            for cx, cy, ch in _ad_rows(g.inverse())))
+    X, Y, H = morphisms._apply_images(alpha.image_p, alpha.image_q, r)
+    return _sl2(*(linear_combination(((cx, X), (cy, Y), (ch, H)))
+                  for cx, cy, ch in _ad_rows(g.inverse())))
 
 
 def isotropy_check(r: Sl2Realization, alpha: WeylMorphism, g: SL2Element) -> bool:
-    """True iff (α, g) fixes the triplet componentwise."""
-    acted = group_act(alpha, g, r)
-    return acted.X == r.X and acted.Y == r.Y and acted.H == r.H
+    """True iff (α, g) fixes the triplet, the moved members equal to r's one by one."""
+    return group_act(alpha, g, r) == r
 
 
 # -- the exotic triplet --------------------------------------------------------------
@@ -160,7 +160,7 @@ def exotic_g() -> Sl2Realization:
     x, y, h = f_II(1)
     xx = x * x
     y = linear_combination(((1, y), (1, anticommutator(h, x)), (-4, xx * x)))
-    return Sl2Realization(x, y, linear_combination(((1, h), (-4, xx))))
+    return _sl2(x, y, linear_combination(((1, h), (-4, xx))))
 
 
 class ExoticReport(NamedTuple):

@@ -16,7 +16,7 @@ from weylkit.errors import ExprSyntaxError
 from weylkit.morphisms import (SL2Element, alpha1_hat, beta_hat, compose, identity_morphism,
                                phi, phi_prime, scale, translation)
 from weylkit.scalars import Scalar, ScalarSyntaxError
-from weylkit.sl2orbits import exotic_g, f_I, f_II, triplet_check
+from weylkit.sl2orbits import Sl2Realization, exotic_g, f_I, f_II
 
 
 class ScalarScanner:
@@ -225,7 +225,7 @@ def parse_morphism(text):
 
 def parse_realization(texts):
     if len(texts) == 3:
-        return triplet_check(*(parse_element(t) for t in texts))
+        return Sl2Realization(*(parse_element(t) for t in texts))
     if len(texts) != 1:
         raise ExprSyntaxError(
             "a realisation is fI, fII(b), exotic, or three elements X Y H")

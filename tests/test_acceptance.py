@@ -22,9 +22,9 @@ from weylkit.morphisms import (LTildeGroupElement, RGroupElement, compose, exp_a
                                ltilde_group_mul, ltilde_to_aut, phi, phi_prime,
                                r_group_mul, r_to_aut, scale, translation)
 from weylkit.scalars import ONE, ZERO, Scalar
-from weylkit.sl2orbits import (SL2Element, alpha1_hat, beta_hat, casimir, exotic_g,
-                               exotic_report, f_I, f_II, f_II_variant,
-                               isotropy_check, s11_test, triplet_check)
+from weylkit.sl2orbits import (SL2Element, Sl2Realization, alpha1_hat, beta_hat, casimir,
+                               exotic_g, exotic_report, f_I, f_II, f_II_variant,
+                               isotropy_check, s11_test)
 
 from .oracles import swap_product
 
@@ -93,7 +93,7 @@ def test_a02_standard_triplets_satisfy_the_relations():
     triplets = [f_I(), f_II(0), f_II(1), f_II(-3), f_II(Fraction(5, 2)),
                 f_II(Scalar(0, 1)), f_II_variant(1), exotic_g()]
     for r in triplets:
-        checked = triplet_check(r.X, r.Y, r.H)
+        checked = Sl2Realization(r.X, r.Y, r.H)
         assert checked == r
     _passed(2, f"{len(triplets)} triplets pass the bracket relations exactly")
 
@@ -110,7 +110,7 @@ def test_a03_casimir_closed_form_and_invariance():
     for k in range(10):
         base = f_II(bs[k])
         m = _tame_morphism(rng, length=rng.randint(1, 3), with_scale=True)
-        moved = triplet_check(m(base.X), m(base.Y), m(base.H))
+        moved = Sl2Realization(m(base.X), m(base.Y), m(base.H))
         assert casimir(moved) == casimir(base), bs[k]
     _passed(3, "casimir(f_II(b)) = b(b/2+1) on 20 parameters, invariant under 10 maps")
 

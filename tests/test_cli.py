@@ -179,6 +179,20 @@ def test_triplet_valid_and_invalid(capsys):
     assert code == 1 and out.startswith("invalid")
 
 
+@pytest.mark.parametrize("argv, out, err", [
+    (["triplet", "p", "q", "1"], "invalid: [H,X] = 2X\n", ""),
+    (["triplet", "--json", "p", "q", "1"],
+     '{"schema": "weyl/triplet/v1", "valid": false, "reason": "[H,X] = 2X"}\n', ""),
+    (["triplet", "0", "p", "q"], "invalid: triplet members must be nonzero\n", ""),
+    (["casimir", "p", "q", "1"], "", "no: [H,X] = 2X\n"),
+    (["act", "alpha1(1,0,0,1)", "1", "0", "0", "1", "p", "q", "1"], "", "no: [H,X] = 2X\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_sl2_refusals_keep_their_bytes(capsys, argv, out, err):
+    # a non-triplet X Y H is refused by the realisation type, with the failing
+    # relation on stdout for `triplet` and on stderr for the commands reading one
+    assert run(capsys, *argv) == (1, out, err)
+
+
 def test_casimir_literals(capsys):
     assert run(capsys, "casimir", "fI")[1] == "-3/8\n"
     assert run(capsys, "casimir", "fII(1)")[1] == "3/2\n"

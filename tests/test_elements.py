@@ -24,7 +24,7 @@ from weylkit.dixmier import (classify_low_degree, eigenvectors_truncated, f_test
 from weylkit.errors import BadParams, ExprSyntaxError, WeylError
 from weylkit.liestruct import LieAlgebraStruct, Realization
 from weylkit.morphisms import WeylMorphism, exp_ad, phi
-from weylkit.sl2orbits import casimir, exotic_g, f_I, f_II, triplet_check
+from weylkit.sl2orbits import Sl2Realization, casimir, exotic_g, f_I, f_II
 
 from . import enumerated
 from .oracles import oracle_product, swap_product
@@ -605,7 +605,7 @@ _ELEMENT_CALLS = [
     (weight_decompose, (p,)), (classify_low_degree, (p,)), (f_test, (p * q, q)),
     (eigenvectors_truncated, (p * q, 1, 2)), (is_exponentiable, (p * q,)),
     (power_relation, (p * q, q, q * q)), (WeylMorphism, (p, q)), (exp_ad, (p, q * q)),
-    (triplet_check, tuple(f_I())),
+    (Sl2Realization, tuple(f_I())),
 ]
 
 

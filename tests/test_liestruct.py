@@ -809,8 +809,10 @@ CATALOG_CLASSES = ([CatalogTag("Abelian", n) for n in (1, 3)]
 # reaches, with its outcome: two one-generator pieces (codimension 2 over
 # derived + centre), a Jordan block on the abelian derived algebra, a repeated
 # weight, LTilde(3) with a second central vector, weights ±i (the real form of
-# LTildeModC(2)), weights ±√2, outside Q(i), and Vergne's Q5, which has L(5)'s
-# lower-central profile, but the centraliser of its derived algebra has codimension 4
+# LTildeModC(2)), weights ±√2, outside Q(i), Vergne's Q5, which has L(5)'s
+# lower-central profile, but the centraliser of its derived algebra has codimension 4,
+# and two lower-central profiles that are no L(n)'s: H₃ ⊕ ℂ, nilpotent, and a diagonal
+# h acting on it, the extended-family branch
 HAND_TABLES = {
     "R(1) + R(1)": (4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, CatalogTag("Unknown")),
     "Jordan block on D": (3, {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}}, CatalogTag("Unknown")),
@@ -822,6 +824,9 @@ HAND_TABLES = {
     "R(1) + C^2": (4, {(0, 1): {1: 1}}, CatalogTag("Unknown")),
     "Q5": (6, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (0, 4): {5: 1}, (1, 4): {5: -1},
                (2, 3): {5: 1}}, CatalogTag("Unknown")),
+    "H3 + C": (4, {(1, 2): {0: 1}}, CatalogTag("Unknown")),
+    "h on H3 + C": (5, {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}, (0, 4): {4: 1},
+                        (1, 2): {3: 1}}, CatalogTag("Unknown")),
 }
 TABLES = {**{str(tag): (lambda tag=tag: catalog(tag).algebra) for tag in CATALOG_CLASSES},
           **{name: (lambda dim=dim, c=c: LieAlgebraStruct(dim, [f"e{k}" for k in range(dim)], c))

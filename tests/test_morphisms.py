@@ -206,6 +206,21 @@ def test_ltilde_to_aut_is_a_homomorphism():
     assert lhs.image_p == rhs.image_p and lhs.image_q == rhs.image_q
 
 
+def test_group_products_refuse_foreign_operands():
+    # `*` leaves an operand of another type to Python, which raises TypeError, and
+    # the product functions refuse one with BadParams, not AttributeError
+    g, r, lt = SL2Element.identity(), RGroupElement((1,), [1], 1), LTildeGroupElement([1], 0, 1)
+    for x, other in ((g, "x"), (g, r), (r, "x"), (r, lt), (lt, "x"), (lt, g)):
+        assert type(x).__mul__(x, other) is NotImplemented
+        with pytest.raises(TypeError):
+            x * other
+    for mul, family in ((r_group_mul, "RGroupElement"), (ltilde_group_mul, "LTildeGroupElement")):
+        for x, other in ((r, lt), (lt, r), (r, g), (lt, "x")):
+            with pytest.raises(BadParams, match=f"^{family} products take {family}s, not"):
+                mul(x, other)
+    assert r * r == r_group_mul(r, r) and lt * lt == ltilde_group_mul(lt, lt)
+
+
 def test_ltilde_last_coordinate_acts_trivially():
     g = LTildeGroupElement([0, 0, 5], Scalar(0), Scalar(1))
     m = ltilde_to_aut(g)

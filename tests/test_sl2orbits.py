@@ -1,6 +1,8 @@
 """Canonical triplets, the Casimir, the group action, and the weight pattern."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,10 +18,9 @@ from weylkit.elements import linear_combination, one, p, parse_element, q
 from weylkit.errors import (BadParams, NonScalarCasimir, NotInBorel, NotInvertible,
                             NotUnimodular, RelationFailed)
 from weylkit.morphisms import compose, phi, phi_prime, scale, translation
-from weylkit.sl2orbits import (SL2Element, Sl2Realization, alpha1_hat, beta_hat,
+from weylkit.sl2orbits import (SL2Element, Sl2Realization, _sl2, alpha1_hat, beta_hat,
                                casimir, exotic_g, exotic_report, f_I, f_II,
-                               f_II_variant, group_act, isotropy_check,
-                               s11_test, triplet_check)
+                               f_II_variant, group_act, isotropy_check, s11_test)
 
 from .strategies import element_st, nonzero_scalar_st, scalar_st
 
@@ -39,12 +40,12 @@ def test_triplet_check_passes_the_canonical_families():
 
 def test_triplet_check_reports_the_failing_relation():
     with pytest.raises(RelationFailed, match=r"\[H,X\]"):
-        triplet_check(q, p, one)
+        Sl2Realization(q, p, one)
     with pytest.raises(RelationFailed, match="nonzero"):
-        triplet_check(0, p, q)
+        Sl2Realization(0, p, q)
     with pytest.raises(RelationFailed, match=r"\[X,Y\]"):
-        triplet_check(parse_element("-1/2*q^2"), parse_element("1/2*p^2"),
-                      parse_element("p*q + 1/2"))
+        Sl2Realization(parse_element("-1/2*q^2"), parse_element("1/2*p^2"),
+                       parse_element("p*q + 1/2"))
 
 
 def test_f_I_images():
@@ -93,7 +94,7 @@ def test_casimir_of_f_I_is_minus_three_eighths():
 def test_casimir_of_a_non_triplet_is_refused():
     # H²/2 + XY + YX with X = p, Y = q, H = pq is not scalar
     with pytest.raises(NonScalarCasimir):
-        casimir(Sl2Realization(p, q, p * q))
+        casimir(_sl2(p, q, p * q))
 
 
 def _three_product_casimir(r: Sl2Realization) -> Scalar:
@@ -107,23 +108,19 @@ def _three_product_casimir(r: Sl2Realization) -> Scalar:
 
 casimir_input_st = st.one_of(
     st.builds(f_II, scalar_st), st.builds(f_II_variant, scalar_st), st.just(f_I()),
-    # not triplets: mostly a non-scalar image, a scalar one when all three are scalars
-    st.builds(Sl2Realization, element_st(), element_st(), element_st()),
-    st.builds(Sl2Realization, element_st(0), element_st(0), element_st(0)),
-    st.builds(lambda r, c: Sl2Realization(r.X, r.Y, r.H + c), st.builds(f_II, scalar_st),
-              scalar_st),
+    # not triplets, built past the check: mostly a non-scalar image, a scalar one
+    # when all three are constants
+    st.builds(_sl2, element_st(), element_st(), element_st()),
+    st.builds(_sl2, element_st(0), element_st(0), element_st(0)),
+    st.builds(lambda r, c: _sl2(r.X, r.Y, r.H + c), st.builds(f_II, scalar_st), scalar_st),
     # the orbits traffic: triplets moved by a tame chain and an SL2Element over Q(i)
-    st.deferred(lambda: _action_st.map(lambda action: group_act(*action))),
-    # scalar members, read as their constants
-    st.builds(Sl2Realization, scalar_st, scalar_st, scalar_st),
-    st.builds(Sl2Realization, st.one_of(scalar_st, element_st(1)), scalar_st,
-              st.one_of(scalar_st, element_st(1))))
+    st.deferred(lambda: _action_st.map(lambda action: group_act(*action))))
 
 
 @settings(max_examples=100)
 @given(casimir_input_st)
 # H²/2 = -2p² and XY + YX = 2q²: cells coded too narrow for X·Y would cancel them
-@example(Sl2Realization(q, q, p.scale(S(0, 2))))
+@example(_sl2(q, q, p.scale(S(0, 2))))
 def test_casimir_matches_the_three_product_form(r):
     try:
         want = _three_product_casimir(r)
@@ -137,7 +134,7 @@ def test_casimir_matches_the_three_product_form(r):
 def test_casimir_is_an_orbit_invariant():
     m = compose(phi(2, S(1, 1)), compose(scale(S(3)), phi_prime(1, -2)))
     for r in (f_I(), f_II(1), f_II(S(0, 1))):
-        moved = triplet_check(m(r.X), m(r.Y), m(r.H))
+        moved = Sl2Realization(m(r.X), m(r.Y), m(r.H))
         assert casimir(moved) == casimir(r)
 
 
@@ -202,7 +199,7 @@ _action_st = st.one_of(
 def test_group_act_needs_no_check(action):
     alpha, g, r = action
     acted = group_act(alpha, g, r)
-    assert triplet_check(*acted) == acted
+    assert Sl2Realization(*acted) == acted
     assert casimir(acted) == casimir(r)
 
 
@@ -222,17 +219,34 @@ def test_group_act_requires_invertible_morphism():
 
 
 def test_scalar_members_are_read_as_their_constants():
-    # a Scalar or int member stands for its constant element; anything else is BadParams
-    assert casimir(Sl2Realization(S(0), S(0), S(2))) == 2
-    alpha, g = alpha1_hat(SL2Element.identity()), SL2Element(1, 1, 0, 1)
-    r, elements = Sl2Realization(S(2), p, 3), Sl2Realization(one.scale(2), p, one.scale(3))
-    assert group_act(alpha, g, r) == group_act(alpha, g, elements)
-    assert isotropy_check(r, alpha, SL2Element.identity())
-    assert not isotropy_check(r, alpha, g)
-    for refused in (casimir, lambda r: group_act(alpha, g, r),
-                    lambda r: isotropy_check(r, alpha, g)):
-        with pytest.raises(BadParams, match="takes elements and scalars"):
-            refused(Sl2Realization("p", p, q))
+    # the constructor reads a Scalar or int member as its constant element, which
+    # no triplet has, and refuses anything else with BadParams
+    with pytest.raises(RelationFailed, match="^triplet members must be nonzero$"):
+        Sl2Realization(S(0), S(0), S(2))
+    for members in ((S(2), p, 3), (one.scale(2), p, one.scale(3))):
+        with pytest.raises(RelationFailed, match=r"^\[H,X\] = 2X$"):
+            Sl2Realization(*members)
+    for k in range(3):
+        members = [*f_I()]
+        members[k] = "p"
+        with pytest.raises(BadParams, match="^Sl2Realization takes elements and scalars"):
+            Sl2Realization(*members)
+
+
+def test_the_type_checks_where_outside_input_builds_it():
+    # the library's own triplets pass the constructor unchanged, as do a copy and a
+    # pickle; _make and _replace skip the check, as _sl2 does
+    r = f_I()
+    assert type(r) is Sl2Realization and Sl2Realization(*r) == r
+    assert copy.copy(r) == r == pickle.loads(pickle.dumps(r))
+    assert repr(r).startswith("Sl2Realization(X=")
+    wrong = r._replace(X=r.Y)
+    assert type(wrong) is Sl2Realization and wrong.X == r.Y
+    assert type(Sl2Realization._make([q, p, one])) is Sl2Realization
+    with pytest.raises(RelationFailed, match=r"^\[H,X\] = 2X$"):
+        copy.copy(wrong)
+    with pytest.raises(RelationFailed, match=r"^\[H,X\] = 2X$"):
+        pickle.loads(pickle.dumps(wrong))
 
 
 def test_alpha1_hat_intertwines_on_f_I():
@@ -341,8 +355,8 @@ _S11_DEGREE_FREE = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from weylkit.elements import one, q, zero
-from weylkit.sl2orbits import Sl2Realization, s11_test
-report = s11_test(Sl2Realization(q, zero, one), 2)
+from weylkit.sl2orbits import _sl2, s11_test
+report = s11_test(_sl2(q, zero, one), 2)
 want = ((False, 0, 1, q), (True, 0, 0, None))
 raise SystemExit(0 if report == want else repr(report))
 """
