@@ -153,6 +153,11 @@ class CatalogEntry(NamedTuple):
     realization: Optional[Realization]
 
 
+def _is_index_list(param, least) -> bool:
+    """Whether an R parameter is a tuple or list of ints, each at least ``least``."""
+    return isinstance(param, (tuple, list)) and all(_is_count(i, least) for i in param)
+
+
 def normalize_tag(tag: CatalogTag) -> CatalogTag:
     """Canonical form of a tag: collapse known coincidences.
 
@@ -163,6 +168,8 @@ def normalize_tag(tag: CatalogTag) -> CatalogTag:
     if tag.kind == "L" and tag.param == 2:
         return CatalogTag("Heisenberg3")
     if tag.kind == "R":
+        if not _is_index_list(tag.param, -math.inf):
+            raise BadParams(f"R indices are a tuple of ints, not {tag.param!r}")
         idx = sorted(tag.param)
         if idx and all(i <= 0 for i in idx) and idx[0] < 0:
             idx = sorted(-i for i in idx)
@@ -221,12 +228,11 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         labels = ["h"] + [f"X{k}" for k in range(param + 1)]
         return _struct_from_images(labels, [p * q] + _filiform_images(param))
     if kind == "R":
-        idx = tuple(param) if isinstance(param, (tuple, list)) else ()
-        if (not idx or not all(map(_is_count, idx)) or len(set(idx)) != len(idx)
-                or not any(idx)):
+        if not (_is_index_list(param, 0) and param and len(set(param)) == len(param)
+                and any(param)):
             raise BadParams("indices must be distinct naturals, not all zero")
-        labels = ["h"] + [f"X{k}" for k in range(1, len(idx) + 1)]
-        images = [p * q] + [WeylElement.monomial(i, 0) for i in idx]
+        labels = ["h"] + [f"X{k}" for k in range(1, len(param) + 1)]
+        images = [p * q] + [WeylElement.monomial(i, 0) for i in param]
         return _struct_from_images(labels, images)
     if kind == "Sl2SemidirectC2":
         c = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}, (0, 4): {3: 1},

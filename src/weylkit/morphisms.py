@@ -89,6 +89,13 @@ class _Value:
         return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
+def _check_family(takes: str, cls: type, *xs) -> None:
+    """BadParams unless each x is a cls; the message reads "{takes} {cls}s, not {type}"."""
+    for x in xs:
+        if not isinstance(x, cls):
+            raise BadParams(f"{takes} {cls.__name__}s, not {type(x).__name__}")
+
+
 class WeylMorphism(_Value):
     """An algebra endomorphism given by the images of p and q.
 
@@ -150,12 +157,14 @@ def compose(m1: WeylMorphism, m2: WeylMorphism) -> WeylMorphism:
 
     m1 maps m2's two images in one batch, and m2⁻¹ maps m1⁻¹'s on the first read of
     the inverse; the factors' inverses are read here, so no deferral nests."""
+    _check_family("compose takes", WeylMorphism, m1, m2)
     both = m1._inverse is not None and m2._inverse is not None
     return _mk(*_apply_images(m1.image_p, m1.image_q, (m2.image_p, m2.image_q)),
                [*m2.inverse, m1.inverse] if both else None)
 
 
 def invert(m: WeylMorphism) -> WeylMorphism:
+    _check_family("invert takes", WeylMorphism, m)
     if m.inverse is None:
         raise NotInvertible("morphism carries no inverse images")
     return _mk(*m.inverse, (m.image_p, m.image_q))
@@ -229,6 +238,7 @@ def _sl2(a1: Scalar, a2: Scalar, a3: Scalar, a4: Scalar) -> SL2Element:
 def alpha1_hat(g: SL2Element) -> WeylMorphism:
     """The linear substitution p ↦ a₂q + a₄p, q ↦ a₁q + a₃p, which
     intertwines the quadratic triplet with Ad(g)."""
+    _check_family("alpha1_hat takes", SL2Element, g)
     a1, a2, a3, a4 = g.a1, g.a2, g.a3, g.a4
     return _mk(q.scale(a2) + p.scale(a4), q.scale(a1) + p.scale(a3),
                (q.scale(-a2) + p.scale(a1), q.scale(a4) + p.scale(-a3)))
@@ -237,6 +247,7 @@ def alpha1_hat(g: SL2Element) -> WeylMorphism:
 def beta_hat(g: SL2Element) -> WeylMorphism:
     """p ↦ p/a₁², q ↦ a₁²q - a₁a₃ for lower-triangular g: the isotropy
     substitution of f_II."""
+    _check_family("beta_hat takes", SL2Element, g)
     if g.a2:
         raise NotInBorel("the matrix must be lower triangular")
     return compose(translation(0, -g.a3 / g.a1), scale(g.a1 * g.a1))
@@ -244,7 +255,12 @@ def beta_hat(g: SL2Element) -> WeylMorphism:
 
 def sl2_semidirect_aut(g: SL2Element, b: Sequence) -> WeylMorphism:
     """The automorphism α̂₁(g)∘translation(b₁, b₂) of the unimodular-affine family."""
-    return compose(alpha1_hat(g), translation(b[0], b[1]))
+    _check_family("sl2_semidirect_aut takes", SL2Element, g)
+    try:
+        b1, b2 = b
+    except (TypeError, ValueError):
+        raise BadParams(f"sl2_semidirect_aut takes pairs, not {type(b).__name__}") from None
+    return compose(alpha1_hat(g), translation(b1, b2))
 
 
 def exp_ad(z: WeylElement, x: WeylElement, max_iter: int = 64) -> WeylElement:
@@ -283,14 +299,6 @@ class _GroupPoint(_Value):
             raise ZeroScale("exponential coordinate must be a unit")
 
 
-def _check_family(cls: type, *points) -> None:
-    """BadParams unless each point is a cls: a product stays within one family."""
-    for x in points:
-        if not isinstance(x, cls):
-            raise BadParams(f"{cls.__name__} products take {cls.__name__}s, "
-                            f"not {type(x).__name__}")
-
-
 class RGroupElement(_GroupPoint):
     """A point (a₁,…,a_n, s) of the diagonal-times-unipotent family.
 
@@ -324,7 +332,7 @@ def r_group_identity(indices: Sequence[int]) -> RGroupElement:
 
 
 def r_group_mul(g: RGroupElement, h: RGroupElement) -> RGroupElement:
-    _check_family(RGroupElement, g, h)
+    _check_family("RGroupElement products take", RGroupElement, g, h)
     if g.indices != h.indices:
         raise IndexMismatch("group elements carry different index lists")
     a = [ga + ha * g.s ** (-ik) for ga, ha, ik in zip(g.a, h.a, g.indices)]
@@ -332,6 +340,7 @@ def r_group_mul(g: RGroupElement, h: RGroupElement) -> RGroupElement:
 
 
 def r_group_inv(g: RGroupElement) -> RGroupElement:
+    _check_family("r_group_inv takes", RGroupElement, g)
     a = [-ga * g.s ** ik for ga, ik in zip(g.a, g.indices)]
     return RGroupElement(g.indices, a, g.s.inverse())
 
@@ -344,6 +353,7 @@ def _r_images(g: RGroupElement) -> tuple[WeylElement, WeylElement]:
 
 def r_to_aut(g: RGroupElement) -> WeylMorphism:
     """p ↦ s⁻¹p, q ↦ s(q + Σ a_k/(i_k-1)!·p^{i_k-1}); a group homomorphism."""
+    _check_family("r_to_aut takes", RGroupElement, g)
     return _mk(*_r_images(g), _r_images(r_group_inv(g)))
 
 
@@ -371,7 +381,7 @@ def ltilde_group_identity(n: int) -> LTildeGroupElement:
 
 
 def ltilde_group_mul(g: LTildeGroupElement, h: LTildeGroupElement) -> LTildeGroupElement:
-    _check_family(LTildeGroupElement, g, h)
+    _check_family("LTildeGroupElement products take", LTildeGroupElement, g, h)
     if len(g.a) != len(h.a):
         raise SizeMismatch("group elements have different sizes")
     n = len(g.a)
@@ -385,6 +395,7 @@ def ltilde_group_mul(g: LTildeGroupElement, h: LTildeGroupElement) -> LTildeGrou
 
 
 def ltilde_group_inv(g: LTildeGroupElement) -> LTildeGroupElement:
+    _check_family("ltilde_group_inv takes", LTildeGroupElement, g)
     n = len(g.a)
     s_inv = g.s.inverse()
     a: list[Scalar] = []
@@ -409,6 +420,7 @@ def ltilde_to_aut(g: LTildeGroupElement) -> WeylMorphism:
     The last coordinate a_n acts trivially — it spans the connected part of
     the kernel, so the map factors through the quotient as expected.
     """
+    _check_family("ltilde_to_aut takes", LTildeGroupElement, g)
     return _mk(*_ltilde_images(g), _ltilde_images(ltilde_group_inv(g)))
 
 

@@ -277,24 +277,20 @@ class ScalarSyntaxError(ExprSyntaxError):
     them; carries the offending position."""
 
 
-def _fmt_rational(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
-
 def format_scalar(s: Scalar) -> str:
     if not s.im:
-        return _fmt_rational(s.re)
+        return str(s.re)
     if s.im == 1:
         im = "i"
     elif s.im == -1:
         im = "-i"
     else:
-        im = _fmt_rational(s.im) + "i"
+        im = f"{s.im}i"
     if not s.re:
         return im
     sign = "+" if s.im > 0 else "-"
     mag = im.lstrip("+-")
-    return f"{_fmt_rational(s.re)}{sign}{mag}"
+    return f"{s.re}{sign}{mag}"
 
 
 class _ScalarScanner:

@@ -138,9 +138,12 @@ def group_act(alpha: WeylMorphism, g: SL2Element, r: Sl2Realization) -> Sl2Reali
 
     α is linear, α(Σ c·r) = Σ c·α(r), so it maps X, Y and H in one batch and
     the Ad(g)⁻¹ combinations are taken of their images."""
+    import weylkit.morphisms as morphisms  # loaded on call, as in ElementSpan
+    morphisms._check_family("group_act takes", morphisms.WeylMorphism, alpha)
+    morphisms._check_family("group_act takes", morphisms.SL2Element, g)
+    morphisms._check_family("group_act takes", Sl2Realization, r)
     if alpha._inverse is None:  # the slot, so that a composite's inverse is not built
         raise NotInvertible("the action needs an invertible substitution")
-    import weylkit.morphisms as morphisms  # loaded on call, as in ElementSpan
     X, Y, H = morphisms._apply_images(alpha.image_p, alpha.image_q, r)
     return _sl2(*(linear_combination(((cx, X), (cy, Y), (ch, H)))
                   for cx, cy, ch in _ad_rows(g.inverse())))

@@ -248,12 +248,19 @@ NORMALIZE_GOLDEN = [
     (CatalogTag("R", (0, 0, 5)), CatalogTag("R", (0, 0, 5))),  # not a family member
     (CatalogTag("R", (0, 0, 0)), CatalogTag("Abelian", 4)),
     (CatalogTag("Sl2"), CatalogTag("Sl2")),
+    # a malformed R parameter is refused with BadParams, as catalog refuses it
+    *(pytest.param(CatalogTag("R", bad), BadParams, id=f"R-{bad!r}")
+      for bad in (None, 5, (1, "a"), (1.0, 2))),
 ]
 
 
 @pytest.mark.parametrize("tag,expected", NORMALIZE_GOLDEN, ids=str)
 def test_normalize_tag(tag, expected):
-    assert normalize_tag(tag) == expected
+    if expected is BadParams:
+        with pytest.raises(BadParams, match="R indices"):
+            normalize_tag(tag)
+    else:
+        assert normalize_tag(tag) == expected
 
 
 def test_tag_strings():

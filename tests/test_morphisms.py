@@ -23,7 +23,7 @@ from weylkit.morphisms import (LTildeGroupElement, RGroupElement, SL2Element, We
                                parse_morphism, phi, phi_prime, r_group_identity,
                                r_group_inv, r_group_mul, r_to_aut, scale,
                                sl2_semidirect_aut, translation)
-from weylkit.sl2orbits import f_II
+from weylkit.sl2orbits import f_I, f_II, group_act
 
 from . import frozen_parsers as frozen
 from .strategies import element_st, nonzero_scalar_st, scalar_st
@@ -80,6 +80,29 @@ def test_a_composite_inverse_is_mapped_on_its_first_read_only(monkeypatch):
     first = m.inverse
     assert calls == [2, 2] and m.inverse is first and calls == [2, 2]
     assert invert(m).inverse == (m.image_p, m.image_q) and calls == [2, 2]
+
+
+def test_composing_a_shared_factor_maps_each_compose_at_most_twice(monkeypatch):
+    # compose reads its factors' inverses, so the work grows with the compose calls,
+    # not with the leaves of the unfolded compose tree, even when a factor is shared
+    calls = []
+
+    def counted(image_p, image_q, xs):
+        calls.append(len(xs))
+        return _apply_images(image_p, image_q, xs)
+
+    monkeypatch.setattr(morphisms, "_apply_images", counted)
+    m = parse_morphism("phi(1,2); phiP(2,i); scale(3); translate(1,2)")
+    assert calls == [2] * 5  # 3 forward, 2 for the inner composites' inverses
+    first = m.inverse
+    assert calls == [2] * 6 and m.inverse is first and calls == [2] * 6
+    calls.clear()
+    m = phi(1, 1)
+    for _ in range(40):
+        m = compose(m, m)
+    assert len(calls) <= 2 * 40
+    big = p.scale(2 ** 40)
+    assert m.image_q == q + big and m.inverse == (p, q - big) and len(calls) <= 2 * 40 + 1
 
 
 def test_a_composite_copies_and_pickles_with_its_inverse():
@@ -219,6 +242,33 @@ def test_group_products_refuse_foreign_operands():
             with pytest.raises(BadParams, match=f"^{family} products take {family}s, not"):
                 mul(x, other)
     assert r * r == r_group_mul(r, r) and lt * lt == ltilde_group_mul(lt, lt)
+
+
+_G, _R, _LT = SL2Element.identity(), RGroupElement((1,), [1], 1), LTildeGroupElement([1], 0, 1)
+
+
+@pytest.mark.parametrize("call, args, at", [
+    pytest.param(call, args, at, id=f"{call.__name__}-{at}")
+    for call, args, ats in ((r_group_inv, (_R,), [0]), (r_to_aut, (_R,), [0]),
+                            (ltilde_group_inv, (_LT,), [0]), (ltilde_to_aut, (_LT,), [0]),
+                            (alpha1_hat, (_G,), [0]), (beta_hat, (_G,), [0]),
+                            (sl2_semidirect_aut, (_G, (1, 2)), [0, 1]),
+                            (compose, (phi(1, 2), scale(2)), [0, 1]), (invert, (phi(1, 2),), [0]),
+                            (group_act, (phi(1, 2), _G, f_I()), [0, 1, 2]))
+    for at in ats])
+@pytest.mark.parametrize("foreign", ["x", 5])
+def test_group_functions_refuse_foreign_arguments(call, args, at, foreign):
+    call(*args)
+    args = [*args[:at], foreign, *args[at + 1:]]
+    with pytest.raises(BadParams, match=f"^{call.__name__} takes "):
+        call(*args)
+
+
+def test_sl2_semidirect_aut_takes_any_pair_and_refuses_non_scalars():
+    g = SL2Element.identity()
+    assert sl2_semidirect_aut(g, [1, 2]) == sl2_semidirect_aut(g, iter((1, 2))) == translation(1, 2)
+    with pytest.raises(BadParams, match="^coefficients are ints"):
+        sl2_semidirect_aut(g, "12")
 
 
 def test_ltilde_last_coordinate_acts_trivially():
