@@ -115,9 +115,9 @@ class CatalogTag(NamedTuple):
     param: object = None
 
     def __str__(self):
-        if self.kind == "R":
+        if self.kind == "R" and isinstance(self.param, (tuple, list)):
             return "R(" + ",".join(str(i) for i in self.param) + ")"
-        if self.param is None:
+        if self.param is None and self.kind != "R":
             return self.kind
         return f"{self.kind}({self.param})"
 

@@ -17,8 +17,9 @@ over one positive int.
 ``eigenvalues`` and ``eigen_decomposition`` take a square matrix in the form
 ``integer_kernel`` takes, its columns {row: (re, im)} over one positive int,
 build Scalars only for the eigenvalues they return and return each
-eigenspace as ``integer_kernel`` relations.  Faddeev–LeVerrier runs on the
-Gaussian-integer matrix, and eigenvalues come from det(tI - D·a), monic
+eigenspace as ``integer_kernel`` relations.  A triangular matrix's
+eigenvalues are its diagonal entries.  For any other, Faddeev–LeVerrier runs
+on the Gaussian-integer matrix, and eigenvalues come from det(tI - D·a), monic
 over Z[i] for the least such D, so its Q(i)-roots are Gaussian integers
 dividing its lowest nonzero coefficient a₀.  While N(a₀) is within
 ``_NORM_BUDGET`` the divisors are enumerated by trial division and tested by
@@ -30,6 +31,7 @@ and is reported as such rather than approximated.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from math import gcd, isqrt
 from typing import Iterable, Optional
@@ -369,7 +371,9 @@ def eigenvalues(columns: list[dict], den: int = 1) -> list[tuple[Scalar, int]]:
     """Eigenvalues in Q(i) with algebraic multiplicities, deterministic order, of
     the matrix a with columns {row: (re, im)} over Z[i] over den > 0.
 
-    den is first cut to the least common denominator of the entries.  With D
+    den is first cut to the least common denominator of the entries.  If a is
+    upper or lower triangular, its eigenvalues are its diagonal entries,
+    counted with multiplicity, and no charpoly is formed.  Otherwise, with D
     from ``_root_scale``, det(tI - D·a) is monic over Z[i], and Z[i] is
     integrally closed, so its Q(i)-roots are Gaussian integers.  Past the zero
     roots, each divides the lowest nonzero coefficient a₀.  While N(a₀) ≤
@@ -387,25 +391,29 @@ def eigenvalues(columns: list[dict], den: int = 1) -> list[tuple[Scalar, int]]:
         raise BadParams(f"the {n} columns of a square matrix are dicts keyed by rows below {n}")
     g = gcd(den, *(t for col in columns for z in col.values() for t in z))
     columns, den = [{r: (x // g, y // g) for r, (x, y) in col.items()} for col in columns], den // g
-    coeffs = _charpoly(columns)
-    # det(tI - D·a) = Σ b_k / (den/D)^(n-k) t^k over Z[i], highest coefficient first
-    s = den // (d := _root_scale(den, coeffs))
-    poly = [(x // s ** (n - k), y // s ** (n - k)) for k, (x, y) in enumerate(coeffs)][::-1]
-    roots: dict[tuple[int, int], int] = {}
-    while poly[-1] == (0, 0):
-        poly.pop()
-        roots[(0, 0)] = roots.get((0, 0), 0) + 1
-    if len(poly) > 1:
-        candidates = _gaussian_divisors(poly[-1])
-        if candidates is None:
-            roots.update(_factor_roots(poly))
-        else:
-            for z in candidates:
-                while len(poly) > 1 and (rest := _deflate(poly, z)) is not None:
-                    poly = rest
-                    roots[z] = roots.get(z, 0) + 1
-            if len(poly) > 1:
-                raise _root_free(len(poly) - 1)
+    if (all(max(col, default=c) <= c for c, col in enumerate(columns))
+            or all(min(col, default=c) >= c for c, col in enumerate(columns))):
+        roots, d = Counter(col.get(c, (0, 0)) for c, col in enumerate(columns)), den
+    else:
+        roots = Counter()
+        coeffs = _charpoly(columns)
+        # det(tI - D·a) = Σ b_k / (den/D)^(n-k) t^k over Z[i], highest coefficient first
+        s = den // (d := _root_scale(den, coeffs))
+        poly = [(x // s ** (n - k), y // s ** (n - k)) for k, (x, y) in enumerate(coeffs)][::-1]
+        while poly[-1] == (0, 0):
+            poly.pop()
+            roots[(0, 0)] += 1
+        if len(poly) > 1:
+            candidates = _gaussian_divisors(poly[-1])
+            if candidates is None:
+                roots.update(_factor_roots(poly))
+            else:
+                for z in candidates:
+                    while len(poly) > 1 and (rest := _deflate(poly, z)) is not None:
+                        poly = rest
+                        roots[z] += 1
+                if len(poly) > 1:
+                    raise _root_free(len(poly) - 1)
     return [(_norm(x, y, d), m) for (x, y), m in sorted(roots.items())]
 
 

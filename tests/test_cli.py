@@ -14,6 +14,8 @@ from weylkit import Scalar, WeylElement, elements, errors, sl2orbits
 from weylkit.cli import main
 from weylkit.elements import format_element, parse_element, zero
 
+from .test_liestruct import _NON_UNIT_CHAIN
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -545,6 +547,28 @@ if loaded != {sorted(_CORE | extra)!r}:
     raise SystemExit(f"loaded {{loaded}}")
 if "json" in sys.modules and not had_json:
     raise SystemExit("the text form loaded json")
+""")
+
+
+@pytest.mark.parametrize("index", [(0, 1, 3), (1, 3), (2, 4)])
+def test_recognition_after_a_non_unit_chain_runs_without_loading_sympy(index):
+    # ad(h) on these closures is triangular, so its spectrum is read off the
+    # diagonal and the factoriser past the norm budget, sympy's, never runs
+    chain = [(make.__name__, n, lam.a, lam.b, lam.d) for make, n, lam in _NON_UNIT_CHAIN]
+    _run_without_sympy(f"""
+import sys
+from fractions import Fraction
+from weylkit import morphisms
+from weylkit.liestruct import CatalogTag, catalog, lie_closure, normalize_tag, recognize
+from weylkit.scalars import Scalar
+tag = CatalogTag("R", {index!r})
+m = None
+for name, n, a, b, d in {chain!r}:
+    step = getattr(morphisms, name)(n, Scalar(Fraction(a, d), Fraction(b, d)))
+    m = step if m is None else morphisms.compose(step, m)
+real = lie_closure([m(x) for x in catalog(tag).realization.images])
+if recognize(real.algebra) != normalize_tag(tag):
+    raise SystemExit(f"{{tag}} recognised as {{recognize(real.algebra)}}")
 """)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import Scalar, WeylElement, bracket, dixmier
@@ -15,10 +15,10 @@ from weylkit.errors import (BadParams, BudgetExceeded, DegreeTooHigh, NoProporti
 from weylkit.liestruct import CatalogTag, LieAlgebraStruct, catalog, lie_closure
 from weylkit.morphisms import (RGroupElement, SL2Element, alpha1_hat, exp_ad, phi,
                                phi_prime)
-from weylkit.sl2orbits import f_I, s11_test
+from weylkit.sl2orbits import exotic_g, f_I, f_II, s11_test
 
-from . import enumerated
-from .strategies import scalar_st
+from . import enumerated, frozen_eigen
+from .strategies import element_st, scalar_st
 
 
 CLASSIFY_GOLDEN = [
@@ -106,6 +106,29 @@ def test_eigenvectors_satisfy_the_equation_exactly():
 
 def test_eigenvectors_empty_for_odd_weight_of_even_spectrum():
     assert eigenvectors_truncated(parse_element("2*p*q + 1"), 3, 7) == []
+
+
+def _exact(basis):
+    """Each element's numerators, in their order, and its denominator."""
+    return [(list(v.num.items()), v.den) for v in basis]
+
+
+@given(element_st(max_degree=4, max_terms=5),
+       st.one_of(scalar_st, st.integers(-3, 3)), st.integers(0, 8))
+@example(zero, Scalar(Fraction(1, 2), 1), 4)  # a zero x has degree -1
+@example(zero, 0, 3)
+@example(p * q + q ** 4, 3, 8)
+def test_eigenvectors_truncated_match_the_per_monomial_loop(x, lam, degree):
+    assert _exact(eigenvectors_truncated(x, lam, degree)) == _exact(
+        frozen_eigen.eigenvectors_truncated(x, lam, degree))
+
+
+@pytest.mark.parametrize("triplet", [f_I(), f_II(1), f_II(Fraction(-3, 2)), exotic_g()],
+                         ids=["f_I", "f_II(1)", "f_II(-3/2)", "exotic_g"])
+def test_sl2_weight_vectors_match_the_per_monomial_loop(triplet):
+    for lam in range(-6, 7):
+        assert _exact(eigenvectors_truncated(triplet.H, lam, 10)) == _exact(
+            frozen_eigen.eigenvectors_truncated(triplet.H, lam, 10))
 
 
 def test_eigenvector_windows_past_the_budget_are_refused_before_any_column(monkeypatch):

@@ -267,6 +267,9 @@ def test_tag_strings():
     assert str(CatalogTag("R", (1, 2))) == "R(1,2)"
     assert str(CatalogTag("LTilde", 3)) == "LTilde(3)"
     assert str(CatalogTag("Sl2")) == "Sl2"
+    # the malformed R tags of NORMALIZE_GOLDEN print as given; None and 5 raised TypeError
+    assert [str(CatalogTag("R", bad)) for bad in (None, 5, (1, "a"), (1.0, 2))] == [
+        "R(None)", "R(5)", "R(1,a)", "R(1.0,2)"]
 
 
 # -- closure --------------------------------------------------------------------------
@@ -508,7 +511,8 @@ def test_recognize_after_conjugated_closure():
 
 # phi(1, 7/3), phi'(2, 5/2 - 2i), phi(1, -3/5 + 11i/7): on the closures of the
 # R families the ad(h) charpoly's lowest coefficient passes the norm budget, so
-# this is the one library path that reaches the factoriser
+# under a basis change that makes ad(h) non-triangular this is the one library
+# path that reaches the factoriser
 _NON_UNIT_CHAIN = [(phi, 1, S(Fraction(7, 3))), (phi_prime, 2, S(Fraction(5, 2), -2)),
                    (phi, 1, S(Fraction(-3, 5), Fraction(11, 7)))]
 
@@ -544,10 +548,17 @@ def test_recognize_after_a_non_unit_chain_matches_the_scalar_table(index, monkey
     calls = []
     factor = linalg._factor_roots
     monkeypatch.setattr(linalg, "_factor_roots", lambda poly: calls.append(1) or factor(poly))
+    # these tables' ad(h) is triangular, so its spectrum is read off the diagonal
     assert recognize(algebra) == normalize_tag(tag)
-    assert calls
+    assert not calls
     reference = frozen.ScalarStruct(algebra.dim, algebra.labels, algebra.c)
     assert frozen.recognize(reference) == normalize_tag(tag)
+    # on the basis L·Lᵀ, L lower unitriangular of ones, ad(h) is not triangular
+    # but has the same charpoly, whose lowest coefficient is past the budget
+    n = algebra.dim
+    assert recognize(change_basis(algebra, [[min(i, j) + 1 for j in range(n)]
+                                            for i in range(n)])) == normalize_tag(tag)
+    assert calls
     for h in range(algebra.dim):
         assert _weights(real, h) == _frozen_weight_spaces(real, h)
 

@@ -16,6 +16,7 @@ from weylkit.errors import BadParams, IrrationalSpectrum
 from weylkit.linalg import Echelon, charpoly, eigen_decomposition, eigenvalues, integer_kernel, rref
 from weylkit.scalars import ONE, ZERO, Scalar, _clear
 
+from . import frozen_eigen
 from .frozen_echelon import ScalarEchelon, echelon_kernel
 from .frozen_echelon import eigen_decomposition as frozen_eigen_decomposition
 from .strategies import big_scalar_st, scalar_st
@@ -144,6 +145,8 @@ def test_charpoly_companion():
 def test_eigenvalues_with_multiplicity():
     a = _mat([[2, 1], [0, 2]])
     assert _eigenvalues(a) == [(Scalar(2), 2)]
+    # not triangular, so the double root comes from the charpoly's root search
+    assert _eigenvalues(_mat([[3, 1], [-1, 1]])) == [(Scalar(2), 2)]
 
 
 def test_eigen_decomposition_diagonalisable():
@@ -376,11 +379,13 @@ def test_kernels_use_no_dense_routine(monkeypatch):
     chain = liestruct.filiform_normal_basis(liestruct.catalog(liestruct.CatalogTag("L", 5)).realization)
     assert len(chain) == 6
     assert len(dixmier.eigenvectors_truncated(p * q, 1, 4)) == 2
-    # charpoly runs on Gaussian integers; each eigenspace is read off the
-    # sparse columns of a - λI
+    # a triangular spectrum is read off the diagonal and any other from the
+    # charpoly on Gaussian integers; each eigenspace is read off the sparse
+    # columns of a - λI
     b = _mat([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
-    assert [(lam, len(vecs)) for lam, vecs in _eigen_decomposition(b)] == [(Scalar(-1), 1),
-                                                                          (Scalar(2), 1)]
+    for c in (b, _conjugate(b, [(2, 0, ONE)])):
+        assert [(lam, len(vecs)) for lam, vecs in _eigen_decomposition(c)] == [(Scalar(-1), 1),
+                                                                              (Scalar(2), 1)]
     real = liestruct.catalog(liestruct.CatalogTag("Sl2")).realization
     spaces = liestruct.weight_spaces(real, real.algebra.labels.index("H"))
     assert sorted(len(v) for v in spaces.values()) == [1, 1, 1]
@@ -758,6 +763,53 @@ def test_root_free_factors_raise(block, extra, split, data):
         _eigenvalues(a)
 
 
+@st.composite
+def triangular_matrix_st(draw):
+    """An upper, lower or diagonal matrix whose diagonal repeats values from a
+    small pool, zero likely, and moves that conjugate it."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.one_of(st.just(ZERO), eigen_st), min_size=1, max_size=3))
+    spectrum = [draw(st.sampled_from(pool)) for _ in range(n)]
+    shape = draw(st.sampled_from(["upper", "lower", "diagonal"]))
+    entry = st.just(ZERO) if shape == "diagonal" else st.one_of(st.just(ZERO), eigen_st)
+    a = _triangular(spectrum, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    if shape == "lower":
+        a = [list(col) for col in zip(*a)]
+    return spectrum, a, draw(moves_st(n))
+
+
+@given(triangular_matrix_st())
+def test_triangular_spectra_match_the_charpoly(case):
+    # read off the diagonal, the spectrum is the one the charpoly and its root
+    # search give, on the matrix itself and on the same matrix conjugated
+    spectrum, a, moves = case
+    columns, den = _clear(*_columns(a))
+    got = eigenvalues(columns, den)
+    assert got == frozen_eigen.eigenvalues(columns, den) == _factor_list_eigenvalues(a)
+    assert dict(got) == Counter(spectrum)
+    assert eigenvalues(*_clear(*_columns(_conjugate(a, moves)))) == got
+    assert eigen_decomposition(columns, den) == frozen_eigen.eigen_decomposition(columns, den)
+
+
+def _outcome(f, columns, den):
+    """f's answer, or the message of the IrrationalSpectrum it raised."""
+    try:
+        return f(columns, den)
+    except IrrationalSpectrum as e:
+        return str(e)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(ZERO), st.just(ZERO), eigen_st), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_spectra_match_the_frozen_charpoly_on_any_matrix(a):
+    # most of these matrices are neither triangular nor split over Q(i)
+    columns, den = _clear(*_columns(a))
+    for new, old in ((eigenvalues, frozen_eigen.eigenvalues),
+                     (eigen_decomposition, frozen_eigen.eigen_decomposition)):
+        assert _outcome(new, columns, den) == _outcome(old, columns, den)
+
+
 def _count_fallbacks(monkeypatch):
     calls = []
     fallback = linalg._factor_roots
@@ -768,11 +820,15 @@ def _count_fallbacks(monkeypatch):
 def test_eigenvalues_above_the_norm_budget_use_the_factoriser(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     big = Scalar(999999999989)  # prime
-    for spectrum in ([big], [big, Scalar(0, 1), ZERO], [Scalar(999983, 1000), Scalar(-2)]):
+    for spectrum in ([big], [big, ONE], [big, Scalar(0, 1), ZERO],
+                     [Scalar(999983, 1000), Scalar(-2)]):
         a = _conjugate(_triangular(spectrum, [[ONE] * 3] * 3), [(1, 0, Scalar(1, 1))][:len(spectrum) - 1])
         got = _eigenvalues(a)
         assert got == _factor_list_eigenvalues(a)
         assert dict(got) == Counter(spectrum)
+        if len(spectrum) == 1:
+            # a 1×1 matrix is triangular: its eigenvalue is read off the diagonal
+            assert calls == []
     with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
         _eigenvalues(_companion(-999999999989, 0))
     assert len(calls) == 4
@@ -783,12 +839,18 @@ def test_eigenvalues_above_the_norm_budget_use_the_factoriser(monkeypatch):
 def test_eigenvalues_below_the_norm_budget_never_use_the_factoriser(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     spectrum = [Scalar(99991), Scalar(0, 1)]  # 99991² is just under the budget
-    assert dict(_eigenvalues(_triangular(spectrum, [[ONE] * 2] * 2))) == Counter(spectrum)
+    # conjugated, so the divisor search runs, not the triangular read
+    a = _conjugate(_triangular(spectrum, [[ONE] * 2] * 2), [(1, 0, Scalar(1, 1))])
+    assert dict(_eigenvalues(a)) == Counter(spectrum)
     with pytest.raises(IrrationalSpectrum, match="factor of degree 2 "):
         _eigenvalues(_companion(-2, 0))
     # a factor common to den and every entry is cut first: over 10¹¹ the monic
     # charpoly t - 10¹¹ would be past the budget
     assert eigenvalues([{0: (10 ** 11, 0)}], 10 ** 11) == [(ONE, 1)]
+    # that 1×1 case is read off its diagonal; on a matrix that is not
+    # triangular, det(tI - 10¹¹·a) has a₀ = 10²² unless the factor is cut
+    assert eigenvalues([{0: (2 * 10 ** 11, 0), 1: (-10 ** 11, 0)}, {0: (10 ** 11, 0)}],
+                       10 ** 11) == [(ONE, 2)]
     assert calls == []
 
 
