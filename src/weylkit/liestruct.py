@@ -203,9 +203,13 @@ def _filiform_images(n: int) -> list[WeylElement]:
 
 def catalog(tag: CatalogTag) -> CatalogEntry:
     """The structure constants of a catalog class, with the standard
-    realisation by Weyl elements whenever the class has one."""
+    realisation by Weyl elements whenever the class has one; the two classes
+    without one are their covers' quotients by the centre."""
     from .sl2orbits import f_I
     kind, param = tag.kind, tag.param
+    if param is not None and kind in ("Heisenberg3", "Sl2", "Sl2xC", "Sl2SemidirectH3",
+                                      "Sl2SemidirectC2"):
+        raise BadParams(f"{kind} takes no parameter, got {param!r}")
     if kind == "Abelian":
         _check_count(param, 1, "abelian algebras need a positive dimension")
         return _struct_from_images([f"Z{i}" for i in range(1, param + 1)],
@@ -235,16 +239,10 @@ def catalog(tag: CatalogTag) -> CatalogEntry:
         images = [p * q] + [WeylElement.monomial(i, 0) for i in param]
         return _struct_from_images(labels, images)
     if kind == "Sl2SemidirectC2":
-        c = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}, (0, 4): {3: 1},
-             (1, 3): {4: 1}, (2, 3): {3: 1}, (2, 4): {4: -1}}
-        return CatalogEntry(LieAlgebraStruct(5, ["X", "Y", "H", "U", "V"], c), None)
+        return CatalogEntry(quotient_by_center(catalog(CatalogTag("Sl2SemidirectH3")).algebra), None)
     if kind == "LTildeModC":
-        n = param
-        _check_count(n, 2, "the quotient family starts at parameter 2")
-        labels = ["h"] + [f"X{k}" for k in range(n)]
-        c = {(0, 1): {1: -1}, **{(0, k + 1): {k + 1: n - k} for k in range(1, n)},
-             **{(1, k + 1): {k + 2: 1} for k in range(1, n - 1)}}
-        return CatalogEntry(LieAlgebraStruct(n + 1, labels, c), None)
+        _check_count(param, 2, "the quotient family starts at parameter 2")
+        return CatalogEntry(quotient_by_center(catalog(CatalogTag("LTilde", param)).algebra), None)
     raise BadParams(f"no catalog entry for kind {kind!r}")
 
 

@@ -391,6 +391,16 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
     assert (code, out) == (want, "") and err == f"{prefix} {exc}\n"
 
 
+def test_a_value_error_other_than_the_digit_limit_propagates(capsys, monkeypatch):
+    # only Python's int-to-text digit cap is a resource bound; any other
+    # ValueError from a handler is a fault and leaves main uncaught
+    def raiser(*args):
+        raise ValueError("boom")
+    monkeypatch.setattr(sl2orbits, "casimir", raiser)
+    with pytest.raises(ValueError, match="^boom$"):
+        run(capsys, "casimir", "fI")
+
+
 def test_json_negative_results_still_emit_payloads(capsys):
     code, out, _ = run(capsys, "ftest", "--json", "--max-iter", "6",
                        "p*q^2 + q", "q")

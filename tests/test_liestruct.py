@@ -221,7 +221,31 @@ def test_catalog_structure_only_families():
     for tag in (CatalogTag("Sl2SemidirectC2"), CatalogTag("LTildeModC", 3)):
         entry = catalog(tag)
         assert entry.realization is None
-        assert entry.algebra.dim > 0        # Jacobi ran at construction
+        assert entry.algebra.dim > 0        # a quotient of a realised cover, built unchecked
+
+
+# sl₂ ⋉ ℂ² is (sl₂ ⋉ H₃)/centre and LTildeModC(n) is LTilde(n)/centre: the
+# catalog reads each off its cover, so each is that quotient, table and labels,
+# recognises as its own tag and satisfies Jacobi, run here as an oracle
+@pytest.mark.parametrize("tag,cover", [(CatalogTag("Sl2SemidirectC2"),
+                                        CatalogTag("Sl2SemidirectH3"))]
+                         + [(CatalogTag("LTildeModC", n), CatalogTag("LTilde", n))
+                            for n in range(2, 9)], ids=str)
+def test_the_quotient_families_are_their_covers_modulo_the_centre(tag, cover):
+    algebra = catalog(tag).algebra
+    quotient = quotient_by_center(catalog(cover).algebra)
+    assert (algebra._num, algebra._den, algebra.labels) == \
+        (quotient._num, quotient._den, quotient.labels)
+    assert recognize(algebra) == tag
+    algebra._check_jacobi()
+
+
+@pytest.mark.parametrize("tag", [CatalogTag("Sl2", 3), CatalogTag("Heisenberg3", "x"),
+                                 CatalogTag("Sl2xC", 0), CatalogTag("Sl2SemidirectH3", (1,)),
+                                 CatalogTag("Sl2SemidirectC2", 7)], ids=str)
+def test_catalog_refuses_a_parameter_on_a_parameterless_kind(tag):
+    with pytest.raises(BadParams, match="takes no parameter"):
+        catalog(tag)
 
 
 def test_catalog_rejects_bad_parameters():
@@ -918,24 +942,24 @@ def test_integer_table_matches_the_scalar_table_on_random_tables(table, data):
 
 def test_library_tables_skip_the_jacobi_check(monkeypatch):
     # closures and catalog realisations are read off brackets in A1, basis
-    # changes and quotients off a checked table: none of them runs the check,
-    # and each passes it when the check is run on it here as an oracle
+    # changes and quotients, the two quotient families of the catalog among
+    # them, off a checked table: none of them runs the check, and each passes
+    # it when the check is run on it here as an oracle
     check = LieAlgebraStruct._check_jacobi
-    outside = [catalog(CatalogTag("Sl2SemidirectC2")).algebra,
-               catalog(CatalogTag("LTildeModC", 4)).algebra]
 
     def refuse(self):
         raise AssertionError("the Jacobi check ran on a table the library built")
 
     monkeypatch.setattr(LieAlgebraStruct, "_check_jacobi", refuse)
     m = compose(phi_prime(2, S(1, 1)), phi(1, -2))
-    built = [catalog(tag).algebra for tag in REALISED_TAGS]
+    built = [catalog(tag).algebra for tag in REALISED_TAGS
+             + [CatalogTag("Sl2SemidirectC2"), CatalogTag("LTildeModC", 4)]]
     built += [lie_closure([parse_element(g) for g in gens]).algebra
               for gens in (["p^2", "q^2"], ["p*q", "p^3", "p"], ["p", "q", "p*q"])]
     built.append(lie_closure([m(x) for x in
                               catalog(CatalogTag("LTilde", 3)).realization.images]).algebra)
     rng = random.Random(5)
-    for algebra in built[:] + outside:
+    for algebra in built[:]:
         n = algebra.dim
         built.append(quotient_by_center(algebra))
         matrix = [[S(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]

@@ -362,6 +362,12 @@ raise SystemExit(0 if report == want else repr(report))
 """
 
 
+def test_s11_pattern_of_a_scalar_h_is_its_factor_alone():
+    # X·H = X raises no degree, so the pattern stops after X, in this process
+    report = s11_test(Sl2Realization._make([p, q, one]), 4)
+    assert report.plus == (False, 0, 1, p) and report.minus == (False, 0, 1, q)
+
+
 def test_s11_ends_when_h_raises_no_degree():
     src = str(Path(sl2orbits.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", _S11_DEGREE_FREE],

@@ -90,6 +90,18 @@ for name in {modules!r}:
     assert done.returncode == 0, done.stderr + done.stdout
 
 
+def test_the_library_builds_its_tables_unchecked():
+    # every table the library makes is read off brackets in A1 or off a checked
+    # table and goes through liestruct._built, so the constructor's Jacobi check
+    # runs only on tables from outside; a library call of the constructor would
+    # check a table true by construction
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "LieAlgebraStruct" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, found
+
+
 def test_the_elimination_engine_stays_behind_linalg():
     # Echelon is the one elimination routine; other modules reach it through
     # its public names only, so its integer internals can change in one place
